@@ -482,7 +482,7 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
 
 void FanoutGroup::submit(const OpSpec& op, Done done, CasDone cas_done) {
   assert(!stopped_ && "primitive on a stopped group");
-  if (inflight_ >= cfg_.max_inflight) {
+  if (inflight_ >= cfg_.max_inflight || !waiting_.empty()) {
     QueuedOp q;
     q.spec = op;
     q.done = std::move(done);

@@ -728,7 +728,7 @@ void HyperLoopGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
   assert(!stopped_ && "gwrite on a stopped group");
   assert(offset + len <= cfg_.region_size);
   ClientChain& cc = client_chain_[static_cast<int>(Prim::kWrite)];
-  if (cc.inflight >= cfg_.max_inflight) {
+  if (cc.inflight >= cfg_.max_inflight || !cc.waiting.empty()) {
     QueuedOp op;
     op.a = offset;
     op.len = len;
@@ -751,7 +751,7 @@ void HyperLoopGroup::gwritev(const ExtentVec& extents, bool flush,
   }
 #endif
   ClientChain& cc = client_chain_[static_cast<int>(Prim::kWriteV)];
-  if (cc.inflight >= cfg_.max_inflight) {
+  if (cc.inflight >= cfg_.max_inflight || !cc.waiting.empty()) {
     QueuedOp op;
     op.extents = extents;
     op.flush = flush;
@@ -769,7 +769,7 @@ void HyperLoopGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
   ClientChain& cc = client_chain_[static_cast<int>(Prim::kMemcpy)];
-  if (cc.inflight >= cfg_.max_inflight) {
+  if (cc.inflight >= cfg_.max_inflight || !cc.waiting.empty()) {
     QueuedOp op;
     op.a = src_offset;
     op.b = dst_offset;
@@ -788,7 +788,7 @@ void HyperLoopGroup::gcas(uint64_t offset, uint64_t expected,
   assert(!stopped_ && "gcas on a stopped group");
   assert(offset + 8 <= cfg_.region_size);
   ClientChain& cc = client_chain_[static_cast<int>(Prim::kCas)];
-  if (cc.inflight >= cfg_.max_inflight) {
+  if (cc.inflight >= cfg_.max_inflight || !cc.waiting.empty()) {
     QueuedOp op;
     op.a = offset;
     op.expected = expected;

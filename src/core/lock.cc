@@ -16,6 +16,13 @@ uint32_t acquire_slot(std::vector<Op>& pool, std::vector<uint32_t>& free_list) {
   return idx;
 }
 
+bool all_zero(const CasResult& values) {
+  for (uint64_t v : values) {
+    if (v != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 GroupLockManager::GroupLockManager(ReplicationGroup& group,
@@ -51,37 +58,46 @@ void GroupLockManager::wr_attempt(uint32_t idx) {
     wr_finish(idx, false);
     return;
   }
-  group_.gcas(
-      layout_.lock_offset(op.lock_id), 0, op.owner, all_replicas(),
-      [this, idx](const CasResult& result) {
-        WrOp& op = wr_ops_[idx];
-        bool all = true, any = false;
-        for (uint64_t old : result) {
-          if (old == 0) {
-            any = true;
-          } else {
-            all = false;
-          }
-        }
-        if (all) {
-          ++stats_.wr_acquired;
-          wait_readers_drain(idx);
-          return;
-        }
-        ++stats_.wr_conflicts;
-        if (any) {
-          // Partial acquisition: undo exactly where we succeeded (§4.2).
-          ++stats_.partial_undos;
-          ExecMap undo = ExecMap::none();
-          for (size_t i = 0; i < result.size(); ++i) {
-            if (result[i] == 0) undo.set(i);
-          }
-          group_.gcas(layout_.lock_offset(op.lock_id), op.owner, 0, undo,
-                      [this, idx](const CasResult&) { wr_retry(idx); });
-        } else {
-          wr_retry(idx);
-        }
-      });
+  // Pipelined pair (see lock.h): set the writer word everywhere, then,
+  // right behind it, read every replica's reader count.
+  op.pending = 2;
+  group_.gcas(layout_.lock_offset(op.lock_id), 0, op.owner, all_replicas(),
+              [this, idx](const CasResult& words) {
+                WrOp& op = wr_ops_[idx];
+                op.acquired = ExecMap::none();
+                for (size_t i = 0; i < words.size(); ++i) {
+                  if (words[i] == 0) op.acquired.set(i);
+                }
+                if (--op.pending == 0) wr_settle(idx);
+              });
+  group_.gcas(layout_.reader_offset(op.lock_id), 0, 0, all_replicas(),
+              [this, idx](const CasResult& counts) {
+                WrOp& op = wr_ops_[idx];
+                op.drained = all_zero(counts);
+                if (--op.pending == 0) wr_settle(idx);
+              });
+}
+
+void GroupLockManager::wr_settle(uint32_t idx) {
+  WrOp& op = wr_ops_[idx];
+  if (op.acquired == all_replicas()) {
+    ++stats_.wr_acquired;
+    if (op.drained) {
+      wr_finish(idx, true);
+    } else {
+      drain_retry(idx);
+    }
+    return;
+  }
+  ++stats_.wr_conflicts;
+  if (op.acquired.empty()) {
+    wr_retry(idx);
+    return;
+  }
+  // Partial acquisition: undo exactly where we succeeded (§4.2).
+  ++stats_.partial_undos;
+  group_.gcas(layout_.lock_offset(op.lock_id), op.owner, 0, op.acquired,
+              [this, idx](const CasResult&) { wr_retry(idx); });
 }
 
 void GroupLockManager::wr_retry(uint32_t idx) {
@@ -102,17 +118,19 @@ void GroupLockManager::wait_readers_drain(uint32_t idx) {
   // gCAS(0 -> 0) is a NIC-side read of every replica's reader count.
   group_.gcas(layout_.reader_offset(op.lock_id), 0, 0, all_replicas(),
               [this, idx](const CasResult& counts) {
-                bool drained = true;
-                for (uint64_t c : counts) drained = drained && c == 0;
-                if (drained) {
+                if (all_zero(counts)) {
                   wr_finish(idx, true);
-                  return;
+                } else {
+                  drain_retry(idx);
                 }
-                loop_.schedule_after(cfg_.retry_backoff, [this, idx] {
-                  --wr_ops_[idx].attempts_left;
-                  wait_readers_drain(idx);
-                });
               });
+}
+
+void GroupLockManager::drain_retry(uint32_t idx) {
+  loop_.schedule_after(cfg_.retry_backoff, [this, idx] {
+    --wr_ops_[idx].attempts_left;
+    wait_readers_drain(idx);
+  });
 }
 
 void GroupLockManager::wr_unlock(uint32_t lock_id, uint64_t owner,
@@ -143,6 +161,8 @@ void GroupLockManager::rd_lock(uint32_t lock_id, size_t replica,
   op.replica = replica;
   op.attempts_left = cfg_.max_attempts;
   op.live = true;
+  op.guess = 0;  // first increment assumes no other reader
+  op.writer = 0;
   op.done = std::move(done);
   rd_attempt(idx);
 }
@@ -161,34 +181,61 @@ void GroupLockManager::rd_attempt(uint32_t idx) {
     rd_finish(idx, false);
     return;
   }
-  // 1) Writer free on this replica?
-  group_.gcas(layout_.lock_offset(op.lock_id), 0, 0,
-              ExecMap::one(op.replica), [this, idx](const CasResult& w) {
+  const ExecMap one = ExecMap::one(op.replica);
+  if (op.writer != 0) {
+    // A writer was seen: wait for it to leave with read-only probes, so a
+    // waiting reader never holds the count up and starves its drain.
+    group_.gcas(layout_.lock_offset(op.lock_id), 0, 0, one,
+                [this, idx](const CasResult& r) {
+                  RdOp& op = rd_ops_[idx];
+                  op.writer = r[op.replica];
+                  if (op.writer != 0) {
+                    rd_retry(idx);
+                  } else {
+                    rd_attempt(idx);
+                  }
+                });
+    return;
+  }
+  // Pipelined pair (see lock.h): increment the reader count, then, right
+  // behind it, read the writer word on the same replica.
+  op.pending = 2;
+  group_.gcas(layout_.reader_offset(op.lock_id), op.guess, op.guess + 1, one,
+              [this, idx](const CasResult& r) {
                 RdOp& op = rd_ops_[idx];
-                if (w[op.replica] != 0) {
-                  rd_retry(idx);
-                  return;
-                }
-                // 2) Increment the reader count.
-                cas_loop_add(layout_.reader_offset(op.lock_id), op.replica,
-                             +1, [this, idx] { rd_recheck(idx); });
+                op.count = r[op.replica];
+                if (--op.pending == 0) rd_settle(idx);
+              });
+  group_.gcas(layout_.lock_offset(op.lock_id), 0, 0, one,
+              [this, idx](const CasResult& r) {
+                RdOp& op = rd_ops_[idx];
+                op.writer = r[op.replica];
+                if (--op.pending == 0) rd_settle(idx);
               });
 }
 
-void GroupLockManager::rd_recheck(uint32_t idx) {
+void GroupLockManager::rd_settle(uint32_t idx) {
   RdOp& op = rd_ops_[idx];
-  // 3) Re-check the writer: if one slipped in, back out.
-  group_.gcas(layout_.lock_offset(op.lock_id), 0, 0,
-              ExecMap::one(op.replica), [this, idx](const CasResult& w2) {
-                RdOp& op = rd_ops_[idx];
-                if (w2[op.replica] == 0) {
-                  ++stats_.rd_acquired;
-                  rd_finish(idx, true);
-                  return;
-                }
-                cas_loop_add(layout_.reader_offset(op.lock_id), op.replica,
-                             -1, [this, idx] { rd_retry(idx); });
-              });
+  const bool incremented = op.count == op.guess;
+  if (incremented && op.writer == 0) {
+    ++stats_.rd_acquired;
+    rd_finish(idx, true);
+    return;
+  }
+  if (incremented) {
+    // A writer slipped in ahead of the check: back out, then retry.
+    cas_loop_add(layout_.reader_offset(op.lock_id), op.replica, -1,
+                 op.guess + 1, [this, idx] { rd_retry(idx); });
+    return;
+  }
+  // The increment missed: retry it against the count it found, after a
+  // back-off (and a wait for the writer) only if a writer holds the lock.
+  op.guess = op.count;
+  if (op.writer != 0) {
+    rd_retry(idx);
+  } else {
+    rd_attempt(idx);
+  }
 }
 
 void GroupLockManager::rd_retry(uint32_t idx) {
@@ -200,18 +247,21 @@ void GroupLockManager::rd_retry(uint32_t idx) {
 
 void GroupLockManager::rd_unlock(uint32_t lock_id, size_t replica,
                                  Done done) {
-  cas_loop_add(layout_.reader_offset(lock_id), replica, -1, std::move(done));
+  // The caller holds a count, so 1 is the likeliest value.
+  cas_loop_add(layout_.reader_offset(lock_id), replica, -1, 1,
+               std::move(done));
 }
 
 void GroupLockManager::cas_loop_add(uint64_t offset, size_t replica,
-                                    int64_t delta, Done done) {
+                                    int64_t delta, uint64_t guess,
+                                    Done done) {
   const uint32_t idx = acquire_slot(add_ops_, add_free_);
   AddOp& op = add_ops_[idx];
   assert(!op.live);
   op.offset = offset;
   op.replica = replica;
   op.delta = delta;
-  op.guess = 0;  // first probe assumes the count is zero
+  op.guess = guess;
   op.live = true;
   op.done = std::move(done);
   add_attempt(idx);

@@ -7,12 +7,33 @@
 // selects exactly the replicas that succeeded — the paper's undo flow.
 // Read locks are per-replica (only the replica being read from
 // participates) and coexist with writers via the classic rwlock protocol:
-// readers increment the reader count while the writer word is clear;
-// writers acquire the writer word on all replicas and then wait for reader
-// counts to drain.
+// a reader increments the reader count and then checks the writer word; a
+// writer sets the writer word on all replicas and then waits for the
+// reader counts to drain.
 //
 // A gCAS(expected=0, desired=0) is used as a NIC-offloaded *read* of a
 // lock word (it swaps nothing and returns the current value).
+//
+// Pipelining. Each protocol step is a pair of gCAS whose order matters,
+// and the pair is issued back to back instead of waiting for the first
+// op's ACK. ReplicationGroup guarantees that ops of one primitive issued
+// on one group execute at every replica in issue order (group.h; both
+// words share one 16-byte lock entry, so a ShardedGroup routes a pair to
+// one chain), so at each replica:
+//
+//   reader:  R1 = gCAS(count, g -> g+1)   then  R2 = gCAS(writer, 0 -> 0)
+//   writer:  W1 = gCAS(writer, 0 -> owner) then W2 = gCAS(count, 0 -> 0)
+//
+// execute in that order. Either R2 runs before W1 — then W2 runs after R1
+// and sees the increment, so the writer waits for the count to drain — or
+// W1 runs before R2, and the reader sees the writer and backs out. A
+// reader and a writer therefore never both believe they hold one
+// replica's lock. A reader that has seen a writer waits for the writer
+// word to clear with read-only gCAS probes before it increments again, so
+// waiting readers never hold the count up and starve the writer's drain.
+// An uncontended read costs 3 gCAS in 2 serial round trips (the pair,
+// then the unlock decrement); an uncontended write lock costs 1 round
+// trip.
 //
 // Every multi-step acquisition (attempt/backoff/undo loops) runs as a
 // small state machine over a pooled slot table: callbacks capture only
@@ -77,6 +98,11 @@ class GroupLockManager {
     uint64_t owner = 0;
     int attempts_left = 0;
     bool live = false;
+    /// Pipelined pair state: ops still to complete, replicas whose
+    /// writer word was 0 (now ours), and whether every count read 0.
+    uint8_t pending = 0;
+    ExecMap acquired;
+    bool drained = false;
     LockDone done;
   };
 
@@ -86,6 +112,13 @@ class GroupLockManager {
     size_t replica = 0;
     int attempts_left = 0;
     bool live = false;
+    /// Pipelined pair state: ops still to complete, the count the
+    /// increment expects, the count it found, and the writer word last
+    /// read (non-zero: probe until it clears before incrementing).
+    uint8_t pending = 0;
+    uint64_t guess = 0;
+    uint64_t count = 0;
+    uint64_t writer = 0;
     LockDone done;
   };
 
@@ -109,19 +142,23 @@ class GroupLockManager {
   };
 
   void wr_attempt(uint32_t idx);
+  void wr_settle(uint32_t idx);
   void wr_retry(uint32_t idx);
   void wait_readers_drain(uint32_t idx);
+  void drain_retry(uint32_t idx);
   void wr_finish(uint32_t idx, bool acquired);
 
   void rd_attempt(uint32_t idx);
+  void rd_settle(uint32_t idx);
   void rd_retry(uint32_t idx);
-  void rd_recheck(uint32_t idx);
   void rd_finish(uint32_t idx, bool acquired);
 
   void unlock_finish(uint32_t idx);
 
+  /// Adds `delta` to one replica's reader count with a gCAS loop whose
+  /// first probe expects `guess`.
   void cas_loop_add(uint64_t offset, size_t replica, int64_t delta,
-                    Done done);
+                    uint64_t guess, Done done);
   void add_attempt(uint32_t idx);
 
   ExecMap all_replicas() const {

@@ -356,7 +356,7 @@ void NaiveRdmaGroup::on_client_ack() {
 
 void NaiveRdmaGroup::submit_cmd(Cmd cmd, Done done, CasDone cas_done) {
   assert(!stopped_ && "primitive on a stopped group");
-  if (inflight_ >= cfg_.max_inflight) {
+  if (inflight_ >= cfg_.max_inflight || !waiting_.empty()) {
     QueuedCmd q;
     q.cmd = cmd;
     q.done = std::move(done);

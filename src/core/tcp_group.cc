@@ -197,7 +197,7 @@ void TcpReplicationGroup::on_client_ack(std::vector<uint8_t> msg) {
 }
 
 void TcpReplicationGroup::submit(Header hdr, Done done, CasDone cas_done) {
-  if (inflight_ >= cfg_.max_inflight) {
+  if (inflight_ >= cfg_.max_inflight || !waiting_.empty()) {
     waiting_.push_back(
         QueuedOp{hdr, std::move(done), std::move(cas_done)});
     return;

@@ -2,22 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
 
-// Binary-wide allocation counter: the steady-state zero-allocation claim
-// in DESIGN.md is enforced here, not just asserted in prose. The default
-// operator new[] forwards to operator new, so this hook sees it too.
-static uint64_t g_alloc_count = 0;
-
-void* operator new(std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 namespace hyperloop::sim {
 namespace {
@@ -190,10 +177,10 @@ TEST(EventLoop, SteadyStateScheduleFireCycleDoesNotAllocate) {
   loop.schedule_after(1, Chain{&loop, &n});
   loop.run();
   n = 0;
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   loop.schedule_after(1, Chain{&loop, &n});
   loop.run();
-  EXPECT_EQ(g_alloc_count, before);
+  EXPECT_EQ(alloc_count(), before);
   EXPECT_EQ(loop.callback_heap_allocs(), 0u);
   EXPECT_EQ(n, 1000);
 }
@@ -219,9 +206,9 @@ TEST(EventLoop, SteadyStateCancelChurnDoesNotAllocate) {
     loop.run_until(loop.now() + 1);
   };
   churn_round();  // warm-up: heap reaches its steady-state capacity
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   for (int round = 0; round < 100; ++round) churn_round();
-  EXPECT_EQ(g_alloc_count, before);
+  EXPECT_EQ(alloc_count(), before);
   EXPECT_EQ(cancelled, 101u * 256u);
   for (EventId id : ids) loop.cancel(id);
 }

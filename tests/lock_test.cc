@@ -2,19 +2,38 @@
 
 #include <gtest/gtest.h>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include <functional>
+
+#include "backends.h"
+#include "sim/rng.h"
 
 namespace hyperloop::core {
 namespace {
 
-struct LockFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+constexpr size_t kReplicas = 3;
+
+/// A lock manager over one backend's 3-replica group.
+class LockHarness {
+ public:
+  explicit LockHarness(Backend b)
+      : group(make_group(b, cluster, layout.region_size, 16)) {}
+
+  void run(sim::Duration d = sim::msec(200)) {
+    cluster.loop().run_until(cluster.loop().now() + d);
+  }
+
+  uint64_t lock_word(size_t replica, uint32_t id) const {
+    uint64_t v = 0;
+    group->replica_load(replica, layout.lock_offset(id), &v, 8);
+    return v;
+  }
+  uint64_t reader_count(size_t replica, uint32_t id) const {
+    uint64_t v = 0;
+    group->replica_load(replica, layout.reader_offset(id), &v, 8);
+    return v;
+  }
+
+  Cluster cluster{backend_cluster_config()};
   RegionLayout layout = [] {
     RegionLayout l;
     l.region_size = 1 << 20;
@@ -22,172 +41,334 @@ struct LockFixture : ::testing::Test {
     l.num_locks = 32;
     return l;
   }();
-  std::unique_ptr<HyperLoopGroup> group = [this] {
-    HyperLoopGroup::Config gc;
-    gc.region_size = layout.region_size;
-    gc.ring_slots = 64;
-    gc.max_inflight = 16;
-    std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                 &cluster.server(2)};
-    return std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc);
-  }();
+  std::unique_ptr<ReplicationGroup> group;
   GroupLockManager locks{*group, layout, cluster.loop()};
-
-  void run(sim::Duration d = sim::msec(200)) {
-    cluster.loop().run_until(cluster.loop().now() + d);
-  }
-
-  uint64_t lock_word(size_t replica, uint32_t id) {
-    uint64_t v = 0;
-    group->replica_load(replica, layout.lock_offset(id), &v, 8);
-    return v;
-  }
-  uint64_t reader_count(size_t replica, uint32_t id) {
-    uint64_t v = 0;
-    group->replica_load(replica, layout.reader_offset(id), &v, 8);
-    return v;
-  }
 };
 
-TEST_F(LockFixture, WrLockAcquiresOnAllReplicas) {
+struct LockFixture : ::testing::Test, LockHarness {
+  LockFixture() : LockHarness(Backend::kHyperLoop) {}
+};
+
+struct LockTest : ::testing::TestWithParam<Backend>, LockHarness {
+  LockTest() : LockHarness(GetParam()) {}
+};
+
+// Every scenario runs on every backend: the HyperLoop instance as
+// LockFixture.<name>, the others as Backends/LockTest.<name>/<backend>.
+#define LOCK_TEST(name)                        \
+  void name(LockHarness& h);                   \
+  TEST_F(LockFixture, name) { name(*this); }   \
+  TEST_P(LockTest, name) { name(*this); }      \
+  void name(LockHarness& h)
+
+LOCK_TEST(WrLockAcquiresOnAllReplicas) {
   bool got = false;
-  locks.wr_lock(3, 111, [&](bool ok) { got = ok; });
-  run();
+  h.locks.wr_lock(3, 111, [&](bool ok) { got = ok; });
+  h.run();
   ASSERT_TRUE(got);
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(lock_word(i, 3), 111u);
-  EXPECT_EQ(locks.stats().wr_acquired, 1u);
+  for (size_t i = 0; i < kReplicas; ++i) EXPECT_EQ(h.lock_word(i, 3), 111u);
+  EXPECT_EQ(h.locks.stats().wr_acquired, 1u);
 }
 
-TEST_F(LockFixture, WrUnlockReleasesEverywhere) {
+LOCK_TEST(WrUnlockReleasesEverywhere) {
   bool done = false;
-  locks.wr_lock(3, 111, [&](bool) {
-    locks.wr_unlock(3, 111, [&] { done = true; });
+  h.locks.wr_lock(3, 111, [&](bool) {
+    h.locks.wr_unlock(3, 111, [&] { done = true; });
   });
-  run();
+  h.run();
   ASSERT_TRUE(done);
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(lock_word(i, 3), 0u);
+  for (size_t i = 0; i < kReplicas; ++i) EXPECT_EQ(h.lock_word(i, 3), 0u);
 }
 
-TEST_F(LockFixture, SecondOwnerWaitsForRelease) {
+LOCK_TEST(SecondOwnerWaitsForRelease) {
   bool a = false, b = false;
-  locks.wr_lock(5, 1, [&](bool ok) { a = ok; });
-  locks.wr_lock(5, 2, [&](bool ok) { b = ok; });
-  run(sim::msec(5));
+  h.locks.wr_lock(5, 1, [&](bool ok) { a = ok; });
+  h.locks.wr_lock(5, 2, [&](bool ok) { b = ok; });
+  h.run(sim::msec(5));
   EXPECT_TRUE(a);
   EXPECT_FALSE(b);  // still waiting
-  EXPECT_GT(locks.stats().wr_conflicts, 0u);
+  EXPECT_GT(h.locks.stats().wr_conflicts, 0u);
 
-  locks.wr_unlock(5, 1, [] {});
-  run();
+  h.locks.wr_unlock(5, 1, [] {});
+  h.run();
   EXPECT_TRUE(b);
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(lock_word(i, 5), 2u);
+  for (size_t i = 0; i < kReplicas; ++i) EXPECT_EQ(h.lock_word(i, 5), 2u);
 }
 
-TEST_F(LockFixture, MutualExclusionUnderContention) {
+LOCK_TEST(MutualExclusionUnderContention) {
   // N logical owners hammer one lock; verify the critical section never
   // overlaps by checking a shared counter invariant.
   int in_critical = 0, max_in_critical = 0, completed = 0;
   const int kOwners = 8;
   for (uint64_t o = 1; o <= kOwners; ++o) {
-    locks.wr_lock(7, o, [&, o](bool ok) {
+    h.locks.wr_lock(7, o, [&, o](bool ok) {
       ASSERT_TRUE(ok);
       ++in_critical;
       max_in_critical = std::max(max_in_critical, in_critical);
-      cluster.loop().schedule_after(sim::usec(50), [&, o] {
+      h.cluster.loop().schedule_after(sim::usec(50), [&, o] {
         --in_critical;
-        locks.wr_unlock(7, o, [&] { ++completed; });
+        h.locks.wr_unlock(7, o, [&] { ++completed; });
       });
     });
   }
-  run(sim::seconds(2));
+  h.run(sim::seconds(2));
   EXPECT_EQ(completed, kOwners);
   EXPECT_EQ(max_in_critical, 1);
 }
 
-TEST_F(LockFixture, PartialAcquisitionIsUndone) {
-  // Pre-poison replica 1's lock word (another coordinator's stale lock).
-  const uint64_t stale = 99;
-  const rdma::Addr base = group->replica_region_base(1);
-  group->replica_server(1).mem().write(base + layout.lock_offset(9), &stale,
-                                       8);
+LOCK_TEST(PartialAcquisitionIsUndone) {
+  // Another coordinator's stale lock, held on replica 1 only.
+  bool poisoned = false;
+  h.group->gcas(h.layout.lock_offset(9), 0, 99, ExecMap::one(1),
+                [&](const CasResult&) { poisoned = true; });
+  h.run(sim::msec(5));
+  ASSERT_TRUE(poisoned);
+
   bool result = true;
   GroupLockManager::Config quick;
   quick.max_attempts = 3;
   quick.retry_backoff = sim::usec(10);
-  GroupLockManager impatient(*group, layout, cluster.loop(), quick);
+  GroupLockManager impatient(*h.group, h.layout, h.cluster.loop(), quick);
   impatient.wr_lock(9, 5, [&](bool ok) { result = ok; });
-  run();
+  h.run();
   EXPECT_FALSE(result);  // could not acquire
   EXPECT_GT(impatient.stats().partial_undos, 0u);
   // Replicas 0 and 2 must have been rolled back to 0.
-  EXPECT_EQ(lock_word(0, 9), 0u);
-  EXPECT_EQ(lock_word(2, 9), 0u);
-  EXPECT_EQ(lock_word(1, 9), 99u);
+  EXPECT_EQ(h.lock_word(0, 9), 0u);
+  EXPECT_EQ(h.lock_word(2, 9), 0u);
+  EXPECT_EQ(h.lock_word(1, 9), 99u);
 }
 
-TEST_F(LockFixture, RdLockIncrementsOneReplicaOnly) {
+LOCK_TEST(RdLockIncrementsOneReplicaOnly) {
   bool got = false;
-  locks.rd_lock(2, 1, [&](bool ok) { got = ok; });
-  run();
+  h.locks.rd_lock(2, 1, [&](bool ok) { got = ok; });
+  h.run();
   ASSERT_TRUE(got);
-  EXPECT_EQ(reader_count(0, 2), 0u);
-  EXPECT_EQ(reader_count(1, 2), 1u);
-  EXPECT_EQ(reader_count(2, 2), 0u);
+  EXPECT_EQ(h.reader_count(0, 2), 0u);
+  EXPECT_EQ(h.reader_count(1, 2), 1u);
+  EXPECT_EQ(h.reader_count(2, 2), 0u);
   bool rel = false;
-  locks.rd_unlock(2, 1, [&] { rel = true; });
-  run();
+  h.locks.rd_unlock(2, 1, [&] { rel = true; });
+  h.run();
   ASSERT_TRUE(rel);
-  EXPECT_EQ(reader_count(1, 2), 0u);
+  EXPECT_EQ(h.reader_count(1, 2), 0u);
 }
 
-TEST_F(LockFixture, MultipleReadersCoexist) {
+LOCK_TEST(MultipleReadersCoexist) {
   int granted = 0;
   for (int i = 0; i < 5; ++i) {
-    locks.rd_lock(4, 2, [&](bool ok) { granted += ok ? 1 : 0; });
+    h.locks.rd_lock(4, 2, [&](bool ok) { granted += ok ? 1 : 0; });
   }
-  run();
+  h.run();
   EXPECT_EQ(granted, 5);
-  EXPECT_EQ(reader_count(2, 4), 5u);
+  EXPECT_EQ(h.reader_count(2, 4), 5u);
 }
 
-TEST_F(LockFixture, ReaderBlocksWriterUntilDrained) {
+LOCK_TEST(ReaderBlocksWriterUntilDrained) {
   bool reader = false, writer = false;
-  locks.rd_lock(6, 0, [&](bool ok) { reader = ok; });
-  run(sim::msec(5));
+  h.locks.rd_lock(6, 0, [&](bool ok) { reader = ok; });
+  h.run(sim::msec(5));
   ASSERT_TRUE(reader);
 
-  locks.wr_lock(6, 42, [&](bool ok) { writer = ok; });
-  run(sim::msec(5));
+  h.locks.wr_lock(6, 42, [&](bool ok) { writer = ok; });
+  h.run(sim::msec(5));
   EXPECT_FALSE(writer);  // writer word held, waiting for readers
 
-  locks.rd_unlock(6, 0, [] {});
-  run();
+  h.locks.rd_unlock(6, 0, [] {});
+  h.run();
   EXPECT_TRUE(writer);
 }
 
-TEST_F(LockFixture, WriterBlocksNewReaders) {
+LOCK_TEST(WriterBlocksNewReaders) {
   bool writer = false, reader = false;
-  locks.wr_lock(8, 7, [&](bool ok) { writer = ok; });
-  run(sim::msec(5));
+  h.locks.wr_lock(8, 7, [&](bool ok) { writer = ok; });
+  h.run(sim::msec(5));
   ASSERT_TRUE(writer);
 
-  locks.rd_lock(8, 1, [&](bool ok) { reader = ok; });
-  run(sim::msec(5));
+  h.locks.rd_lock(8, 1, [&](bool ok) { reader = ok; });
+  h.run(sim::msec(5));
   EXPECT_FALSE(reader);
 
-  locks.wr_unlock(8, 7, [] {});
-  run();
+  h.locks.wr_unlock(8, 7, [] {});
+  h.run();
   EXPECT_TRUE(reader);
 }
 
-TEST_F(LockFixture, IndependentLocksDoNotInterfere) {
+LOCK_TEST(IndependentLocksDoNotInterfere) {
   bool a = false, b = false;
-  locks.wr_lock(10, 1, [&](bool ok) { a = ok; });
-  locks.wr_lock(11, 2, [&](bool ok) { b = ok; });
-  run();
+  h.locks.wr_lock(10, 1, [&](bool ok) { a = ok; });
+  h.locks.wr_lock(11, 2, [&](bool ok) { b = ok; });
+  h.run();
   EXPECT_TRUE(a);
   EXPECT_TRUE(b);
 }
+
+LOCK_TEST(SeededReadersAndWritersNeverOverlap) {
+  // Seeded mix of readers and writers on a few hot locks. A holder's
+  // interval runs from its grant to its release call; no reader may hold
+  // a replica's lock while a writer holds it, and at quiescence no lock
+  // word or reader count is leaked.
+  constexpr uint32_t kHot = 3;
+  constexpr int kOps = 150;
+  struct State {
+    int readers[kHot][kReplicas] = {};
+    bool writer[kHot] = {};
+    int overlaps = 0;
+    int released = 0;
+    int active[kHot] = {};  ///< requested and not yet released
+    int contended = 0;      ///< requests made while another was active
+  } s;
+  sim::EventLoop& loop = h.cluster.loop();
+  sim::Rng rng(20261017);
+  for (int i = 0; i < kOps; ++i) {
+    const auto id = static_cast<uint32_t>(rng.next_below(kHot));
+    const sim::Duration start = sim::usec(rng.uniform_int(0, 1000));
+    const sim::Duration hold = sim::usec(rng.uniform_int(1, 40));
+    if (rng.chance(0.3)) {
+      const uint64_t owner = 1 + static_cast<uint64_t>(i);
+      loop.schedule_after(start, [&h, &s, &loop, id, owner, hold] {
+        s.contended += s.active[id]++ > 0 ? 1 : 0;
+        h.locks.wr_lock(id, owner, [&h, &s, &loop, id, owner, hold](bool ok) {
+          ASSERT_TRUE(ok);
+          for (int n : s.readers[id]) s.overlaps += n;
+          s.overlaps += s.writer[id] ? 1 : 0;
+          s.writer[id] = true;
+          loop.schedule_after(hold, [&h, &s, id, owner] {
+            s.writer[id] = false;
+            --s.active[id];
+            h.locks.wr_unlock(id, owner, [&s] { ++s.released; });
+          });
+        });
+      });
+    } else {
+      const size_t replica = rng.next_below(kReplicas);
+      loop.schedule_after(start, [&h, &s, &loop, id, replica, hold] {
+        s.contended += s.active[id]++ > 0 ? 1 : 0;
+        h.locks.rd_lock(id, replica,
+                        [&h, &s, &loop, id, replica, hold](bool ok) {
+                          ASSERT_TRUE(ok);
+                          s.overlaps += s.writer[id] ? 1 : 0;
+                          ++s.readers[id][replica];
+                          loop.schedule_after(hold, [&h, &s, id, replica] {
+                            --s.readers[id][replica];
+                            --s.active[id];
+                            h.locks.rd_unlock(id, replica,
+                                              [&s] { ++s.released; });
+                          });
+                        });
+      });
+    }
+  }
+  h.run(sim::seconds(1));
+  EXPECT_EQ(s.released, kOps);
+  EXPECT_EQ(s.overlaps, 0);
+  EXPECT_GE(s.contended, kOps / 2);  // the mix really interleaves
+  for (uint32_t id = 0; id < kHot; ++id) {
+    for (size_t r = 0; r < kReplicas; ++r) {
+      EXPECT_EQ(h.lock_word(r, id), 0u) << "lock " << id << " replica " << r;
+      EXPECT_EQ(h.reader_count(r, id), 0u)
+          << "lock " << id << " replica " << r;
+    }
+  }
+}
+
+/// Forwards every primitive to `inner`, running `hook` once just before
+/// the first gCAS that matches (offset, expected, desired, exec) is
+/// forwarded — so ops the hook issues on `inner` execute right before it.
+class InterposingGroup final : public ReplicationGroup {
+ public:
+  explicit InterposingGroup(ReplicationGroup& inner) : inner_(inner) {}
+
+  struct Trap {
+    uint64_t offset = 0, expected = 0, desired = 0;
+    ExecMap exec;
+  };
+  void arm(Trap trap, std::function<void()> hook) {
+    trap_ = trap;
+    hook_ = std::move(hook);
+  }
+
+  size_t group_size() const override { return inner_.group_size(); }
+  uint64_t region_size() const override { return inner_.region_size(); }
+  void gwrite(uint64_t offset, uint32_t len, bool flush, Done done) override {
+    inner_.gwrite(offset, len, flush, std::move(done));
+  }
+  void gmemcpy(uint64_t src, uint64_t dst, uint32_t len, bool flush,
+               Done done) override {
+    inner_.gmemcpy(src, dst, len, flush, std::move(done));
+  }
+  void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
+            ExecMap exec, CasDone done) override {
+    if (hook_ && offset == trap_.offset && expected == trap_.expected &&
+        desired == trap_.desired && exec == trap_.exec) {
+      std::function<void()> hook = std::move(hook_);
+      hook_ = nullptr;
+      hook();
+    }
+    inner_.gcas(offset, expected, desired, exec, std::move(done));
+  }
+  void gflush(Done done) override { inner_.gflush(std::move(done)); }
+  void stop() override {}
+  void client_store(uint64_t offset, const void* src, uint32_t len) override {
+    inner_.client_store(offset, src, len);
+  }
+  void client_load(uint64_t offset, void* dst, uint32_t len) const override {
+    inner_.client_load(offset, dst, len);
+  }
+  void replica_load(size_t i, uint64_t offset, void* dst,
+                    uint32_t len) const override {
+    inner_.replica_load(i, offset, dst, len);
+  }
+
+ private:
+  ReplicationGroup& inner_;
+  Trap trap_;
+  std::function<void()> hook_;
+};
+
+LOCK_TEST(WriterBetweenReaderIncrementAndCheckWins) {
+  // The reader's pipelined pair is increment-then-check. A writer's pair
+  // (set-then-count) issued between the two lands at the replica between
+  // them: the writer's count read sees the reader, and the reader's check
+  // sees the writer. The reader must back out and the writer must
+  // acquire once the reader's decrement drains the count.
+  const uint32_t id = 12;
+  const size_t replica = 1;
+  InterposingGroup tap(*h.group);
+  GroupLockManager readers(tap, h.layout, h.cluster.loop());
+  bool hooked = false, writer = false, writer_released = false;
+  bool reader = false, reader_during_writer = false;
+  tap.arm({h.layout.lock_offset(id), 0, 0, ExecMap::one(replica)}, [&] {
+    hooked = true;
+    h.locks.wr_lock(id, 77, [&](bool ok) {
+      writer = ok;
+      h.cluster.loop().schedule_after(sim::usec(300), [&] {
+        writer_released = true;
+        h.locks.wr_unlock(id, 77, {});
+      });
+    });
+  });
+  readers.rd_lock(id, replica, [&](bool ok) {
+    reader = ok;
+    reader_during_writer = !writer_released;
+  });
+  h.run();
+  ASSERT_TRUE(hooked);
+  EXPECT_TRUE(writer);
+  EXPECT_TRUE(reader);
+  EXPECT_FALSE(reader_during_writer) << "reader held the lock with the writer";
+  EXPECT_EQ(h.locks.stats().wr_acquired, 1u);
+  EXPECT_EQ(h.lock_word(replica, id), 0u);
+  EXPECT_EQ(h.reader_count(replica, id), 1u);  // the reader, after the writer
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, LockTest,
+                         ::testing::Values(Backend::kNaiveEvent,
+                                           Backend::kNaivePolling,
+                                           Backend::kNaiveSharedPolling,
+                                           Backend::kFanout, Backend::kTcp,
+                                           Backend::kSharded),
+                         backend_name);
 
 }  // namespace
 }  // namespace hyperloop::core

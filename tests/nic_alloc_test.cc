@@ -10,10 +10,9 @@
 // std::function spill, or a payload copy on the hot path fails here.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
+#include "alloc_counter.h"
 #include "core/hyperloop_group.h"
 #include "core/lock.h"
 #include "core/server.h"
@@ -24,16 +23,6 @@
 #include "rdma/network.h"
 #include "rdma/nic.h"
 #include "sim/event_loop.h"
-
-static uint64_t g_alloc_count = 0;
-
-void* operator new(std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hyperloop::rdma {
 namespace {
@@ -93,9 +82,9 @@ TEST_F(AllocFixture, SteadyStatePacketPathAllocatesNothing) {
   // high-water mark), and the event-loop slab.
   for (int i = 0; i < 24; ++i) lap();
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
-  const uint64_t after = g_alloc_count;
+  const uint64_t after = alloc_count();
   EXPECT_EQ(after - before, 0u)
       << "steady-state NIC RX/TX performed " << (after - before)
       << " heap allocations";
@@ -142,10 +131,10 @@ TEST(NicAllocLossy, RetransmitAndReplayPathsAllocateNothing) {
   for (int i = 0; i < 24; ++i) lap();
   ASSERT_GT(a.counters().retransmits, 0u) << "loss injection not effective";
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   const uint64_t retransmits_before = a.counters().retransmits;
   for (int i = 0; i < 4; ++i) lap();
-  EXPECT_EQ(g_alloc_count - before, 0u)
+  EXPECT_EQ(alloc_count() - before, 0u)
       << "recovery paths performed heap allocations";
   EXPECT_GT(a.counters().retransmits, retransmits_before)
       << "measured laps saw no retransmissions";
@@ -193,11 +182,11 @@ TEST(NicAllocDurability, GwriteGflushSteadyStateAllocatesNothing) {
   ASSERT_GT(b.counters().flushes, 0u);
   ASSERT_TRUE(nvm_b.is_durable(dst, 8192));
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
-  EXPECT_EQ(g_alloc_count - before, 0u)
+  EXPECT_EQ(alloc_count() - before, 0u)
       << "durability path (mark-dirty -> persist -> is_durable) performed "
-      << (g_alloc_count - before) << " heap allocations";
+      << (alloc_count() - before) << " heap allocations";
 
   // Sanity: the measured laps really exercised the tracker.
   EXPECT_EQ(nvm_b.dirty_bytes(), 0u);
@@ -268,11 +257,11 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   for (int i = 0; i < 24; ++i) lap();
   ASSERT_EQ(laps_done, 24);
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
-  EXPECT_EQ(g_alloc_count - before, 0u)
+  EXPECT_EQ(alloc_count() - before, 0u)
       << "transaction lap (lock -> append -> execute -> unlock) performed "
-      << (g_alloc_count - before) << " heap allocations";
+      << (alloc_count() - before) << " heap allocations";
   EXPECT_EQ(laps_done, 28);
 
   // Sanity: the laps really committed records and cycled the lock.
@@ -281,6 +270,84 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   uint64_t word = ~uint64_t{0};
   group.replica_load(0, layout.lock_offset(1), &word, 8);
   EXPECT_EQ(word, 0u);  // released
+}
+
+// The read-lock path: two readers on one replica (the second one's
+// pipelined increment misses and is reissued against the count it
+// found), then a reader that arrives while a writer holds the lock (its
+// increment lands, the check sees the writer, it backs out with a
+// decrement and retries after the back-off until the writer releases).
+// Every step is a slot-indexed continuation, so a warm lap allocates
+// nothing.
+TEST(NicAllocTransaction, ReadLockLapAllocatesNothing) {
+  Cluster cluster{[] {
+    Cluster::Config c;
+    c.num_servers = 4;
+    c.server.cpu.num_cores = 8;
+    return c;
+  }()};
+  RegionLayout layout;
+  layout.region_size = 1 << 20;
+  layout.log_size = 64 << 10;
+  layout.num_locks = 16;
+  HyperLoopGroup::Config gc;
+  gc.region_size = layout.region_size;
+  gc.ring_slots = 64;
+  gc.max_inflight = 16;
+  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
+                               &cluster.server(2)};
+  HyperLoopGroup group(cluster.server(3), reps, gc);
+  GroupLockManager locks(group, layout, cluster.loop());
+  sim::EventLoop& loop = cluster.loop();
+
+  int reads_done = 0;
+  bool writer_released = false;
+  auto lap = [&] {
+    for (int i = 0; i < 2; ++i) {
+      locks.rd_lock(2, 1, [&](bool ok) {
+        if (ok) locks.rd_unlock(2, 1, [&] { ++reads_done; });
+      });
+    }
+    loop.run_until(loop.now() + sim::msec(1));
+
+    writer_released = false;
+    locks.wr_lock(2, /*owner=*/7, [&](bool ok) {
+      if (!ok) return;
+      locks.rd_lock(2, 1, [&](bool ok2) {
+        if (ok2 && writer_released) {
+          locks.rd_unlock(2, 1, [&] { ++reads_done; });
+        }
+      });
+      loop.schedule_after(sim::usec(60), [&] {
+        writer_released = true;
+        locks.wr_unlock(2, 7, {});
+      });
+    });
+    loop.run_until(loop.now() + sim::msec(1));
+  };
+
+  // Warm-up: grow the read/add/write/unlock slot pools, the group's
+  // pending tables, the NIC rings, and the event slab.
+  for (int i = 0; i < 24; ++i) lap();
+  ASSERT_EQ(reads_done, 24 * 3);
+
+  const uint64_t before = alloc_count();
+  for (int i = 0; i < 4; ++i) lap();
+  EXPECT_EQ(alloc_count() - before, 0u)
+      << "read-lock lap (rd_lock -> rd_unlock, with a back-out against a "
+         "held write lock) performed "
+      << (alloc_count() - before) << " heap allocations";
+  EXPECT_EQ(reads_done, 28 * 3);
+
+  // Sanity: every read lock was granted and released, and each lap's
+  // third reader was refused while the writer held the lock.
+  EXPECT_EQ(locks.stats().rd_acquired, 28u * 3);
+  EXPECT_EQ(locks.stats().wr_acquired, 28u);
+  uint64_t word = ~uint64_t{0}, count = ~uint64_t{0};
+  group.replica_load(1, layout.lock_offset(2), &word, 8);
+  group.replica_load(1, layout.reader_offset(2), &count, 8);
+  EXPECT_EQ(word, 0u);
+  EXPECT_EQ(count, 0u);
 }
 
 // The group-commit datapath: a burst of appends stages records into the
@@ -335,11 +402,11 @@ TEST(NicAllocTransaction, GroupCommitGwritevLapAllocatesNothing) {
   ASSERT_GT(wal.stats().gwritev_batches, 0u);
   ASSERT_GT(wal.records_per_gwrite().max(), 1);  // batching really happened
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
-  EXPECT_EQ(g_alloc_count - before, 0u)
+  EXPECT_EQ(alloc_count() - before, 0u)
       << "group-commit lap (stage -> gwritev -> gflush -> complete) "
-      << "performed " << (g_alloc_count - before) << " heap allocations";
+      << "performed " << (alloc_count() - before) << " heap allocations";
   EXPECT_EQ(committed, 28u * 6u);
   EXPECT_EQ(wal.commit_latency().count(), committed);
   EXPECT_EQ(group.counters().gwritevs, wal.stats().gwritev_batches);
@@ -388,7 +455,7 @@ TEST(NicAllocTransaction, ChainedGwriteCopiesExactlyOncePerSink) {
       cluster.server(3).nic().counters().payload_bytes_copied;
   const uint64_t r0_before =
       cluster.server(0).nic().counters().payload_bytes_copied;
-  const uint64_t allocs_before = g_alloc_count;
+  const uint64_t allocs_before = alloc_count();
   lap();
   ASSERT_EQ(laps_done, 9);
   EXPECT_EQ(rdma::PayloadBuf::bytes_copied() - bytes_before,
@@ -402,7 +469,7 @@ TEST(NicAllocTransaction, ChainedGwriteCopiesExactlyOncePerSink) {
   EXPECT_EQ(cluster.server(0).nic().counters().payload_bytes_copied -
                 r0_before,
             uint64_t{kLen});
-  EXPECT_EQ(g_alloc_count - allocs_before, 0u)
+  EXPECT_EQ(alloc_count() - allocs_before, 0u)
       << "large-payload lap performed heap allocations";
 
   // The bytes really replicated: every sink region matches the source.
@@ -516,11 +583,11 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
             reader.shard(1).stats().reads_issued)
       << "large reads never fragmented";
 
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
-  EXPECT_EQ(g_alloc_count - before, 0u)
+  EXPECT_EQ(alloc_count() - before, 0u)
       << "steady-state read lap (read -> bounce -> view) performed "
-      << (g_alloc_count - before) << " heap allocations";
+      << (alloc_count() - before) << " heap allocations";
   EXPECT_EQ(laps_done, 52);
 
   // Sanity: the reads really spread across the chain replicas.
@@ -574,11 +641,11 @@ TEST(NicAllocTcp, TcpReplicationLapAllocatesNothing) {
   ASSERT_EQ(laps_done, 24);
 
   const uint64_t sent_before = cluster.server(3).tcp().messages_sent();
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
-  EXPECT_EQ(g_alloc_count - before, 0u)
+  EXPECT_EQ(alloc_count() - before, 0u)
       << "steady-state TCP replication lap performed "
-      << (g_alloc_count - before) << " heap allocations";
+      << (alloc_count() - before) << " heap allocations";
 
   // Sanity: the measured laps really pushed messages through the stack.
   EXPECT_GE(cluster.server(3).tcp().messages_sent() - sent_before, 4u * 10u);

@@ -43,10 +43,12 @@ class PropertyTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(PropertyTest, RandomOpsConvergeAcrossReplicas) {
   // 64 independent cells, each running a random chain of primitives in
-  // which every step is issued from the previous step's ACK (dependent
-  // operations must be completion-ordered — the contract the WAL and lock
-  // layers implement). Chains across cells run fully concurrently. At
-  // quiescence every replica's region must equal the client's copy.
+  // which every step is issued from the previous step's ACK. The steps
+  // mix primitives, and only ops of one primitive are ordered by issue
+  // (group.h), so dependent steps must wait for the ACK, as the WAL's do;
+  // the lock layer's dependent steps are all gCAS and are pipelined
+  // instead. Chains across cells run fully concurrently. At quiescence
+  // every replica's region must equal the client's copy.
   sim::Rng& rng = *rng_;
   constexpr int kCells = 64;
   constexpr uint64_t kCellStride = 4096;

@@ -22,6 +22,8 @@ src/core/fanout_group.h
 src/core/fanout_group.cc
 src/core/wal.h
 src/core/wal.cc
+src/core/lock.h
+src/core/lock.cc
 src/core/sharded_group.h
 src/core/sharded_group.cc
 src/core/remote_reader.h
