@@ -42,6 +42,7 @@ struct TwoPhaseCoordinator::TxnCtx {
   std::vector<Write> writes;
   std::vector<size_t> parts;  // involved partitions, ascending
   std::vector<std::pair<size_t, uint32_t>> lock_order;
+  std::vector<uint64_t> commit_lsns;  // per entry of `parts`
   size_t execs_done = 0;
   TxnDone done;
 };
@@ -72,6 +73,7 @@ void TwoPhaseCoordinator::execute(std::vector<Write> writes, TxnDone done) {
   }
   t->parts.assign(parts.begin(), parts.end());
   t->lock_order.assign(locks.begin(), locks.end());
+  t->commit_lsns.resize(t->parts.size());
   acquire_locks(std::move(t), 0);
 }
 
@@ -136,9 +138,9 @@ void TwoPhaseCoordinator::prepare_step(std::shared_ptr<TxnCtx> t,
 }
 
 // Phase 2, per partition in order: commit-record append (the global
-// commit point is the last partition's durable append), then two
-// ExecuteAndAdvance calls per partition (this txn's prepare and commit
-// records), then unlock everything.
+// commit point is the last partition's durable append), then an
+// ExecuteAndAdvance per partition, then unlock everything once every
+// partition has applied this txn's records.
 void TwoPhaseCoordinator::commit_step(std::shared_ptr<TxnCtx> t,
                                       size_t idx) {
   if (idx == t->parts.size()) {
@@ -152,7 +154,8 @@ void TwoPhaseCoordinator::commit_step(std::shared_ptr<TxnCtx> t,
   }
   entries.push_back({status_offset(t->id), encode_status(t->id, kCommitted)});
   const bool ok = parts_[part].wal->append(
-      entries, [this, t, idx](uint64_t) mutable {
+      entries, [this, t, idx](uint64_t lsn) mutable {
+        t->commit_lsns[idx] = lsn;
         commit_step(std::move(t), idx + 1);
       });
   if (!ok) {
@@ -163,22 +166,18 @@ void TwoPhaseCoordinator::commit_step(std::shared_ptr<TxnCtx> t,
 }
 
 void TwoPhaseCoordinator::run_execs(std::shared_ptr<TxnCtx> t) {
+  // The prepare record precedes the commit record in the same log, so
+  // one wait on the commit LSN covers both. A concurrent transaction's
+  // batch may apply them; the wait holds either way.
   for (size_t pi = 0; pi < t->parts.size(); ++pi) {
-    const size_t part = t->parts[pi];
-    for (int k = 0; k < 2; ++k) {
-      // A concurrent transaction's ExecuteAndAdvance may already have
-      // consumed our record (the log drains FIFO, globally balanced):
-      // an empty log here means our records are applied or in flight.
-      if (!parts_[part].wal->execute_and_advance(
-              [this, t] { on_exec_done(t); })) {
-        on_exec_done(t);
-      }
-    }
+    ReplicatedWal& wal = *parts_[t->parts[pi]].wal;
+    wal.execute_and_advance(ReplicatedWal::Done{});
+    wal.when_applied(t->commit_lsns[pi], [this, t] { on_exec_done(t); });
   }
 }
 
 void TwoPhaseCoordinator::on_exec_done(std::shared_ptr<TxnCtx> t) {
-  if (++t->execs_done < 2 * t->parts.size()) return;
+  if (++t->execs_done < t->parts.size()) return;
   commit_release(std::move(t), 0);
 }
 

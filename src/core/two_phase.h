@@ -11,7 +11,8 @@
 //           PREPARED in its status table
 //   COMMIT  once every partition's prepare is durable: append a record
 //           with the *final* DB writes plus the COMMITTED status mark,
-//           then ExecuteAndAdvance and unlock
+//           then ExecuteAndAdvance, and unlock once every partition's
+//           applied frontier covers its commit record (when_applied)
 //
 // Crash rules (tested in tests/two_phase_test.cc):
 //   - status PREPARED only               -> presumed abort (staged data is

@@ -73,22 +73,20 @@ void TransactionManager::acquire_next(std::shared_ptr<TxnState> st) {
     return;
   }
 
-  // All locks held: append (commit point), execute, release.
-  const bool ok = wal_.append(st->writes, [this, st](uint64_t) mutable {
-    // Execute drains the log in batches, so a concurrent transaction's
-    // call may already have claimed our record; its batch was issued
-    // ahead of us on the FIFO chain, so our lock releases land after the
-    // record is applied either way.
-    if (!wal_.execute_and_advance([this, st]() mutable {
-          commit_release(std::move(st), 0);
-        })) {
+  // All locks held: append (commit point), execute, release once the
+  // record is applied on every replica. The batch that applies it may be
+  // a concurrent transaction's, and truncation runs on without us.
+  const bool ok = wal_.append(st->writes, [this, st](uint64_t lsn) mutable {
+    wal_.execute_and_advance(ReplicatedWal::Done{});
+    wal_.when_applied(lsn, [this, st = std::move(st)]() mutable {
       commit_release(std::move(st), 0);
-    }
+    });
   });
   if (!ok) {
-    // Log full: in-flight transactions each truncate their own record, so
-    // space frees up as they drain — retry after a short backoff. (The WAL
-    // asserts that a single record always fits in an empty log.)
+    // Log full: every committed record gets an execute, which truncates
+    // it, so space frees up as in-flight transactions drain — retry after
+    // a short backoff. (The WAL asserts that a single record always fits
+    // in an empty log.)
     loop_.schedule_after(sim::usec(100),
                          [this, st = std::move(st)] { acquire_next(st); });
   }

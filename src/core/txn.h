@@ -1,16 +1,25 @@
 // ACID transactions over a replication group (§3.1's representative flow):
 //
 //   1. acquire group write locks (gCAS), in sorted order (no deadlock)
-//   2. Append the redo record to the replicated WAL (gWRITE + gFLUSH)
+//   2. Append the redo record to the replicated WAL (gWRITEV + gFLUSH)
 //      -- the transaction is durable & committed here --
-//   3. ExecuteAndAdvance: apply the record on every replica
-//      (gMEMCPY + gFLUSH) and truncate (gWRITE + gFLUSH)
-//   4. release the locks (gCAS)
+//   3. ExecuteAndAdvance: apply the record on every replica (gMEMCPY)
+//   4. once the WAL's applied frontier covers the record (when_applied),
+//      release the locks (gCAS)
+//
+// Truncation (the head advance, gWRITE + gFLUSH) follows step 3 but no
+// lock protects it, so the locks do not wait for it. Step 4 waits on the
+// frontier, not on our own execute call: a concurrent transaction's batch
+// may have claimed our record, and its gMEMCPYs and our unlock gCAS run
+// on different rings with no order between them.
 //
 // Atomicity: redo records are applied entirely or (after a crash) replayed
-// from the committed log. Consistency/Isolation: group locks. Durability:
-// every step is gFLUSHed. With HyperLoop as the group backend, steps 2-4
-// never involve a replica CPU.
+// from the committed log. Consistency/Isolation: group locks; a reader
+// that locks a replica after step 4 sees the record, since every replica
+// executed its gMEMCPY before the frontier moved. Durability: the record
+// is gFLUSHed at step 2 and stays inside the durable [head, tail) range
+// until its head advance lands, so a crash after step 4 replays it. With
+// HyperLoop as the group backend, steps 2-4 never involve a replica CPU.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,38 @@
 #include "core/wal.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
 namespace hyperloop::core {
+namespace {
+
+// Slicing-by-8 tables for the reflected CRC-32 polynomial: kCrc[0] is
+// the classic byte table, kCrc[k][b] is byte b's contribution k bytes
+// further back, so one 8-byte step folds with eight lookups.
+struct CrcTables {
+  uint32_t t[8][256];
+};
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tab{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    uint32_t c = b;
+    for (int i = 0; i < 8; ++i) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    tab.t[0][b] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      const uint32_t prev = tab.t[k - 1][b];
+      tab.t[k][b] = (prev >> 8) ^ tab.t[0][prev & 0xFFu];
+    }
+  }
+  return tab;
+}
+
+constexpr CrcTables kCrc = make_crc_tables();
+
+}  // namespace
 
 ReplicatedWal::ReplicatedWal(ReplicationGroup& group, RegionLayout layout)
     : ReplicatedWal(group, layout, Options{}) {}
@@ -18,15 +47,20 @@ ReplicatedWal::ReplicatedWal(ReplicationGroup& group, RegionLayout layout,
 
 uint32_t ReplicatedWal::crc32_update(uint32_t crc, const void* data,
                                      size_t len) {
-  // CRC-32 (reflected 0xEDB88320), table-free bitwise variant; the log
-  // payloads are small enough that simplicity beats a table here.
+  // The word loads below read the first byte into the low bits.
+  static_assert(std::endian::native == std::endian::little);
   const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    crc ^= p[i];
-    for (int b = 0; b < 8; ++b) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
+  const auto& t = kCrc.t;
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo, hi;
+    std::memcpy(&lo, p, 4);  // memcpy: any alignment
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; len > 0; ++p, --len) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   return crc;
 }
 
@@ -205,16 +239,50 @@ uint32_t ReplicatedWal::acquire_exec_op() {
 }
 
 void ReplicatedWal::finish_exec(uint32_t idx) {
-  ExecOp& op = exec_ops_[idx];
-  stats_.records_executed += op.records;
-  const uint64_t new_head = op.rec_voff + op.total_len;
-  Done done = std::move(op.done);
-  op.live = false;
-  exec_free_.push_back(idx);
-  write_pointer(RegionLayout::kHeadOffset, new_head,
-                [d = std::move(done)]() mutable {
-                  if (d) d();
-                });
+  exec_ops_[idx].applied = true;
+  // The frontier only moves over the finished prefix of batches: one that
+  // finishes early (no entries, or its gMEMCPYs rode a faster chain)
+  // waits for every batch issued before it. Each batch's head advance
+  // goes out as the frontier passes it, so the durable head never runs
+  // ahead of an unapplied record.
+  const uint64_t before = applied_lsn_;
+  while (!exec_order_.empty() && exec_ops_[exec_order_.front()].applied) {
+    const uint32_t i = exec_order_.front();
+    exec_order_.pop_front();
+    ExecOp& op = exec_ops_[i];
+    stats_.records_executed += op.records;
+    applied_lsn_ = op.last_lsn;
+    const uint64_t new_head = op.rec_voff + op.total_len;
+    Done done = std::move(op.done);
+    op.live = false;
+    op.applied = false;
+    exec_free_.push_back(i);
+    write_pointer(RegionLayout::kHeadOffset, new_head,
+                  [d = std::move(done)]() mutable {
+                    if (d) d();
+                  });
+  }
+  if (applied_lsn_ == before) return;
+  // Visit each parked waiter once: registration is nearly, not exactly,
+  // LSN order (a two-phase coordinator registers when its last partition
+  // commits). Pop before invoking, since a waiter may re-enter the WAL.
+  for (size_t n = waiters_.size(); n > 0 && !waiters_.empty(); --n) {
+    Waiter w = std::move(waiters_.front());
+    waiters_.pop_front();
+    if (w.lsn <= applied_lsn_) {
+      w.done();
+    } else {
+      waiters_.push_back(std::move(w));
+    }
+  }
+}
+
+void ReplicatedWal::when_applied(uint64_t lsn, Done done) {
+  if (lsn <= applied_lsn_) {
+    done();
+    return;
+  }
+  waiters_.push_back(Waiter{lsn, std::move(done)});
 }
 
 bool ReplicatedWal::execute_and_advance(Done done) {
@@ -238,6 +306,7 @@ bool ReplicatedWal::execute_and_advance(Done done) {
   // advance.
   const uint64_t batch_voff = head_;
   uint64_t v = head_;
+  uint64_t last_lsn = 0;
   uint32_t num_entries = 0, num_records = 0;
   while (v != durable_tail_) {
     RecordHeader hdr;
@@ -246,6 +315,7 @@ bool ReplicatedWal::execute_and_advance(Done done) {
       assert(hdr.magic == kRecordMagic && "corrupt log record");
       num_entries += hdr.num_entries;
       ++num_records;
+      last_lsn = hdr.lsn;
     }
     v += hdr.total_len;
   }
@@ -256,16 +326,18 @@ bool ReplicatedWal::execute_and_advance(Done done) {
   head_ = v;
 
   // Claim a pooled op slot; one gMEMCPY per entry decrements it, and the
-  // last ack durably advances the head (log truncation).
+  // last ack marks the batch applied (finish_exec).
   const uint32_t idx = acquire_exec_op();
   ExecOp& op = exec_ops_[idx];
   assert(!op.live);
   op.rec_voff = batch_voff;
+  op.last_lsn = last_lsn;
   op.total_len = static_cast<uint32_t>(v - batch_voff);
   op.remaining = num_entries;
   op.records = num_records;
   op.live = true;
   op.done = std::move(done);
+  exec_order_.push_back(idx);
   ++stats_.exec_batches;
 
   if (num_entries == 0) {
@@ -308,6 +380,23 @@ void ReplicatedWal::reload_pointers() {
   // The recovered tail came from the durable control region, so every
   // record below it is committed and replicated by definition.
   durable_tail_ = tail_;
+  // Records in [head, tail) are unapplied and everything before is: put
+  // the frontier below the first one and number new appends after the
+  // last one, so LSNs keep rising in log order.
+  applied_lsn_ = next_lsn_ - 1;
+  bool first = true;
+  for (uint64_t v = head_; v != tail_;) {
+    RecordHeader hdr;
+    group_.client_load(log_phys(v), &hdr, sizeof(hdr));
+    if (hdr.magic == kRecordMagic) {
+      if (first) applied_lsn_ = hdr.lsn - 1;
+      first = false;
+      next_lsn_ = hdr.lsn + 1;
+    } else if (hdr.magic != kWrapMagic || hdr.total_len == 0) {
+      break;
+    }
+    v += hdr.total_len;
+  }
 }
 
 ShardedWal::ShardedWal(ReplicationGroup& group, RegionLayout slice,

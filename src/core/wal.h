@@ -13,6 +13,15 @@
 // committed-but-unprocessed record, which is idempotent because records
 // are pure redo.
 //
+// Applied frontier: the LSN up to which every execute batch's gMEMCPYs
+// have acked on every replica, advanced over the finished prefix of
+// batches in issue order. when_applied(lsn) fires once the frontier
+// covers a record, whichever caller's batch applied it; that is the
+// point a transaction may release its locks (core/txn.h). Truncation is
+// garbage collection and nobody needs to wait for it: until the head
+// advance lands, an applied record stays inside the durable [head, tail)
+// range, and a crash replays it.
+//
 // Group commit: at most one gWRITEV batch is in flight at a time (see
 // maybe_flush() for why the tail-pointer gather requires that). Appends
 // arriving while a batch is outstanding are staged into a bounded ring
@@ -103,10 +112,21 @@ class ReplicatedWal {
   /// gMEMCPY per entry applies the records on every replica,
   /// then a single flushed head advance (log truncation) persists the
   /// batch — one trailing gFLUSH instead of one per record, mirroring how
-  /// append() group-commits the log write. Returns false if there is no
+  /// append() group-commits the log write. The head advance goes out once
+  /// the applied frontier passes the batch. Returns false if there is no
   /// unprocessed record (a concurrent caller may have claimed the
   /// backlog). `done` fires when the head advance is durable.
   bool execute_and_advance(Done done);
+
+  /// Fires `done` once the record with LSN `lsn` is applied on every
+  /// replica (the applied frontier covers it), whichever batch drained
+  /// it; at once if it already is. The caller makes sure some batch
+  /// claims the record: it calls execute_and_advance after the record's
+  /// append acks.
+  void when_applied(uint64_t lsn, Done done);
+
+  /// Applied frontier: every record with LSN <= this is applied.
+  uint64_t applied_lsn() const { return applied_lsn_; }
 
   /// Virtual head/tail offsets (head == tail means empty).
   uint64_t head() const { return head_; }
@@ -138,8 +158,15 @@ class ReplicatedWal {
                          StoreFn&& store);
 
   /// Recovers this WAL's in-memory pointers from the client region
-  /// (used after a coordinator restart in tests).
+  /// (used after a coordinator restart in tests). LSNs resume after the
+  /// last record in the log, and the applied frontier sits just below
+  /// its first one.
   void reload_pointers();
+
+  /// CRC-32 (reflected polynomial 0xEDB88320) folded over `len` more
+  /// bytes; start from 0xFFFFFFFF and invert the result. Public so the
+  /// checksum can be tested against a reference.
+  static uint32_t crc32_update(uint32_t crc, const void* data, size_t len);
 
  private:
   static constexpr uint32_t kRecordMagic = 0x57414C21;  // "WAL!"
@@ -173,19 +200,23 @@ class ReplicatedWal {
   /// concurrent executions — the two-phase layer runs several — recycle
   /// slots instead of allocating shared counters per batch. Callbacks
   /// capture the slot *index*, never a pointer: the pool vector may grow.
+  /// A slot stays live until the applied frontier passes it.
   struct ExecOp {
     uint64_t rec_voff = 0;   ///< batch start (virtual offset)
+    uint64_t last_lsn = 0;   ///< LSN of the batch's last record
     uint32_t total_len = 0;  ///< batch span, wrap markers included
     uint32_t remaining = 0;  ///< gMEMCPY acks outstanding
     uint32_t records = 0;    ///< records drained by this batch
     bool live = false;
+    bool applied = false;    ///< every gMEMCPY acked
     Done done;
   };
 
-  static uint32_t crc32_update(uint32_t crc, const void* data, size_t len);
-  static uint32_t crc32(const void* data, size_t len) {
-    return ~crc32_update(0xFFFFFFFFu, data, len);
-  }
+  /// A when_applied() caller parked until the frontier reaches `lsn`.
+  struct Waiter {
+    uint64_t lsn = 0;
+    Done done;
+  };
 
   /// Serializes the record piecewise straight into the log ring at
   /// virtual offset `voff` (header, then per entry: EntryHeader, data,
@@ -202,6 +233,9 @@ class ReplicatedWal {
   void on_batch_done();
 
   uint32_t acquire_exec_op();
+  /// Marks batch `idx` applied, advances the frontier over the finished
+  /// prefix (issuing each passed batch's head advance) and wakes the
+  /// waiters it now covers.
   void finish_exec(uint32_t idx);
 
   /// Physical offset (within the whole region) of virtual log offset v.
@@ -226,9 +260,12 @@ class ReplicatedWal {
   /// bytes yet and a gMEMCPY there would apply garbage.
   uint64_t durable_tail_ = 0;
   uint64_t next_lsn_ = 1;
+  uint64_t applied_lsn_ = 0;  ///< applied frontier (see when_applied)
   Stats stats_;
   std::vector<ExecOp> exec_ops_;     ///< slot pool, grows to high water
   std::vector<uint32_t> exec_free_;  ///< free slot indices (LIFO)
+  sim::Ring<uint32_t> exec_order_;   ///< live batches, in issue order
+  sim::Ring<Waiter> waiters_;        ///< when_applied callers, FIFO
 
   // Group-commit state: staged appends wait here for the single in-flight
   // batch; the batch's own records sit in the fixed inflight_ array

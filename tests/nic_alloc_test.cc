@@ -207,9 +207,13 @@ namespace {
 // and the ring-indexed op tracking (DESIGN.md "Callback types") is that a
 // whole gWRITE-through-WAL transaction — wr_lock gCAS, WAL append (staged
 // directly into the client region, gWRITE + gFLUSH down the chain),
-// ExecuteAndAdvance gMEMCPYs, and the releasing gCAS — touches the heap
-// zero times in steady state. Every continuation lives inline in a
-// pending-op slot or pool entry; the op-tracking tables and rings are at
+// ExecuteAndAdvance gMEMCPYs, the wait on the applied frontier, and the
+// releasing gCAS — touches the heap zero times in steady state. Each lap
+// runs three transactions the way core/txn.cc does: the first commits
+// alone, the other two share the next commit batch, so the second one's
+// execute applies the third's record and the third waits through
+// when_applied. Every continuation lives inline in a pending-op slot,
+// pool entry or waiter ring; the op-tracking tables and rings are at
 // their high-water marks after warm-up.
 TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   Cluster cluster{[] {
@@ -239,37 +243,53 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   std::vector<ReplicatedWal::Entry> entries;
   entries.push_back({/*db_offset=*/256, payload});
 
-  int laps_done = 0;
-  auto lap = [&] {
-    locks.wr_lock(1, /*owner=*/7, [&](bool ok) {
+  constexpr uint32_t kTxnsPerLap = 3;
+  int txns_done = 0;
+  auto txn = [&](uint32_t lock, uint64_t owner) {
+    locks.wr_lock(lock, owner, [&, lock, owner](bool ok) {
       if (!ok) return;
-      wal.append(entries, [&](uint64_t) {
-        wal.execute_and_advance([&] {
-          locks.wr_unlock(1, 7, [&] { ++laps_done; });
+      wal.append(entries, [&, lock, owner](uint64_t lsn) {
+        wal.execute_and_advance(ReplicatedWal::Done{});
+        wal.when_applied(lsn, [&, lock, owner] {
+          locks.wr_unlock(lock, owner, [&] { ++txns_done; });
         });
       });
     });
+  };
+  auto lap = [&] {
+    for (uint32_t k = 0; k < kTxnsPerLap; ++k) txn(1 + k, 7 + k);
     cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
   };
 
-  // Warm-up: grow the slot pools (lock ops, WAL exec ops), the group's
-  // pending tables and credit rings, the NIC rings, and the event slab.
+  // Warm-up: grow the slot pools (lock ops, WAL exec ops), the waiter
+  // ring, the group's pending tables and credit rings, the NIC rings,
+  // and the event slab.
   for (int i = 0; i < 24; ++i) lap();
-  ASSERT_EQ(laps_done, 24);
+  ASSERT_EQ(txns_done, 24 * 3);
 
+  const ReplicatedWal::Stats warm = wal.stats();
   const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
   EXPECT_EQ(alloc_count() - before, 0u)
-      << "transaction lap (lock -> append -> execute -> unlock) performed "
+      << "transaction lap (lock -> append -> execute -> wait for apply -> "
+         "unlock) performed "
       << (alloc_count() - before) << " heap allocations";
-  EXPECT_EQ(laps_done, 28);
+  EXPECT_EQ(txns_done, 28 * 3);
 
-  // Sanity: the laps really committed records and cycled the lock.
-  EXPECT_EQ(wal.stats().records_appended, 28u);
-  EXPECT_EQ(locks.stats().wr_acquired, 28u);
-  uint64_t word = ~uint64_t{0};
-  group.replica_load(0, layout.lock_offset(1), &word, 8);
-  EXPECT_EQ(word, 0u);  // released
+  // Sanity: the laps really committed records, shared commit batches
+  // and execute batches, and cycled the locks.
+  const ReplicatedWal::Stats& st = wal.stats();
+  EXPECT_EQ(st.records_appended, 28u * 3);
+  EXPECT_EQ(st.gwritev_batches - warm.gwritev_batches, 4u * 2)
+      << "the second and third records of a lap share one commit batch";
+  EXPECT_EQ(st.exec_batches - warm.exec_batches, 4u * 2)
+      << "one execute batch applies two transactions' records";
+  EXPECT_EQ(locks.stats().wr_acquired, 28u * 3);
+  for (uint32_t k = 0; k < kTxnsPerLap; ++k) {
+    uint64_t word = ~uint64_t{0};
+    group.replica_load(0, layout.lock_offset(1 + k), &word, 8);
+    EXPECT_EQ(word, 0u);  // released
+  }
 }
 
 // The read-lock path: two readers on one replica (the second one's

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <string>
 
 #include "core/hyperloop_group.h"
 #include "core/server.h"
+#include "sim/rng.h"
+#include "unlock_order_probe.h"
 
 namespace hyperloop::core {
 namespace {
@@ -244,6 +248,116 @@ TEST_F(TwoPhaseFixture, CommittedDataSurvivesFullClusterCrash) {
     EXPECT_EQ(db_read(1, r, base), 2u);
   }
 }
+
+// The cross-partition variant of TxnUnlockOrderTest: two-partition
+// transactions on distinct locks, three in flight at a time, so one
+// transaction's execute applies another's prepare and commit records.
+// Lockstep rounds would not do here: every transaction releases its
+// partition-0 lock first, and in a round its partition-0 records were
+// claimed well before that. A sliding window keeps transactions at
+// different steps. No partition's lock word may clear on a replica
+// before that replica holds the transaction's final write.
+class TwoPhaseUnlockOrderTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(TwoPhaseUnlockOrderTest, LocksReleaseOnlyAfterRecordsAreApplied) {
+  constexpr uint32_t kTxns = 96;
+  constexpr uint64_t kStride = 64;
+  constexpr size_t kParts = 2;
+  Cluster::Config cc;
+  cc.num_servers = 4;
+  cc.server.cpu.num_cores = 8;
+  cc.network.loss_probability = GetParam();
+  Cluster cluster(cc);
+  RegionLayout layout;
+  layout.region_size = 2u << 20;
+  layout.log_size = 256 << 10;
+  layout.num_locks = kTxns;
+  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
+                               &cluster.server(2)};
+  std::vector<std::unique_ptr<HyperLoopGroup>> groups;
+  std::vector<std::unique_ptr<ReplicatedWal>> wals;
+  std::vector<std::unique_ptr<GroupLockManager>> locks;
+  std::vector<TwoPhaseCoordinator::PartitionCtx> ctxs;
+  for (size_t p = 0; p < kParts; ++p) {
+    HyperLoopGroup::Config gc;
+    gc.region_size = layout.region_size;
+    gc.ring_slots = 128;
+    gc.max_inflight = 32;
+    groups.push_back(
+        std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc));
+    wals.push_back(std::make_unique<ReplicatedWal>(*groups[p], layout));
+    locks.push_back(std::make_unique<GroupLockManager>(*groups[p], layout,
+                                                       cluster.loop()));
+    ctxs.push_back({groups[p].get(), wals[p].get(), locks[p].get(), layout});
+  }
+  TwoPhaseCoordinator coord(cluster.loop(), std::move(ctxs),
+                            TwoPhaseCoordinator::Config{});
+  const uint64_t base = coord.app_data_base();
+
+  std::vector<UnlockOrderProbe> probes;
+  for (size_t p = 0; p < kParts; ++p) {
+    probes.emplace_back(kTxns, base, kStride);
+    for (size_t r = 0; r < reps.size(); ++r) {
+      probes[p].watch(groups[p]->replica_server(r).mem(),
+                      groups[p]->replica_region_base(r), layout);
+    }
+  }
+  sim::Rng rng(0x2FC0);
+  std::vector<uint64_t> values(kTxns * kParts);
+  for (uint64_t& v : values) v = rng.next_u64() | 1;  // never the zero slot
+  auto value = [&](size_t p, uint32_t k) { return values[k * kParts + p]; };
+  auto bytes = [](uint64_t v) {
+    std::vector<uint8_t> b(8);
+    std::memcpy(b.data(), &v, 8);
+    return b;
+  };
+
+  // Three in flight at all times: each commit starts the next one.
+  uint32_t committed = 0, issued = 0;
+  std::function<void()> issue = [&] {
+    const uint32_t k = issued++;
+    std::vector<TwoPhaseCoordinator::Write> writes;
+    for (size_t p = 0; p < kParts; ++p) {
+      probes[p].expect(k, value(p, k));
+      writes.push_back({p, base + k * kStride, k, bytes(value(p, k))});
+    }
+    coord.execute(std::move(writes), [&](bool ok) {
+      committed += ok ? 1 : 0;
+      if (issued < kTxns) issue();
+    });
+  };
+  for (int i = 0; i < 3; ++i) issue();
+  cluster.loop().run_until(cluster.loop().now() + sim::seconds(2));
+  ASSERT_EQ(committed, kTxns);
+
+  for (size_t p = 0; p < kParts; ++p) {
+    EXPECT_EQ(probes[p].releases(), uint64_t{kTxns} * reps.size());
+    EXPECT_EQ(probes[p].early(), 0u)
+        << "partition " << p
+        << ": lock words cleared on a replica before the record was applied";
+    // Two records (prepare, commit) per transaction per partition.
+    EXPECT_LT(wals[p]->stats().exec_batches, 2 * uint64_t{kTxns})
+        << "no execute batch applied another transaction's record";
+    for (size_t r = 0; r < reps.size(); ++r) {
+      for (uint32_t k = 0; k < kTxns; ++k) {
+        uint64_t v = 0;
+        groups[p]->replica_load(r, layout.db_base() + base + k * kStride, &v,
+                                8);
+        EXPECT_EQ(v, value(p, k)) << "partition " << p << " replica " << r;
+      }
+    }
+  }
+  if (GetParam() > 0) {
+    EXPECT_GT(cluster.net().packets_dropped(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Loss, TwoPhaseUnlockOrderTest,
+                         ::testing::Values(0.0, 0.03),
+                         [](const ::testing::TestParamInfo<double>& info) {
+                           return info.param > 0 ? std::string("Lossy3pct")
+                                                 : std::string("Lossless");
+                         });
 
 }  // namespace
 }  // namespace hyperloop::core

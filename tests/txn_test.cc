@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "core/hyperloop_group.h"
 #include "core/server.h"
+#include "sim/rng.h"
+#include "unlock_order_probe.h"
 
 namespace hyperloop::core {
 namespace {
@@ -169,6 +172,85 @@ TEST_F(TxnFixture, CrashBeforeExecuteIsRecoveredByReplay) {
       });
   EXPECT_EQ(db_read(2, 64, 8), "replayed");
 }
+
+// Locks are released only after the record is applied, on every replica,
+// including when another transaction's execute batch applied it. Rounds
+// of three transactions on distinct locks: the second and third records
+// share a group-commit batch, and the second one's execute claims both.
+// Runs lossless and over a 3% lossy fabric, where retransmits stretch
+// the window between an apply and an unlock that raced it.
+class TxnUnlockOrderTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {
+  constexpr uint32_t kTxns = 48;
+  constexpr uint64_t kStride = 64;
+  Cluster::Config cc;
+  cc.num_servers = 4;
+  cc.server.cpu.num_cores = 8;
+  cc.network.loss_probability = GetParam();
+  Cluster cluster(cc);
+  RegionLayout layout;
+  layout.region_size = 1 << 20;
+  layout.log_size = 64 << 10;
+  layout.num_locks = kTxns;
+  HyperLoopGroup::Config gc;
+  gc.region_size = layout.region_size;
+  gc.ring_slots = 128;
+  gc.max_inflight = 32;
+  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
+                               &cluster.server(2)};
+  HyperLoopGroup group(cluster.server(3), reps, gc);
+  ReplicatedWal wal(group, layout);
+  GroupLockManager locks(group, layout, cluster.loop());
+  TransactionManager txns(group, wal, locks, cluster.loop());
+
+  UnlockOrderProbe probe(kTxns, /*slot_base=*/0, kStride);
+  for (size_t r = 0; r < reps.size(); ++r) {
+    probe.watch(group.replica_server(r).mem(), group.replica_region_base(r),
+                layout);
+  }
+  sim::Rng rng(0x7A11);
+  std::vector<uint64_t> values(kTxns);
+  for (uint64_t& v : values) v = rng.next_u64() | 1;  // never the zero slot
+
+  uint32_t committed = 0;
+  for (uint32_t round = 0; round < kTxns; round += 3) {
+    for (uint32_t k = round; k < round + 3; ++k) {
+      probe.expect(k, values[k]);
+      std::vector<uint8_t> b(8);
+      std::memcpy(b.data(), &values[k], 8);
+      txns.execute({{k * kStride, std::move(b)}}, {k},
+                   [&](bool ok) { committed += ok ? 1 : 0; });
+    }
+    cluster.loop().run_until(cluster.loop().now() + sim::msec(100));
+    ASSERT_EQ(committed, round + 3) << "round " << round / 3;
+  }
+
+  EXPECT_EQ(probe.releases(), uint64_t{kTxns} * reps.size());
+  EXPECT_EQ(probe.early(), 0u)
+      << "lock words cleared on a replica before the record was applied";
+  EXPECT_GT(wal.stats().records_appended, wal.stats().gwritev_batches)
+      << "no two records shared a commit batch";
+  EXPECT_LT(wal.stats().exec_batches, uint64_t{kTxns})
+      << "no execute batch applied another transaction's record";
+  if (GetParam() > 0) {
+    EXPECT_GT(cluster.net().packets_dropped(), 0u);
+  }
+  for (size_t r = 0; r < reps.size(); ++r) {
+    for (uint32_t k = 0; k < kTxns; ++k) {
+      uint64_t v = 0;
+      group.replica_load(r, layout.db_base() + k * kStride, &v, 8);
+      EXPECT_EQ(v, values[k]) << "replica " << r << " txn " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Loss, TxnUnlockOrderTest,
+                         ::testing::Values(0.0, 0.03),
+                         [](const ::testing::TestParamInfo<double>& info) {
+                           return info.param > 0 ? std::string("Lossy3pct")
+                                                 : std::string("Lossless");
+                         });
 
 }  // namespace
 }  // namespace hyperloop::core

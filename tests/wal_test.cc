@@ -7,9 +7,49 @@
 #include "core/hyperloop_group.h"
 #include "core/naive_group.h"
 #include "core/server.h"
+#include "sim/rng.h"
 
 namespace hyperloop::core {
 namespace {
+
+// Reference CRC-32: the plain bitwise loop over the reflected polynomial.
+uint32_t crc32_bitwise(uint32_t crc, const uint8_t* p, size_t len) {
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc;
+}
+
+TEST(WalCrc32, KnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(~ReplicatedWal::crc32_update(0xFFFFFFFFu, check, 9), 0xCBF43926u);
+  EXPECT_EQ(~ReplicatedWal::crc32_update(0xFFFFFFFFu, check, 0), 0u);
+}
+
+// Every length up to two records' worth at each of the 8 misalignments,
+// whole and split in two: replay folds a record in 512-byte chunks, and
+// stage_record folds it piece by piece.
+TEST(WalCrc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLen = 2048;
+  alignas(8) uint8_t buf[kMaxLen + 8];
+  sim::Rng rng(0xC3C);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.next_u64());
+  for (size_t mis = 0; mis < 8; ++mis) {
+    const uint8_t* p = buf + mis;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint32_t want = crc32_bitwise(0xFFFFFFFFu, p, len);
+      ASSERT_EQ(ReplicatedWal::crc32_update(0xFFFFFFFFu, p, len), want)
+          << "len " << len << " misalignment " << mis;
+      const size_t cut = len > 512 ? 512 : len / 3;
+      const uint32_t head = ReplicatedWal::crc32_update(0xFFFFFFFFu, p, cut);
+      ASSERT_EQ(ReplicatedWal::crc32_update(head, p + cut, len - cut), want)
+          << "len " << len << " split at " << cut << " misalignment " << mis;
+    }
+  }
+}
 
 enum class Backend { kHyperLoop, kNaive };
 
@@ -283,6 +323,133 @@ TEST_P(WalTest, UncommittedTailIsNotReplayed) {
         r.mem().write(base + off, src, len);
       });
   EXPECT_EQ(applied, 1u);  // only the committed record
+}
+
+/// Forwards every primitive to `inner` but holds each gMEMCPY's ack
+/// (the copy itself lands) until release(), so a test decides when an
+/// execute batch finishes.
+class MemcpyAckGate final : public ReplicationGroup {
+ public:
+  explicit MemcpyAckGate(ReplicationGroup& inner) : inner_(inner) {}
+
+  size_t held() const { return held_.size(); }
+  void release() {
+    std::vector<Done> acks = std::move(held_);
+    held_.clear();
+    for (Done& d : acks) d();
+  }
+
+  size_t group_size() const override { return inner_.group_size(); }
+  uint64_t region_size() const override { return inner_.region_size(); }
+  void gwrite(uint64_t offset, uint32_t len, bool flush, Done done) override {
+    inner_.gwrite(offset, len, flush, std::move(done));
+  }
+  void gmemcpy(uint64_t src, uint64_t dst, uint32_t len, bool flush,
+               Done done) override {
+    inner_.gmemcpy(src, dst, len, flush,
+                   [this, d = std::move(done)]() mutable {
+                     held_.push_back(std::move(d));
+                   });
+  }
+  void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
+            ExecMap exec, CasDone done) override {
+    inner_.gcas(offset, expected, desired, exec, std::move(done));
+  }
+  void gflush(Done done) override { inner_.gflush(std::move(done)); }
+  void stop() override {}
+  void client_store(uint64_t offset, const void* src, uint32_t len) override {
+    inner_.client_store(offset, src, len);
+  }
+  void client_load(uint64_t offset, void* dst, uint32_t len) const override {
+    inner_.client_load(offset, dst, len);
+  }
+  void replica_load(size_t i, uint64_t offset, void* dst,
+                    uint32_t len) const override {
+    inner_.replica_load(i, offset, dst, len);
+  }
+
+ private:
+  ReplicationGroup& inner_;
+  std::vector<Done> held_;
+};
+
+TEST_P(WalTest, AppliedFrontierWaitsForEarlierBatches) {
+  // Batch 1 applies record A and its gMEMCPY ack is held. Batch 2 drains
+  // record B, which has no entries, so it finishes at once. The frontier
+  // must not jump over batch 1: no waiter fires and no head advance goes
+  // out until batch 1 finishes, then both batches pass together.
+  MemcpyAckGate gate(*group_);
+  ReplicatedWal wal(gate, layout_);
+  uint64_t lsn_a = 0, lsn_b = 0;
+  ASSERT_TRUE(wal.append({{0, bytes("AAAA")}}, [&](uint64_t l) { lsn_a = l; }));
+  run();
+  ASSERT_TRUE(wal.execute_and_advance(ReplicatedWal::Done{}));
+  run();
+  ASSERT_EQ(gate.held(), 1u);
+  ASSERT_TRUE(wal.append(std::span<const ReplicatedWal::Entry>(),
+                         [&](uint64_t l) { lsn_b = l; }));
+  run();
+  ASSERT_EQ(lsn_b, lsn_a + 1);
+
+  std::vector<uint64_t> woke;
+  wal.when_applied(lsn_b, [&] { woke.push_back(lsn_b); });
+  wal.when_applied(lsn_a, [&] { woke.push_back(lsn_a); });
+  bool truncated = false;
+  ASSERT_TRUE(wal.execute_and_advance([&] { truncated = true; }));
+  run();
+  EXPECT_EQ(wal.applied_lsn(), 0u);
+  EXPECT_TRUE(woke.empty());
+  EXPECT_FALSE(truncated);
+  uint64_t head = ~uint64_t{0};
+  group_->replica_load(0, layout_.head_ptr_offset(), &head, 8);
+  EXPECT_EQ(head, 0u) << "head advanced past an unapplied record";
+
+  gate.release();
+  EXPECT_EQ(wal.applied_lsn(), lsn_b);
+  EXPECT_EQ(woke, (std::vector<uint64_t>{lsn_b, lsn_a}));
+  EXPECT_EQ(db_read(1, 0, 4), "AAAA");
+  run();
+  EXPECT_TRUE(truncated);
+  group_->replica_load(0, layout_.head_ptr_offset(), &head, 8);
+  EXPECT_EQ(head, wal.tail());
+
+  bool at_once = false;
+  wal.when_applied(lsn_a, [&] { at_once = true; });
+  EXPECT_TRUE(at_once) << "an applied record's waiter must fire at once";
+}
+
+TEST_P(WalTest, ReloadResumesLsnsAfterTheLog) {
+  // Records 1-2 are applied and truncated, 3-4 committed only. A
+  // restarted WAL puts its frontier at 2 and numbers new records from 5,
+  // so a waiter on a new record cannot be woken by the old ones.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(wal_->append({{uint64_t(i) * 8, bytes("abcdefgh")}},
+                             [](uint64_t) {}));
+    run();
+    if (i == 1) {
+      ASSERT_TRUE(wal_->execute_and_advance(ReplicatedWal::Done{}));
+    }
+    run();
+  }
+  ReplicatedWal restarted(*group_, layout_);
+  restarted.reload_pointers();
+  EXPECT_EQ(restarted.applied_lsn(), 2u);
+  ASSERT_TRUE(restarted.execute_and_advance(ReplicatedWal::Done{}));
+  run();
+  EXPECT_EQ(restarted.applied_lsn(), 4u);
+
+  uint64_t lsn = 0;
+  ASSERT_TRUE(restarted.append({{64, bytes("new")}},
+                               [&](uint64_t l) { lsn = l; }));
+  run();
+  EXPECT_EQ(lsn, 5u);
+  bool applied = false;
+  restarted.when_applied(lsn, [&] { applied = true; });
+  EXPECT_FALSE(applied);
+  ASSERT_TRUE(restarted.execute_and_advance(ReplicatedWal::Done{}));
+  run();
+  EXPECT_TRUE(applied);
+  EXPECT_EQ(db_read(2, 64, 3), "new");
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, WalTest,

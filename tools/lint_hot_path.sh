@@ -24,6 +24,10 @@ src/core/wal.h
 src/core/wal.cc
 src/core/lock.h
 src/core/lock.cc
+src/core/txn.h
+src/core/txn.cc
+src/core/two_phase.h
+src/core/two_phase.cc
 src/core/sharded_group.h
 src/core/sharded_group.cc
 src/core/remote_reader.h
