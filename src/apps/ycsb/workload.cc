@@ -4,17 +4,6 @@
 
 namespace hyperloop::apps {
 
-const char* op_name(OpType t) {
-  switch (t) {
-    case OpType::kRead: return "READ";
-    case OpType::kUpdate: return "UPDATE";
-    case OpType::kInsert: return "INSERT";
-    case OpType::kScan: return "SCAN";
-    case OpType::kRmw: return "RMW";
-  }
-  return "?";
-}
-
 WorkloadSpec WorkloadSpec::A() {
   WorkloadSpec s;
   s.read = 0.5;

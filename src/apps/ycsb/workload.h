@@ -22,8 +22,6 @@ namespace hyperloop::apps {
 
 enum class OpType : uint8_t { kRead, kUpdate, kInsert, kScan, kRmw };
 
-const char* op_name(OpType t);
-
 struct Op {
   OpType type = OpType::kRead;
   uint64_t key = 0;

@@ -27,6 +27,4 @@ void BufPool::release(std::vector<uint8_t>&& v) {
   freelist.push_back(std::move(v));
 }
 
-size_t BufPool::pooled() { return pool().size(); }
-
 }  // namespace hyperloop::core

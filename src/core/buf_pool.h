@@ -27,9 +27,6 @@ class BufPool {
   /// the buffer never owned heap capacity).
   static void release(std::vector<uint8_t>&& v);
 
-  /// Buffers currently parked in the freelist (test introspection).
-  static size_t pooled();
-
  private:
   static constexpr size_t kMaxPooled = 256;
   static std::vector<std::vector<uint8_t>>& pool();

@@ -22,17 +22,17 @@ Wqe placeholder() {
 
 constexpr uint64_t kCasTag = uint64_t{1} << 62;
 
-uint32_t next_pow2(uint32_t v) {
-  uint32_t n = 1;
-  while (n < v) n <<= 1;
-  return n;
-}
+// Replica ring refill: cadence and CPU cost per wake (off critical path).
+constexpr sim::Duration kRefillPeriod = sim::usec(100);
+constexpr sim::Duration kRefillCpu = sim::usec(1);
 
 }  // namespace
 
 FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
                          Config cfg)
-    : client_(client), cfg_(cfg) {
+    : client_(client),
+      cfg_(cfg),
+      window_(cfg.max_inflight, cfg.max_inflight * 4) {
   assert(replicas.size() >= 2 && "fan-out needs a primary and >=1 backup");
   // Primary rearm posts 4 + 3*K SGEs per slot; keep K within the inline
   // SgeList capacity (same group-size-8 cap as the naive/tcp baselines).
@@ -42,7 +42,6 @@ FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
   backups_.resize(replicas.size() - 1);
   for (size_t b = 0; b < backups_.size(); ++b) {
     backups_[b].server = replicas[b + 1];
-    backups_[b].index = b;
   }
 
   client_region_ = client_.nvm().alloc(cfg_.region_size, 4096);
@@ -62,11 +61,6 @@ FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
   qp_down_ =
       client_.nic().create_qp(cq_down_, nullptr, cfg_.max_inflight * 4 + 16);
 
-  // Backup/primary acks can complete a hair out of order relative to the
-  // client-CAS ack stream, so the direct-mapped table gets 4x the credit
-  // window of headroom (see PendingSlot).
-  pending_.resize(next_pow2(cfg_.max_inflight * 4));
-  pending_mask_ = static_cast<uint32_t>(pending_.size() - 1);
   zero_scratch_.assign(ack_stride, 0);
   cas_scratch_.resize(1 + K);
 
@@ -86,13 +80,11 @@ FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
   cq_down_->set_notify([this] { on_ack_cqe(); });
   cq_down_->arm_notify();
 
-  if (cfg_.refill_via_cpu) {
-    primary_.refill_pid = primary_.server->sched().create_process(
-        primary_.server->name() + "-fanout-refill");
-    for (auto& b : backups_) {
-      b.refill_pid = b.server->sched().create_process(
-          b.server->name() + "-fanout-refill");
-    }
+  primary_.refill_pid = primary_.server->sched().create_process(
+      primary_.server->name() + "-fanout-refill");
+  for (auto& b : backups_) {
+    b.refill_pid = b.server->sched().create_process(
+        b.server->name() + "-fanout-refill");
   }
   refill_tick_primary();
   for (size_t b = 0; b < K; ++b) refill_tick_backup(b);
@@ -103,17 +95,7 @@ FanoutGroup::~FanoutGroup() { stop(); }
 void FanoutGroup::stop() {
   if (stopped_) return;
   stopped_ = true;
-
-  for (PendingSlot& slot : pending_) {
-    if (!slot.live) continue;
-    slot.live = false;
-    slot.done.reset();
-    slot.cas_done.reset();
-    ++aborted_ops_;
-  }
-  aborted_ops_ += waiting_.size();
-  waiting_.clear();
-  inflight_ = 0;
+  aborted_ops_ += window_.abort_all();
 
   // Release NIC resources; QPs before the CQs they reference (destroying
   // a WAIT-parked QP unlinks it from the CQ's waiter list).
@@ -323,9 +305,9 @@ void FanoutGroup::rearm_backup_slot(size_t bi, uint64_t seq) {
 }
 
 void FanoutGroup::refill_tick_primary() {
-  primary_.server->loop().schedule_after(cfg_.refill_period, [this] {
+  primary_.server->loop().schedule_after(kRefillPeriod, [this] {
     if (stopped_) return;
-    auto work = [this] {
+    primary_.server->sched().submit(primary_.refill_pid, kRefillCpu, [this] {
       if (stopped_) return;
       const size_t K = backups_.size();
       while (true) {
@@ -339,36 +321,25 @@ void FanoutGroup::refill_tick_primary() {
         ++primary_.next_rearm;
       }
       refill_tick_primary();
-    };
-    if (cfg_.refill_via_cpu) {
-      primary_.server->sched().submit(primary_.refill_pid, cfg_.refill_cpu,
-                                      work);
-    } else {
-      work();
-    }
+    });
   });
 }
 
 void FanoutGroup::refill_tick_backup(size_t bi) {
   Backup& b = backups_[bi];
-  b.server->loop().schedule_after(cfg_.refill_period, [this, bi] {
+  b.server->loop().schedule_after(kRefillPeriod, [this, bi] {
     if (stopped_) return;
-    auto work = [this, bi] {
+    Backup& bb = backups_[bi];
+    bb.server->sched().submit(bb.refill_pid, kRefillCpu, [this, bi] {
       if (stopped_) return;
-      Backup& bb = backups_[bi];
-      while (bb.cq_ack->completion_count() >=
-             bb.next_rearm - cfg_.ring_slots + 1) {
-        rearm_backup_slot(bi, bb.next_rearm);
-        ++bb.next_rearm;
+      Backup& bk = backups_[bi];
+      while (bk.cq_ack->completion_count() >=
+             bk.next_rearm - cfg_.ring_slots + 1) {
+        rearm_backup_slot(bi, bk.next_rearm);
+        ++bk.next_rearm;
       }
       refill_tick_backup(bi);
-    };
-    if (cfg_.refill_via_cpu) {
-      Backup& bb = backups_[bi];
-      bb.server->sched().submit(bb.refill_pid, cfg_.refill_cpu, work);
-    } else {
-      work();
-    }
+    });
   });
 }
 
@@ -482,31 +453,17 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
 
 void FanoutGroup::submit(const OpSpec& op, Done done, CasDone cas_done) {
   assert(!stopped_ && "primitive on a stopped group");
-  if (inflight_ >= cfg_.max_inflight || !waiting_.empty()) {
-    QueuedOp q;
-    q.spec = op;
-    q.done = std::move(done);
-    q.cas_done = std::move(cas_done);
-    waiting_.push_back(std::move(q));
-    return;
-  }
-  ++inflight_;
-  issue(op, std::move(done), std::move(cas_done));
+  window_.submit(op, std::move(done), std::move(cas_done), issuer());
 }
 
 void FanoutGroup::issue(const OpSpec& op, Done done, CasDone cas_done) {
-  const uint64_t seq = next_seq_++;
   const size_t K = backups_.size();
-
-  PendingSlot& pend = pending_[seq & pending_mask_];
-  assert(!pend.live && "pending slot table wrapped past the live window");
-  pend.seq = static_cast<uint32_t>(seq);
-  pend.kind = op.kind;
-  pend.live = true;
-  pend.acks_needed = static_cast<uint32_t>(1 + K);  // primary + backups
-  if (op.kind == 2 && op.exec.test(0)) ++pend.acks_needed;
-  pend.done = std::move(done);
-  pend.cas_done = std::move(cas_done);
+  // ACKs due: the primary's and every backup's, plus the client's own
+  // CAS on the primary when the execute map includes it.
+  const uint32_t acks =
+      static_cast<uint32_t>(1 + K) + (op.kind == 2 && op.exec.test(0));
+  const uint64_t seq =
+      window_.open(std::move(done), std::move(cas_done), acks);
   if (op.kind == 2) {
     // Clear the result slot so skipped replicas (and a skipped primary)
     // report 0 rather than a stale value from a previous ring lap.
@@ -554,45 +511,32 @@ void FanoutGroup::issue(const OpSpec& op, Done done, CasDone cas_done) {
       qp_down_, rdma::make_send(slot, 0, static_cast<uint32_t>(blob.size())));
 }
 
-void FanoutGroup::complete(PendingSlot& slot) {
-  slot.live = false;
-  --inflight_;
-  if (slot.kind == 2) {
-    CasDone handler = std::move(slot.cas_done);
-    const size_t K = backups_.size();
-    const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
-    client_.mem().read(
-        ack_base_ + (slot.seq % (cfg_.max_inflight * 2)) * ack_stride,
-        cas_scratch_.data(), ack_stride);
-    handler(CasResult(cas_scratch_.data(), 1 + K));
-  } else {
-    Done handler = std::move(slot.done);
-    if (handler) handler();
-  }
-  if (!waiting_.empty() && inflight_ < cfg_.max_inflight) {
-    QueuedOp next = std::move(waiting_.front());
-    waiting_.pop_front();
-    ++inflight_;
-    issue(next.spec, std::move(next.done), std::move(next.cas_done));
-  }
+void FanoutGroup::count_ack(uint32_t seq) {
+  auto* slot = window_.ack(seq);
+  if (slot == nullptr) return;
+  window_.complete(
+      *slot,
+      [&] {
+        const size_t K = backups_.size();
+        const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
+        client_.mem().read(
+            ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride,
+            cas_scratch_.data(), ack_stride);
+        return CasResult(cas_scratch_.data(), 1 + K);
+      },
+      issuer());
 }
 
 void FanoutGroup::on_ack_cqe() {
   rdma::Cqe cqe;
-  auto count_event = [this](uint32_t seq) {
-    PendingSlot& slot = pending_[seq & pending_mask_];
-    if (!slot.live || slot.seq != seq) return;
-    if (--slot.acks_needed > 0) return;
-    complete(slot);
-  };
   while (cq_up_->poll(&cqe)) {
     if (!cqe.has_imm) continue;
     client_.nic().post_recv(client_.nic().qp(cqe.qpn), RecvWqe{});
-    count_event(cqe.imm);
+    count_ack(cqe.imm);
   }
   while (cq_down_->poll(&cqe)) {
     if ((cqe.wr_id & kCasTag) != 0) {
-      count_event(static_cast<uint32_t>(cqe.wr_id & 0xffffffffu));
+      count_ack(static_cast<uint32_t>(cqe.wr_id & 0xffffffffu));
     }
   }
   cq_up_->arm_notify();

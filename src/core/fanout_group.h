@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "core/group.h"
+#include "core/op_window.h"
 #include "core/server.h"
 #include "rdma/nic.h"
-#include "sim/ring.h"
 
 namespace hyperloop::core {
 
@@ -37,10 +37,6 @@ class FanoutGroup final : public ReplicationGroup {
     uint64_t region_size = 4u << 20;
     uint32_t ring_slots = 512;
     uint32_t max_inflight = 32;
-    sim::Duration refill_period = sim::usec(100);
-    sim::Duration refill_cpu = sim::usec(1);
-    sim::Duration refill_cpu_per_slot = sim::nsec(150);
-    bool refill_via_cpu = true;
   };
 
   /// Replica 0 of `replicas` acts as the primary; the rest are backups.
@@ -97,7 +93,6 @@ class FanoutGroup final : public ReplicationGroup {
 
   struct Backup {
     Server* server = nullptr;
-    size_t index = 0;  ///< 0-based backup index
     rdma::Addr data_base = 0;
     rdma::MemoryRegion data_mr{};
     rdma::QueuePair* qp_prev = nullptr;  ///< from the primary
@@ -121,26 +116,6 @@ class FanoutGroup final : public ReplicationGroup {
     ExecMap exec;
   };
 
-  /// One in-flight op, direct-mapped by seq & pending_mask_. Per-source
-  /// ack streams are FIFO and every source acks every op, so the live-seq
-  /// window stays narrow; the table is sized 4x the credit window and the
-  /// claim assert guards the invariant.
-  struct PendingSlot {
-    uint32_t seq = 0;
-    uint8_t kind = 0;
-    bool live = false;
-    uint32_t acks_needed = 0;
-    Done done;
-    CasDone cas_done;
-  };
-
-  /// An op parked while the credit window is full.
-  struct QueuedOp {
-    OpSpec spec;
-    Done done;
-    CasDone cas_done;
-  };
-
   void setup_primary();
   void setup_backup(size_t b);
   void wire();
@@ -162,7 +137,14 @@ class FanoutGroup final : public ReplicationGroup {
                                       const OpSpec& op);
   void submit(const OpSpec& op, Done done, CasDone cas_done);
   void issue(const OpSpec& op, Done done, CasDone cas_done);
-  void complete(PendingSlot& slot);
+  auto issuer() {
+    return [this](const OpSpec& op, Done done, CasDone cas_done) {
+      issue(op, std::move(done), std::move(cas_done));
+    };
+  }
+  /// Counts one ACK (a backup's, the primary's, or the client's own CAS
+  /// on the primary) toward op `seq`.
+  void count_ack(uint32_t seq);
   void on_ack_cqe();
   rdma::WqeDescriptor nop_desc() const;
 
@@ -182,11 +164,10 @@ class FanoutGroup final : public ReplicationGroup {
   uint32_t client_staging_slot_ = 0;
   rdma::Addr ack_base_ = 0;
   rdma::MemoryRegion ack_mr_{};
-  uint64_t next_seq_ = 0;
-  uint32_t inflight_ = 0;
-  std::vector<PendingSlot> pending_;  ///< direct-mapped by seq & mask
-  uint32_t pending_mask_ = 0;
-  sim::Ring<QueuedOp> waiting_;  ///< ops parked for a credit
+  /// Per-source ack streams are FIFO, but an op completes on the last of
+  /// its sources, so seqs can retire a little out of order relative to
+  /// the client-CAS stream: the table gets 4x the credit window.
+  OpWindow<OpSpec> window_;
   std::vector<uint8_t> blob_scratch_;  ///< reused by build_blob per issue()
   std::vector<uint8_t> zero_scratch_;  ///< reused ack-slot clear (gCAS)
   std::vector<uint64_t> cas_scratch_;  ///< gCAS result-map read buffer

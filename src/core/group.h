@@ -10,21 +10,24 @@
 //                                         returning the per-replica result map
 //   gFLUSH()                              durability barrier down the chain
 //
-// Two implementations share this interface: HyperLoopGroup (NIC-offloaded,
-// §4) and NaiveRdmaGroup (CPU-forwarded baseline, §6 "Naïve-RDMA"), so the
-// WAL / locking / storage layers above run unchanged on either.
+// Four backends implement this interface: HyperLoopGroup (NIC-offloaded
+// chain, §4), NaiveRdmaGroup (CPU-forwarded baseline, §6 "Naïve-RDMA"),
+// FanoutGroup (NIC-offloaded primary-backup, §7) and TcpReplicationGroup
+// (kernel TCP, §6.2). ShardedGroup puts K chains behind it too, so the
+// WAL / locking / storage layers above run unchanged on any of them.
 //
 // Ordering contract: ops of one primitive issued on one group execute at
-// every replica in issue order. That includes ops parked for a credit
-// (the credit-wait queue is FIFO, and an op issued while others are
-// parked parks behind them, even when a completion has just freed a
-// credit) and ops issued back to back without waiting for an ACK. A
-// ShardedGroup keeps it among the ops routed to one chain (ops on
-// different chains touch disjoint bytes). Across primitives nothing is
-// promised: HyperLoopGroup runs each primitive on its own ring. The base
-// gwritev() relies on the contract for gWRITE, and GroupLockManager
-// pipelines dependent gCAS pairs on it. tests/group_order_test.cc holds
-// every backend to it.
+// every replica in issue order. That includes ops parked for a credit and
+// ops issued back to back without waiting for an ACK. Every backend keeps
+// its credit window in an OpWindow (core/op_window.h), the one place the
+// park rule is enforced: the credit-wait queue is FIFO, and an op issued
+// while others are parked parks behind them, even when a completion has
+// just freed a credit. A ShardedGroup keeps the contract among the ops
+// routed to one chain (ops on different chains touch disjoint bytes).
+// Across primitives nothing is promised: HyperLoopGroup runs each
+// primitive on its own ring. The base gwritev() relies on the contract
+// for gWRITE, and GroupLockManager pipelines dependent gCAS pairs on it.
+// tests/group_order_test.cc holds every backend to it.
 //
 // Callback-type policy (see DESIGN.md "Callback types"): every async
 // boundary in src/core takes a sim::SmallFn — never a copyable

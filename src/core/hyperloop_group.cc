@@ -25,11 +25,10 @@ Wqe placeholder() {
   return w;
 }
 
-uint32_t next_pow2(uint32_t v) {
-  uint32_t n = 1;
-  while (n < v) n <<= 1;
-  return n;
-}
+// Replica refill CPU cost (off the critical path): each wake pays the
+// base cost plus a per-re-armed-slot cost.
+constexpr sim::Duration kRefillCpu = sim::usec(1);
+constexpr sim::Duration kRefillCpuPerSlot = sim::nsec(150);
 
 }  // namespace
 
@@ -112,18 +111,7 @@ void HyperLoopGroup::stop() {
   stopped_ = true;
 
   // Drop (never invoke) all pending completion callbacks and queued ops.
-  for (ClientChain& cc : client_chain_) {
-    for (PendingSlot& slot : cc.pending) {
-      if (!slot.live) continue;
-      slot.live = false;
-      slot.done.reset();
-      slot.cas_done.reset();
-      ++aborted_ops_;
-    }
-    aborted_ops_ += cc.waiting.size();
-    cc.waiting.clear();
-    cc.inflight = 0;
-  }
+  for (ClientChain& cc : client_chain_) aborted_ops_ += cc.window.abort_all();
 
   // Release NIC resources. QPs must go before their CQs: destroying a QP
   // unlinks it from any CQ waiter list, and destroy_cq asserts that no
@@ -153,14 +141,6 @@ void HyperLoopGroup::stop() {
 }
 
 // ------------------------------------------------------------------ setup --
-
-uint32_t HyperLoopGroup::hop_payload(Prim p, size_t hop) const {
-  const uint32_t per_hop = desc_count(p) * kDescBytes;
-  uint32_t bytes =
-      per_hop * static_cast<uint32_t>(replicas_.size() - hop);
-  if (p == Prim::kCas) bytes += result_bytes();
-  return bytes;
-}
 
 void HyperLoopGroup::setup_replica(size_t idx) {
   Replica& r = replicas_[idx];
@@ -238,12 +218,7 @@ void HyperLoopGroup::setup_client_chain(Prim p) {
   cc.qp_down = nic.create_qp(cc.cq_down, nullptr,
                              cfg_.max_inflight * (desc_count(p) + 2) + 16);
   cc.qp_up = nic.create_qp(nullptr, cc.cq_up, 16);
-
-  // In-flight ops are direct-mapped by seq: acks arrive in chain FIFO
-  // order, so at most max_inflight consecutive seqs are live at once and
-  // a power-of-two table twice that wide is collision-free by mask.
-  cc.pending.resize(next_pow2(cfg_.max_inflight * 2));
-  cc.pending_mask = static_cast<uint32_t>(cc.pending.size() - 1);
+  cc.window = OpWindow<Args>(cfg_.max_inflight, cfg_.max_inflight * 2);
 }
 
 void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
@@ -340,7 +315,7 @@ void HyperLoopGroup::refill_tick(size_t replica) {
     Replica& rr = replicas_[replica];
     if (cfg_.refill_via_cpu) {
       rr.server->sched().submit(
-          rr.refill_pid, cfg_.refill_cpu, [this, replica] {
+          rr.refill_pid, kRefillCpu, [this, replica] {
             if (stopped_) return;
             const uint32_t rearmed = do_refill(replica);
             if (rearmed > 0) {
@@ -348,8 +323,7 @@ void HyperLoopGroup::refill_tick(size_t replica) {
               // the critical path.
               replicas_[replica].server->sched().submit(
                   replicas_[replica].refill_pid,
-                  cfg_.refill_cpu_per_slot *
-                      static_cast<sim::Duration>(rearmed),
+                  kRefillCpuPerSlot * static_cast<sim::Duration>(rearmed),
                   [this, replica] {
                     if (!stopped_) refill_tick(replica);
                   },
@@ -392,15 +366,6 @@ rdma::WqeDescriptor HyperLoopGroup::nop_desc() const {
   d.opcode = static_cast<uint8_t>(Opcode::kNop);
   d.active = 1;
   return d;
-}
-
-HyperLoopGroup::PendingSlot& HyperLoopGroup::claim_slot(ClientChain& cc,
-                                                        uint64_t seq) {
-  PendingSlot& slot = cc.pending[seq & cc.pending_mask];
-  assert(!slot.live && "pending slot table wrapped past the live window");
-  slot.seq = static_cast<uint32_t>(seq);
-  slot.live = true;
-  return slot;
 }
 
 uint32_t HyperLoopGroup::stage_gwrite_blob(uint64_t seq, uint64_t offset,
@@ -589,217 +554,151 @@ void HyperLoopGroup::stage_meta_send(Prim p, uint64_t seq, uint32_t blob_len) {
   client_.nic(cfg_.nic_index).stage_send(cc.qp_down, send);
 }
 
-void HyperLoopGroup::dispatch(Prim p, QueuedOp&& op) {
-  switch (p) {
-    case Prim::kWrite:
-      issue_gwrite(op.a, op.len, op.flush, std::move(op.done));
-      break;
-    case Prim::kWriteV:
-      issue_gwritev(op.extents, op.flush, std::move(op.done));
-      break;
-    case Prim::kMemcpy:
-      issue_gmemcpy(op.a, op.b, op.len, op.flush, std::move(op.done));
-      break;
-    case Prim::kCas:
-      issue_gcas(op.a, op.expected, op.desired, op.exec,
-                 std::move(op.cas_done));
-      break;
-  }
-}
-
 void HyperLoopGroup::on_ack_cqe(Prim p) {
   ClientChain& cc = client_chain_[static_cast<int>(p)];
   rdma::Cqe cqe;
   while (cc.cq_up->poll(&cqe)) {
     if (!cqe.has_imm) continue;
-    PendingSlot& slot = cc.pending[cqe.imm & cc.pending_mask];
-    if (!slot.live || slot.seq != cqe.imm) continue;
-    slot.live = false;
-    cc.completed_seq = cqe.imm;
+    auto* slot = cc.window.ack(cqe.imm);
+    if (slot == nullptr) continue;
     client_.nic(cfg_.nic_index).post_recv(cc.qp_up, RecvWqe{});
-    --cc.inflight;
-    if (p == Prim::kCas) {
-      CasDone handler = std::move(slot.cas_done);
-      client_.mem().read(
-          cc.ack_base + (cqe.imm % (cfg_.max_inflight * 2)) * result_bytes(),
-          cas_scratch_.data(), result_bytes());
-      handler(CasResult(cas_scratch_.data(), replicas_.size()));
-    } else {
-      Done handler = std::move(slot.done);
-      if (handler) handler();
-    }
-    if (!cc.waiting.empty() && cc.inflight < cfg_.max_inflight) {
-      QueuedOp next = std::move(cc.waiting.front());
-      cc.waiting.pop_front();
-      ++cc.inflight;
-      dispatch(p, std::move(next));
-    }
+    cc.window.complete(
+        *slot,
+        [&] {
+          client_.mem().read(
+              cc.ack_base +
+                  (cqe.imm % (cfg_.max_inflight * 2)) * result_bytes(),
+              cas_scratch_.data(), result_bytes());
+          return CasResult(cas_scratch_.data(), replicas_.size());
+        },
+        issuer(p));
   }
   cc.cq_up->arm_notify();
 }
 
 // ------------------------------------------------------------- primitives --
 
-void HyperLoopGroup::issue_gwrite(uint64_t offset, uint32_t len, bool flush,
-                                  Done done) {
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kWrite)];
-  const uint64_t seq = cc.next_seq++;
-  ++counters_.gwrites;
-  counters_.bytes_replicated += uint64_t{len} * replicas_.size();
+void HyperLoopGroup::submit(Prim p, const Args& args, Done done,
+                            CasDone cas_done) {
+  assert(!stopped_ && "primitive on a stopped group");
+  client_chain_[static_cast<int>(p)].window.submit(
+      args, std::move(done), std::move(cas_done), issuer(p));
+}
 
-  // Data WRITE (+FLUSH) to the first replica, then the metadata SEND that
-  // drives the offloaded chain — staged together under one doorbell.
+void HyperLoopGroup::issue(Prim p, const Args& args, Done done,
+                           CasDone cas_done) {
+  ClientChain& cc = client_chain_[static_cast<int>(p)];
+  rdma::Nic& nic = client_.nic(cfg_.nic_index);
   const Replica& r0 = replicas_.front();
-  Wqe data = rdma::make_write(client_region_ + offset, 0,
-                              r0.data_base + offset, r0.data_mr.rkey, len);
-  // The metadata SEND behind it (same QP, one doorbell) acknowledges the
-  // WRITE cumulatively — no standalone ACK packet needed.
-  data.d.flags |= rdma::kWqeFlagAckElide;
-  client_.nic(cfg_.nic_index).stage_send(cc.qp_down, data);
-  if (flush) {
-    client_.nic(cfg_.nic_index).stage_send(
-        cc.qp_down, rdma::make_flush(r0.data_base, r0.data_mr.rkey));
+  const uint64_t seq = cc.window.open(std::move(done), std::move(cas_done));
+  uint32_t blob_len = 0;
+  switch (p) {
+    case Prim::kWrite: {
+      ++counters_.gwrites;
+      counters_.bytes_replicated += uint64_t{args.len} * replicas_.size();
+      // Data WRITE (+FLUSH) to the first replica, then the metadata SEND
+      // that drives the offloaded chain — staged together under one
+      // doorbell. The SEND behind it (same QP) acknowledges the WRITE
+      // cumulatively — no standalone ACK packet needed.
+      Wqe data = rdma::make_write(client_region_ + args.offset, 0,
+                                  r0.data_base + args.offset,
+                                  r0.data_mr.rkey, args.len);
+      data.d.flags |= rdma::kWqeFlagAckElide;
+      nic.stage_send(cc.qp_down, data);
+      if (args.flush) {
+        nic.stage_send(cc.qp_down,
+                       rdma::make_flush(r0.data_base, r0.data_mr.rkey));
+      }
+      blob_len = stage_gwrite_blob(seq, args.offset, args.len, args.flush);
+      break;
+    }
+    case Prim::kWriteV: {
+      ++counters_.gwritevs;
+      counters_.gwritev_extents += args.extents.size();
+      // All extent WRITEs to the first replica, one trailing FLUSH, and
+      // the metadata SEND — one doorbell, one chain traversal.
+      for (const Extent& e : args.extents) {
+        counters_.bytes_replicated += uint64_t{e.len} * replicas_.size();
+        Wqe data = rdma::make_write(client_region_ + e.offset, 0,
+                                    r0.data_base + e.offset, r0.data_mr.rkey,
+                                    e.len);
+        data.d.flags |= rdma::kWqeFlagAckElide;  // metadata SEND acks it
+        nic.stage_send(cc.qp_down, data);
+      }
+      if (args.flush) {
+        nic.stage_send(cc.qp_down,
+                       rdma::make_flush(r0.data_base, r0.data_mr.rkey));
+      }
+      blob_len = stage_gwritev_blob(seq, args.extents, args.flush);
+      break;
+    }
+    case Prim::kMemcpy: {
+      ++counters_.gmemcpys;
+      // The client's copy of the region must stay in sync: perform the
+      // same copy locally (the client is the head of the chain).
+      client_.mem().copy(client_region_ + args.dst,
+                         client_region_ + args.offset, args.len);
+      client_.nvm().persist(client_region_ + args.dst, args.len);
+      blob_len = stage_gmemcpy_blob(seq, args.offset, args.dst, args.len,
+                                    args.flush);
+      break;
+    }
+    case Prim::kCas: {
+      ++counters_.gcas;
+      blob_len = stage_gcas_blob(seq, args.offset, args.expected,
+                                 args.desired, args.exec);
+      break;
+    }
   }
-  const uint32_t blob_len = stage_gwrite_blob(seq, offset, len, flush);
-  claim_slot(cc, seq).done = std::move(done);
-  stage_meta_send(Prim::kWrite, seq, blob_len);
-  client_.nic(cfg_.nic_index).ring_doorbell(cc.qp_down);
-}
-
-void HyperLoopGroup::issue_gwritev(const ExtentVec& extents, bool flush,
-                                   Done done) {
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kWriteV)];
-  const uint64_t seq = cc.next_seq++;
-  ++counters_.gwritevs;
-  counters_.gwritev_extents += extents.size();
-  for (const Extent& e : extents) {
-    counters_.bytes_replicated += uint64_t{e.len} * replicas_.size();
-  }
-
-  // All extent WRITEs to the first replica, one trailing FLUSH, and the
-  // metadata SEND — one doorbell, one chain traversal.
-  const Replica& r0 = replicas_.front();
-  for (const Extent& e : extents) {
-    Wqe data =
-        rdma::make_write(client_region_ + e.offset, 0, r0.data_base + e.offset,
-                         r0.data_mr.rkey, e.len);
-    data.d.flags |= rdma::kWqeFlagAckElide;  // metadata SEND acks the batch
-    client_.nic(cfg_.nic_index).stage_send(cc.qp_down, data);
-  }
-  if (flush) {
-    client_.nic(cfg_.nic_index).stage_send(
-        cc.qp_down, rdma::make_flush(r0.data_base, r0.data_mr.rkey));
-  }
-  const uint32_t blob_len = stage_gwritev_blob(seq, extents, flush);
-  claim_slot(cc, seq).done = std::move(done);
-  stage_meta_send(Prim::kWriteV, seq, blob_len);
-  client_.nic(cfg_.nic_index).ring_doorbell(cc.qp_down);
-}
-
-void HyperLoopGroup::issue_gmemcpy(uint64_t src, uint64_t dst, uint32_t len,
-                                   bool flush, Done done) {
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kMemcpy)];
-  const uint64_t seq = cc.next_seq++;
-  ++counters_.gmemcpys;
-  // The client's copy of the region must stay in sync: perform the same
-  // copy locally (the client is the head of the chain).
-  client_.mem().copy(client_region_ + dst, client_region_ + src, len);
-  client_.nvm().persist(client_region_ + dst, len);
-  const uint32_t blob_len = stage_gmemcpy_blob(seq, src, dst, len, flush);
-  claim_slot(cc, seq).done = std::move(done);
-  stage_meta_send(Prim::kMemcpy, seq, blob_len);
-  client_.nic(cfg_.nic_index).ring_doorbell(cc.qp_down);
-}
-
-void HyperLoopGroup::issue_gcas(uint64_t offset, uint64_t expected,
-                                uint64_t desired, ExecMap exec, CasDone done) {
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kCas)];
-  const uint64_t seq = cc.next_seq++;
-  ++counters_.gcas;
-  const uint32_t blob_len =
-      stage_gcas_blob(seq, offset, expected, desired, exec);
-  claim_slot(cc, seq).cas_done = std::move(done);
-  stage_meta_send(Prim::kCas, seq, blob_len);
-  client_.nic(cfg_.nic_index).ring_doorbell(cc.qp_down);
+  stage_meta_send(p, seq, blob_len);
+  nic.ring_doorbell(cc.qp_down);
 }
 
 void HyperLoopGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
                             Done done) {
-  assert(!stopped_ && "gwrite on a stopped group");
   assert(offset + len <= cfg_.region_size);
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kWrite)];
-  if (cc.inflight >= cfg_.max_inflight || !cc.waiting.empty()) {
-    QueuedOp op;
-    op.a = offset;
-    op.len = len;
-    op.flush = flush;
-    op.done = std::move(done);
-    cc.waiting.push_back(std::move(op));
-    return;
-  }
-  ++cc.inflight;
-  issue_gwrite(offset, len, flush, std::move(done));
+  Args args;
+  args.offset = offset;
+  args.len = len;
+  args.flush = flush;
+  submit(Prim::kWrite, args, std::move(done), CasDone{});
 }
 
 void HyperLoopGroup::gwritev(const ExtentVec& extents, bool flush,
                              Done done) {
-  assert(!stopped_ && "gwritev on a stopped group");
   assert(!extents.empty());
 #ifndef NDEBUG
   for (const Extent& e : extents) {
     assert(e.offset + e.len <= cfg_.region_size);
   }
 #endif
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kWriteV)];
-  if (cc.inflight >= cfg_.max_inflight || !cc.waiting.empty()) {
-    QueuedOp op;
-    op.extents = extents;
-    op.flush = flush;
-    op.done = std::move(done);
-    cc.waiting.push_back(std::move(op));
-    return;
-  }
-  ++cc.inflight;
-  issue_gwritev(extents, flush, std::move(done));
+  Args args;
+  args.extents = extents;
+  args.flush = flush;
+  submit(Prim::kWriteV, args, std::move(done), CasDone{});
 }
 
 void HyperLoopGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                              uint32_t len, bool flush, Done done) {
-  assert(!stopped_ && "gmemcpy on a stopped group");
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kMemcpy)];
-  if (cc.inflight >= cfg_.max_inflight || !cc.waiting.empty()) {
-    QueuedOp op;
-    op.a = src_offset;
-    op.b = dst_offset;
-    op.len = len;
-    op.flush = flush;
-    op.done = std::move(done);
-    cc.waiting.push_back(std::move(op));
-    return;
-  }
-  ++cc.inflight;
-  issue_gmemcpy(src_offset, dst_offset, len, flush, std::move(done));
+  Args args;
+  args.offset = src_offset;
+  args.dst = dst_offset;
+  args.len = len;
+  args.flush = flush;
+  submit(Prim::kMemcpy, args, std::move(done), CasDone{});
 }
 
 void HyperLoopGroup::gcas(uint64_t offset, uint64_t expected,
                           uint64_t desired, ExecMap exec_map, CasDone done) {
-  assert(!stopped_ && "gcas on a stopped group");
   assert(offset + 8 <= cfg_.region_size);
-  ClientChain& cc = client_chain_[static_cast<int>(Prim::kCas)];
-  if (cc.inflight >= cfg_.max_inflight || !cc.waiting.empty()) {
-    QueuedOp op;
-    op.a = offset;
-    op.expected = expected;
-    op.desired = desired;
-    op.exec = exec_map;
-    op.cas_done = std::move(done);
-    cc.waiting.push_back(std::move(op));
-    return;
-  }
-  ++cc.inflight;
-  issue_gcas(offset, expected, desired, exec_map, std::move(done));
+  Args args;
+  args.offset = offset;
+  args.expected = expected;
+  args.desired = desired;
+  args.exec = exec_map;
+  submit(Prim::kCas, args, Done{}, std::move(done));
 }
 
 void HyperLoopGroup::gflush(Done done) {

@@ -22,11 +22,10 @@
 // Replica CPUs only run a periodic refill task (off the critical path)
 // that re-arms consumed ring slots, exactly as §5.1 describes.
 //
-// Client-side bookkeeping is allocation-free in steady state: in-flight
-// ops live in a direct-mapped slot table (acks arrive in chain FIFO
-// order, so live seqs form a window <= max_inflight wide and seq & mask
-// never collides), ops waiting for a credit queue in a sim::Ring, and
-// patch descriptors are staged straight into the metadata ring slot.
+// Client-side bookkeeping is allocation-free in steady state: each
+// primitive ring has its own OpWindow (core/op_window.h) holding its
+// in-flight ops and the ops parked for a credit, and patch descriptors
+// are staged straight into the metadata ring slot.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +33,9 @@
 #include <vector>
 
 #include "core/group.h"
+#include "core/op_window.h"
 #include "core/server.h"
 #include "rdma/nic.h"
-#include "sim/ring.h"
 
 namespace hyperloop::core {
 
@@ -48,11 +47,8 @@ class HyperLoopGroup final : public ReplicationGroup {
     uint32_t ring_slots = 512;
     /// Max client-side in-flight ops per primitive (must be <= ring/2).
     uint32_t max_inflight = 32;
-    /// Replica refill cadence and CPU cost (off critical path): each wake
-    /// pays the base cost plus a per-re-armed-slot cost.
+    /// Replica refill cadence (off critical path).
     sim::Duration refill_period = sim::usec(100);
-    sim::Duration refill_cpu = sim::usec(1);
-    sim::Duration refill_cpu_per_slot = sim::nsec(150);
     /// If false, replicas re-arm rings with zero CPU (idealized NIC
     /// self-refill; used by ablation benchmarks).
     bool refill_via_cpu = true;
@@ -162,29 +158,17 @@ class HyperLoopGroup final : public ReplicationGroup {
     sim::ProcessId refill_pid = 0;
   };
 
-  /// One in-flight op. `done` serves write-like primitives, `cas_done`
-  /// serves gCAS; storing both flat (instead of one nested closure) keeps
-  /// continuation state inside the Done/CasDone inline caps.
-  struct PendingSlot {
-    uint32_t seq = 0;
-    bool live = false;
-    Done done;
-    CasDone cas_done;
-  };
-
-  /// An op parked while the credit window is full. Parameters are stored
-  /// by value and re-dispatched by primitive when a credit frees up.
-  struct QueuedOp {
-    uint64_t a = 0;  ///< offset / src_offset
-    uint64_t b = 0;  ///< dst_offset (gMEMCPY)
+  /// One primitive call's parameters, kept by value while the op is
+  /// parked for a credit and issued by primitive when one frees up.
+  struct Args {
+    uint64_t offset = 0;  ///< offset / gMEMCPY source
+    uint64_t dst = 0;     ///< gMEMCPY destination
     uint64_t expected = 0;
     uint64_t desired = 0;
     uint32_t len = 0;
     bool flush = false;
     ExecMap exec;
-    ExtentVec extents;  ///< gWRITEV batch parked for a credit
-    Done done;
-    CasDone cas_done;
+    ExtentVec extents;  ///< gWRITEV batch
   };
 
   // Client-side per-primitive state.
@@ -197,12 +181,7 @@ class HyperLoopGroup final : public ReplicationGroup {
     uint32_t staging_slot = 0;
     rdma::Addr ack_base = 0;  ///< ack / result-map landing ring
     rdma::MemoryRegion ack_mr{};
-    uint64_t next_seq = 0;
-    uint64_t completed_seq = 0;
-    uint32_t inflight = 0;
-    std::vector<PendingSlot> pending;  ///< direct-mapped by seq & mask
-    uint32_t pending_mask = 0;
-    sim::Ring<QueuedOp> waiting;  ///< ops parked for a credit
+    OpWindow<Args> window;
   };
 
   // WQEs per ring slot on each queue, by primitive. A kWriteV slot is
@@ -226,7 +205,6 @@ class HyperLoopGroup final : public ReplicationGroup {
     if (p == Prim::kWriteV) return kMaxExtents + 2;
     return p == Prim::kCas ? 2 : 3;
   }
-  uint32_t hop_payload(Prim p, size_t hop) const;  // bytes hop receives
   uint32_t result_bytes() const {
     return static_cast<uint32_t>(8 * replicas_.size());
   }
@@ -237,8 +215,6 @@ class HyperLoopGroup final : public ReplicationGroup {
   void refill_tick(size_t replica);
   uint32_t do_refill(size_t replica);
   void start_refill(size_t replica);
-
-  PendingSlot& claim_slot(ClientChain& cc, uint64_t seq);
 
   // Stage the patch descriptors for op `seq` directly into the client's
   // metadata staging ring slot (no temporary buffer); returns blob bytes.
@@ -251,15 +227,16 @@ class HyperLoopGroup final : public ReplicationGroup {
   uint32_t stage_gcas_blob(uint64_t seq, uint64_t offset, uint64_t expected,
                            uint64_t desired, ExecMap exec);
 
-  void issue_gwrite(uint64_t offset, uint32_t len, bool flush, Done done);
-  void issue_gwritev(const ExtentVec& extents, bool flush, Done done);
-  void issue_gmemcpy(uint64_t src, uint64_t dst, uint32_t len, bool flush,
-                     Done done);
-  void issue_gcas(uint64_t offset, uint64_t expected, uint64_t desired,
-                  ExecMap exec, CasDone done);
-  void dispatch(Prim p, QueuedOp&& op);
+  /// Hands the op to primitive `p`'s window, which issues or parks it.
+  void submit(Prim p, const Args& args, Done done, CasDone cas_done);
+  void issue(Prim p, const Args& args, Done done, CasDone cas_done);
+  auto issuer(Prim p) {
+    return [this, p](const Args& args, Done done, CasDone cas_done) {
+      issue(p, args, std::move(done), std::move(cas_done));
+    };
+  }
   /// Stages the metadata SEND on qp_down without ringing the doorbell —
-  /// each issue_* path stages all its WQEs and doorbells once.
+  /// issue() stages all of an op's WQEs and doorbells once.
   void stage_meta_send(Prim p, uint64_t seq, uint32_t blob_len);
   void on_ack_cqe(Prim p);
 

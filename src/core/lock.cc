@@ -5,17 +5,6 @@
 namespace hyperloop::core {
 namespace {
 
-template <typename Op>
-uint32_t acquire_slot(std::vector<Op>& pool, std::vector<uint32_t>& free_list) {
-  if (free_list.empty()) {
-    pool.emplace_back();
-    return static_cast<uint32_t>(pool.size() - 1);
-  }
-  const uint32_t idx = free_list.back();
-  free_list.pop_back();
-  return idx;
-}
-
 bool all_zero(const CasResult& values) {
   for (uint64_t v : values) {
     if (v != 0) return false;
@@ -33,7 +22,7 @@ GroupLockManager::GroupLockManager(ReplicationGroup& group,
 void GroupLockManager::wr_lock(uint32_t lock_id, uint64_t owner,
                                LockDone done) {
   assert(owner != 0 && "owner id 0 means 'unlocked'");
-  const uint32_t idx = acquire_slot(wr_ops_, wr_free_);
+  const uint32_t idx = wr_ops_.claim();
   WrOp& op = wr_ops_[idx];
   assert(!op.live);
   op.lock_id = lock_id;
@@ -48,7 +37,7 @@ void GroupLockManager::wr_finish(uint32_t idx, bool acquired) {
   WrOp& op = wr_ops_[idx];
   LockDone done = std::move(op.done);
   op.live = false;
-  wr_free_.push_back(idx);
+  wr_ops_.release(idx);
   done(acquired);
 }
 
@@ -135,7 +124,7 @@ void GroupLockManager::drain_retry(uint32_t idx) {
 
 void GroupLockManager::wr_unlock(uint32_t lock_id, uint64_t owner,
                                  Done done) {
-  const uint32_t idx = acquire_slot(unlock_ops_, unlock_free_);
+  const uint32_t idx = unlock_ops_.claim();
   UnlockOp& op = unlock_ops_[idx];
   assert(!op.live);
   op.live = true;
@@ -148,13 +137,13 @@ void GroupLockManager::unlock_finish(uint32_t idx) {
   UnlockOp& op = unlock_ops_[idx];
   Done done = std::move(op.done);
   op.live = false;
-  unlock_free_.push_back(idx);
+  unlock_ops_.release(idx);
   if (done) done();
 }
 
 void GroupLockManager::rd_lock(uint32_t lock_id, size_t replica,
                                LockDone done) {
-  const uint32_t idx = acquire_slot(rd_ops_, rd_free_);
+  const uint32_t idx = rd_ops_.claim();
   RdOp& op = rd_ops_[idx];
   assert(!op.live);
   op.lock_id = lock_id;
@@ -171,7 +160,7 @@ void GroupLockManager::rd_finish(uint32_t idx, bool acquired) {
   RdOp& op = rd_ops_[idx];
   LockDone done = std::move(op.done);
   op.live = false;
-  rd_free_.push_back(idx);
+  rd_ops_.release(idx);
   done(acquired);
 }
 
@@ -255,7 +244,7 @@ void GroupLockManager::rd_unlock(uint32_t lock_id, size_t replica,
 void GroupLockManager::cas_loop_add(uint64_t offset, size_t replica,
                                     int64_t delta, uint64_t guess,
                                     Done done) {
-  const uint32_t idx = acquire_slot(add_ops_, add_free_);
+  const uint32_t idx = add_ops_.claim();
   AddOp& op = add_ops_[idx];
   assert(!op.live);
   op.offset = offset;
@@ -278,7 +267,7 @@ void GroupLockManager::add_attempt(uint32_t idx) {
                 if (old == op.guess) {
                   Done done = std::move(op.done);
                   op.live = false;
-                  add_free_.push_back(idx);
+                  add_ops_.release(idx);
                   if (done) done();
                   return;
                 }

@@ -42,11 +42,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/group.h"
 #include "core/region_layout.h"
 #include "sim/event_loop.h"
+#include "sim/slot_pool.h"
 #include "sim/small_fn.h"
 
 namespace hyperloop::core {
@@ -171,15 +171,10 @@ class GroupLockManager {
   Config cfg_;
   Stats stats_;
 
-  // Slot pools (grow to high water, then recycle via the free lists).
-  std::vector<WrOp> wr_ops_;
-  std::vector<uint32_t> wr_free_;
-  std::vector<RdOp> rd_ops_;
-  std::vector<uint32_t> rd_free_;
-  std::vector<UnlockOp> unlock_ops_;
-  std::vector<uint32_t> unlock_free_;
-  std::vector<AddOp> add_ops_;
-  std::vector<uint32_t> add_free_;
+  sim::SlotPool<WrOp> wr_ops_;
+  sim::SlotPool<RdOp> rd_ops_;
+  sim::SlotPool<UnlockOp> unlock_ops_;
+  sim::SlotPool<AddOp> add_ops_;
 };
 
 }  // namespace hyperloop::core

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "core/cpu_costs.h"
+
 namespace hyperloop::core {
 
 using rdma::Addr;
@@ -12,23 +14,25 @@ using rdma::Wqe;
 
 namespace {
 
-uint32_t next_pow2(uint32_t v) {
-  uint32_t n = 1;
-  while (n < v) n <<= 1;
-  return n;
-}
+/// CPU per replica handler wakeup (sched-in, CQ poll-loop setup).
+constexpr sim::Duration kHandlerBase = sim::usec(1);
+/// kSharedPolling: length of each spin slice through the run queue.
+constexpr sim::Duration kPollSlice = sim::usec(200);
+/// CPU to parse one command and post the forwarding WRs.
+constexpr sim::Duration kPerMessage = sim::usec(1) + sim::nsec(500);
 
 }  // namespace
 
 NaiveRdmaGroup::NaiveRdmaGroup(Server& client, std::vector<Server*> replicas,
                                Config cfg)
-    : client_(client), cfg_(cfg) {
+    : client_(client),
+      cfg_(cfg),
+      window_(cfg.max_inflight, cfg.max_inflight * 2) {
   assert(!replicas.empty() && replicas.size() <= kMaxGroup);
   assert(cfg_.max_inflight * 2 <= cfg_.recv_slots);
   replicas_.resize(replicas.size());
   for (size_t i = 0; i < replicas.size(); ++i) {
     replicas_[i].server = replicas[i];
-    replicas_[i].index = i;
   }
 
   client_region_ = client_.nvm().alloc(cfg_.region_size, 4096);
@@ -46,9 +50,6 @@ NaiveRdmaGroup::NaiveRdmaGroup(Server& client, std::vector<Server*> replicas,
   qp_down_ =
       client_.nic().create_qp(cq_down_, nullptr, cfg_.max_inflight * 4 + 16);
   qp_up_ = client_.nic().create_qp(nullptr, cq_up_, 16);
-
-  pending_.resize(next_pow2(cfg_.max_inflight * 2));
-  pending_mask_ = static_cast<uint32_t>(pending_.size() - 1);
 
   for (size_t i = 0; i < replicas_.size(); ++i) setup_replica(i);
   wire_chain();
@@ -72,16 +73,7 @@ void NaiveRdmaGroup::stop() {
   stopped_ = true;
 
   // Drop (never invoke) pending completion callbacks and queued commands.
-  for (PendingSlot& slot : pending_) {
-    if (!slot.live) continue;
-    slot.live = false;
-    slot.done.reset();
-    slot.cas_done.reset();
-    ++aborted_ops_;
-  }
-  aborted_ops_ += waiting_.size();
-  waiting_.clear();
-  inflight_ = 0;
+  aborted_ops_ += window_.abort_all();
 
   // Release NIC resources; QPs before the CQs they reference.
   for (Replica& r : replicas_) {
@@ -146,7 +138,7 @@ void NaiveRdmaGroup::shared_poll_loop(size_t i) {
   // CQ is drained).
   Replica& r = replicas_[i];
   r.server->sched().submit(
-      r.pid, cfg_.poll_slice,
+      r.pid, kPollSlice,
       [this, i] {
         if (stopped_) return;
         Replica& rr = replicas_[i];
@@ -196,22 +188,15 @@ void NaiveRdmaGroup::on_replica_notify(size_t i) {
   // The replica process is woken (event mode: run-queue wait + wakeup
   // overhead; polling mode: pinned core, ~poll interval) and charged the
   // handler + parse cost before it can touch the message.
-  r.server->sched().submit(r.pid, cfg_.handler_base + cfg_.per_message,
+  r.server->sched().submit(r.pid, kHandlerBase + kPerMessage,
                            [this, i] { replica_drain(i); });
 }
 
 sim::Duration NaiveRdmaGroup::message_cost(const Cmd& cmd) const {
   sim::Duration extra = 0;
-  if (cmd.type == 1) {  // gmemcpy executes on the CPU
-    extra += static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
-                                        static_cast<double>(cmd.len));
-  }
-  if (cmd.type == 2) extra += sim::nsec(200);  // CAS
-  if (cmd.flush != 0) {
-    extra += cfg_.persist_base +
-             static_cast<sim::Duration>(cfg_.persist_ns_per_byte *
-                                        static_cast<double>(cmd.len));
-  }
+  if (cmd.type == 1) extra += cpu_copy_cost(cmd.len);  // gmemcpy on the CPU
+  if (cmd.type == 2) extra += sim::nsec(200);          // CAS
+  if (cmd.flush != 0) extra += cpu_persist_cost(cmd.len);
   return extra;
 }
 
@@ -238,7 +223,7 @@ void NaiveRdmaGroup::replica_drain(size_t i) {
     if (rr.cq_recv->available() > 0) {
       // More messages pending: keep the process running (no fresh wakeup,
       // but it re-queues for a core, i.e. can be preempted).
-      rr.server->sched().submit(rr.pid, cfg_.per_message,
+      rr.server->sched().submit(rr.pid, kPerMessage,
                                 [this, i] { replica_drain(i); },
                                 /*fresh_wakeup=*/false);
     } else if (cfg_.mode == Mode::kSharedPolling) {
@@ -326,9 +311,8 @@ void NaiveRdmaGroup::on_client_ack() {
     const uint64_t slot = cqe.wr_id;
     Cmd cmd = client_.mem().read_obj<Cmd>(client_ack_ring_ +
                                           slot * sizeof(Cmd));
-    PendingSlot& ps = pending_[cmd.seq & pending_mask_];
-    if (!ps.live || ps.seq != cmd.seq) continue;
-    ps.live = false;
+    auto* ps = window_.ack(cmd.seq);
+    if (ps == nullptr) continue;
 
     RecvWqe r;
     r.wr_id = slot;
@@ -336,46 +320,21 @@ void NaiveRdmaGroup::on_client_ack() {
                          client_ack_lkey_});
     client_.nic().post_recv(qp_up_, std::move(r));
 
-    --inflight_;
-    if (cmd.type == 2) {
-      CasDone handler = std::move(ps.cas_done);
-      handler(CasResult(cmd.result, replicas_.size()));
-    } else {
-      Done handler = std::move(ps.done);
-      if (handler) handler();
-    }
-    if (!waiting_.empty() && inflight_ < cfg_.max_inflight) {
-      QueuedCmd next = std::move(waiting_.front());
-      waiting_.pop_front();
-      ++inflight_;
-      issue_cmd(next.cmd, std::move(next.done), std::move(next.cas_done));
-    }
+    window_.complete(
+        *ps, [&] { return CasResult(cmd.result, replicas_.size()); },
+        issuer());
   }
   cq_up_->arm_notify();
 }
 
-void NaiveRdmaGroup::submit_cmd(Cmd cmd, Done done, CasDone cas_done) {
+void NaiveRdmaGroup::submit_cmd(const Cmd& cmd, Done done, CasDone cas_done) {
   assert(!stopped_ && "primitive on a stopped group");
-  if (inflight_ >= cfg_.max_inflight || !waiting_.empty()) {
-    QueuedCmd q;
-    q.cmd = cmd;
-    q.done = std::move(done);
-    q.cas_done = std::move(cas_done);
-    waiting_.push_back(std::move(q));
-    return;
-  }
-  ++inflight_;
-  issue_cmd(cmd, std::move(done), std::move(cas_done));
+  window_.submit(cmd, std::move(done), std::move(cas_done), issuer());
 }
 
 void NaiveRdmaGroup::issue_cmd(Cmd cmd, Done done, CasDone cas_done) {
-  cmd.seq = next_seq_++;
-  PendingSlot& ps = pending_[cmd.seq & pending_mask_];
-  assert(!ps.live && "pending slot table wrapped past the live window");
-  ps.seq = cmd.seq;
-  ps.live = true;
-  ps.done = std::move(done);
-  ps.cas_done = std::move(cas_done);
+  cmd.seq = static_cast<uint32_t>(
+      window_.open(std::move(done), std::move(cas_done)));
 
   if (cmd.type == 1) {
     // The client's copy of the region must stay in sync (head of chain).

@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "core/group.h"
+#include "core/op_window.h"
 #include "core/server.h"
 #include "rdma/nic.h"
-#include "sim/ring.h"
 
 namespace hyperloop::core {
 
@@ -43,17 +43,6 @@ class NaiveRdmaGroup final : public ReplicationGroup {
     Mode mode = Mode::kEvent;
     uint32_t max_inflight = 32;
     uint32_t recv_slots = 256;
-    /// CPU cost per handler wakeup (sched-in, cq poll loop setup).
-    sim::Duration handler_base = sim::usec(1);
-    /// kSharedPolling: length of each spin slice through the run queue.
-    sim::Duration poll_slice = sim::usec(200);
-    /// CPU cost to parse one command and post the forwarding WRs.
-    sim::Duration per_message = sim::usec(1) + sim::nsec(500);
-    /// CPU memcpy throughput for gMEMCPY execution (ns per byte).
-    double copy_ns_per_byte = 0.15;
-    /// CPU cost to persist a range (cache-line flush loop).
-    sim::Duration persist_base = sim::nsec(400);
-    double persist_ns_per_byte = 0.01;
   };
 
   NaiveRdmaGroup(Server& client, std::vector<Server*> replicas, Config cfg);
@@ -105,7 +94,6 @@ class NaiveRdmaGroup final : public ReplicationGroup {
 
   struct Replica {
     Server* server = nullptr;
-    size_t index = 0;
     rdma::Addr data_base = 0;
     rdma::MemoryRegion data_mr{};
     rdma::QueuePair* qp_prev = nullptr;
@@ -115,24 +103,6 @@ class NaiveRdmaGroup final : public ReplicationGroup {
     rdma::Addr cmd_ring = 0;  ///< RECV landing buffers
     uint32_t cmd_lkey = 0;
     sim::ProcessId pid = 0;
-  };
-
-  /// One in-flight command, direct-mapped by seq & pending_mask_ (ACKs
-  /// come back in chain FIFO order, so live seqs form a window no wider
-  /// than max_inflight and never collide in a 2x power-of-two table).
-  struct PendingSlot {
-    uint32_t seq = 0;
-    bool live = false;
-    Done done;
-    CasDone cas_done;
-  };
-
-  /// A command parked while the credit window is full; the seq field is
-  /// assigned when the command is finally issued.
-  struct QueuedCmd {
-    Cmd cmd;
-    Done done;
-    CasDone cas_done;
   };
 
   void setup_replica(size_t i);
@@ -145,7 +115,12 @@ class NaiveRdmaGroup final : public ReplicationGroup {
   void post_recv_slot(Replica& r, uint64_t slot);
   void on_client_ack();
   void issue_cmd(Cmd cmd, Done done, CasDone cas_done);
-  void submit_cmd(Cmd cmd, Done done, CasDone cas_done);
+  void submit_cmd(const Cmd& cmd, Done done, CasDone cas_done);
+  auto issuer() {
+    return [this](const Cmd& cmd, Done done, CasDone cas_done) {
+      issue_cmd(cmd, std::move(done), std::move(cas_done));
+    };
+  }
 
   Server& client_;
   std::vector<Replica> replicas_;
@@ -160,11 +135,7 @@ class NaiveRdmaGroup final : public ReplicationGroup {
   rdma::Addr client_ack_ring_ = 0;  ///< inbound ACK landing
   uint32_t client_ack_lkey_ = 0;
 
-  uint32_t next_seq_ = 0;
-  uint32_t inflight_ = 0;
-  std::vector<PendingSlot> pending_;  ///< direct-mapped by seq & mask
-  uint32_t pending_mask_ = 0;
-  sim::Ring<QueuedCmd> waiting_;  ///< commands parked for a credit
+  OpWindow<Cmd> window_;  ///< seq is assigned when a command is issued
 };
 
 }  // namespace hyperloop::core

@@ -93,11 +93,6 @@ void RemoteReader::readv(const ReadVec& extents, ReadDone done) {
   submit(pick_replica(), extents, std::move(done));
 }
 
-void RemoteReader::readv_from(size_t replica, const ReadVec& extents,
-                              ReadDone done) {
-  submit(replica, extents, std::move(done));
-}
-
 void RemoteReader::submit(size_t replica, const ReadVec& extents,
                           ReadDone done) {
   assert(!stopped_ && "read on a stopped reader");
@@ -118,21 +113,11 @@ void RemoteReader::submit(size_t replica, const ReadVec& extents,
   issue(replica, extents, std::move(done));
 }
 
-uint32_t RemoteReader::acquire_op() {
-  if (ops_free_.empty()) {
-    ops_.emplace_back();
-    return static_cast<uint32_t>(ops_.size() - 1);
-  }
-  const uint32_t idx = ops_free_.back();
-  ops_free_.pop_back();
-  return idx;
-}
-
 void RemoteReader::issue(size_t replica, const ReadVec& extents,
                          ReadDone done) {
   Endpoint& ep = endpoints_[replica];
   const uint32_t total = extents.total_len();
-  const uint32_t op_idx = acquire_op();
+  const uint32_t op_idx = ops_.claim();
   ReadOp& op = ops_[op_idx];
   op.remaining = 0;
   op.len = total;
@@ -214,7 +199,7 @@ void RemoteReader::on_completion(size_t replica) {
     const uint32_t len = op.len;
     replay_waiting();
     done(ReadView(data, len));
-    ops_free_.push_back(f.op);
+    ops_.release(f.op);
     if (stopped_) return;  // the callback tore the reader down
   }
   ep.cq->arm_notify();

@@ -30,6 +30,7 @@
 #include "core/server.h"
 #include "rdma/nic.h"
 #include "sim/ring.h"
+#include "sim/slot_pool.h"
 #include "sim/small_fn.h"
 #include "stats/histogram.h"
 
@@ -159,9 +160,6 @@ class RemoteReader {
   /// is the extents' bytes concatenated in list order.
   void readv(const ReadVec& extents, ReadDone done);
 
-  /// Same, from a specific replica.
-  void readv_from(size_t replica, const ReadVec& extents, ReadDone done);
-
   /// Applies the selection policy and returns the replica the *next*
   /// policy-routed read would use (advancing round-robin state). Callers
   /// that must lock the replica they read pick here, lock, then
@@ -170,11 +168,8 @@ class RemoteReader {
 
   /// Idempotent teardown: parked and in-flight reads are dropped without
   /// their callbacks firing (counted in stats().aborted_reads); QPs and
-  /// CQs are destroyed (in-flight response packets then drop at the NIC
-  /// as invalid_qp_drops). The destructor calls stop(). Must not be
-  /// called in the same instant reads were posted: destroy_qp requires an
-  /// idle send engine, so let the loop run past the staged WQEs'
-  /// execution (~wqe_cost each) first — responses may still be in flight.
+  /// CQs are destroyed (staged WQEs and in-flight response packets then
+  /// drop at the NIC). The destructor calls stop().
   void stop();
 
   size_t num_replicas() const { return endpoints_.size(); }
@@ -244,7 +239,6 @@ class RemoteReader {
   size_t pick_replica();
   void submit(size_t replica, const ReadVec& extents, ReadDone done);
   void issue(size_t replica, const ReadVec& extents, ReadDone done);
-  uint32_t acquire_op();
   void replay_waiting();
   void on_completion(size_t replica);
   rdma::Nic& client_nic() { return client_.nic(opts_.nic_index); }
@@ -254,8 +248,7 @@ class RemoteReader {
   std::vector<Endpoint> endpoints_;
   uint64_t next_wr_id_ = 1;
   size_t rr_next_ = 0;             ///< round-robin cursor
-  std::vector<ReadOp> ops_;        ///< pooled logical ops
-  std::vector<uint32_t> ops_free_; ///< LIFO free list into ops_
+  sim::SlotPool<ReadOp> ops_;      ///< logical reads in flight
   sim::Ring<Parked> waiting_;      ///< reads parked for bounce slots
   Stats stats_;
   stats::Histogram latency_;

@@ -85,7 +85,7 @@ void ShardedGroup::gwritev(const ExtentVec& extents, bool flush, Done done) {
   }
 
   ++stats_.split_gwritevs;
-  const uint32_t idx = acquire_join();
+  const uint32_t idx = join_ops_.claim();
   JoinOp& op = join_ops_[idx];
   op.remaining = nsub;
   op.live = true;
@@ -125,7 +125,7 @@ void ShardedGroup::gflush(Done done) {
   if (stopped_) return;
   // A group-wide barrier must cover every chain: broadcast and rejoin.
   ++stats_.flush_broadcasts;
-  const uint32_t idx = acquire_join();
+  const uint32_t idx = join_ops_.claim();
   JoinOp& op = join_ops_[idx];
   op.remaining = shards();
   op.live = true;
@@ -152,8 +152,6 @@ void ShardedGroup::stop() {
     op.done.reset();
     ++aborted_ops_;
   }
-  join_free_.clear();
-  for (uint32_t i = 0; i < join_ops_.size(); ++i) join_free_.push_back(i);
 }
 
 void ShardedGroup::client_store(uint64_t offset, const void* src,
@@ -209,21 +207,11 @@ void ShardedGroup::replica_load(size_t i, uint64_t offset, void* dst,
   }
 }
 
-uint32_t ShardedGroup::acquire_join() {
-  if (join_free_.empty()) {
-    join_ops_.emplace_back();
-    return static_cast<uint32_t>(join_ops_.size() - 1);
-  }
-  const uint32_t idx = join_free_.back();
-  join_free_.pop_back();
-  return idx;
-}
-
 void ShardedGroup::finish_join(uint32_t idx) {
   JoinOp& op = join_ops_[idx];
   Done done = std::move(op.done);
   op.live = false;
-  join_free_.push_back(idx);
+  join_ops_.release(idx);
   if (done) done();
 }
 

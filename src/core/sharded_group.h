@@ -32,15 +32,13 @@
 #include <vector>
 
 #include "core/group.h"
+#include "sim/slot_pool.h"
 
 namespace hyperloop::core {
 
-/// Maps region offsets to shards. Value type, cheap to copy; the custom
-/// hook is a plain function pointer + context so the router stays POD
-/// (no type-erased heap-backed callable on the per-op path).
+/// Maps region offsets to shards. A plain value type, cheap to copy.
 struct ShardRouter {
   enum class Policy : uint8_t { kHash, kRange };
-  using CustomFn = uint32_t (*)(uint64_t offset, void* ctx);
 
   Policy policy = Policy::kHash;
   uint32_t shards = 1;
@@ -50,8 +48,6 @@ struct ShardRouter {
   /// kRange: contiguous span (bytes) owned by each shard; offsets past
   /// shards * span clamp to the last shard.
   uint64_t span = 0;
-  CustomFn custom = nullptr;
-  void* custom_ctx = nullptr;
 
   static ShardRouter hash(uint32_t shards, uint64_t chunk_shift = 12) {
     ShardRouter r;
@@ -77,7 +73,6 @@ struct ShardRouter {
   }
 
   uint32_t shard_of(uint64_t offset) const {
-    if (custom != nullptr) return custom(offset, custom_ctx) % shards;
     if (policy == Policy::kRange) {
       const uint64_t s = offset / span;
       return s >= shards ? shards - 1 : static_cast<uint32_t>(s);
@@ -88,7 +83,6 @@ struct ShardRouter {
   /// First offset after `offset` where the owning shard may change.
   /// Local bulk accessors split ranges at these boundaries.
   uint64_t next_boundary(uint64_t offset) const {
-    if (custom != nullptr) return offset + 1;  // no structure known
     if (policy == Policy::kRange) return (offset / span + 1) * span;
     return ((offset >> chunk_shift) + 1) << chunk_shift;
   }
@@ -136,9 +130,8 @@ class ShardedGroup final : public ReplicationGroup {
 
  private:
   /// One cross-shard scatter-join in flight: the original done fires when
-  /// every per-shard sub-op has completed. Pooled with a LIFO free list;
-  /// child completions capture the slot *index*, never a pointer — the
-  /// pool vector may grow.
+  /// every per-shard sub-op has completed. Child completions capture the
+  /// slot index.
   struct JoinOp {
     uint32_t remaining = 0;
     bool live = false;
@@ -146,14 +139,12 @@ class ShardedGroup final : public ReplicationGroup {
   };
 
   uint32_t route(uint64_t offset, uint32_t len) const;
-  uint32_t acquire_join();
   void finish_join(uint32_t idx);
 
   std::vector<std::unique_ptr<ReplicationGroup>> shards_;
   ShardRouter router_;
   uint64_t region_size_ = 0;
-  std::vector<JoinOp> join_ops_;
-  std::vector<uint32_t> join_free_;
+  sim::SlotPool<JoinOp> join_ops_;
   std::vector<ShardStats> shard_stats_;
   Stats stats_;
 };

@@ -38,16 +38,6 @@ void ShardedReader::read_from(size_t replica, uint64_t offset, uint32_t len,
   shards_[s]->read_from(replica, offset, len, std::move(done));
 }
 
-uint32_t ShardedReader::acquire_join() {
-  if (join_free_.empty()) {
-    join_ops_.emplace_back();
-    return static_cast<uint32_t>(join_ops_.size() - 1);
-  }
-  const uint32_t idx = join_free_.back();
-  join_free_.pop_back();
-  return idx;
-}
-
 void ShardedReader::readv(const ReadVec& extents, ReadDone done) {
   assert(!stopped_ && "read on a stopped reader");
   assert(!extents.empty());
@@ -72,7 +62,7 @@ void ShardedReader::readv(const ReadVec& extents, ReadDone done) {
   // Scatter: split per shard, issue each sub-batch on its own chain
   // (its own QPs and doorbell), rejoin via a pooled index-captured slot.
   ++stats_.scatter_reads;
-  const uint32_t idx = acquire_join();
+  const uint32_t idx = join_ops_.claim();
   JoinOp& op = join_ops_[idx];
   if (op.sub.size() < shards_.size()) op.sub.resize(shards_.size());
   for (JoinOp::Sub& sub : op.sub) sub.extents.clear();
@@ -124,7 +114,7 @@ void ShardedReader::child_done(uint32_t idx, uint32_t shard, ReadView view) {
   const uint8_t* data = op.scratch.data();
   const uint32_t len = op.total_len;
   done(ReadView(data, len));
-  join_free_.push_back(idx);
+  join_ops_.release(idx);
 }
 
 void ShardedReader::scan(uint64_t offset, uint64_t len, ReadDone done) {
@@ -156,12 +146,6 @@ uint64_t ShardedReader::replica_frags(size_t i) const {
     if (i < r->num_replicas()) n += r->replica_frags(i);
   }
   return n;
-}
-
-stats::Histogram ShardedReader::read_latency() const {
-  stats::Histogram merged;
-  for (const auto& r : shards_) merged.merge(r->latency());
-  return merged;
 }
 
 void ShardedReader::stop() {

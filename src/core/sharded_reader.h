@@ -24,6 +24,7 @@
 
 #include "core/remote_reader.h"
 #include "core/sharded_group.h"
+#include "sim/slot_pool.h"
 
 namespace hyperloop::core {
 
@@ -81,12 +82,9 @@ class ShardedReader {
   /// Latency of completed multi-shard scatter reads (issue -> join).
   const stats::Histogram& scatter_latency() const { return scatter_latency_; }
 
-  /// Merged per-shard logical-read latency (reporting path; allocates).
-  stats::Histogram read_latency() const;
-
  private:
   /// One cross-shard scatter read in flight. Child completions capture
-  /// the slot index, never a pointer — the pool vector may grow.
+  /// the slot index.
   struct JoinOp {
     /// Sub-batch for one shard plus where each sub-extent's bytes land in
     /// the logical output.
@@ -103,13 +101,11 @@ class ShardedReader {
     ReadDone done;
   };
 
-  uint32_t acquire_join();
   void child_done(uint32_t idx, uint32_t shard, ReadView view);
 
   std::vector<std::unique_ptr<RemoteReader>> shards_;
   ShardRouter router_;
-  std::vector<JoinOp> join_ops_;
-  std::vector<uint32_t> join_free_;
+  sim::SlotPool<JoinOp> join_ops_;
   Stats stats_;
   stats::Histogram scatter_latency_;
   bool stopped_ = false;

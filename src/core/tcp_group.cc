@@ -5,22 +5,16 @@
 #include <cstring>
 
 #include "core/buf_pool.h"
+#include "core/cpu_costs.h"
 
 namespace hyperloop::core {
-namespace {
-
-uint32_t next_pow2(uint32_t v) {
-  uint32_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 TcpReplicationGroup::TcpReplicationGroup(Server& client,
                                          std::vector<Server*> replicas,
                                          Config cfg)
-    : client_(client), cfg_(cfg) {
+    : client_(client),
+      cfg_(cfg),
+      window_(cfg.max_inflight, cfg.max_inflight * 2) {
   assert(!replicas.empty() && replicas.size() <= kMaxGroup);
   if (cfg_.port == 0) {
     static uint16_t next_port = 20000;
@@ -29,9 +23,6 @@ TcpReplicationGroup::TcpReplicationGroup(Server& client,
   replicas_.resize(replicas.size());
   client_region_ = client_.nvm().alloc(cfg_.region_size, 4096);
   client_pid_ = client_.sched().create_process(client_.name() + "-tcp-cli");
-
-  pending_.resize(next_pow2(cfg_.max_inflight * 2));
-  pending_mask_ = static_cast<uint32_t>(pending_.size()) - 1;
 
   client_.tcp().listen(cfg_.port, client_pid_,
                        [this](rdma::NicId, uint16_t, std::vector<uint8_t> m) {
@@ -56,16 +47,7 @@ TcpReplicationGroup::~TcpReplicationGroup() { stop(); }
 void TcpReplicationGroup::stop() {
   if (stopped_) return;
   stopped_ = true;
-  for (PendingSlot& slot : pending_) {
-    if (!slot.live) continue;
-    slot.live = false;
-    slot.done.reset();
-    slot.cas_done.reset();
-    ++aborted_ops_;
-  }
-  aborted_ops_ += waiting_.size();
-  waiting_.clear();
-  inflight_ = 0;
+  aborted_ops_ += window_.abort_all();
   // No QPs/CQs to tear down: this baseline rides the kernel TCP stack.
   // Listeners stay registered but every handler early-outs on stopped_.
 }
@@ -85,15 +67,8 @@ void TcpReplicationGroup::on_replica_message(size_t i,
   // Execution cost on the replica CPU (application of the command); the
   // TcpStack already charged the receive-path cost before this handler.
   sim::Duration work = cfg_.per_message_cpu;
-  if (hdr.type == 1) {
-    work += static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
-                                       static_cast<double>(hdr.len));
-  }
-  if (hdr.flush != 0) {
-    work += cfg_.persist_base +
-            static_cast<sim::Duration>(cfg_.persist_ns_per_byte *
-                                       static_cast<double>(hdr.len));
-  }
+  if (hdr.type == 1) work += cpu_copy_cost(hdr.len);
+  if (hdr.flush != 0) work += cpu_persist_cost(hdr.len);
 
   // The whole [Header][data] buffer travels intact: apply reads the data
   // bytes in place and forward() re-sends the same vector, so a command's
@@ -151,9 +126,6 @@ void TcpReplicationGroup::on_replica_message(size_t i,
 void TcpReplicationGroup::forward(size_t i, std::vector<uint8_t> msg) {
   Replica& r = replicas_[i];
   if (i + 1 < replicas_.size()) {
-    // Rewrite the hop field in place and pass the same buffer down.
-    const uint16_t hop = static_cast<uint16_t>(i + 1);
-    std::memcpy(msg.data() + offsetof(Header, hop), &hop, sizeof(hop));
     r.server->tcp().send(r.pid, replicas_[i + 1].server->nic().id(),
                          cfg_.port, std::move(msg));
   } else {
@@ -175,45 +147,21 @@ void TcpReplicationGroup::on_client_ack(std::vector<uint8_t> msg) {
   Header hdr;
   std::memcpy(&hdr, msg.data(), sizeof(hdr));
   BufPool::release(std::move(msg));
-  PendingSlot& slot = pending_[hdr.seq & pending_mask_];
-  if (!slot.live || slot.seq != hdr.seq) return;
-  slot.live = false;
-  --inflight_;
-  if (hdr.type == 2) {
-    CasDone handler = std::move(slot.cas_done);
-    slot.done.reset();
-    handler(CasResult(hdr.result, replicas_.size()));
-  } else {
-    Done handler = std::move(slot.done);
-    slot.cas_done.reset();
-    if (handler) handler();
-  }
-  if (!waiting_.empty() && inflight_ < cfg_.max_inflight) {
-    QueuedOp next = std::move(waiting_.front());
-    waiting_.pop_front();
-    ++inflight_;
-    issue(next.hdr, std::move(next.done), std::move(next.cas_done));
-  }
+  auto* slot = window_.ack(hdr.seq);
+  if (slot == nullptr) return;
+  window_.complete(
+      *slot, [&] { return CasResult(hdr.result, replicas_.size()); },
+      issuer());
 }
 
-void TcpReplicationGroup::submit(Header hdr, Done done, CasDone cas_done) {
-  if (inflight_ >= cfg_.max_inflight || !waiting_.empty()) {
-    waiting_.push_back(
-        QueuedOp{hdr, std::move(done), std::move(cas_done)});
-    return;
-  }
-  ++inflight_;
-  issue(hdr, std::move(done), std::move(cas_done));
+void TcpReplicationGroup::submit(const Header& hdr, Done done,
+                                 CasDone cas_done) {
+  window_.submit(hdr, std::move(done), std::move(cas_done), issuer());
 }
 
 void TcpReplicationGroup::issue(Header hdr, Done done, CasDone cas_done) {
-  hdr.seq = next_seq_++;
-  PendingSlot& slot = pending_[hdr.seq & pending_mask_];
-  assert(!slot.live && "pending window wider than the slot table");
-  slot.seq = hdr.seq;
-  slot.live = true;
-  slot.done = std::move(done);
-  slot.cas_done = std::move(cas_done);
+  hdr.seq = static_cast<uint32_t>(
+      window_.open(std::move(done), std::move(cas_done)));
 
   // Frame the command directly into a pooled buffer: [Header][data].
   const uint64_t payload = hdr.type == 0 ? hdr.len : 0;
@@ -229,10 +177,6 @@ void TcpReplicationGroup::issue(Header hdr, Done done, CasDone cas_done) {
     client_.nvm().persist(client_region_ + hdr.dst,
                           static_cast<uint32_t>(hdr.len));
   }
-  send_cmd(std::move(msg));
-}
-
-void TcpReplicationGroup::send_cmd(std::vector<uint8_t> msg) {
   client_.tcp().send(client_pid_, replicas_.front().server->nic().id(),
                      cfg_.port, std::move(msg));
 }

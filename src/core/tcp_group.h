@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/group.h"
+#include "core/op_window.h"
 #include "core/server.h"
-#include "sim/ring.h"
 
 namespace hyperloop::core {
 
@@ -28,10 +28,6 @@ class TcpReplicationGroup final : public ReplicationGroup {
     uint16_t port = 0;
     /// CPU to parse a command and run the replication logic on a replica.
     sim::Duration per_message_cpu = sim::usec(3);
-    /// CPU memcpy throughput for data application (ns/byte).
-    double copy_ns_per_byte = 0.15;
-    sim::Duration persist_base = sim::nsec(400);
-    double persist_ns_per_byte = 0.01;
   };
 
   TcpReplicationGroup(Server& client, std::vector<Server*> replicas,
@@ -66,7 +62,7 @@ class TcpReplicationGroup final : public ReplicationGroup {
   struct Header {
     uint8_t type = 0;  // 0 gwrite, 1 gmemcpy, 2 gcas
     uint8_t flush = 0;
-    uint16_t hop = 0;  ///< index of the replica this message is for
+    uint16_t pad = 0;
     uint32_t seq = 0;
     uint64_t offset = 0;
     uint64_t dst = 0;
@@ -83,30 +79,16 @@ class TcpReplicationGroup final : public ReplicationGroup {
     sim::ProcessId pid = 0;
   };
 
-  /// One in-flight command, direct-mapped by seq & pending_mask_ (ACKs
-  /// come back in chain FIFO order, so live seqs form a window no wider
-  /// than max_inflight).
-  struct PendingSlot {
-    uint32_t seq = 0;
-    bool live = false;
-    Done done;
-    CasDone cas_done;
-  };
-
-  /// A command parked while the credit window is full; seq is assigned
-  /// when the command is finally issued.
-  struct QueuedOp {
-    Header hdr;
-    Done done;
-    CasDone cas_done;
-  };
-
   void on_replica_message(size_t i, std::vector<uint8_t> msg);
   void forward(size_t i, std::vector<uint8_t> msg);
   void on_client_ack(std::vector<uint8_t> msg);
-  void submit(Header hdr, Done done, CasDone cas_done);
+  void submit(const Header& hdr, Done done, CasDone cas_done);
   void issue(Header hdr, Done done, CasDone cas_done);
-  void send_cmd(std::vector<uint8_t> msg);
+  auto issuer() {
+    return [this](const Header& hdr, Done done, CasDone cas_done) {
+      issue(hdr, std::move(done), std::move(cas_done));
+    };
+  }
 
   Server& client_;
   std::vector<Replica> replicas_;
@@ -114,11 +96,7 @@ class TcpReplicationGroup final : public ReplicationGroup {
   sim::ProcessId client_pid_;
   rdma::Addr client_region_ = 0;
 
-  uint32_t next_seq_ = 0;
-  uint32_t inflight_ = 0;
-  std::vector<PendingSlot> pending_;  ///< direct-mapped by seq & mask
-  uint32_t pending_mask_ = 0;
-  sim::Ring<QueuedOp> waiting_;  ///< commands parked for a credit
+  OpWindow<Header> window_;  ///< seq is assigned when a command is issued
 };
 
 }  // namespace hyperloop::core

@@ -228,16 +228,6 @@ void ReplicatedWal::write_pointer(uint64_t ctrl_offset, uint64_t value,
                 std::move(done));
 }
 
-uint32_t ReplicatedWal::acquire_exec_op() {
-  if (exec_free_.empty()) {
-    exec_ops_.emplace_back();
-    return static_cast<uint32_t>(exec_ops_.size() - 1);
-  }
-  const uint32_t idx = exec_free_.back();
-  exec_free_.pop_back();
-  return idx;
-}
-
 void ReplicatedWal::finish_exec(uint32_t idx) {
   exec_ops_[idx].applied = true;
   // The frontier only moves over the finished prefix of batches: one that
@@ -253,10 +243,11 @@ void ReplicatedWal::finish_exec(uint32_t idx) {
     stats_.records_executed += op.records;
     applied_lsn_ = op.last_lsn;
     const uint64_t new_head = op.rec_voff + op.total_len;
+    applied_head_ = new_head;
     Done done = std::move(op.done);
     op.live = false;
     op.applied = false;
-    exec_free_.push_back(i);
+    exec_ops_.release(i);
     write_pointer(RegionLayout::kHeadOffset, new_head,
                   [d = std::move(done)]() mutable {
                     if (d) d();
@@ -297,7 +288,12 @@ bool ReplicatedWal::execute_and_advance(Done done) {
     assert(hdr.magic == kRecordMagic && "corrupt log record");
     break;
   }
-  if (head_ == durable_tail_) return false;
+  if (head_ == durable_tail_) {
+    // Only wrap markers: with no batch in flight, nothing is left to apply
+    // before them.
+    if (exec_order_.empty()) applied_head_ = head_;
+    return false;
+  }
 
   // Every record in [head_, durable_tail_) is committed AND replicated
   // (its batch acked), so that whole backlog drains as ONE batch. Count
@@ -322,12 +318,15 @@ bool ReplicatedWal::execute_and_advance(Done done) {
 
   // Advance the in-memory head eagerly so a concurrent caller sees the
   // backlog as claimed. FIFO gMEMCPY/gWRITE acks guarantee the durable
-  // head pointer writes still land in batch order.
+  // head pointer writes still land in batch order. The space stays used
+  // until the frontier passes the batch (finish_exec): an append that
+  // wrapped onto it rides the gWRITEV ring, which nothing orders against
+  // the gMEMCPYs still reading it.
   head_ = v;
 
   // Claim a pooled op slot; one gMEMCPY per entry decrements it, and the
   // last ack marks the batch applied (finish_exec).
-  const uint32_t idx = acquire_exec_op();
+  const uint32_t idx = exec_ops_.claim();
   ExecOp& op = exec_ops_[idx];
   assert(!op.live);
   op.rec_voff = batch_voff;
@@ -377,6 +376,7 @@ bool ReplicatedWal::execute_and_advance(Done done) {
 void ReplicatedWal::reload_pointers() {
   group_.client_load(layout_.head_ptr_offset(), &head_, 8);
   group_.client_load(layout_.tail_ptr_offset(), &tail_, 8);
+  applied_head_ = head_;
   // The recovered tail came from the durable control region, so every
   // record below it is committed and replicated by definition.
   durable_tail_ = tail_;
@@ -419,12 +419,6 @@ bool ShardedWal::append(std::span<const Entry> entries, AppendDone done) {
   const uint32_t s = rr_;
   rr_ = (rr_ + 1) % shards();
   return wals_[s]->append(entries, std::move(done));
-}
-
-uint64_t ShardedWal::used_bytes() const {
-  uint64_t total = 0;
-  for (const auto& w : wals_) total += w->used_bytes();
-  return total;
 }
 
 ReplicatedWal::Stats ShardedWal::totals() const {

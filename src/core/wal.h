@@ -52,6 +52,7 @@
 #include "core/region_layout.h"
 #include "sim/event_loop.h"
 #include "sim/ring.h"
+#include "sim/slot_pool.h"
 #include "sim/small_fn.h"
 #include "stats/histogram.h"
 
@@ -131,7 +132,10 @@ class ReplicatedWal {
   /// Virtual head/tail offsets (head == tail means empty).
   uint64_t head() const { return head_; }
   uint64_t tail() const { return tail_; }
-  uint64_t used_bytes() const { return tail_ - head_; }
+  /// Log bytes not yet reusable: counted from the applied position, so a
+  /// record an execute batch has claimed stays used until the batch's
+  /// gMEMCPYs have read it.
+  uint64_t used_bytes() const { return tail_ - applied_head_; }
   uint64_t free_bytes() const { return layout_.log_size - used_bytes(); }
   bool empty() const { return head_ == tail_; }
   const Stats& stats() const { return stats_; }
@@ -232,7 +236,6 @@ class ReplicatedWal {
   void maybe_flush();
   void on_batch_done();
 
-  uint32_t acquire_exec_op();
   /// Marks batch `idx` applied, advances the frontier over the finished
   /// prefix (issuing each passed batch's head advance) and wakes the
   /// waiters it now covers.
@@ -252,7 +255,10 @@ class ReplicatedWal {
   ReplicationGroup& group_;
   RegionLayout layout_;
   Options opts_;
-  uint64_t head_ = 0;
+  uint64_t head_ = 0;  ///< claim cursor: the next execute drains from here
+  /// End of the last batch the applied frontier has passed; the log
+  /// bytes before it are free.
+  uint64_t applied_head_ = 0;
   uint64_t tail_ = 0;
   /// Durable frontier: end of the last record whose commit batch acked.
   /// Execute drains [head_, durable_tail_) only — records beyond it are
@@ -262,8 +268,7 @@ class ReplicatedWal {
   uint64_t next_lsn_ = 1;
   uint64_t applied_lsn_ = 0;  ///< applied frontier (see when_applied)
   Stats stats_;
-  std::vector<ExecOp> exec_ops_;     ///< slot pool, grows to high water
-  std::vector<uint32_t> exec_free_;  ///< free slot indices (LIFO)
+  sim::SlotPool<ExecOp> exec_ops_;
   sim::Ring<uint32_t> exec_order_;   ///< live batches, in issue order
   sim::Ring<Waiter> waiters_;        ///< when_applied callers, FIFO
 
@@ -321,7 +326,6 @@ class ShardedWal {
     return wals_[s]->execute_and_advance(std::move(done));
   }
 
-  uint64_t used_bytes() const;  ///< summed over segments
   ReplicatedWal::Stats totals() const;
 
  private:

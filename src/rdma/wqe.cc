@@ -2,21 +2,6 @@
 
 namespace hyperloop::rdma {
 
-const char* opcode_name(Opcode op) {
-  switch (op) {
-    case Opcode::kNop: return "NOP";
-    case Opcode::kWrite: return "WRITE";
-    case Opcode::kWriteImm: return "WRITE_WITH_IMM";
-    case Opcode::kSend: return "SEND";
-    case Opcode::kRead: return "READ";
-    case Opcode::kFlush: return "FLUSH";
-    case Opcode::kCas: return "CAS";
-    case Opcode::kLocalCopy: return "LOCAL_COPY";
-    case Opcode::kWait: return "WAIT";
-  }
-  return "?";
-}
-
 Wqe make_write(Addr local, uint32_t lkey, Addr remote, uint32_t rkey,
                uint32_t len, uint64_t wr_id) {
   Wqe w;

@@ -32,8 +32,6 @@ enum class Opcode : uint8_t {
   kWait = 8,      ///< CORE-Direct WAIT: block queue until CQ count reached
 };
 
-const char* opcode_name(Opcode op);
-
 /// WqeDescriptor::flags bits.
 enum WqeFlags : uint8_t {
   /// Gather the payload as a zero-copy borrow of the local region

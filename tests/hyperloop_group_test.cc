@@ -310,5 +310,30 @@ TEST_F(GroupFixture, MixedPrimitivesInterleave) {
   EXPECT_EQ(v, 51u);
 }
 
+// stop() tears a group down with ops in flight (group.h). A chain's local
+// DMA copy and local CAS are timed NIC events on a loopback QP; one still
+// pending when stop() destroys that QP must be dropped when it fires.
+TEST_F(GroupFixture, StopDuringLoopbackGmemcpyDropsTheCopy) {
+  auto g = make_group();
+  bool copied = false;
+  g->gmemcpy(0, 512 << 10, 256 << 10, /*flush=*/true, [&] { copied = true; });
+  run(sim::usec(10));
+  g->stop();
+  run();
+  EXPECT_FALSE(copied);
+  EXPECT_EQ(g->aborted_ops(), 1u);
+}
+
+TEST_F(GroupFixture, StopDuringLocalCasDropsTheCas) {
+  auto g = make_group();
+  bool fired = false;
+  g->gcas(0, 0, 1, ExecMap::all(3), [&](const CasResult&) { fired = true; });
+  run(sim::nsec(1600));
+  g->stop();
+  run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(g->aborted_ops(), 1u);
+}
+
 }  // namespace
 }  // namespace hyperloop::core

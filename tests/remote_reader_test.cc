@@ -466,9 +466,8 @@ TEST_F(ShardedReaderFixture, StopAbortsLiveScatterJoins) {
   v.push_back({kSpan + 64, 32});
   int fired = 0;
   reader->readv(v, [&](ReadView) { ++fired; });
-  // Let the request WQEs execute (stop() destroys QPs, which requires an
-  // idle send engine), then stop with the responses still on the wire:
-  // the join must die silently.
+  // Let the request WQEs execute, then stop with the responses still on
+  // the wire: the join must die silently.
   run(sim::nsec(1500));
   reader->stop();
   run();

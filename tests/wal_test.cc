@@ -418,6 +418,35 @@ TEST_P(WalTest, AppliedFrontierWaitsForEarlierBatches) {
   EXPECT_TRUE(at_once) << "an applied record's waiter must fire at once";
 }
 
+TEST_P(WalTest, ClaimedButUnappliedLogSpaceIsNotFree) {
+  // One execute batch has claimed every record of a full log, but its
+  // gMEMCPY acks are held, so the copies may not have read the records
+  // yet. An append wrapping onto that space rides the gWRITEV ring, which
+  // nothing orders against the gMEMCPY ring, so it must fail until the
+  // batch has applied.
+  MemcpyAckGate gate(*group_);
+  ReplicatedWal wal(gate, layout_);
+  const std::vector<uint8_t> kb(1024, 0x5A);
+  auto append_kb = [&] { return wal.append({{0, kb}}, [](uint64_t) {}); };
+  int records = 0;
+  while (append_kb()) {
+    ++records;
+    run();
+  }
+  ASSERT_GT(records, 1);
+  ASSERT_TRUE(wal.execute_and_advance(ReplicatedWal::Done{}));
+  run();
+  ASSERT_EQ(gate.held(), static_cast<size_t>(records));
+  EXPECT_EQ(wal.head(), wal.tail()) << "the batch claims the whole log";
+  EXPECT_FALSE(append_kb()) << "an append reused unapplied log space";
+
+  gate.release();
+  bool committed = false;
+  EXPECT_TRUE(wal.append({{0, kb}}, [&](uint64_t) { committed = true; }));
+  run();
+  EXPECT_TRUE(committed);
+}
+
 TEST_P(WalTest, ReloadResumesLsnsAfterTheLog) {
   // Records 1-2 are applied and truncated, 3-4 committed only. A
   // restarted WAL puts its frontier at 2 and numbers new records from 5,

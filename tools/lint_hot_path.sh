@@ -20,6 +20,9 @@ src/core/naive_group.h
 src/core/naive_group.cc
 src/core/fanout_group.h
 src/core/fanout_group.cc
+src/core/tcp_group.h
+src/core/tcp_group.cc
+src/core/op_window.h
 src/core/wal.h
 src/core/wal.cc
 src/core/lock.h
@@ -46,6 +49,7 @@ src/rdma/memory.h
 src/rdma/memory.cc
 src/rdma/packet.h
 src/rdma/wqe.h
+src/sim/slot_pool.h
 "
 
 status=0
