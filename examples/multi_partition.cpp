@@ -46,7 +46,7 @@ int main() {
         {part.group.get(), part.wal.get(), part.locks.get(), layout});
     parts.push_back(std::move(part));
   }
-  core::TwoPhaseCoordinator coord(cluster.loop(), std::move(ctxs), {});
+  core::TwoPhaseCoordinator coord(cluster.loop(), std::move(ctxs));
   const uint64_t base = coord.app_data_base();
 
   auto bytes = [](uint64_t v) {

@@ -6,28 +6,22 @@
 // through the TransactionManager: group write locks (gCAS), oplog append
 // (gWRITE+gFLUSH), ExecuteAndAdvance (gMEMCPY+gFLUSH), unlock — exactly
 // the §5.2 flow, with wrLock/wrUnlock surrounding ExecuteAndAdvance.
-// Reads take a read lock on the primary's copy by default; an optional
-// RemoteReader serves reads from a chain replica (one-sided RDMA).
+// Reads take a read lock on the primary's copy by default; an attached
+// RemoteReader serves them from a chain replica instead (one-sided RDMA).
 //
-// Sharded mode (Config::shards > 1, DESIGN.md "Sharded datapath"): the
-// keyspace is partitioned key % shards, each shard owning its own region
-// slice with a full oplog + lock table + transaction manager of its own.
-// Under a ShardedGroup, every shard's transactions (locks, oplog, apply)
-// ride their own replication chain.
-//
-// Documents are fixed-stride slots in the DB area indexed by dense keys:
-// [key u64][len u32][pad u32][body].
+// The store runs on one region slice with one oplog, lock table and
+// transaction manager. Documents live in its DB area in the slot format
+// of apps/slot_table.h.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "apps/slot_table.h"
 #include "apps/storage_engine.h"
 #include "core/lock.h"
 #include "core/remote_reader.h"
 #include "core/server.h"
-#include "core/sharded_reader.h"
 #include "core/txn.h"
 #include "core/wal.h"
 
@@ -36,23 +30,12 @@ namespace hyperloop::apps {
 class DocStore : public StorageEngine {
  public:
   struct Config {
-    /// With shards == 1: the whole region. With shards > 1: the layout of
-    /// ONE slice (shard s uses layout.shard_slice(s)); the group's region
-    /// must cover shards * layout.region_size bytes.
     core::RegionLayout layout;
-    uint32_t shards = 1;
     uint32_t value_size = 1024;
     /// Front-end CPU per operation (parse, plan, marshal) — MongoDB's
     /// software stack cost, which the paper notes dominates what remains
     /// after offload.
     sim::Duration op_cpu = sim::usec(4);
-    /// Serve reads from a replica via one-sided RDMA instead of the
-    /// primary's copy. With shards == 1 a plain RemoteReader suffices;
-    /// with shards > 1 a ShardedReader (set_sharded_reader) is required.
-    bool read_from_replica = false;
-    /// Lock/read replica for the legacy single-replica reader. A
-    /// ShardedReader picks per read via its replica-selection policy.
-    size_t read_replica = 0;
     /// Take read locks for reads (required for consistent replica reads).
     bool use_read_locks = true;
     /// Oplog group-commit tuning (staged-window depth, latency clock);
@@ -62,19 +45,11 @@ class DocStore : public StorageEngine {
 
   DocStore(core::ReplicationGroup& group, core::Server& client, Config cfg);
 
-  /// Enables replica reads through the given reader (owned by caller).
-  /// Single-shard only; the reader's one target is cfg.read_replica.
-  void set_remote_reader(core::RemoteReader* reader) {
-    assert(cfg_.shards == 1 && "use set_sharded_reader with shards > 1");
-    reader_ = reader;
-  }
-
-  /// Enables replica reads and scatter scans through a sharded reader
-  /// (owned by caller). The reader's router must partition the region
-  /// exactly like the store's shard slices, and each shard's targets must
-  /// be indexed by chain replica (target i = replica i) so the selection
-  /// policy's pick can be read-locked. Works for any shard count.
-  void set_sharded_reader(core::ShardedReader* reader) { sreader_ = reader; }
+  /// Serves reads from chain replicas through `reader` (owned by the
+  /// caller), whose target i must be chain replica i. Each read takes
+  /// the replica reader.next_replica() picks, read-locks it and reads the
+  /// document from it.
+  void set_remote_reader(core::RemoteReader* reader) { reader_ = reader; }
 
   // StorageEngine ---------------------------------------------------------
   void insert(uint64_t key, std::vector<uint8_t> value, Done done) override;
@@ -88,53 +63,25 @@ class DocStore : public StorageEngine {
   /// and replicates it in large chunks.
   void bulk_load(uint64_t n);
 
-  core::ReplicatedWal& wal() { return *shards_[0].wal; }
-  core::TransactionManager& txns() { return *shards_[0].txns; }
-  core::GroupLockManager& locks() { return *shards_[0].locks; }
-  core::ReplicatedWal& wal(size_t s) { return *shards_.at(s).wal; }
-  core::TransactionManager& txns(size_t s) { return *shards_.at(s).txns; }
-  core::GroupLockManager& locks(size_t s) { return *shards_.at(s).locks; }
-  sim::ProcessId front_end_pid() const { return client_pid_; }
-
-  /// Which shard owns `key` (key % shards).
-  uint32_t shard_of(uint64_t key) const {
-    return static_cast<uint32_t>(key % cfg_.shards);
-  }
+  core::ReplicatedWal& wal() { return wal_; }
+  core::TransactionManager& txns() { return txns_; }
+  core::GroupLockManager& locks() { return locks_; }
 
  private:
-  struct Shard {
-    core::RegionLayout layout;  ///< this shard's slice
-    std::unique_ptr<core::ReplicatedWal> wal;
-    std::unique_ptr<core::GroupLockManager> locks;
-    std::unique_ptr<core::TransactionManager> txns;
-  };
-
-  uint64_t slot_stride() const { return 16 + cfg_.value_size; }
-  /// DB-area offset of `key`'s slot within its owning shard's slice
-  /// (keys stripe round-robin, so key k is local slot k / shards).
-  uint64_t slot_offset(uint64_t key) const {
-    return (key / cfg_.shards) * slot_stride();
-  }
   uint32_t stripe(uint64_t key) const {
-    return static_cast<uint32_t>((key / cfg_.shards) %
-                                 cfg_.layout.num_locks);
+    return static_cast<uint32_t>(key % cfg_.layout.num_locks);
   }
-  std::vector<uint8_t> encode_doc(uint64_t key,
-                                  const std::vector<uint8_t>& value) const;
   void write_doc(uint64_t key, std::vector<uint8_t> value, Done done);
-  /// Picks the replica a replica-read of `key` will observe (and must
-  /// read-lock): the sharded reader's policy choice, or the static
-  /// cfg_.read_replica for the legacy single-replica reader.
-  size_t pick_read_replica(uint64_t key);
   void finish_read(uint64_t key, size_t replica, ReadDone done);
-  void remote_scan(uint64_t key, int count, Done done);
 
   core::ReplicationGroup& group_;
   core::Server& client_;
   Config cfg_;
-  std::vector<Shard> shards_;
+  SlotTable slots_;
+  core::ReplicatedWal wal_;
+  core::GroupLockManager locks_;
+  core::TransactionManager txns_;
   core::RemoteReader* reader_ = nullptr;
-  core::ShardedReader* sreader_ = nullptr;
   sim::ProcessId client_pid_;
 };
 

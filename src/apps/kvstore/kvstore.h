@@ -7,7 +7,9 @@
 //     critical path of a write.
 //   - Replicas wake up periodically (off the critical path) to bring
 //     their in-memory tables in sync with the replicated log, so reads
-//     from replicas are eventually consistent (§5.1).
+//     from replicas are eventually consistent (§5.1). A replica's table
+//     is an image of its DB area with the log applied; when the log ring
+//     laps a replica's sync, the image reloads from the DB area.
 //   - When the log fills beyond a threshold, the store checkpoints: it
 //     ExecuteAndAdvance's records into the database area (the "dump
 //     in-memory data and truncate the log" cycle), off the critical path.
@@ -22,8 +24,7 @@
 // lost a replica) defers only its own keys' writes while the others keep
 // committing.
 //
-// Records are fixed-stride slots in the DB area, indexed by the dense
-// YCSB key: [key u64][len u32][pad u32][value bytes].
+// Records live in the DB area in the slot format of apps/slot_table.h.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "apps/kvstore/skiplist.h"
+#include "apps/slot_table.h"
 #include "apps/storage_engine.h"
 #include "core/server.h"
 #include "core/sharded_reader.h"
@@ -49,15 +51,11 @@ class KvStore : public StorageEngine {
     uint32_t value_size = 1024;
     /// CPU per operation on the client process (serialize + memtable).
     sim::Duration op_cpu = sim::usec(2);
-    /// Replica memtable sync cadence and per-record cost.
-    sim::Duration sync_period = sim::msec(1);
-    sim::Duration sync_cpu_per_record = sim::usec(1);
+    /// Run the replicas' off-path memtable sync.
     bool replicas_sync = true;
-    /// Checkpoint (execute + truncate) when log use crosses this.
-    double checkpoint_threshold = 0.5;
     /// WAL group-commit tuning (staged-window depth, latency clock);
     /// staged_capacity = 1 restores per-record issue semantics.
-    core::ReplicatedWal::Options wal;
+    core::ReplicatedWal::Options wal{};
   };
 
   /// `client` must be the coordinator server of `group`; `replica_servers`
@@ -83,14 +81,12 @@ class KvStore : public StorageEngine {
   /// records, not un-checkpointed memtable tail. Reader owned by caller.
   void set_sharded_reader(core::ShardedReader* reader) { sreader_ = reader; }
 
-  /// Eventually-consistent read from a replica's memtable.
+  /// Eventually-consistent read from a replica's table.
   bool replica_read(size_t replica, uint64_t key,
                     std::vector<uint8_t>* value) const;
 
-  /// Number of records a replica's memtable currently holds.
-  size_t replica_record_count(size_t replica) const {
-    return replica_tables_.at(replica).table.size();
-  }
+  /// Number of records a replica's table currently holds.
+  size_t replica_record_count(size_t replica) const;
 
   /// Rebuilds the client memtable from the durable region image (crash
   /// recovery): DB-area scan plus committed-log replay, per shard.
@@ -101,9 +97,7 @@ class KvStore : public StorageEngine {
   void bulk_load(uint64_t n);
 
   /// Which shard owns `key` (key % shards).
-  uint32_t shard_of(uint64_t key) const {
-    return static_cast<uint32_t>(key % cfg_.shards);
-  }
+  uint32_t shard_of(uint64_t key) const { return slots_.shard_of(key); }
 
   /// Pauses/resumes shard `s`'s write path (chain supervision hook: a
   /// shard whose chain lost a replica defers its puts — with periodic
@@ -120,39 +114,37 @@ class KvStore : public StorageEngine {
 
  private:
   struct Shard {
-    core::RegionLayout layout;  ///< this shard's slice
     SkipList memtable;
     bool checkpoint_running = false;
     bool paused = false;
   };
+  /// Where a replica's sync resumes in one shard's log: the virtual
+  /// offset and the LSN expected there (0 = any).
+  struct SyncCursor {
+    uint64_t pos = 0;
+    uint64_t next_lsn = 0;
+  };
   struct ReplicaState {
     core::Server* server = nullptr;
     sim::ProcessId pid = 0;
-    /// Virtual log offset already applied, per shard segment.
-    std::vector<uint64_t> applied;
-    SkipList table;
+    std::vector<SyncCursor> cursors;  ///< one per shard
+    /// Per shard: the replica's table, an image of its DB area (slot
+    /// format) with the log applied up to the cursor.
+    std::vector<std::vector<uint8_t>> images;
   };
 
-  uint64_t slot_stride() const { return 16 + cfg_.value_size; }
-  /// DB-area offset of `key`'s slot within its owning shard's slice:
-  /// shards stripe the keyspace, so key k is local slot k / shards.
-  uint64_t slot_offset(uint64_t key) const {
-    return (key / cfg_.shards) * slot_stride();
-  }
-  std::vector<uint8_t> encode_slot(uint64_t key,
-                                   const std::vector<uint8_t>& value) const;
-
   void put(uint64_t key, std::vector<uint8_t> value, Done done);
-  void remote_scan(uint64_t key, int count, Done done);
   void defer_put(uint64_t key, std::vector<uint8_t> value,
                  std::shared_ptr<Done> done_sp);
   void maybe_checkpoint(uint32_t s);
   void checkpoint_step(uint32_t s);
   void replica_sync_tick(size_t i);
+  uint64_t sync_shard(size_t i, uint32_t s);
 
   core::ReplicationGroup& group_;
   core::Server& client_;
   Config cfg_;
+  SlotTable slots_;
   core::ShardedWal wal_;
   core::ShardedReader* sreader_ = nullptr;
   sim::ProcessId client_pid_;

@@ -28,21 +28,6 @@ SkipList::SkipList(SkipList&& o) noexcept
   o.size_ = 0;
 }
 
-SkipList& SkipList::operator=(SkipList&& o) noexcept {
-  if (this == &o) return *this;
-  if (head_ != nullptr) {
-    clear();
-    delete head_;
-  }
-  head_ = o.head_;
-  level_ = o.level_;
-  size_ = o.size_;
-  rng_state_ = o.rng_state_;
-  o.head_ = nullptr;
-  o.size_ = 0;
-  return *this;
-}
-
 void SkipList::clear() {
   SkipNode* n = head_->next[0];
   while (n != nullptr) {

@@ -19,7 +19,6 @@ class SkipList {
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
   SkipList(SkipList&&) noexcept;
-  SkipList& operator=(SkipList&&) noexcept;
 
   /// Inserts or overwrites. Returns true if the key was new.
   bool insert(uint64_t key, std::vector<uint8_t> value);

@@ -6,10 +6,7 @@ namespace hyperloop::apps {
 
 YcsbDriver::YcsbDriver(sim::EventLoop& loop, StorageEngine& engine,
                        WorkloadGenerator& workload, Config cfg)
-    : loop_(loop), engine_(engine), workload_(workload), cfg_(cfg) {
-  shard_latency_.resize(cfg_.shards);
-  shard_completed_.assign(cfg_.shards, 0);
-}
+    : loop_(loop), engine_(engine), workload_(workload), cfg_(cfg) {}
 
 void YcsbDriver::start(std::function<void()> on_complete) {
   on_complete_ = std::move(on_complete);
@@ -25,10 +22,7 @@ void YcsbDriver::thread_loop() {
   const sim::Time started = loop_.now();
   const OpType t = op.type;
 
-  const uint64_t key = op.key;
-  auto done = [this, t, key, started](bool ok) {
-    finish_op(t, key, started, ok);
-  };
+  auto done = [this, t, started](bool ok) { finish_op(t, started, ok); };
 
   switch (op.type) {
     case OpType::kRead:
@@ -59,8 +53,7 @@ void YcsbDriver::thread_loop() {
   }
 }
 
-void YcsbDriver::finish_op(OpType t, uint64_t key, sim::Time started,
-                           bool ok) {
+void YcsbDriver::finish_op(OpType t, sim::Time started, bool ok) {
   const int64_t lat = static_cast<int64_t>(loop_.now() - started);
   latency_[static_cast<size_t>(t)].record(lat);
   // Aggregates accumulate here, one extra record per op, so overall() /
@@ -69,11 +62,6 @@ void YcsbDriver::finish_op(OpType t, uint64_t key, sim::Time started,
   overall_.record(lat);
   if (t == OpType::kUpdate || t == OpType::kInsert || t == OpType::kRmw) {
     writes_.record(lat);
-  }
-  if (cfg_.shards > 1 && cfg_.shard_of) {
-    const uint32_t s = cfg_.shard_of(key) % cfg_.shards;
-    shard_latency_[s].record(lat);
-    ++shard_completed_[s];
   }
   ++completed_;
   if (!ok) ++failed_;

@@ -7,7 +7,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "apps/storage_engine.h"
 #include "apps/ycsb/workload.h"
@@ -27,12 +26,6 @@ class YcsbDriver {
     /// completion, which is what feeds the storage engine's WAL
     /// group-commit window; batch = 1 is the classic closed loop.
     int batch = 1;
-    /// Per-shard accounting: with shards > 1 and a shard_of hook (e.g.
-    /// KvStore::shard_of), every op's latency is also recorded in its
-    /// owning shard's histogram — the fault-isolation experiments read
-    /// shard_latency() to show one hurt shard leaves the others flat.
-    uint32_t shards = 1;
-    std::function<uint32_t(uint64_t key)> shard_of;
   };
 
   YcsbDriver(sim::EventLoop& loop, StorageEngine& engine,
@@ -49,18 +42,13 @@ class YcsbDriver {
   const stats::Histogram& overall() const { return overall_; }
   /// Insert+update+rmw merged (the paper's "insert/update" statements).
   const stats::Histogram& writes() const { return writes_; }
-  /// Per-shard overall latency (all op types; needs Config::shard_of).
-  const stats::Histogram& shard_latency(uint32_t s) const {
-    return shard_latency_.at(s);
-  }
-  uint64_t shard_completed(uint32_t s) const { return shard_completed_.at(s); }
 
   uint64_t completed() const { return completed_; }
   uint64_t failed() const { return failed_; }
 
  private:
   void thread_loop();
-  void finish_op(OpType t, uint64_t key, sim::Time started, bool ok);
+  void finish_op(OpType t, sim::Time started, bool ok);
 
   sim::EventLoop& loop_;
   StorageEngine& engine_;
@@ -69,8 +57,6 @@ class YcsbDriver {
   std::array<stats::Histogram, 5> latency_;
   stats::Histogram overall_;  ///< every op (incremental aggregate)
   stats::Histogram writes_;   ///< update+insert+rmw (incremental aggregate)
-  std::vector<stats::Histogram> shard_latency_;  ///< per owning shard
-  std::vector<uint64_t> shard_completed_;
   uint64_t issued_ = 0;
   uint64_t completed_ = 0;
   uint64_t failed_ = 0;

@@ -65,7 +65,7 @@ ChainManager::ChainManager(Server& client, std::vector<ReplicaInfo> replicas,
             BufPool::release(std::move(bytes));
             return;
           }
-          s->sched().submit(replica_pids_[i], cfg_.hb_cpu,
+          s->sched().submit(replica_pids_[i], kHeartbeatCpu,
                             [this, i, s, src, b = std::move(bytes)]() mutable {
                               if (!alive_[i]) {
                                 BufPool::release(std::move(b));
@@ -90,7 +90,7 @@ void ChainManager::heartbeat_tick() {
     if (detected_dead_[i]) continue;
     if (echoed_[i]) {
       missed_[i] = 0;
-    } else if (++missed_[i] >= cfg_.missed_threshold) {
+    } else if (++missed_[i] >= kMissedThreshold) {
       detected_dead_[i] = true;
       ++failures_;
       paused_ = true;  // writes stop until the chain is repaired
@@ -110,7 +110,7 @@ void ChainManager::heartbeat_tick() {
                      encode(HbMsg{epoch_, static_cast<uint32_t>(i)})});
   }
   client_.tcp().send_many(client_pid_, std::move(sweep));
-  client_.loop().schedule_after(cfg_.heartbeat_interval,
+  client_.loop().schedule_after(kHeartbeatInterval,
                                 [this] { heartbeat_tick(); });
 }
 
@@ -137,9 +137,9 @@ void ChainManager::revive_replica(size_t i) {
 
   // Catch-up: bulk copy the region image from the healthy neighbor. This
   // is a control-path transfer; we model its duration by region size over
-  // the configured copy bandwidth.
+  // the copy bandwidth.
   const auto copy_time = static_cast<sim::Duration>(
-      static_cast<double>(region_size_) / cfg_.copy_bandwidth_bps * 1e9);
+      static_cast<double>(region_size_) / kCopyBandwidthBps * 1e9);
   client_.loop().schedule_after(copy_time, [this, i, src] {
     std::vector<uint8_t> image(region_size_);
     replicas_[src].server->mem().read(replicas_[src].region_base,

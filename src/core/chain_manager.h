@@ -17,15 +17,16 @@ namespace hyperloop::core {
 
 class ChainManager {
  public:
+  static constexpr sim::Duration kHeartbeatInterval = sim::msec(1);
+  /// Consecutive missed heartbeats declaring a replica dead.
+  static constexpr int kMissedThreshold = 3;
+  /// Catch-up copy throughput (bytes/sec) for the recovery transfer.
+  static constexpr double kCopyBandwidthBps = 40e9;
+  /// CPU cost per heartbeat handled on a replica.
+  static constexpr sim::Duration kHeartbeatCpu = sim::usec(2);
+
   struct Config {
-    sim::Duration heartbeat_interval = sim::msec(1);
-    /// Consecutive missed heartbeats declaring a replica dead.
-    int missed_threshold = 3;
     uint16_t port_base = 7100;
-    /// Catch-up copy throughput (bytes/sec) for the recovery transfer.
-    double copy_bandwidth_bps = 40e9;
-    /// CPU cost per heartbeat handled on a replica.
-    sim::Duration hb_cpu = sim::usec(2);
   };
 
   struct ReplicaInfo {

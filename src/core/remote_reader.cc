@@ -35,15 +35,6 @@ RemoteReader::RemoteReader(Server& client, std::vector<Target> targets,
   }
 }
 
-RemoteReader::RemoteReader(Server& client, std::vector<Target> targets)
-    : RemoteReader(client, std::move(targets), Options{}) {}
-
-RemoteReader::RemoteReader(Server& client, Server& target,
-                           rdma::Addr remote_base, uint32_t rkey,
-                           uint32_t slots, uint32_t slot_size)
-    : RemoteReader(client, {Target{&target, remote_base, rkey}},
-                   Options{slots, slot_size, Policy::kHeadOnly, 0}) {}
-
 RemoteReader::~RemoteReader() { stop(); }
 
 uint32_t RemoteReader::frags_needed(const ReadVec& v, uint32_t slot_size) {

@@ -7,7 +7,7 @@
 // primitive rings, and read *load* can be spread across replicas with a
 // pluggable selection policy (Storm-style one-sided fan-out):
 //
-//   kHeadOnly          every read goes to target 0 (the legacy shape)
+//   kHeadOnly          every read goes to target 0
 //   kRoundRobin        logical reads rotate across all targets
 //   kLeastOutstanding  pick the endpoint with the fewest in-flight frags
 //
@@ -135,11 +135,6 @@ class RemoteReader {
 
   /// Reads spread across `targets` under `opts.policy`.
   RemoteReader(Server& client, std::vector<Target> targets, Options opts);
-  RemoteReader(Server& client, std::vector<Target> targets);
-
-  /// Legacy single-replica reader (head-only policy over one target).
-  RemoteReader(Server& client, Server& target, rdma::Addr remote_base,
-               uint32_t rkey, uint32_t slots = 32, uint32_t slot_size = 16384);
 
   ~RemoteReader();
   RemoteReader(const RemoteReader&) = delete;

@@ -48,9 +48,8 @@ struct TwoPhaseCoordinator::TxnCtx {
 };
 
 TwoPhaseCoordinator::TwoPhaseCoordinator(sim::EventLoop& loop,
-                                         std::vector<PartitionCtx> partitions,
-                                         Config cfg)
-    : loop_(loop), parts_(std::move(partitions)), cfg_(cfg) {
+                                         std::vector<PartitionCtx> partitions)
+    : loop_(loop), parts_(std::move(partitions)) {
   for ([[maybe_unused]] const auto& p : parts_) {
     assert(p.group != nullptr && p.wal != nullptr && p.locks != nullptr);
     assert(app_data_base() < p.layout.db_size());
@@ -207,7 +206,7 @@ void TwoPhaseCoordinator::finish(std::shared_ptr<TxnCtx> t, bool ok) {
 void TwoPhaseCoordinator::scan_status(
     size_t partition, std::vector<std::pair<uint64_t, uint64_t>>* out) const {
   const PartitionCtx& p = parts_[partition];
-  for (uint32_t s = 0; s < cfg_.max_txn_slots; ++s) {
+  for (uint32_t s = 0; s < kMaxTxnSlots; ++s) {
     uint64_t id = 0, state = 0;
     p.group->client_load(p.layout.db_base() + uint64_t{s} * 16, &id, 8);
     p.group->client_load(p.layout.db_base() + uint64_t{s} * 16 + 8, &state, 8);

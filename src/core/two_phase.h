@@ -50,13 +50,11 @@ class TwoPhaseCoordinator {
     RegionLayout layout;
   };
 
-  struct Config {
-    /// Concurrent cross-partition transactions the status/staging tables
-    /// can hold (slots are reused round-robin by txn id).
-    uint32_t max_txn_slots = 64;
-    /// Bytes of staging per transaction per partition.
-    uint32_t staging_bytes = 8192;
-  };
+  /// Concurrent cross-partition transactions the status/staging tables
+  /// can hold (slots are reused round-robin by txn id).
+  static constexpr uint32_t kMaxTxnSlots = 64;
+  /// Bytes of staging per transaction per partition.
+  static constexpr uint32_t kStagingBytes = 8192;
 
   struct Write {
     size_t partition = 0;
@@ -70,7 +68,7 @@ class TwoPhaseCoordinator {
   using TxnDone = sim::SmallFn<void(bool committed), 64>;
 
   TwoPhaseCoordinator(sim::EventLoop& loop,
-                      std::vector<PartitionCtx> partitions, Config cfg);
+                      std::vector<PartitionCtx> partitions);
 
   /// Runs one cross-partition transaction. done(true) after commit marks
   /// are durable everywhere and data is applied; done(false) if locks
@@ -80,17 +78,16 @@ class TwoPhaseCoordinator {
   /// DB-area offset of a transaction slot's status word in every
   /// partition's layout: [txn_id u64][state u64].
   uint64_t status_offset(uint64_t txn_id) const {
-    return (txn_id % cfg_.max_txn_slots) * 16;
+    return (txn_id % kMaxTxnSlots) * 16;
   }
   /// DB-area offset of a transaction's staging block.
   uint64_t staging_offset(uint64_t txn_id) const {
     return status_region_bytes() +
-           (txn_id % cfg_.max_txn_slots) * uint64_t{cfg_.staging_bytes};
+           (txn_id % kMaxTxnSlots) * uint64_t{kStagingBytes};
   }
   /// First DB-area offset usable by application data.
   uint64_t app_data_base() const {
-    return status_region_bytes() +
-           uint64_t{cfg_.max_txn_slots} * cfg_.staging_bytes;
+    return status_region_bytes() + uint64_t{kMaxTxnSlots} * kStagingBytes;
   }
 
   /// Post-crash recovery for one partition image: completes roll-forward
@@ -112,7 +109,7 @@ class TwoPhaseCoordinator {
   struct TxnCtx;
 
   uint64_t status_region_bytes() const {
-    return uint64_t{cfg_.max_txn_slots} * 16;
+    return uint64_t{kMaxTxnSlots} * 16;
   }
 
   void acquire_locks(std::shared_ptr<TxnCtx> t, size_t idx);
@@ -126,7 +123,6 @@ class TwoPhaseCoordinator {
 
   sim::EventLoop& loop_;
   std::vector<PartitionCtx> parts_;
-  Config cfg_;
   uint64_t next_txn_ = 1;
   uint64_t committed_ = 0;
   uint64_t aborted_ = 0;

@@ -411,16 +411,6 @@ ShardedWal::ShardedWal(ReplicationGroup& group, RegionLayout slice,
   }
 }
 
-bool ShardedWal::append(std::span<const Entry> entries, AppendDone done) {
-  // Keyless appends spread across segments round-robin. Like the
-  // single-segment append, a false return means backpressure (that
-  // segment's log or group-commit window is full) and consumes `done`;
-  // callers retry exactly as they would against one ReplicatedWal.
-  const uint32_t s = rr_;
-  rr_ = (rr_ + 1) % shards();
-  return wals_[s]->append(entries, std::move(done));
-}
-
 ReplicatedWal::Stats ShardedWal::totals() const {
   ReplicatedWal::Stats t;
   for (const auto& w : wals_) {

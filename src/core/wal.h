@@ -150,6 +150,27 @@ class ReplicatedWal {
   /// Appends staged but not yet issued (waiting for the in-flight batch).
   size_t staged_records() const { return staged_.size(); }
 
+  /// Where walk() stopped and how many records it passed.
+  struct WalkEnd {
+    uint64_t pos = 0;      ///< virtual offset of the first record not walked
+    uint64_t records = 0;  ///< records walked (wrap markers not counted)
+  };
+
+  /// Walks the records in virtual log range [from, to) of a raw region
+  /// image read through `load(off, dst, len)`, calling
+  /// `on_entry(db_offset, data_off, len)` for every entry, where data_off
+  /// is the region offset of the entry's bytes. Stops before the first
+  /// record that fails a check: its magic, its length against `to`, its
+  /// checksum, or its LSN against *next_lsn (0 accepts any). A record's
+  /// entries are visited only once its checksum holds, and *next_lsn
+  /// moves past every record walked. Records are consecutive LSNs in log
+  /// order, so a reader that keeps `next_lsn` between walks notices when
+  /// the log space it resumes at was reused. No allocation.
+  template <typename LoadFn, typename EntryFn>
+  static WalkEnd walk(const RegionLayout& layout, LoadFn&& load,
+                      uint64_t from, uint64_t to, uint64_t* next_lsn,
+                      EntryFn&& on_entry);
+
   /// Crash recovery over a raw region image: re-applies every record in
   /// [head, tail) to the DB area and returns the number applied. Works on
   /// any replica's (or the client's) region bytes via the provided
@@ -316,12 +337,6 @@ class ShardedWal {
     return append_to(s, std::span<const Entry>(entries.begin(), entries.size()),
                      std::move(done));
   }
-  /// Keyless appends spread round-robin across segments.
-  bool append(std::span<const Entry> entries, AppendDone done);
-  bool append(std::initializer_list<Entry> entries, AppendDone done) {
-    return append(std::span<const Entry>(entries.begin(), entries.size()),
-                  std::move(done));
-  }
   bool execute_and_advance(uint32_t s, Done done) {
     return wals_[s]->execute_and_advance(std::move(done));
   }
@@ -330,36 +345,33 @@ class ShardedWal {
 
  private:
   std::vector<std::unique_ptr<ReplicatedWal>> wals_;
-  uint32_t rr_ = 0;
 };
 
-template <typename LoadFn, typename StoreFn>
-uint64_t ReplicatedWal::replay(const RegionLayout& layout, LoadFn&& load,
-                               StoreFn&& store) {
-  uint64_t head = 0, tail = 0;
-  load(layout.head_ptr_offset(), &head, 8);
-  load(layout.tail_ptr_offset(), &tail, 8);
-
+template <typename LoadFn, typename EntryFn>
+ReplicatedWal::WalkEnd ReplicatedWal::walk(const RegionLayout& layout,
+                                           LoadFn&& load, uint64_t from,
+                                           uint64_t to, uint64_t* next_lsn,
+                                           EntryFn&& on_entry) {
   auto phys = [&](uint64_t v) {
     return layout.log_base() + (v % layout.log_size);
   };
-
-  uint64_t applied = 0;
-  uint64_t v = head;
-  // Streaming scratch: records are verified and applied through this
-  // fixed chunk, so replay's footprint is O(1) instead of O(record).
+  WalkEnd end{from, 0};
+  // Streaming scratch: the body is folded into the CRC through this fixed
+  // chunk, so the walk's footprint is O(1) instead of O(record).
   uint8_t chunk[512];
   constexpr uint32_t kChunk = sizeof(chunk);
-  while (v < tail) {
+  while (end.pos < to) {
+    const uint64_t v = end.pos;
     RecordHeader hdr;
     load(phys(v), &hdr, sizeof(hdr));
+    if (hdr.total_len == 0 || v + hdr.total_len > to) break;
     if (hdr.magic == kWrapMagic) {
-      v += hdr.total_len;
+      end.pos += hdr.total_len;
       continue;
     }
-    if (hdr.magic != kRecordMagic || hdr.total_len == 0 ||
-        v + hdr.total_len > tail) {
-      break;  // torn tail; committed prefix ends here
+    if (hdr.magic != kRecordMagic || hdr.total_len < sizeof(RecordHeader) ||
+        (*next_lsn != 0 && hdr.lsn != *next_lsn)) {
+      break;  // torn tail, or log space reused since the caller's last walk
     }
     // Pass 1: fold the body through the CRC chunk by chunk.
     const uint32_t body = hdr.total_len - sizeof(RecordHeader);
@@ -371,24 +383,41 @@ uint64_t ReplicatedWal::replay(const RegionLayout& layout, LoadFn&& load,
       off += n;
     }
     if (~crc != hdr.crc) break;
-    // Pass 2: walk the entries, streaming each one's bytes to the store.
+    // Pass 2: hand each entry to the caller. Records never straddle the
+    // ring wrap, so an entry's bytes are contiguous in the region.
     uint64_t p = v + sizeof(RecordHeader);
     for (uint32_t i = 0; i < hdr.num_entries; ++i) {
       EntryHeader eh;
       load(phys(p), &eh, sizeof(eh));
       p += sizeof(eh);
-      for (uint32_t off = 0; off < eh.len;) {
-        const uint32_t n = eh.len - off < kChunk ? eh.len - off : kChunk;
-        load(phys(p + off), chunk, n);
-        store(layout.db_base() + eh.db_offset + off, chunk, n);
-        off += n;
-      }
+      on_entry(eh.db_offset, phys(p), eh.len);
       p += (eh.len + 7) & ~uint64_t{7};
     }
-    ++applied;
-    v += hdr.total_len;
+    *next_lsn = hdr.lsn + 1;
+    ++end.records;
+    end.pos = v + hdr.total_len;
   }
-  return applied;
+  return end;
+}
+
+template <typename LoadFn, typename StoreFn>
+uint64_t ReplicatedWal::replay(const RegionLayout& layout, LoadFn&& load,
+                               StoreFn&& store) {
+  uint64_t head = 0, tail = 0;
+  load(layout.head_ptr_offset(), &head, 8);
+  load(layout.tail_ptr_offset(), &tail, 8);
+  uint64_t next_lsn = 0;
+  uint8_t chunk[512];
+  constexpr uint32_t kChunk = sizeof(chunk);
+  const auto apply = [&](uint64_t db_offset, uint64_t data, uint32_t len) {
+    for (uint32_t off = 0; off < len;) {
+      const uint32_t n = len - off < kChunk ? len - off : kChunk;
+      load(data + off, chunk, n);
+      store(layout.db_base() + db_offset + off, chunk, n);
+      off += n;
+    }
+  };
+  return walk(layout, load, head, tail, &next_lsn, apply).records;
 }
 
 }  // namespace hyperloop::core

@@ -31,8 +31,6 @@ class Network {
     /// Probability that a packet is dropped in flight (fault injection;
     /// the NICs' RC transport recovers via PSN-ordered retransmission).
     double loss_probability = 0.0;
-    /// Seed for the loss process.
-    uint64_t loss_seed = 0x10552;
   };
 
   Network(sim::EventLoop& loop, Config cfg) : loop_(loop), cfg_(cfg) {}

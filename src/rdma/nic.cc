@@ -30,7 +30,7 @@ void Nic::destroy_cq(CompletionQueue* cq) {
 
 QueuePair* Nic::create_qp(CompletionQueue* send_cq, CompletionQueue* recv_cq,
                           uint32_t sq_slots) {
-  if (sq_slots == 0) sq_slots = cfg_.default_sq_slots;
+  if (sq_slots == 0) sq_slots = kDefaultSqSlots;
   auto qp = std::make_unique<QueuePair>();
   qp->qpn = qps_.alloc();
   qp->nic = this;
@@ -153,11 +153,6 @@ void Nic::post_srq_recv(SharedReceiveQueue* srq, RecvWqe wqe) {
   }
 }
 
-sim::Duration Nic::dma_cost(size_t bytes) const {
-  return static_cast<sim::Duration>(cfg_.dma_ns_per_byte *
-                                    static_cast<double>(bytes));
-}
-
 // ---------------------------------------------------------------- engine --
 
 void Nic::kick(QueuePair* qp) {
@@ -174,7 +169,7 @@ void Nic::engine_step(QueuePair* qp, sim::Duration lead) {
   // instead of a step event plus an execute event. `lead` carries the
   // remaining engine occupancy of the activity that just finished (a
   // payload gather, a consumed WAIT), so execution times are unchanged:
-  // next execute fires at now + lead + wqe_cost (+ context fetch).
+  // next execute fires at now + lead + kWqeCost (+ context fetch).
   // Satisfied WAITs are consumed inline, accumulating their cost into
   // `lead` rather than bouncing through the heap per WAIT.
   for (;;) {
@@ -189,7 +184,7 @@ void Nic::engine_step(QueuePair* qp, sim::Duration lead) {
       if (c->completion_count() >= w.wait_threshold) {
         ++qp->sq_head;
         ++counters_.wqes_executed;
-        lead += cfg_.wait_cost;
+        lead += kWaitCost;
         continue;
       }
       qp->engine_running = false;
@@ -213,7 +208,7 @@ void Nic::engine_step(QueuePair* qp, sim::Duration lead) {
     // Re-resolve through the generation-tagged table at fire time: a
     // destroy_qp between schedule and fire (e.g. group teardown with a
     // chain mid-traversal) must drop the WQE, not chase a freed QP.
-    loop_.schedule_after(lead + cfg_.wqe_cost + qp_context_touch(qp->qpn),
+    loop_.schedule_after(lead + kWqeCost + qp_context_touch(qp->qpn),
                          [this, qpn = qp->qpn, w] {
                            if (QueuePair* q = qps_.get(qpn)) execute(q, w);
                          });
@@ -295,7 +290,7 @@ void Nic::execute_local(QueuePair* qp, const Wqe& w) {
       return;
     }
     case Opcode::kCas: {
-      loop_.schedule_after(cfg_.cas_cost, [this, qpn = qp->qpn, w] {
+      loop_.schedule_after(kCasCost, [this, qpn = qp->qpn, w] {
         QueuePair* q = qps_.get(qpn);
         if (q == nullptr) return;  // destroyed mid-WQE: drop it
         uint64_t old = 0;
@@ -437,7 +432,7 @@ void Nic::local_completion(QueuePair* qp, const Wqe& w, CqStatus status,
 // --------------------------------------------------------------- receive --
 
 void Nic::on_packet(Packet p) {
-  const sim::Duration cost = cfg_.rx_base_cost + dma_cost(p.payload.size()) +
+  const sim::Duration cost = kRxBaseCost + dma_cost(p.payload.size()) +
                              qp_context_touch(p.dst_qpn);
   rx_busy_until_ = std::max(loop_.now(), rx_busy_until_) + cost;
   ++counters_.packets_rx;
@@ -679,7 +674,7 @@ void Nic::requester_response(Packet& p) {
     if (!q->unacked.empty()) {
       // Lazy timer: progress only moves the staleness horizon to the new
       // window head. A pending timer re-parks itself when it fires early.
-      q->retry_deadline = q->unacked.front().sent + cfg_.retransmit_timeout;
+      q->retry_deadline = q->unacked.front().sent + kRetransmitTimeout;
       if (q->retry_timer == 0) {
         // Timer was parked after exhausting the retry budget; progress
         // means the responder is alive again, so resume guarding.
@@ -778,10 +773,10 @@ sim::Duration Nic::retry_interval(uint32_t rounds) const {
   // Capped exponential backoff: double the interval per consecutive
   // no-progress round.
   const uint32_t shift = std::min<uint32_t>(rounds, 20);
-  sim::Duration interval = cfg_.retransmit_timeout << shift;
-  if (interval > cfg_.max_retransmit_backoff ||
-      interval < cfg_.retransmit_timeout) {  // shift overflow guard
-    interval = cfg_.max_retransmit_backoff;
+  sim::Duration interval = kRetransmitTimeout << shift;
+  if (interval > kMaxRetransmitBackoff ||
+      interval < kRetransmitTimeout) {  // shift overflow guard
+    interval = kMaxRetransmitBackoff;
   }
   return interval;
 }
@@ -807,7 +802,7 @@ void Nic::retry_fire(uint32_t qpn) {
     arm_retry_timer(q);
     return;
   }
-  const sim::Time stale_before = loop_.now() - cfg_.retransmit_timeout;
+  const sim::Time stale_before = loop_.now() - kRetransmitTimeout;
   if (q->unacked.front().sent <= stale_before) {
     // Go-back-N: resend the whole unacknowledged window, in PSN order.
     for (size_t i = 0; i < q->unacked.size(); ++i) {
@@ -823,9 +818,9 @@ void Nic::retry_fire(uint32_t qpn) {
   } else {
     // The window head made progress since the deadline was set.
     q->retry_rounds = 0;
-    q->retry_deadline = q->unacked.front().sent + cfg_.retransmit_timeout;
+    q->retry_deadline = q->unacked.front().sent + kRetransmitTimeout;
   }
-  if (cfg_.rnr_retry_limit == 0 || q->retry_rounds < cfg_.rnr_retry_limit) {
+  if (q->retry_rounds < kRnrRetryLimit) {
     arm_retry_timer(q);
   }
   // Else: stop retransmitting. The peer is parked receiver-not-ready and

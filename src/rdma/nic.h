@@ -12,9 +12,10 @@
 //   3. Durability: inbound 0-byte READs (gFLUSH) write the NIC's pending
 //      volatile writes back to the NVM durable domain before responding.
 //
-// Costs: every WQE charges engine time; packets charge per-byte DMA and
-// serialize on Network ports. No CPU scheduler interaction ever happens
-// here — that asymmetry versus the Naïve baseline is the paper's thesis.
+// Costs (rdma/nic_costs.h): every WQE charges engine time; packets charge
+// per-byte DMA and serialize on Network ports. No CPU scheduler
+// interaction ever happens here — that asymmetry versus the Naïve
+// baseline is the paper's thesis.
 //
 // Datapath layout: QPs and CQs live in dense generation-tagged slot
 // tables (SlotTable), so per-packet QPN resolution is an array probe, and
@@ -36,6 +37,7 @@
 #include "rdma/completion_queue.h"
 #include "rdma/memory.h"
 #include "rdma/network.h"
+#include "rdma/nic_costs.h"
 #include "rdma/queue_pair.h"
 #include "rdma/slot_table.h"
 #include "rdma/wqe.h"
@@ -45,31 +47,23 @@ namespace hyperloop::rdma {
 
 class Nic {
  public:
+  /// Send-queue slots of a QP created without a size.
+  static constexpr uint32_t kDefaultSqSlots = 512;
+  /// RC retransmission timeout (go-back-N on loss).
+  static constexpr sim::Duration kRetransmitTimeout = sim::usec(100);
+  /// Capped exponential backoff: each consecutive no-progress
+  /// retransmission round doubles the retry timer, up to this cap.
+  static constexpr sim::Duration kMaxRetransmitBackoff = sim::msec(10);
+  /// After this many consecutive no-progress rounds the requester stops
+  /// re-arming the retry timer (receiver-not-ready parking means the
+  /// responder delivers and ACKs once a RECV is posted; a later
+  /// post_send or ACK progress re-arms and resets the backoff). This
+  /// bounds the event-loop work a stalled peer can generate — without
+  /// it an RNR-parked request retransmits forever and run() never
+  /// drains.
+  static constexpr uint32_t kRnrRetryLimit = 7;
+
   struct Config {
-    uint32_t default_sq_slots = 512;
-    /// Engine occupancy per WQE (fetch + process + doorbell amortized).
-    sim::Duration wqe_cost = sim::nsec(200);
-    /// Fixed cost to receive/parse one inbound packet.
-    sim::Duration rx_base_cost = sim::nsec(150);
-    /// Host DMA cost per byte (gathers, scatters, local copies).
-    double dma_ns_per_byte = 0.05;
-    /// Extra cost for an atomic execute.
-    sim::Duration cas_cost = sim::nsec(250);
-    /// Cost to consume a satisfied WAIT.
-    sim::Duration wait_cost = sim::nsec(50);
-    /// RC retransmission timeout (go-back-N on loss).
-    sim::Duration retransmit_timeout = sim::usec(100);
-    /// Capped exponential backoff: each consecutive no-progress
-    /// retransmission round doubles the retry timer, up to this cap.
-    sim::Duration max_retransmit_backoff = sim::msec(10);
-    /// After this many consecutive no-progress rounds the requester stops
-    /// re-arming the retry timer (receiver-not-ready parking means the
-    /// responder delivers and ACKs once a RECV is posted; a later
-    /// post_send or ACK progress re-arms and resets the backoff). This
-    /// bounds the event-loop work a stalled peer can generate — without
-    /// it an RNR-parked request retransmits forever and run() never
-    /// drains. 0 = retry forever.
-    uint32_t rnr_retry_limit = 7;
     /// On-NIC connection-context cache (§7: "the scalability of RDMA NICs
     /// decreases with the number of active write-QPs"). Touching a QP
     /// whose context is not resident fetches it from host memory, costing
@@ -205,7 +199,7 @@ class Nic {
   // --- send-side engine ---
   void kick(QueuePair* qp);
   // Examines the head WQE synchronously and schedules its execution at
-  // now + lead + wqe_cost (+ context fetch); consumes satisfied WAITs
+  // now + lead + kWqeCost (+ context fetch); consumes satisfied WAITs
   // inline. `lead` is the residual occupancy of whatever just finished
   // (payload gather, local DMA), so fusing the step into the caller's
   // event leaves execution timestamps unchanged.
@@ -213,7 +207,6 @@ class Nic {
   void execute(QueuePair* qp, const Wqe& w);
   void execute_local(QueuePair* qp, const Wqe& w);
   void execute_remote(QueuePair* qp, const Wqe& w);
-  sim::Duration dma_cost(size_t bytes) const;
   void local_completion(QueuePair* qp, const Wqe& w, CqStatus status,
                         uint32_t bytes);
 

@@ -4,32 +4,16 @@
 
 #include <string>
 
-#include "core/hyperloop_group.h"
-#include "core/remote_reader.h"
-#include "core/server.h"
+#include "chain_setup.h"
 
 namespace hyperloop::core {
 namespace {
 
 struct ChainFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
-  HyperLoopGroup::Config gcfg = [] {
-    HyperLoopGroup::Config c;
-    c.region_size = 256 << 10;
-    c.ring_slots = 64;
-    c.max_inflight = 16;
-    return c;
-  }();
-  std::unique_ptr<HyperLoopGroup> group = [this] {
-    std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                 &cluster.server(2)};
-    return std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gcfg);
-  }();
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
+  HyperLoopGroup::Config gcfg{
+      .region_size = 256 << 10, .ring_slots = 64, .max_inflight = 16};
+  std::unique_ptr<HyperLoopGroup> group = make_chain(cluster, gcfg);
 
   std::unique_ptr<ChainManager> make_mgr(ChainManager::Config cfg = {}) {
     std::vector<ChainManager::ReplicaInfo> infos;
@@ -148,16 +132,10 @@ TEST_F(ChainFixture, MultipleSequentialFailures) {
 }
 
 TEST(RemoteReaderTest, ReadsFromReplica) {
-  Cluster::Config cc;
-  cc.num_servers = 4;
-  Cluster cluster(cc);
-  HyperLoopGroup::Config gc;
-  gc.region_size = 256 << 10;
-  gc.ring_slots = 64;
-  gc.max_inflight = 16;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
-  HyperLoopGroup group(cluster.server(3), reps, gc);
+  Cluster cluster({.num_servers = 4});
+  HyperLoopGroup group(
+      cluster.server(3), chain_replicas(cluster),
+      {.region_size = 256 << 10, .ring_slots = 64, .max_inflight = 16});
 
   const std::string data = "read-me-one-sided";
   group.client_store(2048, data.data(), data.size());
@@ -167,8 +145,10 @@ TEST(RemoteReaderTest, ReadsFromReplica) {
   ASSERT_TRUE(wrote);
 
   // Tail reader (replica 2).
-  RemoteReader reader(cluster.server(3), group.replica_server(2),
-                      group.replica_region_base(2), group.replica_data_rkey(2));
+  RemoteReader reader(cluster.server(3),
+                      {{&group.replica_server(2), group.replica_region_base(2),
+                        group.replica_data_rkey(2)}},
+                      RemoteReader::Options{});
   std::string got;
   reader.read(2048, data.size(), [&](ReadView bytes) {
     got.assign(bytes.begin(), bytes.end());
@@ -178,14 +158,10 @@ TEST(RemoteReaderTest, ReadsFromReplica) {
 }
 
 TEST(RemoteReaderTest, ManyConcurrentReadsExerciseSlotRing) {
-  Cluster::Config cc;
-  cc.num_servers = 2;
-  Cluster cluster(cc);
-  HyperLoopGroup::Config gc;
-  gc.region_size = 256 << 10;
-  gc.ring_slots = 64;
-  gc.max_inflight = 16;
-  HyperLoopGroup group(cluster.server(1), {&cluster.server(0)}, gc);
+  Cluster cluster({.num_servers = 2});
+  HyperLoopGroup group(
+      cluster.server(1), chain_replicas(cluster, 1),
+      {.region_size = 256 << 10, .ring_slots = 64, .max_inflight = 16});
 
   for (int k = 0; k < 100; ++k) {
     uint64_t v = static_cast<uint64_t>(k) * 11;
@@ -198,9 +174,7 @@ TEST(RemoteReaderTest, ManyConcurrentReadsExerciseSlotRing) {
   cluster.loop().run_until(sim::msec(50));
   ASSERT_EQ(wrote, 100);
 
-  RemoteReader reader(cluster.server(1), group.replica_server(0),
-                      group.replica_region_base(0), group.replica_data_rkey(0),
-                      /*slots=*/8);
+  RemoteReader reader(cluster.server(1), replica_targets(group), {.slots = 8});
   int ok = 0;
   for (int k = 0; k < 100; ++k) {
     reader.read(static_cast<uint64_t>(k) * 64, 8, [&, k](ReadView bytes) {

@@ -20,10 +20,7 @@ struct RunResult {
 };
 
 RunResult run_once(uint64_t seed, bool naive) {
-  core::Cluster::Config cc;
-  cc.num_servers = 4;
-  cc.seed = seed;
-  core::Cluster cluster(cc);
+  core::Cluster cluster({.num_servers = 4, .seed = seed});
   for (size_t s = 0; s < 3; ++s) {
     cluster.server(s).add_background_load(
         16, cluster.fork_rng(),
@@ -38,11 +35,10 @@ RunResult run_once(uint64_t seed, bool naive) {
     gc.region_size = 1 << 20;
     group = std::make_unique<core::NaiveRdmaGroup>(cluster.server(3), reps, gc);
   } else {
-    core::HyperLoopGroup::Config gc;
-    gc.region_size = 1 << 20;
-    gc.ring_slots = 64;
-    gc.max_inflight = 16;
-    group = std::make_unique<core::HyperLoopGroup>(cluster.server(3), reps, gc);
+    group = std::make_unique<core::HyperLoopGroup>(
+        cluster.server(3), reps,
+        core::HyperLoopGroup::Config{
+            .region_size = 1 << 20, .ring_slots = 64, .max_inflight = 16});
   }
   cluster.loop().run_until(sim::msec(5));
 

@@ -4,8 +4,7 @@
 
 #include "apps/ycsb/driver.h"
 #include "apps/ycsb/workload.h"
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 #include "core/tcp_group.h"
 
 namespace hyperloop::apps {
@@ -21,28 +20,21 @@ enum class Backend { kHyperLoop, kTcp };
 class DocStoreTest : public ::testing::TestWithParam<Backend> {
  protected:
   DocStoreTest() {
-    Cluster::Config cc;
-    cc.num_servers = 4;
-    cc.server.cpu.num_cores = 8;
-    cc.server.nvm_size = 32u << 20;
-    cluster_ = std::make_unique<Cluster>(cc);
+    cluster_ = std::make_unique<Cluster>(Cluster::Config{
+        .num_servers = 4,
+        .server = {.cpu = {.num_cores = 8}, .nvm_size = 32u << 20}});
     layout_.region_size = 8u << 20;
     layout_.log_size = 512 << 10;
     layout_.num_locks = 64;
-    std::vector<Server*> reps = {&cluster_->server(0), &cluster_->server(1),
-                                 &cluster_->server(2)};
     if (GetParam() == Backend::kHyperLoop) {
-      HyperLoopGroup::Config gc;
-      gc.region_size = layout_.region_size;
-      gc.ring_slots = 128;
-      gc.max_inflight = 32;
-      group_ =
-          std::make_unique<HyperLoopGroup>(cluster_->server(3), reps, gc);
+      group_ = make_chain(*cluster_, {.region_size = layout_.region_size,
+                                      .ring_slots = 128,
+                                      .max_inflight = 32});
     } else {
       core::TcpReplicationGroup::Config gc;
       gc.region_size = layout_.region_size;
       group_ = std::make_unique<core::TcpReplicationGroup>(
-          cluster_->server(3), reps, gc);
+          cluster_->server(3), chain_replicas(*cluster_), gc);
     }
     DocStore::Config dc;
     dc.layout = layout_;
@@ -187,31 +179,25 @@ INSTANTIATE_TEST_SUITE_P(Backends, DocStoreTest,
                                       : "TcpNative";
                          });
 
-// Replica reads via the one-sided reader.
+// Replica reads via the one-sided reader: target i is chain replica i,
+// and a round-robin reader sends the third read to the tail.
 TEST(DocStoreReplicaRead, ReadsFromTailReplica) {
-  Cluster::Config cc;
-  cc.num_servers = 4;
-  Cluster cluster(cc);
+  Cluster cluster({.num_servers = 4});
   RegionLayout layout;
   layout.region_size = 4u << 20;
   layout.log_size = 256 << 10;
   layout.num_locks = 64;
-  HyperLoopGroup::Config gc;
-  gc.region_size = layout.region_size;
-  gc.ring_slots = 64;
-  gc.max_inflight = 16;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
-  HyperLoopGroup group(cluster.server(3), reps, gc);
+  HyperLoopGroup group(cluster.server(3), chain_replicas(cluster),
+                       {.region_size = layout.region_size,
+                        .ring_slots = 64,
+                        .max_inflight = 16});
   DocStore::Config dc;
   dc.layout = layout;
   dc.value_size = 256;
-  dc.read_from_replica = true;
-  dc.read_replica = 2;
   DocStore store(group, cluster.server(3), dc);
-  core::RemoteReader reader(cluster.server(3), group.replica_server(2),
-                            group.replica_region_base(2),
-                            group.replica_data_rkey(2));
+  core::RemoteReader reader(
+      cluster.server(3), replica_targets(group),
+      {.policy = core::RemoteReader::Policy::kRoundRobin});
   store.set_remote_reader(&reader);
 
   bool ins = false;
@@ -220,16 +206,30 @@ TEST(DocStoreReplicaRead, ReadsFromTailReplica) {
   cluster.loop().run_until(sim::msec(500));
   ASSERT_TRUE(ins);
 
-  bool ok = false;
-  std::vector<uint8_t> v;
-  store.read(8, [&](bool o, std::vector<uint8_t> val) {
-    ok = o;
-    v = std::move(val);
-  });
+  for (size_t replica = 0; replica < 3; ++replica) {
+    bool ok = false;
+    std::vector<uint8_t> v;
+    store.read(8, [&](bool o, std::vector<uint8_t> val) {
+      ok = o;
+      v = std::move(val);
+    });
+    cluster.loop().run_until(cluster.loop().now() + sim::msec(100));
+    ASSERT_TRUE(ok) << "replica " << replica;
+    EXPECT_EQ(v, WorkloadGenerator::value_for(8, 256));
+    EXPECT_GT(reader.replica_frags(replica), 0u);
+    // The read leaves no read lock behind on the replica it read.
+    uint64_t readers = 1;
+    group.replica_load(replica, layout.reader_offset(8 % layout.num_locks),
+                       &readers, 8);
+    EXPECT_EQ(readers, 0u);
+  }
+  EXPECT_EQ(reader.reads_issued(), 3u);
+  EXPECT_EQ(store.locks().stats().rd_acquired, 3u);
+  // A missing document read from a replica fails cleanly.
+  bool missing = true;
+  store.read(9, [&](bool o, std::vector<uint8_t>) { missing = o; });
   cluster.loop().run_until(cluster.loop().now() + sim::msec(100));
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(v, WorkloadGenerator::value_for(8, 256));
-  EXPECT_GT(reader.reads_issued(), 0u);
+  EXPECT_FALSE(missing);
 }
 
 }  // namespace

@@ -10,12 +10,8 @@ namespace hyperloop::core {
 namespace {
 
 struct FanoutFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;  // 0 = primary, 1..2 = backups, 3 = client
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  // 0 = primary, 1..2 = backups, 3 = client
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
 
   std::unique_ptr<FanoutGroup> make_group(size_t replicas = 3) {
     FanoutGroup::Config cfg;

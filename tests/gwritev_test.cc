@@ -18,31 +18,21 @@
 #include <random>
 #include <vector>
 
-#include "core/server.h"
+#include "chain_setup.h"
 
 namespace hyperloop::core {
 namespace {
 
 struct GwritevFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;  // servers 0..2 = replicas, 3 = client
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  // servers 0..2 = replicas, 3 = client
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
 
-  HyperLoopGroup::Config gcfg = [] {
-    HyperLoopGroup::Config c;
-    c.region_size = 1 << 20;
-    c.ring_slots = 64;
-    c.max_inflight = 16;
-    return c;
-  }();
+  HyperLoopGroup::Config gcfg{
+      .region_size = 1 << 20, .ring_slots = 64, .max_inflight = 16};
 
   std::unique_ptr<HyperLoopGroup> make_group(size_t replicas = 3) {
-    std::vector<Server*> r;
-    for (size_t i = 0; i < replicas; ++i) r.push_back(&cluster.server(i));
-    return std::make_unique<HyperLoopGroup>(cluster.server(3), r, gcfg);
+    return std::make_unique<HyperLoopGroup>(
+        cluster.server(3), chain_replicas(cluster, replicas), gcfg);
   }
 
   void run(sim::Duration d = sim::msec(50)) {

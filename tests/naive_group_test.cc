@@ -10,12 +10,7 @@ namespace hyperloop::core {
 namespace {
 
 struct NaiveFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
 
   std::unique_ptr<NaiveRdmaGroup> make_group(
       NaiveRdmaGroup::Mode mode = NaiveRdmaGroup::Mode::kEvent,

@@ -13,9 +13,8 @@
 #include <cstring>
 
 #include "alloc_counter.h"
-#include "core/hyperloop_group.h"
+#include "chain_setup.h"
 #include "core/lock.h"
-#include "core/server.h"
 #include "core/sharded_reader.h"
 #include "core/tcp_group.h"
 #include "core/wal.h"
@@ -216,23 +215,15 @@ namespace {
 // pool entry or waiter ring; the op-tracking tables and rings are at
 // their high-water marks after warm-up.
 TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   RegionLayout layout;
   layout.region_size = 1 << 20;
   layout.log_size = 64 << 10;
   layout.num_locks = 16;
-  HyperLoopGroup::Config gc;
-  gc.region_size = layout.region_size;
-  gc.ring_slots = 64;
-  gc.max_inflight = 16;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
-  HyperLoopGroup group(cluster.server(3), reps, gc);
+  HyperLoopGroup group(cluster.server(3), chain_replicas(cluster),
+                       {.region_size = layout.region_size,
+                        .ring_slots = 64,
+                        .max_inflight = 16});
   ReplicatedWal wal(group, layout);
   GroupLockManager locks(group, layout, cluster.loop());
 
@@ -300,23 +291,15 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
 // Every step is a slot-indexed continuation, so a warm lap allocates
 // nothing.
 TEST(NicAllocTransaction, ReadLockLapAllocatesNothing) {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   RegionLayout layout;
   layout.region_size = 1 << 20;
   layout.log_size = 64 << 10;
   layout.num_locks = 16;
-  HyperLoopGroup::Config gc;
-  gc.region_size = layout.region_size;
-  gc.ring_slots = 64;
-  gc.max_inflight = 16;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
-  HyperLoopGroup group(cluster.server(3), reps, gc);
+  HyperLoopGroup group(cluster.server(3), chain_replicas(cluster),
+                       {.region_size = layout.region_size,
+                        .ring_slots = 64,
+                        .max_inflight = 16});
   GroupLockManager locks(group, layout, cluster.loop());
   sim::EventLoop& loop = cluster.loop();
 
@@ -377,23 +360,15 @@ TEST(NicAllocTransaction, ReadLockLapAllocatesNothing) {
 // kWriteV descriptor patch, NOP-padded chain execution, batched
 // completions, latency histogram recording — must not touch the heap.
 TEST(NicAllocTransaction, GroupCommitGwritevLapAllocatesNothing) {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   RegionLayout layout;
   layout.region_size = 1 << 20;
   layout.log_size = 64 << 10;
   layout.num_locks = 16;
-  HyperLoopGroup::Config gc;
-  gc.region_size = layout.region_size;
-  gc.ring_slots = 64;
-  gc.max_inflight = 16;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
-  HyperLoopGroup group(cluster.server(3), reps, gc);
+  HyperLoopGroup group(cluster.server(3), chain_replicas(cluster),
+                       {.region_size = layout.region_size,
+                        .ring_slots = 64,
+                        .max_inflight = 16});
   ReplicatedWal::Options wo;
   wo.staged_capacity = 16;
   wo.loop = &cluster.loop();
@@ -442,19 +417,10 @@ TEST(NicAllocTransaction, GroupCommitGwritevLapAllocatesNothing) {
 // up as a precise mismatch. The lap must also stay allocation-free once
 // the 64 KB payload blocks are pooled.
 TEST(NicAllocTransaction, ChainedGwriteCopiesExactlyOncePerSink) {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
-  HyperLoopGroup::Config gc;
-  gc.region_size = 1 << 20;
-  gc.ring_slots = 64;
-  gc.max_inflight = 16;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
-  HyperLoopGroup group(cluster.server(3), reps, gc);
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
+  HyperLoopGroup group(
+      cluster.server(3), chain_replicas(cluster),
+      {.region_size = 1 << 20, .ring_slots = 64, .max_inflight = 16});
 
   constexpr uint32_t kLen = 64 << 10;
   std::vector<uint8_t> payload(kLen);
@@ -479,7 +445,7 @@ TEST(NicAllocTransaction, ChainedGwriteCopiesExactlyOncePerSink) {
   lap();
   ASSERT_EQ(laps_done, 9);
   EXPECT_EQ(rdma::PayloadBuf::bytes_copied() - bytes_before,
-            uint64_t{kLen} * (1 + reps.size()))
+            uint64_t{kLen} * (1 + group.group_size()))
       << "a 64 KB chained gWRITE must copy exactly len * (1 + num_sinks)";
   // Split per NIC: the source gathers once; a sink lands its DMA-out
   // once and forwards by borrowing (no gather).
@@ -494,7 +460,7 @@ TEST(NicAllocTransaction, ChainedGwriteCopiesExactlyOncePerSink) {
 
   // The bytes really replicated: every sink region matches the source.
   std::vector<uint8_t> got(kLen);
-  for (size_t r = 0; r < reps.size(); ++r) {
+  for (size_t r = 0; r < group.group_size(); ++r) {
     group.replica_load(r, 0, got.data(), kLen);
     ASSERT_EQ(std::memcmp(got.data(), payload.data(), kLen), 0)
         << "replica " << r << " diverged";
@@ -510,27 +476,18 @@ TEST(NicAllocTransaction, ChainedGwriteCopiesExactlyOncePerSink) {
 // caller a window into pooled scratch; any regression that reintroduces
 // a per-read vector or a SmallFn spill fails here.
 TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    c.server.num_nics = 2;  // one NIC port per chain
-    return c;
-  }()};
+  // one NIC port per chain
+  Cluster cluster{
+      {.num_servers = 4, .server = {.cpu = {.num_cores = 8}, .num_nics = 2}}};
   constexpr uint64_t kRegion = 1 << 20;
   constexpr uint32_t kShards = 2;
   constexpr uint64_t kSpan = kRegion / kShards;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
   std::vector<std::unique_ptr<ReplicationGroup>> chains;
   for (uint32_t s = 0; s < kShards; ++s) {
-    HyperLoopGroup::Config gc;
-    gc.region_size = kRegion;  // identity addressing
-    gc.ring_slots = 64;
-    gc.max_inflight = 16;
-    gc.nic_index = s;
-    chains.push_back(
-        std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc));
+    chains.push_back(make_chain(cluster, {.region_size = kRegion,  // identity
+                                          .ring_slots = 64,
+                                          .max_inflight = 16,
+                                          .nic_index = s}));
   }
   ShardedGroup group(std::move(chains), ShardRouter::range(kShards, kSpan));
 
@@ -551,18 +508,12 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
   std::vector<std::unique_ptr<RemoteReader>> readers;
   for (uint32_t s = 0; s < kShards; ++s) {
     auto& hl = static_cast<HyperLoopGroup&>(group.shard(s));
-    std::vector<RemoteReader::Target> t;
-    for (size_t i = 0; i < 3; ++i) {
-      t.push_back({&hl.replica_server(i), hl.replica_region_base(i),
-                   hl.replica_data_rkey(i)});
-    }
-    RemoteReader::Options opts;
-    opts.slots = 8;
-    opts.slot_size = 4096;
-    opts.policy = RemoteReader::Policy::kRoundRobin;
-    opts.nic_index = s;
-    readers.push_back(std::make_unique<RemoteReader>(cluster.server(3),
-                                                     std::move(t), opts));
+    readers.push_back(std::make_unique<RemoteReader>(
+        cluster.server(3), replica_targets(hl),
+        RemoteReader::Options{.slots = 8,
+                              .slot_size = 4096,
+                              .policy = RemoteReader::Policy::kRoundRobin,
+                              .nic_index = s}));
   }
   ShardedReader reader(std::move(readers), group.router());
 
@@ -625,12 +576,7 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
 // forwarding make a steady-state command lap — gwrite bursts, gmemcpy,
 // gcas, flush barriers, ACKs — allocation-free once warm.
 TEST(NicAllocTcp, TcpReplicationLapAllocatesNothing) {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   core::TcpReplicationGroup::Config gc;
   gc.region_size = 1 << 20;
   std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),

@@ -9,8 +9,7 @@
 #include <cstring>
 #include <vector>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 #include "nvm/nvm_device.h"
 #include "sim/rng.h"
 
@@ -33,18 +32,13 @@ class PayloadIntegrityTest : public ::testing::TestWithParam<uint64_t> {
   static constexpr uint64_t kRegion = 1 << 20;
 
   void build(double loss) {
-    Cluster::Config cc;
-    cc.num_servers = 4;
-    cc.seed = GetParam();
-    cc.network.loss_probability = loss;
-    cluster_ = std::make_unique<Cluster>(cc);
-    HyperLoopGroup::Config gc;
-    gc.region_size = kRegion;
-    gc.ring_slots = 128;
-    gc.max_inflight = 16;
-    std::vector<Server*> reps = {&cluster_->server(0), &cluster_->server(1),
-                                 &cluster_->server(2)};
-    group_ = std::make_unique<HyperLoopGroup>(cluster_->server(3), reps, gc);
+    cluster_ = std::make_unique<Cluster>(
+        Cluster::Config{.num_servers = 4,
+                        .network = {.loss_probability = loss},
+                        .seed = GetParam()});
+    group_ = make_chain(
+        *cluster_,
+        {.region_size = kRegion, .ring_slots = 128, .max_inflight = 16});
     rng_ = std::make_unique<sim::Rng>(GetParam() * 6364136223846793005ull + 1);
   }
 

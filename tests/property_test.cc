@@ -6,8 +6,7 @@
 #include <cstring>
 #include <map>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 #include "core/txn.h"
 #include "core/wal.h"
 #include "sim/rng.h"
@@ -18,17 +17,11 @@ namespace {
 class PropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   PropertyTest() {
-    Cluster::Config cc;
-    cc.num_servers = 4;
-    cc.seed = GetParam();
-    cluster_ = std::make_unique<Cluster>(cc);
-    HyperLoopGroup::Config gc;
-    gc.region_size = 1 << 20;
-    gc.ring_slots = 256;
-    gc.max_inflight = 32;
-    std::vector<Server*> reps = {&cluster_->server(0), &cluster_->server(1),
-                                 &cluster_->server(2)};
-    group_ = std::make_unique<HyperLoopGroup>(cluster_->server(3), reps, gc);
+    cluster_ = std::make_unique<Cluster>(
+        Cluster::Config{.num_servers = 4, .seed = GetParam()});
+    group_ = make_chain(
+        *cluster_,
+        {.region_size = 1 << 20, .ring_slots = 256, .max_inflight = 32});
     rng_ = std::make_unique<sim::Rng>(GetParam() * 7919 + 13);
   }
 

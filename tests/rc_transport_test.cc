@@ -4,8 +4,7 @@
 
 #include <cstring>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 #include "nvm/nvm_device.h"
 #include "rdma/network.h"
 #include "rdma/nic.h"
@@ -123,17 +122,11 @@ TEST_F(LossyPair, SendsAreDeliveredExactlyOnceInOrder) {
 TEST(LossyHyperLoop, GroupOpsSurviveLossyFabric) {
   // End to end: a full HyperLoop chain over a 2% lossy network still
   // completes every op with correct, durable contents.
-  core::Cluster::Config cc;
-  cc.num_servers = 4;
-  cc.network.loss_probability = 0.02;
-  core::Cluster cluster(cc);
-  core::HyperLoopGroup::Config gc;
-  gc.region_size = 1 << 20;
-  gc.ring_slots = 128;
-  gc.max_inflight = 16;
-  std::vector<core::Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                     &cluster.server(2)};
-  core::HyperLoopGroup group(cluster.server(3), reps, gc);
+  core::Cluster cluster(
+      {.num_servers = 4, .network = {.loss_probability = 0.02}});
+  core::HyperLoopGroup group(
+      cluster.server(3), core::chain_replicas(cluster),
+      {.region_size = 1 << 20, .ring_slots = 128, .max_inflight = 16});
 
   int done = 0;
   const int n = 150;
@@ -155,17 +148,11 @@ TEST(LossyHyperLoop, GroupOpsSurviveLossyFabric) {
 }
 
 TEST(LossyHyperLoop, GcasCorrectUnderLoss) {
-  core::Cluster::Config cc;
-  cc.num_servers = 4;
-  cc.network.loss_probability = 0.02;
-  core::Cluster cluster(cc);
-  core::HyperLoopGroup::Config gc;
-  gc.region_size = 1 << 20;
-  gc.ring_slots = 128;
-  gc.max_inflight = 16;
-  std::vector<core::Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                     &cluster.server(2)};
-  core::HyperLoopGroup group(cluster.server(3), reps, gc);
+  core::Cluster cluster(
+      {.num_servers = 4, .network = {.loss_probability = 0.02}});
+  core::HyperLoopGroup group(
+      cluster.server(3), core::chain_replicas(cluster),
+      {.region_size = 1 << 20, .ring_slots = 128, .max_inflight = 16});
 
   // Lock/unlock chain: each gCAS must execute exactly once everywhere.
   int done = 0;

@@ -18,8 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 #include "core/sharded_reader.h"
 
 namespace hyperloop::core {
@@ -34,21 +33,9 @@ struct ReaderFixture : ::testing::Test {
   static constexpr uint64_t kRegion = 256 << 10;
   static constexpr uint32_t kFill = 64 << 10;
 
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
-  std::unique_ptr<HyperLoopGroup> group = [this] {
-    HyperLoopGroup::Config gc;
-    gc.region_size = kRegion;
-    gc.ring_slots = 64;
-    gc.max_inflight = 16;
-    std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                 &cluster.server(2)};
-    return std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc);
-  }();
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
+  std::unique_ptr<HyperLoopGroup> group = make_chain(
+      cluster, {.region_size = kRegion, .ring_slots = 64, .max_inflight = 16});
 
   void SetUp() override {
     std::vector<uint8_t> fill(kFill);
@@ -62,17 +49,9 @@ struct ReaderFixture : ::testing::Test {
     ASSERT_EQ(wrote, static_cast<int>(kFill / (16 << 10)));
   }
 
-  std::vector<RemoteReader::Target> targets() {
-    std::vector<RemoteReader::Target> t;
-    for (size_t i = 0; i < 3; ++i) {
-      t.push_back({&group->replica_server(i), group->replica_region_base(i),
-                   group->replica_data_rkey(i)});
-    }
-    return t;
-  }
-
   std::unique_ptr<RemoteReader> make_reader(RemoteReader::Options opts = {}) {
-    return std::make_unique<RemoteReader>(cluster.server(3), targets(), opts);
+    return std::make_unique<RemoteReader>(cluster.server(3),
+                                          replica_targets(*group), opts);
   }
 
   void run(sim::Duration d = sim::msec(10)) {
@@ -290,25 +269,17 @@ constexpr uint32_t kNumShards = 2;
 constexpr uint64_t kSpan = kShardedRegion / kNumShards;
 
 struct ShardedReaderFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    c.server.num_nics = kNumShards;  // one NIC port per chain
-    return c;
-  }()};
+  // one NIC port per chain
+  Cluster cluster{{.num_servers = 4,
+                   .server = {.cpu = {.num_cores = 8}, .num_nics = kNumShards}}};
   std::unique_ptr<ShardedGroup> group = [this] {
-    std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                 &cluster.server(2)};
     std::vector<std::unique_ptr<ReplicationGroup>> chains;
     for (uint32_t s = 0; s < kNumShards; ++s) {
-      HyperLoopGroup::Config gc;
-      gc.region_size = kShardedRegion;  // identity addressing
-      gc.ring_slots = 64;
-      gc.max_inflight = 16;
-      gc.nic_index = s;
-      chains.push_back(
-          std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc));
+      chains.push_back(make_chain(cluster,
+                                  {.region_size = kShardedRegion,  // identity
+                                   .ring_slots = 64,
+                                   .max_inflight = 16,
+                                   .nic_index = s}));
     }
     return std::make_unique<ShardedGroup>(
         std::move(chains), ShardRouter::range(kNumShards, kSpan));
@@ -336,16 +307,9 @@ struct ShardedReaderFixture : ::testing::Test {
     std::vector<std::unique_ptr<RemoteReader>> readers;
     for (uint32_t s = 0; s < kNumShards; ++s) {
       auto& hl = static_cast<HyperLoopGroup&>(group->shard(s));
-      std::vector<RemoteReader::Target> t;
-      for (size_t i = 0; i < 3; ++i) {
-        t.push_back({&hl.replica_server(i), hl.replica_region_base(i),
-                     hl.replica_data_rkey(i)});
-      }
-      RemoteReader::Options opts;
-      opts.policy = policy;
-      opts.nic_index = s;
-      readers.push_back(std::make_unique<RemoteReader>(cluster.server(3),
-                                                       std::move(t), opts));
+      readers.push_back(std::make_unique<RemoteReader>(
+          cluster.server(3), replica_targets(hl),
+          RemoteReader::Options{.policy = policy, .nic_index = s}));
     }
     return std::make_unique<ShardedReader>(std::move(readers),
                                            group->router());

@@ -16,8 +16,7 @@
 
 #include "apps/kvstore/kvstore.h"
 #include "core/chain_manager.h"
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 #include "core/sharded_group.h"
 
 namespace hyperloop::core {
@@ -27,13 +26,9 @@ constexpr uint32_t kShards = 2;
 constexpr uint64_t kSlice = 256 << 10;
 
 struct ShardFaultFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;  // 0..2 replicas, 3 client
-    c.server.cpu.num_cores = 8;
-    c.server.num_nics = kShards;
-    return c;
-  }()};
+  // 0..2 replicas, 3 client
+  Cluster cluster{{.num_servers = 4,
+                   .server = {.cpu = {.num_cores = 8}, .num_nics = kShards}}};
 
   std::vector<HyperLoopGroup*> chains;  // borrowed views into sharded
   std::unique_ptr<ShardedGroup> sharded;
@@ -41,16 +36,13 @@ struct ShardFaultFixture : ::testing::Test {
   std::unique_ptr<ShardedChainManager> mgr;
 
   void SetUp() override {
-    std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                 &cluster.server(2)};
+    const std::vector<Server*> reps = chain_replicas(cluster);
     std::vector<std::unique_ptr<ReplicationGroup>> kids;
     for (uint32_t s = 0; s < kShards; ++s) {
-      HyperLoopGroup::Config gc;
-      gc.region_size = kSlice * kShards;
-      gc.ring_slots = 256;
-      gc.max_inflight = 32;
-      gc.nic_index = s;
-      auto g = std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc);
+      auto g = make_chain(cluster, {.region_size = kSlice * kShards,
+                                    .ring_slots = 256,
+                                    .max_inflight = 32,
+                                    .nic_index = s});
       chains.push_back(g.get());
       kids.push_back(std::move(g));
     }
@@ -64,9 +56,8 @@ struct ShardFaultFixture : ::testing::Test {
     kc.shards = kShards;
     kc.value_size = 64;
     kc.replicas_sync = false;
-    kv = std::make_unique<apps::KvStore>(
-        *sharded, cluster.server(3),
-        std::vector<Server*>{reps.begin(), reps.end()}, kc);
+    kv = std::make_unique<apps::KvStore>(*sharded, cluster.server(3), reps,
+                                         kc);
 
     std::vector<std::vector<ChainManager::ReplicaInfo>> infos(kShards);
     for (uint32_t s = 0; s < kShards; ++s) {

@@ -17,8 +17,7 @@
 #include <set>
 #include <vector>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 
 namespace hyperloop::core {
 namespace {
@@ -28,28 +27,21 @@ constexpr uint32_t kShards = 4;
 constexpr uint64_t kSpan = kRegion / kShards;
 
 struct ShardedGroupFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;  // servers 0..2 = replicas, 3 = client
-    c.server.cpu.num_cores = 8;
-    c.server.num_nics = kShards;  // one NIC port per chain
-    return c;
-  }()};
+  // servers 0..2 = replicas, 3 = client
+// one NIC port per chain
+  Cluster cluster{{.num_servers = 4,
+                   .server = {.cpu = {.num_cores = 8}, .num_nics = kShards}}};
 
   std::unique_ptr<ShardedGroup> make_sharded(
       uint32_t shards = kShards,
       ShardRouter router = ShardRouter::range(kShards, kSpan)) {
-    std::vector<Server*> reps;
-    for (size_t i = 0; i < 3; ++i) reps.push_back(&cluster.server(i));
     std::vector<std::unique_ptr<ReplicationGroup>> chains;
     for (uint32_t s = 0; s < shards; ++s) {
-      HyperLoopGroup::Config gc;
-      gc.region_size = kRegion;  // identity addressing: full logical span
-      gc.ring_slots = 64;
-      gc.max_inflight = 16;
-      gc.nic_index = s;
-      chains.push_back(std::make_unique<HyperLoopGroup>(cluster.server(3),
-                                                        reps, gc));
+      // Identity addressing: every chain spans the full logical region.
+      chains.push_back(make_chain(cluster, {.region_size = kRegion,
+                                            .ring_slots = 64,
+                                            .max_inflight = 16,
+                                            .nic_index = s}));
     }
     return std::make_unique<ShardedGroup>(std::move(chains), router);
   }

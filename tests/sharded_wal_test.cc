@@ -17,8 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 
 namespace hyperloop::core {
 namespace {
@@ -28,20 +27,14 @@ constexpr uint32_t kShards = 4;
 class ShardedWalTest : public ::testing::Test {
  protected:
   ShardedWalTest() {
-    Cluster::Config cc;
-    cc.num_servers = 4;
-    cc.server.cpu.num_cores = 8;
-    cluster_ = std::make_unique<Cluster>(cc);
-    std::vector<Server*> reps = {&cluster_->server(0), &cluster_->server(1),
-                                 &cluster_->server(2)};
+    cluster_ = std::make_unique<Cluster>(
+        Cluster::Config{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}});
     slice_.region_size = 256 << 10;  // per-shard slice
     slice_.log_size = 64 << 10;
     slice_.num_locks = 16;
-    HyperLoopGroup::Config gc;
-    gc.region_size = slice_.region_size * kShards;
-    gc.ring_slots = 128;
-    gc.max_inflight = 16;
-    group_ = std::make_unique<HyperLoopGroup>(cluster_->server(3), reps, gc);
+    group_ = make_chain(*cluster_, {.region_size = slice_.region_size * kShards,
+                                    .ring_slots = 128,
+                                    .max_inflight = 16});
     wal_ = std::make_unique<ShardedWal>(*group_, slice_, kShards);
   }
 
@@ -96,16 +89,6 @@ TEST_F(ShardedWalTest, SegmentsCommitIndependently) {
     EXPECT_EQ(tail, wal_->shard(s).tail()) << "segment " << s;
   }
   EXPECT_EQ(wal_->totals().records_appended, uint64_t{kShards});
-}
-
-TEST_F(ShardedWalTest, RoundRobinAppendSpreadsSegments) {
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(wal_->append({{0, bytes("rr")}}, [](uint64_t) {}));
-    run(sim::msec(20));
-  }
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(wal_->shard(s).stats().records_appended, 2u) << "segment " << s;
-  }
 }
 
 TEST_F(ShardedWalTest, MultiSegmentReplayAppliesEachSliceOnly) {

@@ -10,12 +10,7 @@ namespace hyperloop::core {
 namespace {
 
 struct TcpGroupFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
 
   std::unique_ptr<TcpReplicationGroup> make_group(size_t replicas = 3) {
     TcpReplicationGroup::Config cfg;

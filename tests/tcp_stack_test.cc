@@ -10,12 +10,7 @@ namespace hyperloop::core {
 namespace {
 
 struct TcpFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 2;
-    c.server.cpu.num_cores = 4;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 2, .server = {.cpu = {.num_cores = 4}}}};
   Server& a = cluster.server(0);
   Server& b = cluster.server(1);
 };

@@ -6,8 +6,7 @@
 #include <functional>
 #include <string>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 #include "sim/rng.h"
 #include "unlock_order_probe.h"
 
@@ -17,12 +16,7 @@ namespace {
 struct TwoPhaseFixture : ::testing::Test {
   static constexpr int kPartitions = 2;
 
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   RegionLayout layout = [] {
     RegionLayout l;
     l.region_size = 2u << 20;
@@ -43,14 +37,9 @@ struct TwoPhaseFixture : ::testing::Test {
     std::vector<TwoPhaseCoordinator::PartitionCtx> ctxs;
     for (int p = 0; p < kPartitions; ++p) {
       Part part;
-      HyperLoopGroup::Config gc;
-      gc.region_size = layout.region_size;
-      gc.ring_slots = 128;
-      gc.max_inflight = 32;
-      std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                   &cluster.server(2)};
-      part.group =
-          std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc);
+      part.group = make_chain(cluster, {.region_size = layout.region_size,
+                                        .ring_slots = 128,
+                                        .max_inflight = 32});
       part.wal = std::make_unique<ReplicatedWal>(*part.group, layout);
       part.locks = std::make_unique<GroupLockManager>(*part.group, layout,
                                                       cluster.loop());
@@ -59,8 +48,7 @@ struct TwoPhaseFixture : ::testing::Test {
       parts.push_back(std::move(part));
     }
     coord = std::make_unique<TwoPhaseCoordinator>(cluster.loop(),
-                                                  std::move(ctxs),
-                                                  TwoPhaseCoordinator::Config{});
+                                                  std::move(ctxs));
   }
 
   void run(sim::Duration d = sim::msec(500)) {
@@ -110,6 +98,54 @@ TEST_F(TwoPhaseFixture, SinglePartitionTxnWorks) {
   run();
   ASSERT_TRUE(committed);
   EXPECT_EQ(db_read(0, 2, base + 128), 7u);
+}
+
+// A cross-partition transaction that cannot take a lock on partition 1
+// gives up after max_attempts and releases what it holds on partition 0:
+// no replica keeps a lock word of it and neither partition logs anything.
+TEST_F(TwoPhaseFixture, LockHeldElsewhereAbortsAndReleasesHeldLocks) {
+  GroupLockManager::Config lc;
+  lc.max_attempts = 3;
+  std::vector<std::unique_ptr<GroupLockManager>> few;
+  std::vector<TwoPhaseCoordinator::PartitionCtx> ctxs;
+  for (Part& p : parts) {
+    few.push_back(std::make_unique<GroupLockManager>(*p.group, layout,
+                                                     cluster.loop(), lc));
+    ctxs.push_back({p.group.get(), p.wal.get(), few.back().get(), layout});
+  }
+  TwoPhaseCoordinator txn(cluster.loop(), std::move(ctxs));
+  bool held = false;
+  few[1]->wr_lock(2, /*owner=*/999, [&](bool ok) { held = ok; });
+  run(sim::msec(10));
+  ASSERT_TRUE(held);
+
+  const uint64_t base = txn.app_data_base();
+  bool done = false, committed = true;
+  txn.execute({{0, base + 0, 1, bytes(111)}, {1, base + 64, 2, bytes(222)}},
+              [&](bool ok) {
+                done = true;
+                committed = ok;
+              });
+  run();
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(committed);
+  EXPECT_EQ(txn.aborted(), 1u);
+  EXPECT_EQ(few[0]->stats().wr_acquired, 1u);
+  for (size_t r = 0; r < 3; ++r) {
+    uint64_t mine = 1, other = 0;
+    parts[0].group->replica_load(r, layout.lock_offset(1), &mine, 8);
+    parts[1].group->replica_load(r, layout.lock_offset(2), &other, 8);
+    EXPECT_EQ(mine, 0u) << "replica " << r;
+    EXPECT_EQ(other, 999u) << "replica " << r;
+  }
+  for (Part& p : parts) {
+    EXPECT_EQ(p.wal->stats().records_appended, 0u);
+    EXPECT_EQ(p.wal->tail(), 0u);
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> st;
+  txn.scan_status(0, &st);
+  txn.scan_status(1, &st);
+  EXPECT_TRUE(st.empty());
 }
 
 TEST_F(TwoPhaseFixture, ManyConcurrentTxnsAllCommit) {
@@ -263,35 +299,28 @@ TEST_P(TwoPhaseUnlockOrderTest, LocksReleaseOnlyAfterRecordsAreApplied) {
   constexpr uint32_t kTxns = 96;
   constexpr uint64_t kStride = 64;
   constexpr size_t kParts = 2;
-  Cluster::Config cc;
-  cc.num_servers = 4;
-  cc.server.cpu.num_cores = 8;
-  cc.network.loss_probability = GetParam();
-  Cluster cluster(cc);
+  Cluster cluster({.num_servers = 4,
+                   .server = {.cpu = {.num_cores = 8}},
+                   .network = {.loss_probability = GetParam()}});
   RegionLayout layout;
   layout.region_size = 2u << 20;
   layout.log_size = 256 << 10;
   layout.num_locks = kTxns;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
+  const std::vector<Server*> reps = chain_replicas(cluster);
   std::vector<std::unique_ptr<HyperLoopGroup>> groups;
   std::vector<std::unique_ptr<ReplicatedWal>> wals;
   std::vector<std::unique_ptr<GroupLockManager>> locks;
   std::vector<TwoPhaseCoordinator::PartitionCtx> ctxs;
   for (size_t p = 0; p < kParts; ++p) {
-    HyperLoopGroup::Config gc;
-    gc.region_size = layout.region_size;
-    gc.ring_slots = 128;
-    gc.max_inflight = 32;
-    groups.push_back(
-        std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc));
+    groups.push_back(make_chain(cluster, {.region_size = layout.region_size,
+                                          .ring_slots = 128,
+                                          .max_inflight = 32}));
     wals.push_back(std::make_unique<ReplicatedWal>(*groups[p], layout));
     locks.push_back(std::make_unique<GroupLockManager>(*groups[p], layout,
                                                        cluster.loop()));
     ctxs.push_back({groups[p].get(), wals[p].get(), locks[p].get(), layout});
   }
-  TwoPhaseCoordinator coord(cluster.loop(), std::move(ctxs),
-                            TwoPhaseCoordinator::Config{});
+  TwoPhaseCoordinator coord(cluster.loop(), std::move(ctxs));
   const uint64_t base = coord.app_data_base();
 
   std::vector<UnlockOrderProbe> probes;

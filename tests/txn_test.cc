@@ -5,8 +5,7 @@
 #include <cstring>
 #include <string>
 
-#include "core/hyperloop_group.h"
-#include "core/server.h"
+#include "chain_setup.h"
 #include "sim/rng.h"
 #include "unlock_order_probe.h"
 
@@ -14,12 +13,7 @@ namespace hyperloop::core {
 namespace {
 
 struct TxnFixture : ::testing::Test {
-  Cluster cluster{[] {
-    Cluster::Config c;
-    c.num_servers = 4;
-    c.server.cpu.num_cores = 8;
-    return c;
-  }()};
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   RegionLayout layout = [] {
     RegionLayout l;
     l.region_size = 1 << 20;
@@ -27,15 +21,10 @@ struct TxnFixture : ::testing::Test {
     l.num_locks = 32;
     return l;
   }();
-  std::unique_ptr<HyperLoopGroup> group = [this] {
-    HyperLoopGroup::Config gc;
-    gc.region_size = layout.region_size;
-    gc.ring_slots = 128;
-    gc.max_inflight = 32;
-    std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                                 &cluster.server(2)};
-    return std::make_unique<HyperLoopGroup>(cluster.server(3), reps, gc);
-  }();
+  std::unique_ptr<HyperLoopGroup> group = make_chain(
+      cluster, {.region_size = layout.region_size,
+                .ring_slots = 128,
+                .max_inflight = 32});
   ReplicatedWal wal{*group, layout};
   GroupLockManager locks{*group, layout, cluster.loop()};
   TransactionManager txns{*group, wal, locks, cluster.loop()};
@@ -70,6 +59,41 @@ TEST_F(TxnFixture, CommitAppliesAtomically) {
   uint64_t w = 0;
   group->replica_load(0, layout.lock_offset(0), &w, 8);
   EXPECT_EQ(w, 0u);
+}
+
+// A transaction that cannot take one of its locks gives up after
+// max_attempts and rolls back the locks it holds: no replica keeps a lock
+// word of it and nothing reaches the log.
+TEST_F(TxnFixture, LockHeldElsewhereAbortsAndReleasesHeldLocks) {
+  GroupLockManager::Config lc;
+  lc.max_attempts = 3;
+  GroupLockManager few{*group, layout, cluster.loop(), lc};
+  TransactionManager txn{*group, wal, few, cluster.loop()};
+  bool held = false;
+  few.wr_lock(5, /*owner=*/999, [&](bool ok) { held = ok; });
+  run(sim::msec(10));
+  ASSERT_TRUE(held);
+
+  bool done = false, committed = true;
+  txn.execute({{0, bytes("nope")}}, {2, 5}, [&](bool ok) {
+    done = true;
+    committed = ok;
+  });
+  run();
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(committed);
+  EXPECT_EQ(txn.stats().aborted, 1u);
+  EXPECT_EQ(few.stats().wr_acquired, 2u);  // the holder's lock and lock 2
+  for (size_t i = 0; i < 3; ++i) {
+    uint64_t mine = 1, other = 0;
+    group->replica_load(i, layout.lock_offset(2), &mine, 8);
+    group->replica_load(i, layout.lock_offset(5), &other, 8);
+    EXPECT_EQ(mine, 0u) << "replica " << i;
+    EXPECT_EQ(other, 999u) << "replica " << i;
+    EXPECT_EQ(db_read(i, 0, 4), std::string(4, '\0')) << "replica " << i;
+  }
+  EXPECT_EQ(wal.stats().records_appended, 0u);
+  EXPECT_EQ(wal.tail(), 0u);
 }
 
 TEST_F(TxnFixture, CommittedDataSurvivesCrash) {
@@ -184,28 +208,23 @@ class TxnUnlockOrderTest : public ::testing::TestWithParam<double> {};
 TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {
   constexpr uint32_t kTxns = 48;
   constexpr uint64_t kStride = 64;
-  Cluster::Config cc;
-  cc.num_servers = 4;
-  cc.server.cpu.num_cores = 8;
-  cc.network.loss_probability = GetParam();
-  Cluster cluster(cc);
+  Cluster cluster({.num_servers = 4,
+                   .server = {.cpu = {.num_cores = 8}},
+                   .network = {.loss_probability = GetParam()}});
   RegionLayout layout;
   layout.region_size = 1 << 20;
   layout.log_size = 64 << 10;
   layout.num_locks = kTxns;
-  HyperLoopGroup::Config gc;
-  gc.region_size = layout.region_size;
-  gc.ring_slots = 128;
-  gc.max_inflight = 32;
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
-  HyperLoopGroup group(cluster.server(3), reps, gc);
+  HyperLoopGroup group(cluster.server(3), chain_replicas(cluster),
+                       {.region_size = layout.region_size,
+                        .ring_slots = 128,
+                        .max_inflight = 32});
   ReplicatedWal wal(group, layout);
   GroupLockManager locks(group, layout, cluster.loop());
   TransactionManager txns(group, wal, locks, cluster.loop());
 
   UnlockOrderProbe probe(kTxns, /*slot_base=*/0, kStride);
-  for (size_t r = 0; r < reps.size(); ++r) {
+  for (size_t r = 0; r < group.group_size(); ++r) {
     probe.watch(group.replica_server(r).mem(), group.replica_region_base(r),
                 layout);
   }
@@ -226,7 +245,7 @@ TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {
     ASSERT_EQ(committed, round + 3) << "round " << round / 3;
   }
 
-  EXPECT_EQ(probe.releases(), uint64_t{kTxns} * reps.size());
+  EXPECT_EQ(probe.releases(), uint64_t{kTxns} * group.group_size());
   EXPECT_EQ(probe.early(), 0u)
       << "lock words cleared on a replica before the record was applied";
   EXPECT_GT(wal.stats().records_appended, wal.stats().gwritev_batches)
@@ -236,7 +255,7 @@ TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {
   if (GetParam() > 0) {
     EXPECT_GT(cluster.net().packets_dropped(), 0u);
   }
-  for (size_t r = 0; r < reps.size(); ++r) {
+  for (size_t r = 0; r < group.group_size(); ++r) {
     for (uint32_t k = 0; k < kTxns; ++k) {
       uint64_t v = 0;
       group.replica_load(r, layout.db_base() + k * kStride, &v, 8);

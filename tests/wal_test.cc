@@ -4,9 +4,8 @@
 
 #include <string>
 
-#include "core/hyperloop_group.h"
+#include "chain_setup.h"
 #include "core/naive_group.h"
-#include "core/server.h"
 #include "sim/rng.h"
 
 namespace hyperloop::core {
@@ -57,25 +56,20 @@ enum class Backend { kHyperLoop, kNaive };
 class WalTest : public ::testing::TestWithParam<Backend> {
  protected:
   WalTest() {
-    Cluster::Config cc;
-    cc.num_servers = 4;
-    cc.server.cpu.num_cores = 8;
-    cluster_ = std::make_unique<Cluster>(cc);
-    std::vector<Server*> reps = {&cluster_->server(0), &cluster_->server(1),
-                                 &cluster_->server(2)};
+    cluster_ = std::make_unique<Cluster>(
+        Cluster::Config{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}});
     layout_.region_size = 1 << 20;
     layout_.log_size = 64 << 10;
     layout_.num_locks = 16;
     if (GetParam() == Backend::kHyperLoop) {
-      HyperLoopGroup::Config gc;
-      gc.region_size = layout_.region_size;
-      gc.ring_slots = 64;
-      gc.max_inflight = 16;
-      group_ = std::make_unique<HyperLoopGroup>(cluster_->server(3), reps, gc);
+      group_ = make_chain(*cluster_, {.region_size = layout_.region_size,
+                                      .ring_slots = 64,
+                                      .max_inflight = 16});
     } else {
       NaiveRdmaGroup::Config gc;
       gc.region_size = layout_.region_size;
-      group_ = std::make_unique<NaiveRdmaGroup>(cluster_->server(3), reps, gc);
+      group_ = std::make_unique<NaiveRdmaGroup>(
+          cluster_->server(3), chain_replicas(*cluster_), gc);
     }
     wal_ = std::make_unique<ReplicatedWal>(*group_, layout_);
   }
@@ -271,6 +265,37 @@ TEST_P(WalTest, ReplayRecoversCommittedRecords) {
   EXPECT_EQ(applied, 2u);
   EXPECT_EQ(db_read(1, 0, 6), "first!");
   EXPECT_EQ(db_read(1, 64, 6), "second");
+}
+
+// walk() resumes only where the record it expects still is: a reader
+// whose next LSN no longer sits at its position (the ring reused the
+// space) reads nothing.
+TEST_P(WalTest, WalkStopsWhereTheExpectedLsnIsNotFound) {
+  for (const char* rec : {"first!", "second", "third!"}) {
+    ASSERT_TRUE(wal_->append({{0, bytes(rec)}}, [](uint64_t) {}));
+  }
+  run();
+  const auto load = [&](uint64_t off, void* dst, uint32_t len) {
+    group_->replica_load(2, off, dst, len);
+  };
+  uint64_t next_lsn = 0, entries = 0;
+  const auto all = ReplicatedWal::walk(
+      layout_, load, 0, wal_->tail(), &next_lsn,
+      [&](uint64_t, uint64_t, uint32_t) { ++entries; });
+  EXPECT_EQ(all.records, 3u);
+  EXPECT_EQ(all.pos, wal_->tail());
+  EXPECT_EQ(next_lsn, 4u);
+  EXPECT_EQ(entries, 3u);
+  next_lsn = 2;  // position 0 holds LSN 1
+  const auto none = ReplicatedWal::walk(layout_, load, 0, wal_->tail(),
+                                        &next_lsn,
+                                        [&](uint64_t, uint64_t, uint32_t) {
+                                          ++entries;
+                                        });
+  EXPECT_EQ(none.records, 0u);
+  EXPECT_EQ(none.pos, 0u);
+  EXPECT_EQ(next_lsn, 2u);
+  EXPECT_EQ(entries, 3u);
 }
 
 TEST_P(WalTest, ReplayIsIdempotent) {
