@@ -7,7 +7,7 @@
 // TransactionManager (group locks + replicated WAL + ExecuteAndAdvance),
 // injects a crash between commit and execution, and shows that redo-log
 // replay reconstructs a consistent ledger — the invariant (total balance)
-// never breaks.
+// never breaks. Exits non-zero if it does, on any replica.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -71,8 +71,10 @@ int main() {
   // Run 200 random transfers. Each transfer is a read-modify-write: it
   // reads the current balances from the coordinator's copy and commits
   // the new ones under group locks. Transfers are chained (the next one
-  // issues when the previous commits) so every read sees committed state;
-  // concurrent disjoint transactions are exercised by tests/txn_test.cc.
+  // issues when the previous commits) so every read sees committed state:
+  // the coordinator's copy holds a transaction's writes when it reports
+  // (core/group.h, gmemcpy). Concurrent disjoint transactions are
+  // exercised by tests/txn_test.cc.
   sim::Rng rng(7);
   int committed = 0;
   std::function<void(int)> transfer = [&](int remaining) {
@@ -108,11 +110,13 @@ int main() {
   cluster.loop().run_until(cluster.loop().now() + sim::seconds(5));
   std::printf("committed %d transfers\n", committed);
 
+  const uint64_t expected_total = uint64_t{kAccounts} * kInitialBalance;
+  int status = 0;
   for (size_t r = 0; r < 3; ++r) {
     std::printf("replica %zu total balance: %llu (expect %llu)\n", r,
                 static_cast<unsigned long long>(total(r)),
-                static_cast<unsigned long long>(
-                    uint64_t{kAccounts} * kInitialBalance));
+                static_cast<unsigned long long>(expected_total));
+    if (total(r) != expected_total) status = 1;
   }
 
   // Crash injection: append one more transfer but crash replica 2 before
@@ -150,5 +154,6 @@ int main() {
               static_cast<unsigned long long>(applied),
               static_cast<unsigned long long>(balance(2, 0)),
               static_cast<unsigned long long>(total(2)));
-  return 0;
+  if (total(2) != expected_total) status = 1;
+  return status;
 }

@@ -6,7 +6,8 @@
 // Timeline: steady writes -> replica 1 power-fails -> heartbeats miss ->
 // detector pauses the data path -> replacement catches up from a healthy
 // neighbor -> epoch bumps, writes resume, and the recovered replica's
-// region image matches the others byte for byte.
+// region image matches the others byte for byte (the exit status is
+// non-zero if it does not).
 #include <cstdio>
 #include <cstring>
 
@@ -82,5 +83,5 @@ int main() {
   group.replica_load(2, 0, img2.data(), static_cast<uint32_t>(img2.size()));
   std::printf("recovered image matches healthy replica: %s\n",
               img1 == img2 ? "yes" : "NO");
-  return 0;
+  return img1 == img2 ? 0 : 1;
 }

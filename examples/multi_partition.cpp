@@ -1,6 +1,8 @@
 // Cross-partition transactions: two independently replicated partitions
 // (each its own HyperLoop chain) updated atomically with two-phase commit,
-// then a coordinator-crash scenario recovered by roll-forward.
+// then a coordinator-crash scenario recovered by roll-forward. Exits
+// non-zero unless the order commits on both partitions and the
+// roll-forward completes the crashed transaction.
 //
 //   build/examples/multi_partition
 #include <cstdio>
@@ -120,5 +122,5 @@ int main() {
   std::printf("rolled forward %llu txn(s); partition 0 replica 1 now holds "
               "%llu at the target cell\n",
               (unsigned long long)repaired, (unsigned long long)v);
-  return 0;
+  return done && bal == 900 && orders == 1 && v == 424242 ? 0 : 1;
 }

@@ -4,10 +4,15 @@
 // running as a process on the primary server) and a back end (the
 // replicated region on the chain). Every write is a full ACID transaction
 // through the TransactionManager: group write locks (gCAS), oplog append
-// (gWRITE+gFLUSH), ExecuteAndAdvance (gMEMCPY+gFLUSH), unlock — exactly
-// the §5.2 flow, with wrLock/wrUnlock surrounding ExecuteAndAdvance.
-// Reads take a read lock on the primary's copy by default; an attached
-// RemoteReader serves them from a chain replica instead (one-sided RDMA).
+// (gWRITE+gFLUSH), ExecuteAndAdvance (gMEMCPY+gFLUSH), unlock — the §5.2
+// flow, with wrLock/wrUnlock surrounding ExecuteAndAdvance. A write
+// reports at the durable append; its unlock is a gMEMCPY issued right
+// behind ExecuteAndAdvance's (core/txn.h), so a reader that read-locks a
+// replica after the report still waits for the record to land there.
+// Reads take a read lock on replica 0 and read the client's copy by
+// default; an attached RemoteReader serves them from a chain replica
+// instead (one-sided RDMA). tests/linearizability_test.cc checks both
+// read paths' histories.
 //
 // The store runs on one region slice with one oplog, lock table and
 // transaction manager. Documents live in its DB area in the slot format

@@ -487,10 +487,6 @@ void FanoutGroup::issue(const OpSpec& op, Done done, CasDone cas_done) {
           qp_down_,
           rdma::make_flush(primary_.data_base, primary_.data_mr.rkey));
     }
-  } else if (op.kind == 1) {
-    client_.mem().copy(client_region_ + op.dst, client_region_ + op.offset,
-                       op.len);
-    client_.nvm().persist(client_region_ + op.dst, op.len);
   } else if (op.kind == 2 && op.exec.test(0)) {
     // One-sided CAS against the primary; the result lands in the ack slot
     // (index 0) so the assembly code reads all results from one place.
@@ -560,6 +556,11 @@ void FanoutGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                           uint32_t len, bool flush, Done done) {
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
+  // The client's copy copies at the call, not at issue: a parked op must
+  // not leave it stale (group.h).
+  client_.mem().copy(client_region_ + dst_offset, client_region_ + src_offset,
+                     len);
+  client_.nvm().persist(client_region_ + dst_offset, len);
   OpSpec op;
   op.kind = 1;
   op.offset = src_offset;

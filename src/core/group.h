@@ -25,9 +25,14 @@
 // just freed a credit. A ShardedGroup keeps the contract among the ops
 // routed to one chain (ops on different chains touch disjoint bytes).
 // Across primitives nothing is promised: HyperLoopGroup runs each
-// primitive on its own ring. The base gwritev() relies on the contract
-// for gWRITE, and GroupLockManager pipelines dependent gCAS pairs on it.
-// tests/group_order_test.cc holds every backend to it.
+// primitive on its own ring. Callers that rely on the contract:
+//   - the base gwritev(), for gWRITE;
+//   - GroupLockManager, which pipelines dependent gCAS pairs;
+//   - GroupLockManager::wr_unlock, a gMEMCPY that TransactionManager and
+//     TwoPhaseCoordinator issue right behind a record's apply gMEMCPYs,
+//     so the lock clears on each replica only after the apply.
+// tests/group_order_test.cc holds every backend to it, for gCAS and for
+// gMEMCPY.
 //
 // Callback-type policy (see DESIGN.md "Callback types"): every async
 // boundary in src/core takes a sim::SmallFn — never a copyable
@@ -189,7 +194,10 @@ class ReplicationGroup {
   }
 
   /// Copies `len` bytes from src_offset to dst_offset within every
-  /// replica's region (remote log processing).
+  /// replica's region (remote log processing). The client's copy makes
+  /// the same copy during the call, before the op is issued or parked
+  /// for a credit, so client_load sees it at once: a transaction that
+  /// reports at its commit point leaves its record in the client's copy.
   virtual void gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                        uint32_t len, bool flush, Done done) = 0;
 

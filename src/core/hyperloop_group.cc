@@ -634,11 +634,6 @@ void HyperLoopGroup::issue(Prim p, const Args& args, Done done,
     }
     case Prim::kMemcpy: {
       ++counters_.gmemcpys;
-      // The client's copy of the region must stay in sync: perform the
-      // same copy locally (the client is the head of the chain).
-      client_.mem().copy(client_region_ + args.dst,
-                         client_region_ + args.offset, args.len);
-      client_.nvm().persist(client_region_ + args.dst, args.len);
       blob_len = stage_gmemcpy_blob(seq, args.offset, args.dst, args.len,
                                     args.flush);
       break;
@@ -682,6 +677,11 @@ void HyperLoopGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                              uint32_t len, bool flush, Done done) {
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
+  // The client's copy (the head of the chain) copies at the call, not at
+  // issue: a parked op must not leave it stale (group.h).
+  client_.mem().copy(client_region_ + dst_offset, client_region_ + src_offset,
+                     len);
+  client_.nvm().persist(client_region_ + dst_offset, len);
   Args args;
   args.offset = src_offset;
   args.dst = dst_offset;

@@ -122,23 +122,12 @@ void GroupLockManager::drain_retry(uint32_t idx) {
   });
 }
 
-void GroupLockManager::wr_unlock(uint32_t lock_id, uint64_t owner,
-                                 Done done) {
-  const uint32_t idx = unlock_ops_.claim();
-  UnlockOp& op = unlock_ops_[idx];
-  assert(!op.live);
-  op.live = true;
-  op.done = std::move(done);
-  group_.gcas(layout_.lock_offset(lock_id), owner, 0, all_replicas(),
-              [this, idx](const CasResult&) { unlock_finish(idx); });
-}
-
-void GroupLockManager::unlock_finish(uint32_t idx) {
-  UnlockOp& op = unlock_ops_[idx];
-  Done done = std::move(op.done);
-  op.live = false;
-  unlock_ops_.release(idx);
-  if (done) done();
+void GroupLockManager::wr_unlock(uint32_t lock_id, Done done) {
+  // A lock Done (64 B) fits inline in a gMEMCPY Done (96 B).
+  group_.gmemcpy(layout_.zero_word_offset(), layout_.lock_offset(lock_id), 8,
+                 /*flush=*/false, [d = std::move(done)]() mutable {
+                   if (d) d();
+                 });
 }
 
 void GroupLockManager::rd_lock(uint32_t lock_id, size_t replica,

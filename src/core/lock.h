@@ -1,4 +1,5 @@
-// Group locking (§5, "Locking and Isolation") built purely on gCAS.
+// Group locking (§5, "Locking and Isolation"): acquisition on gCAS, write
+// release on gMEMCPY (see "Release" below).
 //
 // Each lock-table entry holds a writer word and a reader count (see
 // RegionLayout). Write locks are *group* locks: a gCAS(0 -> owner) against
@@ -13,6 +14,16 @@
 //
 // A gCAS(expected=0, desired=0) is used as a NIC-offloaded *read* of a
 // lock word (it swaps nothing and returns the current value).
+//
+// Release. wr_unlock is not a gCAS but a gMEMCPY of the region's zero
+// word (RegionLayout::kZeroOffset) onto the writer word. gMEMCPYs of one
+// group execute at every replica in issue order (group.h), so a release
+// issued right behind a transaction's apply clears the word on each
+// replica only after the apply has landed there. The holder need not
+// wait for the apply's ACK before releasing (core/txn.h). The zero word,
+// the lock table and the WAL's log and DB areas share one layout slice,
+// so a ShardedGroup that routes the slice to one chain (as the WAL
+// requires) carries a release on the chain of the applies it follows.
 //
 // Pipelining. Each protocol step is a pair of gCAS whose order matters,
 // and the pair is issued back to back instead of waiting for the first
@@ -80,8 +91,11 @@ class GroupLockManager {
   /// replica, retrying with backoff. done(false) after max_attempts.
   void wr_lock(uint32_t lock_id, uint64_t owner, LockDone done);
 
-  /// Releases a held write lock.
-  void wr_unlock(uint32_t lock_id, uint64_t owner, Done done);
+  /// Releases a write lock the caller holds on every replica: a gMEMCPY
+  /// of the zero word onto the writer word. At each replica it executes
+  /// after every gMEMCPY issued earlier on this group. `done` (may be
+  /// empty) fires when the release has executed everywhere.
+  void wr_unlock(uint32_t lock_id, Done done);
 
   /// Acquires a read lock on one replica.
   void rd_lock(uint32_t lock_id, size_t replica, LockDone done);
@@ -122,15 +136,6 @@ class GroupLockManager {
     LockDone done;
   };
 
-  /// One in-flight write-lock release (a single gCAS, but the caller's
-  /// continuation can be a full-width Done — too wide for a CasDone
-  /// capture, so it parks in a slot and the wire callback carries only
-  /// [this, idx]).
-  struct UnlockOp {
-    bool live = false;
-    Done done;
-  };
-
   /// One in-flight CAS read-modify-write loop (reader count add).
   struct AddOp {
     uint64_t offset = 0;
@@ -153,8 +158,6 @@ class GroupLockManager {
   void rd_retry(uint32_t idx);
   void rd_finish(uint32_t idx, bool acquired);
 
-  void unlock_finish(uint32_t idx);
-
   /// Adds `delta` to one replica's reader count with a gCAS loop whose
   /// first probe expects `guess`.
   void cas_loop_add(uint64_t offset, size_t replica, int64_t delta,
@@ -173,7 +176,6 @@ class GroupLockManager {
 
   sim::SlotPool<WrOp> wr_ops_;
   sim::SlotPool<RdOp> rd_ops_;
-  sim::SlotPool<UnlockOp> unlock_ops_;
   sim::SlotPool<AddOp> add_ops_;
 };
 

@@ -336,13 +336,6 @@ void NaiveRdmaGroup::issue_cmd(Cmd cmd, Done done, CasDone cas_done) {
   cmd.seq = static_cast<uint32_t>(
       window_.open(std::move(done), std::move(cas_done)));
 
-  if (cmd.type == 1) {
-    // The client's copy of the region must stay in sync (head of chain).
-    client_.mem().copy(client_region_ + cmd.dst, client_region_ + cmd.offset,
-                       cmd.len);
-    client_.nvm().persist(client_region_ + cmd.dst, cmd.len);
-  }
-
   const uint64_t slot = cmd.seq % (cfg_.max_inflight * 2);
   const Addr cmd_addr = client_cmd_ring_ + slot * sizeof(Cmd);
   client_.mem().write_obj(cmd_addr, cmd);
@@ -376,6 +369,11 @@ void NaiveRdmaGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                              uint32_t len, bool flush, Done done) {
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
+  // The client's copy (the head of the chain) copies at the call, not at
+  // issue: a parked op must not leave it stale (group.h).
+  client_.mem().copy(client_region_ + dst_offset, client_region_ + src_offset,
+                     len);
+  client_.nvm().persist(client_region_ + dst_offset, len);
   Cmd cmd;
   cmd.type = 1;
   cmd.flush = flush ? 1 : 0;

@@ -8,6 +8,9 @@
 //   u64 log_head   offset of the first unprocessed record (relative to log)
 //   u64 log_tail   offset one past the last appended record
 //   u64 epoch      membership epoch (bumped by reconfiguration)
+//   u64 zero       always 0: nothing writes it. A write-lock release is a
+//                  gMEMCPY of this word onto the lock's writer word
+//                  (GroupLockManager::wr_unlock).
 //
 // Sharded deployments (PR 8) carve one group region into K back-to-back
 // slices, each a complete layout of its own: slice s sets `base` to
@@ -32,6 +35,7 @@ struct RegionLayout {
   static constexpr uint64_t kHeadOffset = 0;   ///< within control block
   static constexpr uint64_t kTailOffset = 8;
   static constexpr uint64_t kEpochOffset = 16;
+  static constexpr uint64_t kZeroOffset = 24;
 
   /// Bytes per lock-table entry: [writer word (8)] [reader count (8)].
   static constexpr uint64_t kLockEntrySize = 16;
@@ -40,6 +44,7 @@ struct RegionLayout {
   uint64_t head_ptr_offset() const { return control_base() + kHeadOffset; }
   uint64_t tail_ptr_offset() const { return control_base() + kTailOffset; }
   uint64_t epoch_ptr_offset() const { return control_base() + kEpochOffset; }
+  uint64_t zero_word_offset() const { return control_base() + kZeroOffset; }
 
   uint64_t lock_table_base() const { return control_base() + kControlSize; }
   uint64_t lock_offset(uint32_t lock_id) const {

@@ -171,11 +171,6 @@ void TcpReplicationGroup::issue(Header hdr, Done done, CasDone cas_done) {
     client_.mem().read(client_region_ + hdr.offset,
                        msg.data() + sizeof(Header),
                        static_cast<uint32_t>(hdr.len));
-  } else if (hdr.type == 1) {
-    client_.mem().copy(client_region_ + hdr.dst, client_region_ + hdr.offset,
-                       static_cast<uint32_t>(hdr.len));
-    client_.nvm().persist(client_region_ + hdr.dst,
-                          static_cast<uint32_t>(hdr.len));
   }
   client_.tcp().send(client_pid_, replicas_.front().server->nic().id(),
                      cfg_.port, std::move(msg));
@@ -196,6 +191,11 @@ void TcpReplicationGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                                   uint32_t len, bool flush, Done done) {
   assert(src_offset + len <= cfg_.region_size);
   assert(dst_offset + len <= cfg_.region_size);
+  // The client's copy copies at the call, not at issue: a parked op must
+  // not leave it stale (group.h).
+  client_.mem().copy(client_region_ + dst_offset, client_region_ + src_offset,
+                     len);
+  client_.nvm().persist(client_region_ + dst_offset, len);
   Header hdr;
   hdr.type = 1;
   hdr.flush = flush ? 1 : 0;

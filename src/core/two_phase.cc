@@ -42,8 +42,6 @@ struct TwoPhaseCoordinator::TxnCtx {
   std::vector<Write> writes;
   std::vector<size_t> parts;  // involved partitions, ascending
   std::vector<std::pair<size_t, uint32_t>> lock_order;
-  std::vector<uint64_t> commit_lsns;  // per entry of `parts`
-  size_t execs_done = 0;
   TxnDone done;
 };
 
@@ -72,7 +70,6 @@ void TwoPhaseCoordinator::execute(std::vector<Write> writes, TxnDone done) {
   }
   t->parts.assign(parts.begin(), parts.end());
   t->lock_order.assign(locks.begin(), locks.end());
-  t->commit_lsns.resize(t->parts.size());
   acquire_locks(std::move(t), 0);
 }
 
@@ -102,11 +99,9 @@ void TwoPhaseCoordinator::abort_release(std::shared_ptr<TxnCtx> t, size_t i) {
     return;
   }
   const auto [part, lock] = t->lock_order[i - 1];
-  const uint64_t owner = t->id;
-  parts_[part].locks->wr_unlock(
-      lock, owner, [this, t = std::move(t), i]() mutable {
-        abort_release(std::move(t), i - 1);
-      });
+  parts_[part].locks->wr_unlock(lock, [this, t = std::move(t), i]() mutable {
+    abort_release(std::move(t), i - 1);
+  });
 }
 
 // Prepare partitions one at a time (simple and restartable under log
@@ -136,10 +131,8 @@ void TwoPhaseCoordinator::prepare_step(std::shared_ptr<TxnCtx> t,
   }
 }
 
-// Phase 2, per partition in order: commit-record append (the global
-// commit point is the last partition's durable append), then an
-// ExecuteAndAdvance per partition, then unlock everything once every
-// partition has applied this txn's records.
+// Phase 2, per partition in order: commit-record append. The global
+// commit point is the last partition's durable append; run_execs follows.
 void TwoPhaseCoordinator::commit_step(std::shared_ptr<TxnCtx> t,
                                       size_t idx) {
   if (idx == t->parts.size()) {
@@ -153,8 +146,7 @@ void TwoPhaseCoordinator::commit_step(std::shared_ptr<TxnCtx> t,
   }
   entries.push_back({status_offset(t->id), encode_status(t->id, kCommitted)});
   const bool ok = parts_[part].wal->append(
-      entries, [this, t, idx](uint64_t lsn) mutable {
-        t->commit_lsns[idx] = lsn;
+      entries, [this, t, idx](uint64_t) mutable {
         commit_step(std::move(t), idx + 1);
       });
   if (!ok) {
@@ -165,33 +157,19 @@ void TwoPhaseCoordinator::commit_step(std::shared_ptr<TxnCtx> t,
 }
 
 void TwoPhaseCoordinator::run_execs(std::shared_ptr<TxnCtx> t) {
-  // The prepare record precedes the commit record in the same log, so
-  // one wait on the commit LSN covers both. A concurrent transaction's
-  // batch may apply them; the wait holds either way.
-  for (size_t pi = 0; pi < t->parts.size(); ++pi) {
-    ReplicatedWal& wal = *parts_[t->parts[pi]].wal;
-    wal.execute_and_advance(ReplicatedWal::Done{});
-    wal.when_applied(t->commit_lsns[pi], [this, t] { on_exec_done(t); });
+  // Past the global commit point: on each partition, apply and release
+  // every lock there right behind the apply, on that partition's gMEMCPY
+  // ring (core/txn.h has the ordering argument). Its prepare record
+  // precedes its commit record in the same log, and a concurrent
+  // transaction's batch may have claimed either; the release lands
+  // behind them all the same.
+  for (const size_t part : t->parts) {
+    parts_[part].wal->execute_and_advance(ReplicatedWal::Done{});
+    for (const auto& [p, lock] : t->lock_order) {
+      if (p == part) parts_[part].locks->wr_unlock(lock, {});
+    }
   }
-}
-
-void TwoPhaseCoordinator::on_exec_done(std::shared_ptr<TxnCtx> t) {
-  if (++t->execs_done < t->parts.size()) return;
-  commit_release(std::move(t), 0);
-}
-
-void TwoPhaseCoordinator::commit_release(std::shared_ptr<TxnCtx> t,
-                                         size_t i) {
-  if (i == t->lock_order.size()) {
-    finish(std::move(t), true);
-    return;
-  }
-  const auto [part, lock] = t->lock_order[i];
-  const uint64_t owner = t->id;
-  parts_[part].locks->wr_unlock(
-      lock, owner, [this, t = std::move(t), i]() mutable {
-        commit_release(std::move(t), i + 1);
-      });
+  finish(std::move(t), true);
 }
 
 void TwoPhaseCoordinator::finish(std::shared_ptr<TxnCtx> t, bool ok) {

@@ -10,9 +10,11 @@
 //           in the partition's staging area and durably marks the txn
 //           PREPARED in its status table
 //   COMMIT  once every partition's prepare is durable: append a record
-//           with the *final* DB writes plus the COMMITTED status mark,
-//           then ExecuteAndAdvance, and unlock once every partition's
-//           applied frontier covers its commit record (when_applied)
+//           with the *final* DB writes plus the COMMITTED status mark.
+//           Once every commit record is durable (the global commit
+//           point), each partition runs ExecuteAndAdvance and releases
+//           its locks right behind the apply on its own gMEMCPY ring
+//           (core/lock.h), and the transaction reports at once
 //
 // Crash rules (tested in tests/two_phase_test.cc):
 //   - status PREPARED only               -> presumed abort (staged data is
@@ -70,9 +72,9 @@ class TwoPhaseCoordinator {
   TwoPhaseCoordinator(sim::EventLoop& loop,
                       std::vector<PartitionCtx> partitions);
 
-  /// Runs one cross-partition transaction. done(true) after commit marks
-  /// are durable everywhere and data is applied; done(false) if locks
-  /// could not be acquired (nothing was logged).
+  /// Runs one cross-partition transaction. done(true) once commit marks
+  /// are durable everywhere and the applies and releases are issued;
+  /// done(false) if locks could not be acquired (nothing was logged).
   void execute(std::vector<Write> writes, TxnDone done);
 
   /// DB-area offset of a transaction slot's status word in every
@@ -117,8 +119,6 @@ class TwoPhaseCoordinator {
   void prepare_step(std::shared_ptr<TxnCtx> t, size_t idx);
   void commit_step(std::shared_ptr<TxnCtx> t, size_t idx);
   void run_execs(std::shared_ptr<TxnCtx> t);
-  void on_exec_done(std::shared_ptr<TxnCtx> t);
-  void commit_release(std::shared_ptr<TxnCtx> t, size_t i);
   void finish(std::shared_ptr<TxnCtx> t, bool ok);
 
   sim::EventLoop& loop_;

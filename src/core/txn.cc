@@ -27,33 +27,20 @@ void TransactionManager::execute(std::vector<ReplicatedWal::Entry> writes,
   acquire_next(std::move(st));
 }
 
-// Rolls back locks [0, i) in reverse, then reports the abort.
+// Releases locks [0, held) at once; the last release's ACK reports the
+// abort, since gMEMCPY ACKs arrive in issue order.
 void TransactionManager::release_and_abort(std::shared_ptr<TxnState> st,
-                                           size_t i) {
-  if (i == 0) {
+                                           size_t held) {
+  if (held == 0) {
     ++stats_.aborted;
     st->done(false);
     return;
   }
-  const uint32_t lock_id = st->lock_ids[i - 1];
-  const uint64_t owner = st->id;
-  locks_.wr_unlock(lock_id, owner, [this, st = std::move(st), i]() mutable {
-    release_and_abort(std::move(st), i - 1);
-  });
-}
-
-// Releases locks [i, n) in order; the last release reports the commit.
-void TransactionManager::commit_release(std::shared_ptr<TxnState> st,
-                                        size_t i) {
-  if (i == st->lock_ids.size()) {
-    ++stats_.committed;
-    st->done(true);
-    return;
-  }
-  const uint32_t lock_id = st->lock_ids[i];
-  const uint64_t owner = st->id;
-  locks_.wr_unlock(lock_id, owner, [this, st = std::move(st), i]() mutable {
-    commit_release(std::move(st), i + 1);
+  for (size_t i = 0; i + 1 < held; ++i) locks_.wr_unlock(st->lock_ids[i], {});
+  const uint32_t last = st->lock_ids[held - 1];
+  locks_.wr_unlock(last, [this, st = std::move(st)] {
+    ++stats_.aborted;
+    st->done(false);
   });
 }
 
@@ -73,14 +60,15 @@ void TransactionManager::acquire_next(std::shared_ptr<TxnState> st) {
     return;
   }
 
-  // All locks held: append (commit point), execute, release once the
-  // record is applied on every replica. The batch that applies it may be
-  // a concurrent transaction's, and truncation runs on without us.
-  const bool ok = wal_.append(st->writes, [this, st](uint64_t lsn) mutable {
+  // All locks held: append. Its ACK is the commit point: apply, release
+  // behind the apply on the gMEMCPY ring, report (txn.h). The batch that
+  // applies the record may be a concurrent transaction's, and truncation
+  // runs on without us.
+  const bool ok = wal_.append(st->writes, [this, st](uint64_t) {
     wal_.execute_and_advance(ReplicatedWal::Done{});
-    wal_.when_applied(lsn, [this, st = std::move(st)]() mutable {
-      commit_release(std::move(st), 0);
-    });
+    for (uint32_t id : st->lock_ids) locks_.wr_unlock(id, {});
+    ++stats_.committed;
+    st->done(true);
   });
   if (!ok) {
     // Log full: every committed record gets an execute, which truncates

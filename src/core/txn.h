@@ -4,22 +4,29 @@
 //   2. Append the redo record to the replicated WAL (gWRITEV + gFLUSH)
 //      -- the transaction is durable & committed here --
 //   3. ExecuteAndAdvance: apply the record on every replica (gMEMCPY)
-//   4. once the WAL's applied frontier covers the record (when_applied),
-//      release the locks (gCAS)
+//   4. release the locks (gMEMCPY of the zero word, core/lock.h), issued
+//      right behind step 3 without waiting for its ACK
+//   5. report the commit
 //
-// Truncation (the head advance, gWRITE + gFLUSH) follows step 3 but no
-// lock protects it, so the locks do not wait for it. Step 4 waits on the
-// frontier, not on our own execute call: a concurrent transaction's batch
-// may have claimed our record, and its gMEMCPYs and our unlock gCAS run
-// on different rings with no order between them.
+// Steps 3-5 run back to back in the append's completion, so a writer
+// waits for two chain round trips: the lock, then the append. Step 4
+// relies on ring order: gMEMCPYs of one group execute at every replica
+// in issue order (group.h), so each release lands behind the apply of
+// our record on every replica. That holds even when a concurrent
+// transaction's batch claimed the record: the claim came before our
+// completion ran, and execute_and_advance issues a batch's gMEMCPYs
+// before it returns. Truncation (the head advance, gWRITE + gFLUSH)
+// follows the apply, but no lock protects it.
 //
-// Atomicity: redo records are applied entirely or (after a crash) replayed
-// from the committed log. Consistency/Isolation: group locks; a reader
-// that locks a replica after step 4 sees the record, since every replica
-// executed its gMEMCPY before the frontier moved. Durability: the record
-// is gFLUSHed at step 2 and stays inside the durable [head, tail) range
-// until its head advance lands, so a crash after step 4 replays it. With
-// HyperLoop as the group backend, steps 2-4 never involve a replica CPU.
+// Atomicity: redo records are applied entirely or (after a crash)
+// replayed from the committed log. Consistency/Isolation: group locks; a
+// reader that locks a replica once the release has landed there sees the
+// record, and the locks are held on every replica until then. The
+// client's copy of the region holds the record when step 5 fires, since
+// gmemcpy() updates it at the call (group.h). Durability: the record is
+// gFLUSHed at step 2 and stays inside the durable [head, tail) range
+// until its head advance lands, so a crash replays it. With HyperLoop as
+// the group backend, steps 2-4 never involve a replica CPU.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +55,10 @@ class TransactionManager {
       : group_(group), wal_(wal), locks_(locks), loop_(loop) {}
 
   /// Runs one transaction: `writes` are redo entries against the DB area,
-  /// `lock_ids` the stripes it touches. done(true) after locks released;
-  /// done(false) if locks could not be acquired (nothing was written).
+  /// `lock_ids` the stripes it touches. done(true) at the commit point,
+  /// once the apply and the releases are issued; done(false) if locks
+  /// could not be acquired (nothing was written), after the locks it
+  /// took are released.
   void execute(std::vector<ReplicatedWal::Entry> writes,
                std::vector<uint32_t> lock_ids, TxnDone done);
 
@@ -57,8 +66,7 @@ class TransactionManager {
 
  private:
   void acquire_next(std::shared_ptr<struct TxnState> st);
-  void release_and_abort(std::shared_ptr<struct TxnState> st, size_t i);
-  void commit_release(std::shared_ptr<struct TxnState> st, size_t i);
+  void release_and_abort(std::shared_ptr<struct TxnState> st, size_t held);
 
   ReplicationGroup& group_;
   ReplicatedWal& wal_;

@@ -230,18 +230,15 @@ void ReplicatedWal::write_pointer(uint64_t ctrl_offset, uint64_t value,
 
 void ReplicatedWal::finish_exec(uint32_t idx) {
   exec_ops_[idx].applied = true;
-  // The frontier only moves over the finished prefix of batches: one that
-  // finishes early (no entries, or its gMEMCPYs rode a faster chain)
-  // waits for every batch issued before it. Each batch's head advance
-  // goes out as the frontier passes it, so the durable head never runs
-  // ahead of an unapplied record.
-  const uint64_t before = applied_lsn_;
+  // Retire only the applied prefix of batches: one that finishes early
+  // (no entries, or its gMEMCPYs rode a faster chain) waits for every
+  // batch issued before it, so the durable head never runs ahead of an
+  // unapplied record.
   while (!exec_order_.empty() && exec_ops_[exec_order_.front()].applied) {
     const uint32_t i = exec_order_.front();
     exec_order_.pop_front();
     ExecOp& op = exec_ops_[i];
     stats_.records_executed += op.records;
-    applied_lsn_ = op.last_lsn;
     const uint64_t new_head = op.rec_voff + op.total_len;
     applied_head_ = new_head;
     Done done = std::move(op.done);
@@ -253,27 +250,6 @@ void ReplicatedWal::finish_exec(uint32_t idx) {
                     if (d) d();
                   });
   }
-  if (applied_lsn_ == before) return;
-  // Visit each parked waiter once: registration is nearly, not exactly,
-  // LSN order (a two-phase coordinator registers when its last partition
-  // commits). Pop before invoking, since a waiter may re-enter the WAL.
-  for (size_t n = waiters_.size(); n > 0 && !waiters_.empty(); --n) {
-    Waiter w = std::move(waiters_.front());
-    waiters_.pop_front();
-    if (w.lsn <= applied_lsn_) {
-      w.done();
-    } else {
-      waiters_.push_back(std::move(w));
-    }
-  }
-}
-
-void ReplicatedWal::when_applied(uint64_t lsn, Done done) {
-  if (lsn <= applied_lsn_) {
-    done();
-    return;
-  }
-  waiters_.push_back(Waiter{lsn, std::move(done)});
 }
 
 bool ReplicatedWal::execute_and_advance(Done done) {
@@ -302,7 +278,6 @@ bool ReplicatedWal::execute_and_advance(Done done) {
   // advance.
   const uint64_t batch_voff = head_;
   uint64_t v = head_;
-  uint64_t last_lsn = 0;
   uint32_t num_entries = 0, num_records = 0;
   while (v != durable_tail_) {
     RecordHeader hdr;
@@ -311,7 +286,6 @@ bool ReplicatedWal::execute_and_advance(Done done) {
       assert(hdr.magic == kRecordMagic && "corrupt log record");
       num_entries += hdr.num_entries;
       ++num_records;
-      last_lsn = hdr.lsn;
     }
     v += hdr.total_len;
   }
@@ -319,7 +293,7 @@ bool ReplicatedWal::execute_and_advance(Done done) {
   // Advance the in-memory head eagerly so a concurrent caller sees the
   // backlog as claimed. FIFO gMEMCPY/gWRITE acks guarantee the durable
   // head pointer writes still land in batch order. The space stays used
-  // until the frontier passes the batch (finish_exec): an append that
+  // until the batch retires (finish_exec): an append that
   // wrapped onto it rides the gWRITEV ring, which nothing orders against
   // the gMEMCPYs still reading it.
   head_ = v;
@@ -330,7 +304,6 @@ bool ReplicatedWal::execute_and_advance(Done done) {
   ExecOp& op = exec_ops_[idx];
   assert(!op.live);
   op.rec_voff = batch_voff;
-  op.last_lsn = last_lsn;
   op.total_len = static_cast<uint32_t>(v - batch_voff);
   op.remaining = num_entries;
   op.records = num_records;
@@ -380,17 +353,12 @@ void ReplicatedWal::reload_pointers() {
   // The recovered tail came from the durable control region, so every
   // record below it is committed and replicated by definition.
   durable_tail_ = tail_;
-  // Records in [head, tail) are unapplied and everything before is: put
-  // the frontier below the first one and number new appends after the
-  // last one, so LSNs keep rising in log order.
-  applied_lsn_ = next_lsn_ - 1;
-  bool first = true;
+  // Number new appends after the last record in [head, tail), so LSNs
+  // keep rising in log order.
   for (uint64_t v = head_; v != tail_;) {
     RecordHeader hdr;
     group_.client_load(log_phys(v), &hdr, sizeof(hdr));
     if (hdr.magic == kRecordMagic) {
-      if (first) applied_lsn_ = hdr.lsn - 1;
-      first = false;
       next_lsn_ = hdr.lsn + 1;
     } else if (hdr.magic != kWrapMagic || hdr.total_len == 0) {
       break;

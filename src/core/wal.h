@@ -13,14 +13,13 @@
 // committed-but-unprocessed record, which is idempotent because records
 // are pure redo.
 //
-// Applied frontier: the LSN up to which every execute batch's gMEMCPYs
-// have acked on every replica, advanced over the finished prefix of
-// batches in issue order. when_applied(lsn) fires once the frontier
-// covers a record, whichever caller's batch applied it; that is the
-// point a transaction may release its locks (core/txn.h). Truncation is
-// garbage collection and nobody needs to wait for it: until the head
-// advance lands, an applied record stays inside the durable [head, tail)
-// range, and a crash replays it.
+// Head advances go out in batch order: a batch's goes out once its
+// gMEMCPYs and those of every batch issued before it have acked on every
+// replica. Truncation is garbage collection and nobody needs to wait for
+// it: until the head advance lands, an applied record stays inside the
+// durable [head, tail) range, and a crash replays it. A transaction
+// releases its locks behind its record's apply on the gMEMCPY ring
+// instead of waiting for any ACK (core/txn.h).
 //
 // Group commit: at most one gWRITEV batch is in flight at a time (see
 // maybe_flush() for why the tail-pointer gather requires that). Appends
@@ -113,21 +112,12 @@ class ReplicatedWal {
   /// gMEMCPY per entry applies the records on every replica,
   /// then a single flushed head advance (log truncation) persists the
   /// batch — one trailing gFLUSH instead of one per record, mirroring how
-  /// append() group-commits the log write. The head advance goes out once
-  /// the applied frontier passes the batch. Returns false if there is no
+  /// append() group-commits the log write. The gMEMCPYs are issued
+  /// before the call returns; the head advance goes out once this batch
+  /// and every earlier one have applied. Returns false if there is no
   /// unprocessed record (a concurrent caller may have claimed the
   /// backlog). `done` fires when the head advance is durable.
   bool execute_and_advance(Done done);
-
-  /// Fires `done` once the record with LSN `lsn` is applied on every
-  /// replica (the applied frontier covers it), whichever batch drained
-  /// it; at once if it already is. The caller makes sure some batch
-  /// claims the record: it calls execute_and_advance after the record's
-  /// append acks.
-  void when_applied(uint64_t lsn, Done done);
-
-  /// Applied frontier: every record with LSN <= this is applied.
-  uint64_t applied_lsn() const { return applied_lsn_; }
 
   /// Virtual head/tail offsets (head == tail means empty).
   uint64_t head() const { return head_; }
@@ -184,8 +174,7 @@ class ReplicatedWal {
 
   /// Recovers this WAL's in-memory pointers from the client region
   /// (used after a coordinator restart in tests). LSNs resume after the
-  /// last record in the log, and the applied frontier sits just below
-  /// its first one.
+  /// last record in the log.
   void reload_pointers();
 
   /// CRC-32 (reflected polynomial 0xEDB88320) folded over `len` more
@@ -225,21 +214,14 @@ class ReplicatedWal {
   /// concurrent executions — the two-phase layer runs several — recycle
   /// slots instead of allocating shared counters per batch. Callbacks
   /// capture the slot *index*, never a pointer: the pool vector may grow.
-  /// A slot stays live until the applied frontier passes it.
+  /// A slot stays live until it and every earlier batch have applied.
   struct ExecOp {
     uint64_t rec_voff = 0;   ///< batch start (virtual offset)
-    uint64_t last_lsn = 0;   ///< LSN of the batch's last record
     uint32_t total_len = 0;  ///< batch span, wrap markers included
     uint32_t remaining = 0;  ///< gMEMCPY acks outstanding
     uint32_t records = 0;    ///< records drained by this batch
     bool live = false;
     bool applied = false;    ///< every gMEMCPY acked
-    Done done;
-  };
-
-  /// A when_applied() caller parked until the frontier reaches `lsn`.
-  struct Waiter {
-    uint64_t lsn = 0;
     Done done;
   };
 
@@ -257,9 +239,8 @@ class ReplicatedWal {
   void maybe_flush();
   void on_batch_done();
 
-  /// Marks batch `idx` applied, advances the frontier over the finished
-  /// prefix (issuing each passed batch's head advance) and wakes the
-  /// waiters it now covers.
+  /// Marks batch `idx` applied and retires the applied prefix of
+  /// batches, issuing each retired batch's head advance.
   void finish_exec(uint32_t idx);
 
   /// Physical offset (within the whole region) of virtual log offset v.
@@ -277,8 +258,8 @@ class ReplicatedWal {
   RegionLayout layout_;
   Options opts_;
   uint64_t head_ = 0;  ///< claim cursor: the next execute drains from here
-  /// End of the last batch the applied frontier has passed; the log
-  /// bytes before it are free.
+  /// End of the last retired batch (finish_exec); the log bytes before
+  /// it are free.
   uint64_t applied_head_ = 0;
   uint64_t tail_ = 0;
   /// Durable frontier: end of the last record whose commit batch acked.
@@ -287,11 +268,9 @@ class ReplicatedWal {
   /// bytes yet and a gMEMCPY there would apply garbage.
   uint64_t durable_tail_ = 0;
   uint64_t next_lsn_ = 1;
-  uint64_t applied_lsn_ = 0;  ///< applied frontier (see when_applied)
   Stats stats_;
   sim::SlotPool<ExecOp> exec_ops_;
   sim::Ring<uint32_t> exec_order_;   ///< live batches, in issue order
-  sim::Ring<Waiter> waiters_;        ///< when_applied callers, FIFO
 
   // Group-commit state: staged appends wait here for the single in-flight
   // batch; the batch's own records sit in the fixed inflight_ array

@@ -17,6 +17,7 @@
 #include "core/group.h"
 #include "core/hyperloop_group.h"
 #include "core/naive_group.h"
+#include "core/remote_reader.h"
 #include "core/server.h"
 #include "core/sharded_group.h"
 #include "core/tcp_group.h"
@@ -120,6 +121,40 @@ inline std::unique_ptr<ReplicationGroup> make_group(Backend b,
     }
   }
   return nullptr;
+}
+
+/// One RemoteReader target per replica of a single-chain group `g` of
+/// backend `b`: target i is replica i, read through a read-only memory
+/// region registered over its replicated region.
+inline std::vector<RemoteReader::Target> replica_read_targets(
+    Backend b, ReplicationGroup& g) {
+  auto targets = [&](auto& group) {
+    std::vector<RemoteReader::Target> t;
+    for (size_t i = 0; i < group.group_size(); ++i) {
+      Server& s = group.replica_server(i);
+      const rdma::Addr base = group.replica_region_base(i);
+      t.push_back({&s, base,
+                   s.nic().register_mr(base, group.region_size(),
+                                       rdma::kRemoteRead).rkey});
+    }
+    return t;
+  };
+  switch (b) {
+    case Backend::kHyperLoop:
+      return targets(static_cast<HyperLoopGroup&>(g));
+    case Backend::kNaiveEvent:
+    case Backend::kNaivePolling:
+    case Backend::kNaiveSharedPolling:
+      return targets(static_cast<NaiveRdmaGroup&>(g));
+    case Backend::kFanout:
+      return targets(static_cast<FanoutGroup&>(g));
+    case Backend::kTcp:
+      return targets(static_cast<TcpReplicationGroup&>(g));
+    case Backend::kSharded:
+      break;  // several chains: no single replica i
+  }
+  ADD_FAILURE() << "no single-chain read targets for this backend";
+  return {};
 }
 
 }  // namespace hyperloop::core

@@ -1,9 +1,11 @@
 // The ordering contract of ReplicationGroup (group.h): ops of one
 // primitive issued on one group execute at every replica in issue order,
 // including ops parked for a credit. GroupLockManager pipelines dependent
-// gCAS on it, so every backend is held to it here: chains of
-// gcas(i -> i+1) issued back to back far past the credit window must each
-// find exactly i on every replica they execute on.
+// gCAS on it, and releases write locks with a gMEMCPY issued right behind
+// a record's apply, so every backend is held to it here for both: chains
+// of gcas(i -> i+1) issued back to back far past the credit window must
+// each find exactly i on every replica they execute on, and a chain of
+// dependent gMEMCPYs must carry its seed to the end.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -89,6 +91,30 @@ TEST_P(GroupOrderTest, OpIssuedFromCompletionQueuesBehindParkedOps) {
   run();
   EXPECT_EQ(completed, kOps + 1);
   for (size_t r = 0; r < kReplicas; ++r) EXPECT_EQ(word(r, w), kOps + 1);
+}
+
+TEST_P(GroupOrderTest, DependentMemcpyChainsRunInIssueOrder) {
+  // Copy i moves word w+8i to w+8(i+1). A copy that ran ahead of the one
+  // feeding it would carry a zero forward instead of the seed.
+  constexpr uint64_t kSeed = 0x5EED0000C0FFEE01;
+  for (uint64_t w : kWords) {
+    group->gwrite_bytes(w, &kSeed, 8, /*flush=*/true, [this] { ++completed; });
+  }
+  run();
+  ASSERT_EQ(completed, std::size(kWords));
+  for (uint64_t i = 0; i < kOps; ++i) {
+    for (uint64_t w : kWords) {
+      group->gmemcpy(w + 8 * i, w + 8 * (i + 1), 8, /*flush=*/false,
+                     [this] { ++completed; });
+    }
+  }
+  run();
+  EXPECT_EQ(completed, (kOps + 1) * std::size(kWords));
+  for (size_t r = 0; r < kReplicas; ++r) {
+    for (uint64_t w : kWords) {
+      EXPECT_EQ(word(r, w + 8 * kOps), kSeed) << "replica " << r;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, GroupOrderTest,

@@ -73,7 +73,7 @@ LOCK_TEST(WrLockAcquiresOnAllReplicas) {
 LOCK_TEST(WrUnlockReleasesEverywhere) {
   bool done = false;
   h.locks.wr_lock(3, 111, [&](bool) {
-    h.locks.wr_unlock(3, 111, [&] { done = true; });
+    h.locks.wr_unlock(3, [&] { done = true; });
   });
   h.run();
   ASSERT_TRUE(done);
@@ -89,7 +89,7 @@ LOCK_TEST(SecondOwnerWaitsForRelease) {
   EXPECT_FALSE(b);  // still waiting
   EXPECT_GT(h.locks.stats().wr_conflicts, 0u);
 
-  h.locks.wr_unlock(5, 1, [] {});
+  h.locks.wr_unlock(5, [] {});
   h.run();
   EXPECT_TRUE(b);
   for (size_t i = 0; i < kReplicas; ++i) EXPECT_EQ(h.lock_word(i, 5), 2u);
@@ -101,13 +101,13 @@ LOCK_TEST(MutualExclusionUnderContention) {
   int in_critical = 0, max_in_critical = 0, completed = 0;
   const int kOwners = 8;
   for (uint64_t o = 1; o <= kOwners; ++o) {
-    h.locks.wr_lock(7, o, [&, o](bool ok) {
+    h.locks.wr_lock(7, o, [&](bool ok) {
       ASSERT_TRUE(ok);
       ++in_critical;
       max_in_critical = std::max(max_in_critical, in_critical);
-      h.cluster.loop().schedule_after(sim::usec(50), [&, o] {
+      h.cluster.loop().schedule_after(sim::usec(50), [&] {
         --in_critical;
-        h.locks.wr_unlock(7, o, [&] { ++completed; });
+        h.locks.wr_unlock(7, [&] { ++completed; });
       });
     });
   }
@@ -189,7 +189,7 @@ LOCK_TEST(WriterBlocksNewReaders) {
   h.run(sim::msec(5));
   EXPECT_FALSE(reader);
 
-  h.locks.wr_unlock(8, 7, [] {});
+  h.locks.wr_unlock(8, [] {});
   h.run();
   EXPECT_TRUE(reader);
 }
@@ -228,15 +228,15 @@ LOCK_TEST(SeededReadersAndWritersNeverOverlap) {
       const uint64_t owner = 1 + static_cast<uint64_t>(i);
       loop.schedule_after(start, [&h, &s, &loop, id, owner, hold] {
         s.contended += s.active[id]++ > 0 ? 1 : 0;
-        h.locks.wr_lock(id, owner, [&h, &s, &loop, id, owner, hold](bool ok) {
+        h.locks.wr_lock(id, owner, [&h, &s, &loop, id, hold](bool ok) {
           ASSERT_TRUE(ok);
           for (int n : s.readers[id]) s.overlaps += n;
           s.overlaps += s.writer[id] ? 1 : 0;
           s.writer[id] = true;
-          loop.schedule_after(hold, [&h, &s, id, owner] {
+          loop.schedule_after(hold, [&h, &s, id] {
             s.writer[id] = false;
             --s.active[id];
-            h.locks.wr_unlock(id, owner, [&s] { ++s.released; });
+            h.locks.wr_unlock(id, [&s] { ++s.released; });
           });
         });
       });
@@ -344,7 +344,7 @@ LOCK_TEST(WriterBetweenReaderIncrementAndCheckWins) {
       writer = ok;
       h.cluster.loop().schedule_after(sim::usec(300), [&] {
         writer_released = true;
-        h.locks.wr_unlock(id, 77, {});
+        h.locks.wr_unlock(id, {});
       });
     });
   });

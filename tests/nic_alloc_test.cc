@@ -206,14 +206,14 @@ namespace {
 // and the ring-indexed op tracking (DESIGN.md "Callback types") is that a
 // whole gWRITE-through-WAL transaction — wr_lock gCAS, WAL append (staged
 // directly into the client region, gWRITE + gFLUSH down the chain),
-// ExecuteAndAdvance gMEMCPYs, the wait on the applied frontier, and the
-// releasing gCAS — touches the heap zero times in steady state. Each lap
+// ExecuteAndAdvance gMEMCPYs, and the releasing gMEMCPY issued right
+// behind them — touches the heap zero times in steady state. Each lap
 // runs three transactions the way core/txn.cc does: the first commits
 // alone, the other two share the next commit batch, so the second one's
-// execute applies the third's record and the third waits through
-// when_applied. Every continuation lives inline in a pending-op slot,
-// pool entry or waiter ring; the op-tracking tables and rings are at
-// their high-water marks after warm-up.
+// execute applies the third's record and the third only releases. A
+// transaction counts as done when its release acks. Every continuation
+// lives inline in a pending-op slot or pool entry; the op-tracking
+// tables and rings are at their high-water marks after warm-up.
 TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   RegionLayout layout;
@@ -237,13 +237,11 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   constexpr uint32_t kTxnsPerLap = 3;
   int txns_done = 0;
   auto txn = [&](uint32_t lock, uint64_t owner) {
-    locks.wr_lock(lock, owner, [&, lock, owner](bool ok) {
+    locks.wr_lock(lock, owner, [&, lock](bool ok) {
       if (!ok) return;
-      wal.append(entries, [&, lock, owner](uint64_t lsn) {
+      wal.append(entries, [&, lock](uint64_t) {
         wal.execute_and_advance(ReplicatedWal::Done{});
-        wal.when_applied(lsn, [&, lock, owner] {
-          locks.wr_unlock(lock, owner, [&] { ++txns_done; });
-        });
+        locks.wr_unlock(lock, [&] { ++txns_done; });
       });
     });
   };
@@ -252,9 +250,8 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
     cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
   };
 
-  // Warm-up: grow the slot pools (lock ops, WAL exec ops), the waiter
-  // ring, the group's pending tables and credit rings, the NIC rings,
-  // and the event slab.
+  // Warm-up: grow the slot pools (lock ops, WAL exec ops), the group's
+  // pending tables and credit rings, the NIC rings, and the event slab.
   for (int i = 0; i < 24; ++i) lap();
   ASSERT_EQ(txns_done, 24 * 3);
 
@@ -262,8 +259,7 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
   EXPECT_EQ(alloc_count() - before, 0u)
-      << "transaction lap (lock -> append -> execute -> wait for apply -> "
-         "unlock) performed "
+      << "transaction lap (lock -> append -> execute -> unlock) performed "
       << (alloc_count() - before) << " heap allocations";
   EXPECT_EQ(txns_done, 28 * 3);
 
@@ -323,7 +319,7 @@ TEST(NicAllocTransaction, ReadLockLapAllocatesNothing) {
       });
       loop.schedule_after(sim::usec(60), [&] {
         writer_released = true;
-        locks.wr_unlock(2, 7, {});
+        locks.wr_unlock(2, {});
       });
     });
     loop.run_until(loop.now() + sim::msec(1));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "chain_setup.h"
@@ -197,12 +198,71 @@ TEST_F(TxnFixture, CrashBeforeExecuteIsRecoveredByReplay) {
   EXPECT_EQ(db_read(2, 64, 8), "replayed");
 }
 
-// Locks are released only after the record is applied, on every replica,
-// including when another transaction's execute batch applied it. Rounds
-// of three transactions on distinct locks: the second and third records
-// share a group-commit batch, and the second one's execute claims both.
-// Runs lossless and over a 3% lossy fabric, where retransmits stretch
-// the window between an apply and an unlock that raced it.
+// A transaction reports at its commit point, before its apply has acked
+// and perhaps before it has even left the credit window. The client's
+// copy must hold the record by then: chained read-increment transactions
+// read their cell from it right at `done`. They take no locks (each
+// cell's chain orders itself), so all cells commit in shared batches,
+// and with one credit per primitive most applies park behind the first.
+TEST(TxnClientCopyTest, ClientCopyHoldsTheRecordAtDone) {
+  constexpr uint32_t kCells = 8;
+  constexpr uint64_t kRounds = 8;
+  constexpr uint64_t kStride = 64;
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
+  RegionLayout layout;
+  layout.region_size = 1 << 20;
+  layout.log_size = 64 << 10;
+  std::unique_ptr<HyperLoopGroup> group = make_chain(
+      cluster,
+      {.region_size = layout.region_size, .ring_slots = 4, .max_inflight = 1});
+  ReplicatedWal wal(*group, layout);
+  GroupLockManager locks(*group, layout, cluster.loop());
+  TransactionManager txns(*group, wal, locks, cluster.loop());
+
+  auto cell = [&](uint32_t c) {
+    uint64_t v = 0;
+    group->client_load(layout.db_base() + c * kStride, &v, 8);
+    return v;
+  };
+  std::vector<uint32_t> stale;  // cells whose copy lagged at some `done`
+  uint32_t committed = 0;
+  std::function<void(uint32_t, uint64_t)> increment = [&](uint32_t c,
+                                                         uint64_t round) {
+    if (round == kRounds) return;
+    const uint64_t next = cell(c) + 1;
+    std::vector<uint8_t> b(8);
+    std::memcpy(b.data(), &next, 8);
+    txns.execute({{c * kStride, std::move(b)}}, {},
+                 [&, c, round, next](bool ok) {
+                   ASSERT_TRUE(ok);
+                   ++committed;
+                   if (cell(c) != next) stale.push_back(c);
+                   increment(c, round + 1);
+                 });
+  };
+  for (uint32_t c = 0; c < kCells; ++c) increment(c, 0);
+  cluster.loop().run_until(cluster.loop().now() + sim::msec(100));
+
+  ASSERT_EQ(committed, kCells * kRounds);
+  EXPECT_TRUE(stale.empty()) << stale.size()
+                             << " commits left the client copy stale, "
+                                "first at cell "
+                             << stale.front();
+  for (size_t r = 0; r < group->group_size(); ++r) {
+    for (uint32_t c = 0; c < kCells; ++c) {
+      uint64_t v = 0;
+      group->replica_load(r, layout.db_base() + c * kStride, &v, 8);
+      EXPECT_EQ(v, kRounds) << "replica " << r << " cell " << c;
+    }
+  }
+}
+
+// On every replica, a lock clears only after the record has been applied
+// there, including when another transaction's execute batch applied it.
+// Rounds of three transactions on distinct locks: the second and third
+// records share a group-commit batch, and the second one's execute claims
+// both. Runs lossless and over a 3% lossy fabric, where retransmits
+// stretch the window between an apply and an unlock that raced it.
 class TxnUnlockOrderTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {

@@ -1,12 +1,12 @@
 // Unlock-after-apply probe for the transaction tests.
 //
-// A transaction may release its write locks only once its redo record is
-// applied on every replica: a reader that locks a replica after the
-// release must see the record. The probe watches each replica's lock
-// table through a HostMemory write observer and, whenever a writer word
-// goes from an owner to 0, checks that the DB slot the lock guards on
-// that replica already holds the value its transaction committed. A
-// release that lands first is counted as early.
+// A transaction's release may clear a replica's writer word only once
+// its redo record is applied on that replica: a reader that locks the
+// replica after the release must see the record. The probe watches each
+// replica's lock table through a HostMemory write observer and, whenever
+// a writer word goes from an owner to 0, checks that the DB slot the lock
+// guards on that replica already holds the value its transaction
+// committed. A release that lands first is counted as early.
 //
 // Lock i guards the 8-byte DB slot at DB-area offset slot_base +
 // i * slot_stride. Set expect(i, value) before the transaction runs.

@@ -400,9 +400,9 @@ class MemcpyAckGate final : public ReplicationGroup {
 
 TEST_P(WalTest, AppliedFrontierWaitsForEarlierBatches) {
   // Batch 1 applies record A and its gMEMCPY ack is held. Batch 2 drains
-  // record B, which has no entries, so it finishes at once. The frontier
-  // must not jump over batch 1: no waiter fires and no head advance goes
-  // out until batch 1 finishes, then both batches pass together.
+  // record B, which has no entries, so it finishes at once. Batch 2's
+  // head advance must not jump over batch 1: none goes out until batch 1
+  // finishes, then both batches retire together.
   MemcpyAckGate gate(*group_);
   ReplicatedWal wal(gate, layout_);
   uint64_t lsn_a = 0, lsn_b = 0;
@@ -416,31 +416,20 @@ TEST_P(WalTest, AppliedFrontierWaitsForEarlierBatches) {
   run();
   ASSERT_EQ(lsn_b, lsn_a + 1);
 
-  std::vector<uint64_t> woke;
-  wal.when_applied(lsn_b, [&] { woke.push_back(lsn_b); });
-  wal.when_applied(lsn_a, [&] { woke.push_back(lsn_a); });
   bool truncated = false;
   ASSERT_TRUE(wal.execute_and_advance([&] { truncated = true; }));
   run();
-  EXPECT_EQ(wal.applied_lsn(), 0u);
-  EXPECT_TRUE(woke.empty());
   EXPECT_FALSE(truncated);
   uint64_t head = ~uint64_t{0};
   group_->replica_load(0, layout_.head_ptr_offset(), &head, 8);
   EXPECT_EQ(head, 0u) << "head advanced past an unapplied record";
 
   gate.release();
-  EXPECT_EQ(wal.applied_lsn(), lsn_b);
-  EXPECT_EQ(woke, (std::vector<uint64_t>{lsn_b, lsn_a}));
   EXPECT_EQ(db_read(1, 0, 4), "AAAA");
   run();
   EXPECT_TRUE(truncated);
   group_->replica_load(0, layout_.head_ptr_offset(), &head, 8);
   EXPECT_EQ(head, wal.tail());
-
-  bool at_once = false;
-  wal.when_applied(lsn_a, [&] { at_once = true; });
-  EXPECT_TRUE(at_once) << "an applied record's waiter must fire at once";
 }
 
 TEST_P(WalTest, ClaimedButUnappliedLogSpaceIsNotFree) {
@@ -474,8 +463,7 @@ TEST_P(WalTest, ClaimedButUnappliedLogSpaceIsNotFree) {
 
 TEST_P(WalTest, ReloadResumesLsnsAfterTheLog) {
   // Records 1-2 are applied and truncated, 3-4 committed only. A
-  // restarted WAL puts its frontier at 2 and numbers new records from 5,
-  // so a waiter on a new record cannot be woken by the old ones.
+  // restarted WAL drains 3-4 and numbers new records from 5.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(wal_->append({{uint64_t(i) * 8, bytes("abcdefgh")}},
                              [](uint64_t) {}));
@@ -487,22 +475,17 @@ TEST_P(WalTest, ReloadResumesLsnsAfterTheLog) {
   }
   ReplicatedWal restarted(*group_, layout_);
   restarted.reload_pointers();
-  EXPECT_EQ(restarted.applied_lsn(), 2u);
   ASSERT_TRUE(restarted.execute_and_advance(ReplicatedWal::Done{}));
   run();
-  EXPECT_EQ(restarted.applied_lsn(), 4u);
+  EXPECT_EQ(restarted.stats().records_executed, 2u);
 
   uint64_t lsn = 0;
   ASSERT_TRUE(restarted.append({{64, bytes("new")}},
                                [&](uint64_t l) { lsn = l; }));
   run();
   EXPECT_EQ(lsn, 5u);
-  bool applied = false;
-  restarted.when_applied(lsn, [&] { applied = true; });
-  EXPECT_FALSE(applied);
   ASSERT_TRUE(restarted.execute_and_advance(ReplicatedWal::Done{}));
   run();
-  EXPECT_TRUE(applied);
   EXPECT_EQ(db_read(2, 64, 3), "new");
 }
 
