@@ -109,7 +109,7 @@ inline const char* backend_name(Backend b) {
 
 /// Builds a replication group of `group_size` replicas (servers 0..G-1)
 /// coordinated by the last server of the cluster.
-inline std::unique_ptr<core::ReplicationGroup> make_group(
+inline std::unique_ptr<core::BackendGroup> make_group(
     Cluster& cluster, int group_size, Backend backend,
     uint64_t region_size = 4u << 20) {
   std::vector<Server*> reps;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     layout.region_size = 8u << 20;
     layout.log_size = 1u << 20;
     layout.num_locks = 64;
-    std::unique_ptr<hyperloop::core::ReplicationGroup> group;
+    std::unique_ptr<hyperloop::core::BackendGroup> group;
     if (backends[b] == Backend::kHyperLoop) {
       group = make_group(*cluster, 3, Backend::kHyperLoop, layout.region_size);
     } else {
@@ -90,13 +90,7 @@ int main(int argc, char** argv) {
     // (HyperLoop: only the periodic ring-refill task).
     double backup_cpu = 0;
     for (size_t r = 0; r < 3; ++r) {
-      if (auto* ng =
-              dynamic_cast<hyperloop::core::NaiveRdmaGroup*>(group.get())) {
-        backup_cpu += hyperloop::sim::to_sec(ng->replica_cpu_time(r));
-      } else if (auto* hg = dynamic_cast<hyperloop::core::HyperLoopGroup*>(
-                     group.get())) {
-        backup_cpu += hyperloop::sim::to_sec(hg->replica_cpu_time(r));
-      }
+      backup_cpu += hyperloop::sim::to_sec(group->replica_cpu_time(r));
     }
     backup_cpu = backup_cpu / (secs * 3) * 100.0;
 

@@ -75,13 +75,7 @@ int main(int argc, char** argv) {
 
       double backup_cpu = 0;
       for (size_t r = 0; r < 2; ++r) {
-        if (auto* tg = dynamic_cast<hyperloop::core::TcpReplicationGroup*>(
-                group.get())) {
-          backup_cpu += hyperloop::sim::to_sec(tg->replica_cpu_time(r));
-        } else if (auto* hg = dynamic_cast<hyperloop::core::HyperLoopGroup*>(
-                       group.get())) {
-          backup_cpu += hyperloop::sim::to_sec(hg->replica_cpu_time(r));
-        }
+        backup_cpu += hyperloop::sim::to_sec(group->replica_cpu_time(r));
       }
       backup_cpu = backup_cpu / (secs * 2) * 100.0;
 

@@ -30,21 +30,17 @@ constexpr sim::Duration kRefillCpu = sim::usec(1);
 
 FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
                          Config cfg)
-    : client_(client),
+    : BackendGroup(client, std::move(replicas), cfg.region_size,
+                   /*nic_index=*/0),
+      backups_(replicas_.size() - 1),
       cfg_(cfg),
       window_(cfg.max_inflight, cfg.max_inflight * 4) {
-  assert(replicas.size() >= 2 && "fan-out needs a primary and >=1 backup");
+  assert(replicas_.size() >= 2 && "fan-out needs a primary and >=1 backup");
   // Primary rearm posts 4 + 3*K SGEs per slot; keep K within the inline
   // SgeList capacity (same group-size-8 cap as the naive/tcp baselines).
-  assert(replicas.size() <= 8);
+  assert(replicas_.size() <= 8);
   assert(cfg_.max_inflight * 2 <= cfg_.ring_slots);
-  primary_.server = replicas[0];
-  backups_.resize(replicas.size() - 1);
-  for (size_t b = 0; b < backups_.size(); ++b) {
-    backups_[b].server = replicas[b + 1];
-  }
 
-  client_region_ = client_.nvm().alloc(cfg_.region_size, 4096);
   const size_t K = backups_.size();
   client_staging_slot_ = static_cast<uint32_t>(kDescBytes * 3 * (1 + 2 * K));
   client_staging_ = client_.mem().alloc(
@@ -80,11 +76,9 @@ FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
   cq_down_->set_notify([this] { on_ack_cqe(); });
   cq_down_->arm_notify();
 
-  primary_.refill_pid = primary_.server->sched().create_process(
-      primary_.server->name() + "-fanout-refill");
-  for (auto& b : backups_) {
-    b.refill_pid = b.server->sched().create_process(
-        b.server->name() + "-fanout-refill");
+  for (Replica& r : replicas_) {
+    r.pid = r.server->sched().create_process(r.server->name() +
+                                             "-fanout-refill");
   }
   refill_tick_primary();
   for (size_t b = 0; b < K; ++b) refill_tick_backup(b);
@@ -100,7 +94,7 @@ void FanoutGroup::stop() {
   // Release NIC resources; QPs before the CQs they reference (destroying
   // a WAIT-parked QP unlinks it from the CQ's waiter list).
   {
-    rdma::Nic& nic = primary_.server->nic();
+    rdma::Nic& nic = replicas_[0].server->nic();
     if (primary_.qp_prev) nic.destroy_qp(primary_.qp_prev);
     if (primary_.qp_loop) nic.destroy_qp(primary_.qp_loop);
     for (rdma::QueuePair* qp : primary_.qp_out) nic.destroy_qp(qp);
@@ -112,8 +106,9 @@ void FanoutGroup::stop() {
     primary_.qp_prev = primary_.qp_loop = nullptr;
     primary_.cq_recv = primary_.cq_loop = nullptr;
   }
-  for (Backup& b : backups_) {
-    rdma::Nic& nic = b.server->nic();
+  for (size_t bi = 0; bi < backups_.size(); ++bi) {
+    Backup& b = backups_[bi];
+    rdma::Nic& nic = replicas_[bi + 1].server->nic();
     if (b.qp_prev) nic.destroy_qp(b.qp_prev);
     if (b.qp_ack) nic.destroy_qp(b.qp_ack);
     if (b.qp_loop) nic.destroy_qp(b.qp_loop);
@@ -139,15 +134,9 @@ void FanoutGroup::stop() {
 // ------------------------------------------------------------------ setup --
 
 void FanoutGroup::setup_primary() {
-  rdma::Nic& nic = primary_.server->nic();
-  rdma::HostMemory& mem = primary_.server->mem();
+  rdma::Nic& nic = replicas_[0].server->nic();
+  rdma::HostMemory& mem = replicas_[0].server->mem();
   const size_t K = backups_.size();
-
-  primary_.data_base = primary_.server->nvm().alloc(cfg_.region_size, 4096);
-  primary_.data_mr = nic.register_mr(
-      primary_.data_base, cfg_.region_size,
-      rdma::kRemoteRead | rdma::kRemoteWrite | rdma::kRemoteAtomic |
-          rdma::kLocalWrite);
 
   const size_t arena_start = mem.used();
   primary_.staging_slot = static_cast<uint32_t>(K * 3 * kDescBytes);
@@ -178,14 +167,8 @@ void FanoutGroup::setup_primary() {
 
 void FanoutGroup::setup_backup(size_t bi) {
   Backup& b = backups_[bi];
-  rdma::Nic& nic = b.server->nic();
-  rdma::HostMemory& mem = b.server->mem();
-
-  b.data_base = b.server->nvm().alloc(cfg_.region_size, 4096);
-  b.data_mr = nic.register_mr(
-      b.data_base, cfg_.region_size,
-      rdma::kRemoteRead | rdma::kRemoteWrite | rdma::kRemoteAtomic |
-          rdma::kLocalWrite);
+  rdma::Nic& nic = replicas_[bi + 1].server->nic();
+  rdma::HostMemory& mem = replicas_[bi + 1].server->mem();
 
   const size_t arena_start = mem.used();
   b.result_base = mem.alloc(uint64_t{8} * cfg_.ring_slots, 64);
@@ -203,44 +186,39 @@ void FanoutGroup::setup_backup(size_t bi) {
 
 void FanoutGroup::wire() {
   const size_t K = backups_.size();
+  rdma::Nic& client_nic = client_.nic();
+  rdma::Nic& primary_nic = replicas_[0].server->nic();
   // client <-> primary.
-  client_.nic().connect(qp_down_, primary_.server->nic().id(),
-                        primary_.qp_prev->qpn);
-  primary_.server->nic().connect(primary_.qp_prev, client_.nic().id(),
-                                 qp_down_->qpn);
+  client_nic.connect(qp_down_, primary_nic.id(), primary_.qp_prev->qpn);
+  primary_nic.connect(primary_.qp_prev, client_nic.id(), qp_down_->qpn);
   // primary out QPs: [0..K-1] to the backups, [K] = ack QP to the client.
   for (size_t b = 0; b < K; ++b) {
+    rdma::Nic& backup_nic = replicas_[b + 1].server->nic();
     rdma::QueuePair* up =
-        client_.nic().create_qp(nullptr, cq_up_, 8);  // per-backup ack sink
+        client_nic.create_qp(nullptr, cq_up_, 8);  // per-backup ack sink
     qp_acks_.push_back(up);
-    primary_.server->nic().connect(primary_.qp_out[b],
-                                   backups_[b].server->nic().id(),
-                                   backups_[b].qp_prev->qpn);
-    backups_[b].server->nic().connect(backups_[b].qp_prev,
-                                      primary_.server->nic().id(),
-                                      primary_.qp_out[b]->qpn);
-    backups_[b].server->nic().connect(backups_[b].qp_ack, client_.nic().id(),
-                                      up->qpn);
-    client_.nic().connect(up, backups_[b].server->nic().id(),
-                          backups_[b].qp_ack->qpn);
+    primary_nic.connect(primary_.qp_out[b], backup_nic.id(),
+                        backups_[b].qp_prev->qpn);
+    backup_nic.connect(backups_[b].qp_prev, primary_nic.id(),
+                       primary_.qp_out[b]->qpn);
+    backup_nic.connect(backups_[b].qp_ack, client_nic.id(), up->qpn);
+    client_nic.connect(up, backup_nic.id(), backups_[b].qp_ack->qpn);
     for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-      client_.nic().post_recv(up, RecvWqe{});
+      client_nic.post_recv(up, RecvWqe{});
     }
   }
-  rdma::QueuePair* pup = client_.nic().create_qp(nullptr, cq_up_, 8);
+  rdma::QueuePair* pup = client_nic.create_qp(nullptr, cq_up_, 8);
   qp_acks_.push_back(pup);
-  primary_.server->nic().connect(primary_.qp_out[K], client_.nic().id(),
-                                 pup->qpn);
-  client_.nic().connect(pup, primary_.server->nic().id(),
-                        primary_.qp_out[K]->qpn);
+  primary_nic.connect(primary_.qp_out[K], client_nic.id(), pup->qpn);
+  client_nic.connect(pup, primary_nic.id(), primary_.qp_out[K]->qpn);
   for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-    client_.nic().post_recv(pup, RecvWqe{});
+    client_nic.post_recv(pup, RecvWqe{});
   }
   qp_up_ = pup;
 }
 
 void FanoutGroup::rearm_primary_slot(uint64_t seq) {
-  rdma::Nic& nic = primary_.server->nic();
+  rdma::Nic& nic = replicas_[0].server->nic();
   const size_t K = backups_.size();
   RecvWqe recv;
   auto desc_sge = [&](rdma::QueuePair* qp, uint64_t wqe_seq) {
@@ -283,10 +261,11 @@ void FanoutGroup::rearm_primary_slot(uint64_t seq) {
 
 void FanoutGroup::rearm_backup_slot(size_t bi, uint64_t seq) {
   Backup& b = backups_[bi];
-  rdma::Nic& nic = b.server->nic();
+  Server& server = *replicas_[bi + 1].server;
+  rdma::Nic& nic = server.nic();
   // Clear the CAS result slot so execute-map-skipped replicas report 0.
   const uint64_t zero = 0;
-  b.server->mem().write(b.result_base + (seq % cfg_.ring_slots) * 8, &zero, 8);
+  server.mem().write(b.result_base + (seq % cfg_.ring_slots) * 8, &zero, 8);
 
   RecvWqe recv;
   auto desc_sge = [&](rdma::QueuePair* qp, uint64_t wqe_seq) {
@@ -305,9 +284,10 @@ void FanoutGroup::rearm_backup_slot(size_t bi, uint64_t seq) {
 }
 
 void FanoutGroup::refill_tick_primary() {
-  primary_.server->loop().schedule_after(kRefillPeriod, [this] {
+  replicas_[0].server->loop().schedule_after(kRefillPeriod, [this] {
     if (stopped_) return;
-    primary_.server->sched().submit(primary_.refill_pid, kRefillCpu, [this] {
+    Replica& p = replicas_[0];
+    p.server->sched().submit(p.pid, kRefillCpu, [this] {
       if (stopped_) return;
       const size_t K = backups_.size();
       while (true) {
@@ -326,11 +306,10 @@ void FanoutGroup::refill_tick_primary() {
 }
 
 void FanoutGroup::refill_tick_backup(size_t bi) {
-  Backup& b = backups_[bi];
-  b.server->loop().schedule_after(kRefillPeriod, [this, bi] {
+  replicas_[bi + 1].server->loop().schedule_after(kRefillPeriod, [this, bi] {
     if (stopped_) return;
-    Backup& bb = backups_[bi];
-    bb.server->sched().submit(bb.refill_pid, kRefillCpu, [this, bi] {
+    Replica& r = replicas_[bi + 1];
+    r.server->sched().submit(r.pid, kRefillCpu, [this, bi] {
       if (stopped_) return;
       Backup& bk = backups_[bi];
       while (bk.cq_ack->completion_count() >=
@@ -353,7 +332,7 @@ rdma::WqeDescriptor FanoutGroup::nop_desc() const {
 }
 
 rdma::WqeDescriptor FanoutGroup::backup_ack_desc(size_t b, uint64_t seq,
-                                                 const OpSpec& op) {
+                                                 const GroupOp& op) {
   const size_t K = backups_.size();
   const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
   const Addr slot =
@@ -361,7 +340,7 @@ rdma::WqeDescriptor FanoutGroup::backup_ack_desc(size_t b, uint64_t seq,
   WqeDescriptor d = rdma::make_write_imm(0, 0, slot, ack_mr_.rkey, 0,
                                          static_cast<uint32_t>(seq))
                         .d;
-  if (op.kind == 2) {
+  if (op.kind == GroupOp::Kind::kCas) {
     // Carry the 8-byte CAS result.
     d.local_addr =
         backups_[b].result_base + (seq % cfg_.ring_slots) * 8;
@@ -373,8 +352,9 @@ rdma::WqeDescriptor FanoutGroup::backup_ack_desc(size_t b, uint64_t seq,
 }
 
 const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
-                                                    const OpSpec& op) {
+                                                    const GroupOp& op) {
   const size_t K = backups_.size();
+  const Replica& p = replicas_[0];
   std::vector<uint8_t>& blob = blob_scratch_;
   blob.assign(3 * kDescBytes * (1 + 2 * K), 0);
   uint8_t* out = blob.data();
@@ -385,9 +365,9 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
   };
 
   // Primary loopback [OP][FLUSH] and primary [ACK].
-  if (op.kind == 1) {
-    put(rdma::make_local_copy(primary_.data_base + op.offset,
-                              primary_.data_base + op.dst, op.len)
+  if (op.kind == GroupOp::Kind::kMemcpy) {
+    put(rdma::make_local_copy(p.data_base + op.offset, p.data_base + op.dst,
+                              op.len)
             .d);
     put(op.flush ? rdma::make_flush(0, 0).d : nop_desc());
   } else {
@@ -404,10 +384,10 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
 
   // Per-backup forward triples on the primary.
   for (size_t b = 0; b < K; ++b) {
-    const Backup& bb = backups_[b];
-    if (op.kind == 0) {
+    const Replica& bb = replicas_[b + 1];
+    if (op.kind == GroupOp::Kind::kWrite) {
       // Primary fans out bytes the client WRITE already landed: borrow.
-      Wqe fwd = rdma::make_write(primary_.data_base + op.offset, 0,
+      Wqe fwd = rdma::make_write(p.data_base + op.offset, 0,
                                  bb.data_base + op.offset, bb.data_mr.rkey,
                                  op.len);
       fwd.d.flags |= rdma::kWqeFlagZeroCopy;
@@ -428,15 +408,16 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
 
   // Per-backup blobs (forwarded by the SENDs above): [OP][FLUSH][ACK].
   for (size_t b = 0; b < K; ++b) {
-    const Backup& bb = backups_[b];
-    if (op.kind == 1) {
+    const Replica& bb = replicas_[b + 1];
+    if (op.kind == GroupOp::Kind::kMemcpy) {
       put(rdma::make_local_copy(bb.data_base + op.offset,
                                 bb.data_base + op.dst, op.len)
               .d);
       put(op.flush ? rdma::make_flush(0, 0).d : nop_desc());
-    } else if (op.kind == 2 && op.exec.test(b + 1)) {
-      put(rdma::make_cas(bb.result_base + (seq % cfg_.ring_slots) * 8,
-                         bb.ring_lkey, bb.data_base + op.offset,
+    } else if (op.kind == GroupOp::Kind::kCas && op.exec.test(b + 1)) {
+      put(rdma::make_cas(backups_[b].result_base +
+                             (seq % cfg_.ring_slots) * 8,
+                         backups_[b].ring_lkey, bb.data_base + op.offset,
                          bb.data_mr.rkey, op.expected, op.desired)
               .d);
       put(nop_desc());
@@ -451,20 +432,21 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
 
 // ------------------------------------------------------------ client path --
 
-void FanoutGroup::submit(const OpSpec& op, Done done, CasDone cas_done) {
-  assert(!stopped_ && "primitive on a stopped group");
+void FanoutGroup::submit(const GroupOp& op, Done done, CasDone cas_done) {
   window_.submit(op, std::move(done), std::move(cas_done), issuer());
 }
 
-void FanoutGroup::issue(const OpSpec& op, Done done, CasDone cas_done) {
+void FanoutGroup::issue(const GroupOp& op, Done done, CasDone cas_done) {
   const size_t K = backups_.size();
+  const Replica& p = replicas_[0];
+  const bool cas = op.kind == GroupOp::Kind::kCas;
   // ACKs due: the primary's and every backup's, plus the client's own
   // CAS on the primary when the execute map includes it.
   const uint32_t acks =
-      static_cast<uint32_t>(1 + K) + (op.kind == 2 && op.exec.test(0));
+      static_cast<uint32_t>(1 + K) + (cas && op.exec.test(0));
   const uint64_t seq =
       window_.open(std::move(done), std::move(cas_done), acks);
-  if (op.kind == 2) {
+  if (cas) {
     // Clear the result slot so skipped replicas (and a skipped primary)
     // report 0 rather than a stale value from a previous ring lap.
     const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
@@ -474,27 +456,25 @@ void FanoutGroup::issue(const OpSpec& op, Done done, CasDone cas_done) {
   }
 
   // Client-side direct work against the primary.
-  if (op.kind == 0) {
+  if (op.kind == GroupOp::Kind::kWrite) {
     if (op.len > 0) {
       client_.nic().post_send(
-          qp_down_,
-          rdma::make_write(client_region_ + op.offset, 0,
-                           primary_.data_base + op.offset,
-                           primary_.data_mr.rkey, op.len));
+          qp_down_, rdma::make_write(client_region_ + op.offset, 0,
+                                     p.data_base + op.offset, p.data_mr.rkey,
+                                     op.len));
     }
     if (op.flush) {
-      client_.nic().post_send(
-          qp_down_,
-          rdma::make_flush(primary_.data_base, primary_.data_mr.rkey));
+      client_.nic().post_send(qp_down_,
+                              rdma::make_flush(p.data_base, p.data_mr.rkey));
     }
-  } else if (op.kind == 2 && op.exec.test(0)) {
+  } else if (cas && op.exec.test(0)) {
     // One-sided CAS against the primary; the result lands in the ack slot
     // (index 0) so the assembly code reads all results from one place.
     const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
     Wqe cas = rdma::make_cas(
         ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride,
-        ack_mr_.lkey, primary_.data_base + op.offset, primary_.data_mr.rkey,
-        op.expected, op.desired, kCasTag | seq);
+        ack_mr_.lkey, p.data_base + op.offset, p.data_mr.rkey, op.expected,
+        op.desired, kCasTag | seq);
     client_.nic().post_send(qp_down_, cas);
   }
 
@@ -539,78 +519,9 @@ void FanoutGroup::on_ack_cqe() {
   cq_down_->arm_notify();
 }
 
-// ------------------------------------------------------------- primitives --
-
-void FanoutGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
-                         Done done) {
-  assert(offset + len <= cfg_.region_size);
-  OpSpec op;
-  op.kind = 0;
-  op.offset = offset;
-  op.len = len;
-  op.flush = flush;
-  submit(op, std::move(done), CasDone{});
-}
-
-void FanoutGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
-                          uint32_t len, bool flush, Done done) {
-  assert(src_offset + len <= cfg_.region_size);
-  assert(dst_offset + len <= cfg_.region_size);
-  // The client's copy copies at the call, not at issue: a parked op must
-  // not leave it stale (group.h).
-  client_.mem().copy(client_region_ + dst_offset, client_region_ + src_offset,
-                     len);
-  client_.nvm().persist(client_region_ + dst_offset, len);
-  OpSpec op;
-  op.kind = 1;
-  op.offset = src_offset;
-  op.dst = dst_offset;
-  op.len = len;
-  op.flush = flush;
-  submit(op, std::move(done), CasDone{});
-}
-
-void FanoutGroup::gcas(uint64_t offset, uint64_t expected, uint64_t desired,
-                       ExecMap exec_map, CasDone done) {
-  assert(offset + 8 <= cfg_.region_size);
-  OpSpec op;
-  op.kind = 2;
-  op.offset = offset;
-  op.expected = expected;
-  op.desired = desired;
-  op.exec = exec_map;
-  submit(op, Done{}, std::move(done));
-}
-
-void FanoutGroup::gflush(Done done) { gwrite(0, 0, true, std::move(done)); }
-
-void FanoutGroup::client_store(uint64_t offset, const void* src,
-                               uint32_t len) {
-  assert(offset + len <= cfg_.region_size);
-  client_.mem().write(client_region_ + offset, src, len);
-  client_.nvm().persist(client_region_ + offset, len);
-}
-
-void FanoutGroup::client_load(uint64_t offset, void* dst,
-                              uint32_t len) const {
-  client_.mem().read(client_region_ + offset, dst, len);
-}
-
-void FanoutGroup::replica_load(size_t i, uint64_t offset, void* dst,
-                               uint32_t len) const {
-  if (i == 0) {
-    primary_.server->mem().read(primary_.data_base + offset, dst, len);
-  } else {
-    const Backup& b = backups_.at(i - 1);
-    b.server->mem().read(b.data_base + offset, dst, len);
-  }
-}
-
 uint64_t FanoutGroup::total_rnr_stalls() const {
-  uint64_t n = primary_.server->nic().counters().rnr_stalls;
-  for (const Backup& b : backups_) {
-    n += b.server->nic().counters().rnr_stalls;
-  }
+  uint64_t n = 0;
+  for (const Replica& r : replicas_) n += r.server->nic().counters().rnr_stalls;
   return n;
 }
 

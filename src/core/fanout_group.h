@@ -21,17 +21,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/group.h"
+#include "core/backend_group.h"
 #include "core/op_window.h"
-#include "core/server.h"
 #include "rdma/nic.h"
 
 namespace hyperloop::core {
 
-class FanoutGroup final : public ReplicationGroup {
+class FanoutGroup final : public BackendGroup {
  public:
   struct Config {
     uint64_t region_size = 4u << 20;
@@ -43,40 +41,20 @@ class FanoutGroup final : public ReplicationGroup {
   FanoutGroup(Server& client, std::vector<Server*> replicas, Config cfg);
   ~FanoutGroup() override;
 
-  size_t group_size() const override { return 1 + backups_.size(); }
-  uint64_t region_size() const override { return cfg_.region_size; }
-  void gwrite(uint64_t offset, uint32_t len, bool flush, Done done) override;
-  void gmemcpy(uint64_t src_offset, uint64_t dst_offset, uint32_t len,
-               bool flush, Done done) override;
-  void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
-            ExecMap exec_map, CasDone done) override;
-  void gflush(Done done) override;
   void stop() override;
-  void client_store(uint64_t offset, const void* src, uint32_t len) override;
-  void client_load(uint64_t offset, void* dst, uint32_t len) const override;
-  void replica_load(size_t i, uint64_t offset, void* dst,
-                    uint32_t len) const override;
 
-  Server& replica_server(size_t i) {
-    return i == 0 ? *primary_.server : *backups_.at(i - 1).server;
-  }
-  rdma::Addr replica_region_base(size_t i) const {
-    return i == 0 ? primary_.data_base : backups_.at(i - 1).data_base;
-  }
   uint64_t total_rnr_stalls() const;
   /// Bytes the primary's NIC transmitted (the fan-out hotspot; compare
   /// with a chain replica's NIC in bench/ablation_fanout).
   uint64_t primary_nic_tx_bytes() const {
-    return primary_.server->nic().counters().bytes_tx;
+    return replicas_[0].server->nic().counters().bytes_tx;
   }
 
  private:
   static constexpr uint32_t kDescBytes = sizeof(rdma::WqeDescriptor);
 
+  // Replica 0's datapath state.
   struct Primary {
-    Server* server = nullptr;
-    rdma::Addr data_base = 0;
-    rdma::MemoryRegion data_mr{};
     rdma::QueuePair* qp_prev = nullptr;  ///< from the client
     rdma::CompletionQueue* cq_recv = nullptr;
     /// One forwarding QP per backup, plus a loopback executor.
@@ -88,13 +66,10 @@ class FanoutGroup final : public ReplicationGroup {
     uint32_t staging_slot = 0;
     uint32_t ring_lkey = 0;
     uint64_t next_rearm = 0;
-    sim::ProcessId refill_pid = 0;
   };
 
+  // Backup b's (replica b + 1's) datapath state.
   struct Backup {
-    Server* server = nullptr;
-    rdma::Addr data_base = 0;
-    rdma::MemoryRegion data_mr{};
     rdma::QueuePair* qp_prev = nullptr;  ///< from the primary
     rdma::CompletionQueue* cq_recv = nullptr;
     rdma::QueuePair* qp_ack = nullptr;  ///< to the client
@@ -104,16 +79,6 @@ class FanoutGroup final : public ReplicationGroup {
     rdma::Addr result_base = 0;  ///< local CAS result ring (8B slots)
     uint32_t ring_lkey = 0;
     uint64_t next_rearm = 0;
-    sim::ProcessId refill_pid = 0;
-  };
-
-  struct OpSpec {
-    uint8_t kind = 0;  // 0 write, 1 memcpy, 2 cas
-    uint64_t offset = 0, dst = 0;
-    uint32_t len = 0;
-    bool flush = false;
-    uint64_t expected = 0, desired = 0;
-    ExecMap exec;
   };
 
   void setup_primary();
@@ -132,13 +97,13 @@ class FanoutGroup final : public ReplicationGroup {
   /// Fills and returns blob_scratch_ (valid until the next call) — the
   /// blob is memcpy'd into staging memory immediately, so per-op vector
   /// allocations on this hot path would be pure churn.
-  const std::vector<uint8_t>& build_blob(uint64_t seq, const OpSpec& op);
+  const std::vector<uint8_t>& build_blob(uint64_t seq, const GroupOp& op);
   rdma::WqeDescriptor backup_ack_desc(size_t b, uint64_t seq,
-                                      const OpSpec& op);
-  void submit(const OpSpec& op, Done done, CasDone cas_done);
-  void issue(const OpSpec& op, Done done, CasDone cas_done);
+                                      const GroupOp& op);
+  void submit(const GroupOp& op, Done done, CasDone cas_done) override;
+  void issue(const GroupOp& op, Done done, CasDone cas_done);
   auto issuer() {
-    return [this](const OpSpec& op, Done done, CasDone cas_done) {
+    return [this](const GroupOp& op, Done done, CasDone cas_done) {
       issue(op, std::move(done), std::move(cas_done));
     };
   }
@@ -148,7 +113,6 @@ class FanoutGroup final : public ReplicationGroup {
   void on_ack_cqe();
   rdma::WqeDescriptor nop_desc() const;
 
-  Server& client_;
   Primary primary_;
   std::vector<Backup> backups_;
   Config cfg_;
@@ -159,7 +123,6 @@ class FanoutGroup final : public ReplicationGroup {
   rdma::QueuePair* qp_up_ = nullptr;     ///< ACKs from backups land here
   rdma::CompletionQueue* cq_up_ = nullptr;
   std::vector<rdma::QueuePair*> qp_acks_;  ///< all client-side ack sinks
-  rdma::Addr client_region_ = 0;
   rdma::Addr client_staging_ = 0;
   uint32_t client_staging_slot_ = 0;
   rdma::Addr ack_base_ = 0;
@@ -167,7 +130,7 @@ class FanoutGroup final : public ReplicationGroup {
   /// Per-source ack streams are FIFO, but an op completes on the last of
   /// its sources, so seqs can retire a little out of order relative to
   /// the client-CAS stream: the table gets 4x the credit window.
-  OpWindow<OpSpec> window_;
+  OpWindow<GroupOp> window_;
   std::vector<uint8_t> blob_scratch_;  ///< reused by build_blob per issue()
   std::vector<uint8_t> zero_scratch_;  ///< reused ack-slot clear (gCAS)
   std::vector<uint64_t> cas_scratch_;  ///< gCAS result-map read buffer

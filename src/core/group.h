@@ -13,8 +13,21 @@
 // Four backends implement this interface: HyperLoopGroup (NIC-offloaded
 // chain, §4), NaiveRdmaGroup (CPU-forwarded baseline, §6 "Naïve-RDMA"),
 // FanoutGroup (NIC-offloaded primary-backup, §7) and TcpReplicationGroup
-// (kernel TCP, §6.2). ShardedGroup puts K chains behind it too, so the
-// WAL / locking / storage layers above run unchanged on any of them.
+// (kernel TCP, §6.2). They share BackendGroup (core/backend_group.h),
+// which holds the regions, the primitive calls and the replica accessors,
+// so each backend implements only its datapath. ShardedGroup puts K
+// chains behind the interface too, so the WAL / locking / storage layers
+// above run unchanged on any of them.
+//
+// Durability contract: a flushed op, and gFLUSH (a flushed 0-byte
+// gWRITE), is a durability barrier at each replica. When it completes,
+// every byte that replica holds is durable, the bytes of earlier
+// unflushed ops included: the offloaded backends' NIC FLUSH and the CPU
+// baselines' persist write back every dirty byte (§4.2). WAL truncation
+// relies on it: the execute batch's gMEMCPYs ride unflushed and the
+// flushed head advance behind them persists the applied records.
+// tests/group_order_test.cc and tests/wal_test.cc check it on every
+// backend.
 //
 // Ordering contract: ops of one primitive issued on one group execute at
 // every replica in issue order. That includes ops parked for a credit and

@@ -45,14 +45,11 @@ void HyperLoopGroup::Config::validate() const {
 
 HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
                                Config cfg)
-    : client_(client), cfg_(cfg) {
-  assert(!replicas.empty());
+    : BackendGroup(client, std::move(replicas), cfg.region_size,
+                   cfg.nic_index),
+      rings_(replicas_.size()),
+      cfg_(cfg) {
   cfg_.validate();
-  replicas_.resize(replicas.size());
-  for (size_t i = 0; i < replicas.size(); ++i) replicas_[i].server = replicas[i];
-
-  // Client-local state.
-  client_region_ = client_.nvm().alloc(cfg_.region_size, 4096);
   client_zeros_ = client_.mem().alloc(result_bytes(), 64);
   cas_scratch_.resize(replicas_.size());
 
@@ -63,8 +60,8 @@ HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
   for (int pi = 0; pi < kNumPrims; ++pi) {
     const auto p = static_cast<Prim>(pi);
     ClientChain& cc = client_chain_[pi];
-    ReplicaChain& first = replicas_.front().chain[pi];
-    ReplicaChain& last = replicas_.back().chain[pi];
+    ReplicaChain& first = rings_.front().chain[pi];
+    ReplicaChain& last = rings_.back().chain[pi];
 
     client_.nic(cfg_.nic_index).connect(cc.qp_down, replicas_.front().server->nic(cfg_.nic_index).id(),
                           first.qp_prev->qpn);
@@ -72,8 +69,8 @@ HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
         first.qp_prev, client_.nic(cfg_.nic_index).id(), cc.qp_down->qpn);
 
     for (size_t i = 0; i + 1 < replicas_.size(); ++i) {
-      ReplicaChain& a = replicas_[i].chain[pi];
-      ReplicaChain& b = replicas_[i + 1].chain[pi];
+      ReplicaChain& a = rings_[i].chain[pi];
+      ReplicaChain& b = rings_[i + 1].chain[pi];
       replicas_[i].server->nic(cfg_.nic_index).connect(
           a.qp_next, replicas_[i + 1].server->nic(cfg_.nic_index).id(), b.qp_prev->qpn);
       replicas_[i + 1].server->nic(cfg_.nic_index).connect(
@@ -90,7 +87,7 @@ HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
       for (size_t i = 0; i < replicas_.size(); ++i) rearm_slot(i, p, s);
     }
     for (size_t i = 0; i < replicas_.size(); ++i) {
-      replicas_[i].chain[pi].next_rearm = cfg_.ring_slots;
+      rings_[i].chain[pi].next_rearm = cfg_.ring_slots;
     }
 
     // Client ack RECV ring + event-driven ack handling.
@@ -116,9 +113,9 @@ void HyperLoopGroup::stop() {
   // Release NIC resources. QPs must go before their CQs: destroying a QP
   // unlinks it from any CQ waiter list, and destroy_cq asserts that no
   // WAIT-parked QP still references the CQ.
-  for (Replica& r : replicas_) {
-    rdma::Nic& nic = r.server->nic(cfg_.nic_index);
-    for (ReplicaChain& c : r.chain) {
+  for (size_t i = 0; i < rings_.size(); ++i) {
+    rdma::Nic& nic = replicas_[i].server->nic(cfg_.nic_index);
+    for (ReplicaChain& c : rings_[i].chain) {
       if (c.qp_prev) nic.destroy_qp(c.qp_prev);
       if (c.qp_next) nic.destroy_qp(c.qp_next);
       if (c.qp_loop) nic.destroy_qp(c.qp_loop);
@@ -143,15 +140,10 @@ void HyperLoopGroup::stop() {
 // ------------------------------------------------------------------ setup --
 
 void HyperLoopGroup::setup_replica(size_t idx) {
-  Replica& r = replicas_[idx];
-  rdma::Nic& nic = r.server->nic(cfg_.nic_index);
-  rdma::HostMemory& mem = r.server->mem();
-
-  r.data_base = r.server->nvm().alloc(cfg_.region_size, 4096);
-  r.data_mr = nic.register_mr(
-      r.data_base, cfg_.region_size,
-      rdma::kRemoteRead | rdma::kRemoteWrite | rdma::kRemoteAtomic |
-          rdma::kLocalWrite);
+  Server& server = *replicas_[idx].server;
+  ReplicaRings& r = rings_[idx];
+  rdma::Nic& nic = server.nic(cfg_.nic_index);
+  rdma::HostMemory& mem = server.mem();
 
   const size_t arena_start = mem.used();
 
@@ -222,9 +214,8 @@ void HyperLoopGroup::setup_client_chain(Prim p) {
 }
 
 void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
-  Replica& r = replicas_[replica];
-  ReplicaChain& c = r.chain[static_cast<int>(p)];
-  rdma::Nic& nic = r.server->nic(cfg_.nic_index);
+  ReplicaChain& c = rings_[replica].chain[static_cast<int>(p)];
+  rdma::Nic& nic = replicas_[replica].server->nic(cfg_.nic_index);
   const uint32_t S = cfg_.ring_slots;
 
   RecvWqe recv;
@@ -237,22 +228,12 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
   // off-path refill driver batches its posts like a real ibv_post_send
   // with a linked WR list.
   switch (p) {
-    case Prim::kWrite: {
-      nic.stage_send(c.qp_next, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      nic.stage_send(c.qp_next, placeholder(), /*deferred=*/true);  // WRITE
-      nic.stage_send(c.qp_next, placeholder(), true);               // FLUSH
-      nic.stage_send(c.qp_next, placeholder(), true);               // SEND
-      nic.ring_doorbell(c.qp_next);
-      desc_sge(c.qp_next, 4 * seq + 1);
-      desc_sge(c.qp_next, 4 * seq + 2);
-      desc_sge(c.qp_next, 4 * seq + 3);
-      break;
-    }
+    case Prim::kWrite:
     case Prim::kWriteV: {
-      const uint64_t n = next_wqes(Prim::kWriteV);
+      const uint64_t n = next_wqes(p);
       nic.stage_send(c.qp_next, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      for (uint32_t j = 0; j < kMaxExtents; ++j) {
-        nic.stage_send(c.qp_next, placeholder(), true);  // WRITE / NOP
+      for (uint32_t j = 0; j < write_wqes(p); ++j) {
+        nic.stage_send(c.qp_next, placeholder(), /*deferred=*/true);  // WRITE
       }
       nic.stage_send(c.qp_next, placeholder(), true);  // FLUSH
       nic.stage_send(c.qp_next, placeholder(), true);  // SEND
@@ -302,8 +283,7 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
 void HyperLoopGroup::start_refill(size_t replica) {
   Replica& r = replicas_[replica];
   if (cfg_.refill_via_cpu) {
-    r.refill_pid = r.server->sched().create_process(
-        r.server->name() + "-hl-refill");
+    r.pid = r.server->sched().create_process(r.server->name() + "-hl-refill");
   }
   refill_tick(replica);
 }
@@ -315,14 +295,14 @@ void HyperLoopGroup::refill_tick(size_t replica) {
     Replica& rr = replicas_[replica];
     if (cfg_.refill_via_cpu) {
       rr.server->sched().submit(
-          rr.refill_pid, kRefillCpu, [this, replica] {
+          rr.pid, kRefillCpu, [this, replica] {
             if (stopped_) return;
             const uint32_t rearmed = do_refill(replica);
             if (rearmed > 0) {
               // Charge the per-slot driver work (posts + RECVs), still off
               // the critical path.
               replicas_[replica].server->sched().submit(
-                  replicas_[replica].refill_pid,
+                  replicas_[replica].pid,
                   kRefillCpuPerSlot * static_cast<sim::Duration>(rearmed),
                   [this, replica] {
                     if (!stopped_) refill_tick(replica);
@@ -340,11 +320,10 @@ void HyperLoopGroup::refill_tick(size_t replica) {
 }
 
 uint32_t HyperLoopGroup::do_refill(size_t replica) {
-  Replica& r = replicas_[replica];
   uint32_t rearmed = 0;
   for (int pi = 0; pi < kNumPrims; ++pi) {
     const auto p = static_cast<Prim>(pi);
-    ReplicaChain& c = r.chain[pi];
+    ReplicaChain& c = rings_[replica].chain[pi];
     while (true) {
       const uint64_t finished_slot = c.next_rearm - cfg_.ring_slots;
       if (c.cq_send_next->completion_count() <
@@ -368,87 +347,48 @@ rdma::WqeDescriptor HyperLoopGroup::nop_desc() const {
   return d;
 }
 
-uint32_t HyperLoopGroup::stage_gwrite_blob(uint64_t seq, uint64_t offset,
-                                           uint32_t len, bool flush) {
+uint32_t HyperLoopGroup::stage_write_blob(Prim p, uint64_t seq,
+                                          const ExtentVec& extents,
+                                          bool flush) {
   const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(Prim::kWrite)];
+  const ClientChain& cc = client_chain_[static_cast<int>(p)];
   const Addr slot =
       cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
-
-  WqeDescriptor trio[3];
-  for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c = replicas_[i].chain[static_cast<int>(Prim::kWrite)];
-    if (i + 1 < G) {
-      const Replica& next = replicas_[i + 1];
-      trio[0] = rdma::make_write(replicas_[i].data_base + offset, 0,
-                                 next.data_base + offset, next.data_mr.rkey,
-                                 len)
-                    .d;
-      // The forward hop re-sends bytes the upstream WRITE just landed in
-      // this replica's region — borrow them instead of re-gathering. The
-      // trio's own FLUSH/SEND behind it acks the WRITE cumulatively.
-      trio[0].flags |= rdma::kWqeFlagZeroCopy | rdma::kWqeFlagAckElide;
-      trio[1] = flush ? rdma::make_flush(next.data_base, next.data_mr.rkey).d
-                      : nop_desc();
-      trio[2] = rdma::make_send(
-                    c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
-                    c.ring_lkey, c.staging_len)
-                    .d;
-    } else {
-      // Last hop: ACK the client with a 0-byte WRITE_WITH_IMM.
-      trio[0] = rdma::make_write_imm(
-                    0, 0,
-                    cc.ack_base +
-                        (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                    cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
-                    .d;
-      trio[1] = nop_desc();
-      trio[2] = nop_desc();
-    }
-    trio[0].active = trio[1].active = trio[2].active = 1;
-    client_.mem().write(slot + i * 3 * kDescBytes, trio, 3 * kDescBytes);
-  }
-  return static_cast<uint32_t>(3 * kDescBytes * G);
-}
-
-uint32_t HyperLoopGroup::stage_gwritev_blob(uint64_t seq,
-                                            const ExtentVec& extents,
-                                            bool flush) {
-  const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(Prim::kWriteV)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
-  const uint32_t nd = desc_count(Prim::kWriteV);  // kMaxExtents + FLUSH + SEND
+  const uint32_t writes = write_wqes(p);
+  const uint32_t nd = desc_count(p);  // WRITEs + FLUSH + SEND
 
   WqeDescriptor descs[kMaxExtents + 2];
   for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c =
-        replicas_[i].chain[static_cast<int>(Prim::kWriteV)];
+    const ReplicaChain& c = rings_[i].chain[static_cast<int>(p)];
     if (i + 1 < G) {
       const Replica& next = replicas_[i + 1];
-      for (uint32_t j = 0; j < kMaxExtents; ++j) {
+      for (uint32_t j = 0; j < writes; ++j) {
         if (j < extents.size()) {
           const Extent& e = extents[j];
           descs[j] = rdma::make_write(replicas_[i].data_base + e.offset, 0,
                                       next.data_base + e.offset,
                                       next.data_mr.rkey, e.len)
                          .d;
+          // The forward hop re-sends bytes the upstream WRITE just landed
+          // in this replica's region — borrow them instead of re-gathering.
+          // The slot's own FLUSH/SEND behind it acks the WRITE cumulatively.
           descs[j].flags |= rdma::kWqeFlagZeroCopy | rdma::kWqeFlagAckElide;
         } else {
           descs[j] = nop_desc();
         }
       }
-      descs[kMaxExtents] =
+      descs[writes] =
           flush ? rdma::make_flush(next.data_base, next.data_mr.rkey).d
                 : nop_desc();
-      descs[kMaxExtents + 1] =
+      descs[writes + 1] =
           rdma::make_send(
               c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
               c.ring_lkey, c.staging_len)
               .d;
     } else {
-      // Last hop only ACKs: its own data and durability were handled by
-      // the previous hop's WRITEs + FLUSH (or the client's, when G == 1).
+      // Last hop only ACKs the client, with a 0-byte WRITE_WITH_IMM: its
+      // own data and durability were handled by the previous hop's WRITEs
+      // and FLUSH (or the client's, when G == 1).
       descs[0] = rdma::make_write_imm(
                      0, 0,
                      cc.ack_base +
@@ -463,9 +403,7 @@ uint32_t HyperLoopGroup::stage_gwritev_blob(uint64_t seq,
   return static_cast<uint32_t>(nd * kDescBytes * G);
 }
 
-uint32_t HyperLoopGroup::stage_gmemcpy_blob(uint64_t seq, uint64_t src,
-                                            uint64_t dst, uint32_t len,
-                                            bool flush) {
+uint32_t HyperLoopGroup::stage_gmemcpy_blob(uint64_t seq, const GroupOp& op) {
   const size_t G = replicas_.size();
   const ClientChain& cc = client_chain_[static_cast<int>(Prim::kMemcpy)];
   const Addr slot =
@@ -473,12 +411,11 @@ uint32_t HyperLoopGroup::stage_gmemcpy_blob(uint64_t seq, uint64_t src,
 
   WqeDescriptor trio[3];
   for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c =
-        replicas_[i].chain[static_cast<int>(Prim::kMemcpy)];
-    trio[0] = rdma::make_local_copy(replicas_[i].data_base + src,
-                                    replicas_[i].data_base + dst, len)
+    const ReplicaChain& c = rings_[i].chain[static_cast<int>(Prim::kMemcpy)];
+    trio[0] = rdma::make_local_copy(replicas_[i].data_base + op.offset,
+                                    replicas_[i].data_base + op.dst, op.len)
                   .d;
-    trio[1] = flush ? rdma::make_flush(0, 0).d : nop_desc();
+    trio[1] = op.flush ? rdma::make_flush(0, 0).d : nop_desc();
     if (i + 1 < G) {
       trio[2] = rdma::make_send(
                     c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
@@ -498,9 +435,7 @@ uint32_t HyperLoopGroup::stage_gmemcpy_blob(uint64_t seq, uint64_t src,
   return static_cast<uint32_t>(3 * kDescBytes * G);
 }
 
-uint32_t HyperLoopGroup::stage_gcas_blob(uint64_t seq, uint64_t offset,
-                                         uint64_t expected, uint64_t desired,
-                                         ExecMap exec) {
+uint32_t HyperLoopGroup::stage_gcas_blob(uint64_t seq, const GroupOp& op) {
   const size_t G = replicas_.size();
   const ClientChain& cc = client_chain_[static_cast<int>(Prim::kCas)];
   const Addr slot =
@@ -508,13 +443,14 @@ uint32_t HyperLoopGroup::stage_gcas_blob(uint64_t seq, uint64_t offset,
 
   WqeDescriptor duo[2];
   for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c = replicas_[i].chain[static_cast<int>(Prim::kCas)];
+    const ReplicaChain& c = rings_[i].chain[static_cast<int>(Prim::kCas)];
     const Addr result_slot =
         c.result_base + (seq % cfg_.ring_slots) * result_bytes();
-    if (exec.test(i)) {
+    if (op.exec.test(i)) {
       duo[0] = rdma::make_cas(result_slot + 8 * i, c.ring_lkey,
-                              replicas_[i].data_base + offset,
-                              replicas_[i].data_mr.rkey, expected, desired)
+                              replicas_[i].data_base + op.offset,
+                              replicas_[i].data_mr.rkey, op.expected,
+                              op.desired)
                    .d;
     } else {
       // Execute map cleared: the pre-posted CAS becomes a NOP (§4.2).
@@ -578,9 +514,19 @@ void HyperLoopGroup::on_ack_cqe(Prim p) {
 
 // ------------------------------------------------------------- primitives --
 
-void HyperLoopGroup::submit(Prim p, const Args& args, Done done,
+void HyperLoopGroup::submit(const GroupOp& op, Done done,
                             CasDone cas_done) {
-  assert(!stopped_ && "primitive on a stopped group");
+  Args args;
+  args.op = op;
+  if (op.kind == GroupOp::Kind::kWrite) {
+    args.extents.push_back({op.offset, op.len});
+  }
+  submit_to(static_cast<Prim>(op.kind), args, std::move(done),
+            std::move(cas_done));
+}
+
+void HyperLoopGroup::submit_to(Prim p, const Args& args, Done done,
+                               CasDone cas_done) {
   client_chain_[static_cast<int>(p)].window.submit(
       args, std::move(done), std::move(cas_done), issuer(p));
 }
@@ -593,55 +539,42 @@ void HyperLoopGroup::issue(Prim p, const Args& args, Done done,
   const uint64_t seq = cc.window.open(std::move(done), std::move(cas_done));
   uint32_t blob_len = 0;
   switch (p) {
-    case Prim::kWrite: {
-      ++counters_.gwrites;
-      counters_.bytes_replicated += uint64_t{args.len} * replicas_.size();
-      // Data WRITE (+FLUSH) to the first replica, then the metadata SEND
-      // that drives the offloaded chain — staged together under one
-      // doorbell. The SEND behind it (same QP) acknowledges the WRITE
-      // cumulatively — no standalone ACK packet needed.
-      Wqe data = rdma::make_write(client_region_ + args.offset, 0,
-                                  r0.data_base + args.offset,
-                                  r0.data_mr.rkey, args.len);
-      data.d.flags |= rdma::kWqeFlagAckElide;
-      nic.stage_send(cc.qp_down, data);
-      if (args.flush) {
-        nic.stage_send(cc.qp_down,
-                       rdma::make_flush(r0.data_base, r0.data_mr.rkey));
-      }
-      blob_len = stage_gwrite_blob(seq, args.offset, args.len, args.flush);
-      break;
-    }
+    case Prim::kWrite:
     case Prim::kWriteV: {
-      ++counters_.gwritevs;
-      counters_.gwritev_extents += args.extents.size();
-      // All extent WRITEs to the first replica, one trailing FLUSH, and
-      // the metadata SEND — one doorbell, one chain traversal.
+      if (p == Prim::kWrite) {
+        ++counters_.gwrites;
+      } else {
+        ++counters_.gwritevs;
+        counters_.gwritev_extents += args.extents.size();
+      }
+      // Every extent WRITE to the first replica, one trailing FLUSH, and
+      // the metadata SEND that drives the offloaded chain — staged
+      // together under one doorbell, one chain traversal. The SEND behind
+      // them (same QP) acknowledges the WRITEs cumulatively — no
+      // standalone ACK packet needed.
       for (const Extent& e : args.extents) {
         counters_.bytes_replicated += uint64_t{e.len} * replicas_.size();
         Wqe data = rdma::make_write(client_region_ + e.offset, 0,
                                     r0.data_base + e.offset, r0.data_mr.rkey,
                                     e.len);
-        data.d.flags |= rdma::kWqeFlagAckElide;  // metadata SEND acks it
+        data.d.flags |= rdma::kWqeFlagAckElide;
         nic.stage_send(cc.qp_down, data);
       }
-      if (args.flush) {
+      if (args.op.flush) {
         nic.stage_send(cc.qp_down,
                        rdma::make_flush(r0.data_base, r0.data_mr.rkey));
       }
-      blob_len = stage_gwritev_blob(seq, args.extents, args.flush);
+      blob_len = stage_write_blob(p, seq, args.extents, args.op.flush);
       break;
     }
     case Prim::kMemcpy: {
       ++counters_.gmemcpys;
-      blob_len = stage_gmemcpy_blob(seq, args.offset, args.dst, args.len,
-                                    args.flush);
+      blob_len = stage_gmemcpy_blob(seq, args.op);
       break;
     }
     case Prim::kCas: {
       ++counters_.gcas;
-      blob_len = stage_gcas_blob(seq, args.offset, args.expected,
-                                 args.desired, args.exec);
+      blob_len = stage_gcas_blob(seq, args.op);
       break;
     }
   }
@@ -649,90 +582,31 @@ void HyperLoopGroup::issue(Prim p, const Args& args, Done done,
   nic.ring_doorbell(cc.qp_down);
 }
 
-void HyperLoopGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
-                            Done done) {
-  assert(offset + len <= cfg_.region_size);
-  Args args;
-  args.offset = offset;
-  args.len = len;
-  args.flush = flush;
-  submit(Prim::kWrite, args, std::move(done), CasDone{});
-}
-
 void HyperLoopGroup::gwritev(const ExtentVec& extents, bool flush,
                              Done done) {
+  assert(!stopped_ && "primitive on a stopped group");
   assert(!extents.empty());
 #ifndef NDEBUG
   for (const Extent& e : extents) {
-    assert(e.offset + e.len <= cfg_.region_size);
+    assert(e.offset + e.len <= region_size());
   }
 #endif
   Args args;
+  args.op.flush = flush;
   args.extents = extents;
-  args.flush = flush;
-  submit(Prim::kWriteV, args, std::move(done), CasDone{});
-}
-
-void HyperLoopGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
-                             uint32_t len, bool flush, Done done) {
-  assert(src_offset + len <= cfg_.region_size);
-  assert(dst_offset + len <= cfg_.region_size);
-  // The client's copy (the head of the chain) copies at the call, not at
-  // issue: a parked op must not leave it stale (group.h).
-  client_.mem().copy(client_region_ + dst_offset, client_region_ + src_offset,
-                     len);
-  client_.nvm().persist(client_region_ + dst_offset, len);
-  Args args;
-  args.offset = src_offset;
-  args.dst = dst_offset;
-  args.len = len;
-  args.flush = flush;
-  submit(Prim::kMemcpy, args, std::move(done), CasDone{});
-}
-
-void HyperLoopGroup::gcas(uint64_t offset, uint64_t expected,
-                          uint64_t desired, ExecMap exec_map, CasDone done) {
-  assert(offset + 8 <= cfg_.region_size);
-  Args args;
-  args.offset = offset;
-  args.expected = expected;
-  args.desired = desired;
-  args.exec = exec_map;
-  submit(Prim::kCas, args, Done{}, std::move(done));
+  submit_to(Prim::kWriteV, args, std::move(done), CasDone{});
 }
 
 void HyperLoopGroup::gflush(Done done) {
   ++counters_.gflushes;
-  gwrite(0, 0, /*flush=*/true, std::move(done));
-}
-
-// ------------------------------------------------------------ data access --
-
-void HyperLoopGroup::client_store(uint64_t offset, const void* src,
-                                  uint32_t len) {
-  assert(offset + len <= cfg_.region_size);
-  client_.mem().write(client_region_ + offset, src, len);
-  client_.nvm().persist(client_region_ + offset, len);
-}
-
-void HyperLoopGroup::client_load(uint64_t offset, void* dst,
-                                 uint32_t len) const {
-  client_.mem().read(client_region_ + offset, dst, len);
-}
-
-void HyperLoopGroup::replica_load(size_t i, uint64_t offset, void* dst,
-                                  uint32_t len) const {
-  const Replica& r = replicas_.at(i);
-  r.server->mem().read(r.data_base + offset, dst, len);
-}
-
-rdma::Addr HyperLoopGroup::replica_region_base(size_t i) const {
-  return replicas_.at(i).data_base;
+  BackendGroup::gflush(std::move(done));
 }
 
 uint64_t HyperLoopGroup::total_rnr_stalls() const {
   uint64_t n = 0;
-  for (const Replica& r : replicas_) n += r.server->nic(cfg_.nic_index).counters().rnr_stalls;
+  for (const Replica& r : replicas_) {
+    n += r.server->nic(cfg_.nic_index).counters().rnr_stalls;
+  }
   return n;
 }
 

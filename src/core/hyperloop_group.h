@@ -6,6 +6,7 @@
 // whose descriptors are *patched remotely* by the client:
 //
 //   gWRITE   qp_next: [WAIT(recv_prev >= k+1)] [WRITE] [FLUSH] [SEND]
+//   gWRITEV  qp_next: [WAIT(recv_prev >= k+1)] [WRITE x 8] [FLUSH] [SEND]
 //   gMEMCPY  qp_loop: [WAIT(recv_prev >= k+1)] [COPY] [FLUSH]
 //            qp_next: [WAIT(loop_cq  >= 2(k+1))] [SEND]
 //   gCAS     qp_loop: [WAIT(recv_prev >= k+1)] [CAS]
@@ -22,6 +23,12 @@
 // Replica CPUs only run a periodic refill task (off the critical path)
 // that re-arms consumed ring slots, exactly as §5.1 describes.
 //
+// The gWRITE slot is the one-WRITE form of the gWRITEV slot, so one
+// staging path serves both: a gWRITE is a one-extent batch. Each keeps
+// its own ring all the same, because a chain slot has a fixed WQE count
+// (WAIT thresholds and refill accounting depend on it): a shared ring
+// would bill every gWRITE the NOP cost of seven unused WRITEs.
+//
 // Client-side bookkeeping is allocation-free in steady state: each
 // primitive ring has its own OpWindow (core/op_window.h) holding its
 // in-flight ops and the ops parked for a credit, and patch descriptors
@@ -29,17 +36,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/group.h"
+#include "core/backend_group.h"
 #include "core/op_window.h"
-#include "core/server.h"
 #include "rdma/nic.h"
 
 namespace hyperloop::core {
 
-class HyperLoopGroup final : public ReplicationGroup {
+class HyperLoopGroup final : public BackendGroup {
  public:
   struct Config {
     uint64_t region_size = 4u << 20;
@@ -81,53 +86,24 @@ class HyperLoopGroup final : public ReplicationGroup {
   HyperLoopGroup(Server& client, std::vector<Server*> replicas, Config cfg);
   ~HyperLoopGroup() override;
 
-  // ReplicationGroup API --------------------------------------------------
-  size_t group_size() const override { return replicas_.size(); }
-  uint64_t region_size() const override { return cfg_.region_size; }
-  void gwrite(uint64_t offset, uint32_t len, bool flush, Done done) override;
   void gwritev(const ExtentVec& extents, bool flush, Done done) override;
-  void gmemcpy(uint64_t src_offset, uint64_t dst_offset, uint32_t len,
-               bool flush, Done done) override;
-  void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
-            ExecMap exec_map, CasDone done) override;
   void gflush(Done done) override;
   void stop() override;
-  void client_store(uint64_t offset, const void* src, uint32_t len) override;
-  void client_load(uint64_t offset, void* dst, uint32_t len) const override;
-  void replica_load(size_t i, uint64_t offset, void* dst,
-                    uint32_t len) const override;
 
   const OpCounters& counters() const { return counters_; }
-
-  /// Replica-side data region base (tests use this with NvmDevice to
-  /// check durability).
-  rdma::Addr replica_region_base(size_t i) const;
-
-  /// rkey of replica i's data region (for one-sided reader QPs).
-  uint32_t replica_data_rkey(size_t i) const {
-    return replicas_.at(i).data_mr.rkey;
-  }
-  Server& replica_server(size_t i) { return *replicas_[i].server; }
-  Server& client_server() { return client_; }
 
   /// Total receiver-not-ready stalls across all replica QPs — should stay
   /// 0 when refill keeps up (asserted by tests, reported by benches).
   uint64_t total_rnr_stalls() const;
 
-  /// CPU consumed by replica i on behalf of this group (the periodic ring
-  /// refill only — nothing on the critical path).
-  sim::Duration replica_cpu_time(size_t i) const {
-    const Replica& r = replicas_.at(i);
-    return cfg_.refill_via_cpu ? r.server->sched().stats(r.refill_pid).cpu_time
-                               : sim::Duration{0};
-  }
-
  private:
-  /// kWriteV gets its own ring rather than widening kWrite's: a chain
-  /// slot must have a fixed WQE count (WAIT thresholds and refill
-  /// accounting depend on it), so a shared ring would bill every single
-  /// gWRITE the NOP cost of kMaxExtents unused WRITE slots.
-  enum class Prim : uint8_t { kWrite = 0, kMemcpy = 1, kCas = 2, kWriteV = 3 };
+  // A GroupOp's kind names its ring; gWRITEV batches have their own.
+  enum class Prim : uint8_t {
+    kWrite = static_cast<uint8_t>(GroupOp::Kind::kWrite),
+    kMemcpy = static_cast<uint8_t>(GroupOp::Kind::kMemcpy),
+    kCas = static_cast<uint8_t>(GroupOp::Kind::kCas),
+    kWriteV,
+  };
   static constexpr int kNumPrims = 4;
   static constexpr uint32_t kDescBytes = sizeof(rdma::WqeDescriptor);
   static constexpr uint32_t kMaxExtents =
@@ -149,26 +125,16 @@ class HyperLoopGroup final : public ReplicationGroup {
     uint64_t next_rearm = 0;     ///< next absolute slot seq to re-arm
   };
 
-  // One replica's full state.
-  struct Replica {
-    Server* server = nullptr;
-    rdma::Addr data_base = 0;
-    rdma::MemoryRegion data_mr{};
+  // One replica's rings, one per primitive.
+  struct ReplicaRings {
     ReplicaChain chain[kNumPrims];
-    sim::ProcessId refill_pid = 0;
   };
 
-  /// One primitive call's parameters, kept by value while the op is
-  /// parked for a credit and issued by primitive when one frees up.
+  /// One call's parameters, kept by value while the op is parked for a
+  /// credit. Write rings carry the extents (a gWRITE has one).
   struct Args {
-    uint64_t offset = 0;  ///< offset / gMEMCPY source
-    uint64_t dst = 0;     ///< gMEMCPY destination
-    uint64_t expected = 0;
-    uint64_t desired = 0;
-    uint32_t len = 0;
-    bool flush = false;
-    ExecMap exec;
-    ExtentVec extents;  ///< gWRITEV batch
+    GroupOp op;
+    ExtentVec extents;
   };
 
   // Client-side per-primitive state.
@@ -184,25 +150,28 @@ class HyperLoopGroup final : public ReplicationGroup {
     OpWindow<Args> window;
   };
 
-  // WQEs per ring slot on each queue, by primitive. A kWriteV slot is
-  // [WAIT][WRITE x kMaxExtents][FLUSH][SEND]; unused WRITEs patch to NOP.
+  static bool is_write(Prim p) {
+    return p == Prim::kWrite || p == Prim::kWriteV;
+  }
+  /// WRITE WQEs per slot of a write ring; unused ones patch to NOPs.
+  static uint32_t write_wqes(Prim p) {
+    return p == Prim::kWriteV ? kMaxExtents : 1;
+  }
+  // WQEs per ring slot on each queue, by primitive. A write slot is
+  // [WAIT][WRITE x write_wqes][FLUSH][SEND].
   static uint32_t next_wqes(Prim p) {
-    if (p == Prim::kWriteV) return kMaxExtents + 3;
-    return p == Prim::kWrite ? 4 : 2;
+    return is_write(p) ? write_wqes(p) + 3 : 2;
   }
   static uint32_t loop_wqes(Prim p) {
     return p == Prim::kMemcpy ? 3 : (p == Prim::kCas ? 2 : 0);
   }
   /// Completions accumulating on cq_send_next per finished slot.
   static uint32_t next_completions(Prim p) {
-    if (p == Prim::kWriteV) return kMaxExtents + 2;
-    return p == Prim::kWrite ? 3 : 1;
+    return is_write(p) ? write_wqes(p) + 2 : 1;
   }
-  /// Completions accumulating on cq_loop per finished slot.
-  static uint32_t loop_completions(Prim p) { return p == Prim::kMemcpy ? 2 : 1; }
-
-  uint32_t desc_count(Prim p) const {
-    if (p == Prim::kWriteV) return kMaxExtents + 2;
+  /// Patch descriptors per replica per op.
+  static uint32_t desc_count(Prim p) {
+    if (is_write(p)) return write_wqes(p) + 2;
     return p == Prim::kCas ? 2 : 3;
   }
   uint32_t result_bytes() const {
@@ -217,18 +186,15 @@ class HyperLoopGroup final : public ReplicationGroup {
   void start_refill(size_t replica);
 
   // Stage the patch descriptors for op `seq` directly into the client's
-  // metadata staging ring slot (no temporary buffer); returns blob bytes.
-  uint32_t stage_gwrite_blob(uint64_t seq, uint64_t offset, uint32_t len,
-                             bool flush);
-  uint32_t stage_gwritev_blob(uint64_t seq, const ExtentVec& extents,
-                              bool flush);
-  uint32_t stage_gmemcpy_blob(uint64_t seq, uint64_t src, uint64_t dst,
-                              uint32_t len, bool flush);
-  uint32_t stage_gcas_blob(uint64_t seq, uint64_t offset, uint64_t expected,
-                           uint64_t desired, ExecMap exec);
+  // metadata staging ring slot (no temporary buffer); return blob bytes.
+  uint32_t stage_write_blob(Prim p, uint64_t seq, const ExtentVec& extents,
+                            bool flush);
+  uint32_t stage_gmemcpy_blob(uint64_t seq, const GroupOp& op);
+  uint32_t stage_gcas_blob(uint64_t seq, const GroupOp& op);
 
+  void submit(const GroupOp& op, Done done, CasDone cas_done) override;
   /// Hands the op to primitive `p`'s window, which issues or parks it.
-  void submit(Prim p, const Args& args, Done done, CasDone cas_done);
+  void submit_to(Prim p, const Args& args, Done done, CasDone cas_done);
   void issue(Prim p, const Args& args, Done done, CasDone cas_done);
   auto issuer(Prim p) {
     return [this, p](const Args& args, Done done, CasDone cas_done) {
@@ -242,11 +208,9 @@ class HyperLoopGroup final : public ReplicationGroup {
 
   rdma::WqeDescriptor nop_desc() const;
 
-  Server& client_;
-  std::vector<Replica> replicas_;
+  std::vector<ReplicaRings> rings_;
   Config cfg_;
   ClientChain client_chain_[kNumPrims];
-  rdma::Addr client_region_ = 0;
   rdma::Addr client_zeros_ = 0;  ///< gCAS initial (zero) result map source
   std::vector<uint64_t> cas_scratch_;  ///< gCAS result-map read buffer
   OpCounters counters_;

@@ -27,14 +27,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/group.h"
+#include "core/backend_group.h"
 #include "core/op_window.h"
-#include "core/server.h"
 #include "rdma/nic.h"
 
 namespace hyperloop::core {
 
-class NaiveRdmaGroup final : public ReplicationGroup {
+class NaiveRdmaGroup final : public BackendGroup {
  public:
   enum class Mode { kEvent, kPolling, kSharedPolling };
 
@@ -48,61 +47,17 @@ class NaiveRdmaGroup final : public ReplicationGroup {
   NaiveRdmaGroup(Server& client, std::vector<Server*> replicas, Config cfg);
   ~NaiveRdmaGroup() override;
 
-  size_t group_size() const override { return replicas_.size(); }
-  uint64_t region_size() const override { return cfg_.region_size; }
-  void gwrite(uint64_t offset, uint32_t len, bool flush, Done done) override;
-  void gmemcpy(uint64_t src_offset, uint64_t dst_offset, uint32_t len,
-               bool flush, Done done) override;
-  void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
-            ExecMap exec_map, CasDone done) override;
-  void gflush(Done done) override;
   void stop() override;
-  void client_store(uint64_t offset, const void* src, uint32_t len) override;
-  void client_load(uint64_t offset, void* dst, uint32_t len) const override;
-  void replica_load(size_t i, uint64_t offset, void* dst,
-                    uint32_t len) const override;
-
-  /// CPU seconds consumed by replica i's handler process so far.
-  sim::Duration replica_cpu_time(size_t i) const;
-  Server& replica_server(size_t i) { return *replicas_.at(i).server; }
-  rdma::Addr replica_region_base(size_t i) const {
-    return replicas_.at(i).data_base;
-  }
-
-  /// rkey of replica i's data region (for one-sided reader QPs).
-  uint32_t replica_data_rkey(size_t i) const {
-    return replicas_.at(i).data_mr.rkey;
-  }
 
  private:
-  static constexpr size_t kMaxGroup = 8;
-
-  // The command forwarded down the chain (and echoed back as the ACK).
-  struct Cmd {
-    uint8_t type = 0;  // 0 gwrite, 1 gmemcpy, 2 gcas
-    uint8_t flush = 0;
-    uint16_t pad = 0;
-    uint32_t seq = 0;
-    uint64_t offset = 0;
-    uint64_t dst = 0;
-    uint64_t len = 0;
-    uint64_t expected = 0;
-    uint64_t desired = 0;
-    uint64_t exec_mask = 0;
-    uint64_t result[kMaxGroup] = {};
-  };
-
-  struct Replica {
-    Server* server = nullptr;
-    rdma::Addr data_base = 0;
-    rdma::MemoryRegion data_mr{};
+  // One replica's forwarding state: its QPs and command receive ring.
+  struct Hop {
     rdma::QueuePair* qp_prev = nullptr;
     rdma::QueuePair* qp_next = nullptr;
     rdma::CompletionQueue* cq_recv = nullptr;
     rdma::CompletionQueue* cq_send = nullptr;
     rdma::Addr cmd_ring = 0;  ///< RECV landing buffers
     uint32_t cmd_lkey = 0;
-    sim::ProcessId pid = 0;
   };
 
   void setup_replica(size_t i);
@@ -110,32 +65,30 @@ class NaiveRdmaGroup final : public ReplicationGroup {
   void shared_poll_loop(size_t i);
   void on_replica_notify(size_t i);
   void replica_drain(size_t i);
-  sim::Duration message_cost(const Cmd& cmd) const;
-  void execute_and_forward(size_t i, Cmd cmd);
-  void post_recv_slot(Replica& r, uint64_t slot);
+  sim::Duration message_cost(const ForwardedCmd& cmd) const;
+  void execute_and_forward(size_t i, ForwardedCmd cmd);
+  void post_recv_slot(size_t i, uint64_t slot);
   void on_client_ack();
-  void issue_cmd(Cmd cmd, Done done, CasDone cas_done);
-  void submit_cmd(const Cmd& cmd, Done done, CasDone cas_done);
+  void submit(const GroupOp& op, Done done, CasDone cas_done) override;
+  void issue(const GroupOp& op, Done done, CasDone cas_done);
   auto issuer() {
-    return [this](const Cmd& cmd, Done done, CasDone cas_done) {
-      issue_cmd(cmd, std::move(done), std::move(cas_done));
+    return [this](const GroupOp& op, Done done, CasDone cas_done) {
+      issue(op, std::move(done), std::move(cas_done));
     };
   }
 
-  Server& client_;
-  std::vector<Replica> replicas_;
+  std::vector<Hop> hops_;
   Config cfg_;
 
   rdma::QueuePair* qp_down_ = nullptr;
   rdma::QueuePair* qp_up_ = nullptr;
   rdma::CompletionQueue* cq_down_ = nullptr;
   rdma::CompletionQueue* cq_up_ = nullptr;
-  rdma::Addr client_region_ = 0;
   rdma::Addr client_cmd_ring_ = 0;  ///< outbound command staging
   rdma::Addr client_ack_ring_ = 0;  ///< inbound ACK landing
   uint32_t client_ack_lkey_ = 0;
 
-  OpWindow<Cmd> window_;  ///< seq is assigned when a command is issued
+  OpWindow<GroupOp> window_;  ///< seq is assigned when a command is issued
 };
 
 }  // namespace hyperloop::core

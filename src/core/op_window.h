@@ -19,8 +19,8 @@
 // completion has just freed a credit (the completing op's callback runs
 // before the oldest parked op is re-issued).
 //
-// `Op` is the backend's parked-op record: the parameters its issue
-// function needs. The callbacks ride beside it. The slot table is sized
+// `Op` is the parked-op record: core::GroupOp for most backends, plus the
+// extent list on HyperLoop's rings. The callbacks ride beside it. The slot table is sized
 // at construction and the park ring grows to its high-water mark once, so
 // the steady state allocates nothing.
 #pragma once

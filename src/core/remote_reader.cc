@@ -47,22 +47,8 @@ uint32_t RemoteReader::frags_needed(const ReadVec& v, uint32_t slot_size) {
 }
 
 size_t RemoteReader::pick_replica() {
-  switch (opts_.policy) {
-    case Policy::kHeadOnly:
-      return 0;
-    case Policy::kRoundRobin:
-      return rr_next_++ % endpoints_.size();
-    case Policy::kLeastOutstanding: {
-      size_t best = 0;
-      for (size_t i = 1; i < endpoints_.size(); ++i) {
-        if (endpoints_[i].outstanding < endpoints_[best].outstanding) {
-          best = i;
-        }
-      }
-      return best;
-    }
-  }
-  return 0;
+  if (opts_.policy == Policy::kHeadOnly) return 0;
+  return rr_next_++ % endpoints_.size();
 }
 
 size_t RemoteReader::next_replica() { return pick_replica(); }
@@ -135,7 +121,6 @@ void RemoteReader::issue(size_t replica, const ReadVec& extents,
           rdma::make_read(ep.bounce_base + uint64_t{slot} * opts_.slot_size,
                           0, ep.remote_base + off, ep.rkey, flen, wr_id));
       ++op.remaining;
-      ++ep.outstanding;
       ++ep.frags_issued;
       ++stats_.frags_issued;
       off += flen;
@@ -171,7 +156,6 @@ void RemoteReader::on_completion(size_t replica) {
     client_.mem().read(ep.bounce_base + uint64_t{f.slot} * opts_.slot_size,
                        op.scratch.data() + f.dst_off, f.len);
     ep.free_slots.push_back(f.slot);
-    --ep.outstanding;
     assert(op.live && op.remaining > 0);
     if (--op.remaining > 0) {
       replay_waiting();

@@ -7,9 +7,8 @@
 // primitive rings, and read *load* can be spread across replicas with a
 // pluggable selection policy (Storm-style one-sided fan-out):
 //
-//   kHeadOnly          every read goes to target 0
-//   kRoundRobin        logical reads rotate across all targets
-//   kLeastOutstanding  pick the endpoint with the fewest in-flight frags
+//   kHeadOnly    every read goes to target 0
+//   kRoundRobin  logical reads rotate across all targets
 //
 // Reads larger than one bounce slot are fragmented across slots of the
 // chosen endpoint (never across endpoints — one logical read observes one
@@ -110,7 +109,7 @@ struct ReadVec {
 class RemoteReader {
  public:
   /// Replica-selection policy for reads that do not name a replica.
-  enum class Policy : uint8_t { kHeadOnly, kRoundRobin, kLeastOutstanding };
+  enum class Policy : uint8_t { kHeadOnly, kRoundRobin };
 
   /// One readable replica: its server plus the base/rkey of its region.
   struct Target {
@@ -181,7 +180,6 @@ class RemoteReader {
   uint64_t replica_frags(size_t i) const {
     return endpoints_.at(i).frags_issued;
   }
-  uint64_t outstanding(size_t i) const { return endpoints_.at(i).outstanding; }
   /// Latency of completed logical reads (issue -> last fragment).
   const stats::Histogram& latency() const { return latency_; }
 
@@ -206,8 +204,7 @@ class RemoteReader {
     rdma::CompletionQueue* cq = nullptr;
     rdma::Addr bounce_base = 0;
     std::vector<uint32_t> free_slots;
-    sim::Ring<Frag> pending;   ///< FIFO of in-flight fragments
-    uint64_t outstanding = 0;  ///< in-flight fragments
+    sim::Ring<Frag> pending;  ///< FIFO of in-flight fragments
     uint64_t frags_issued = 0;
   };
 

@@ -15,12 +15,10 @@
 // router is all the partitioning there is.
 //
 // Router contract: a primitive's byte range must not cross a routing
-// boundary (asserted in debug builds). The range policy makes that
-// natural — whole slices map to one shard; the hash policy requires
-// callers to keep objects within one routing granule (chunk_shift is
-// part of the contract). Cross-shard gWRITEV batches are the exception:
-// they are split per shard and rejoined with a pooled scatter-join
-// completion, so callers see one done for the whole batch.
+// boundary (asserted in debug builds). Routing by range makes that
+// natural: whole slices map to one shard. Cross-shard gWRITEV batches are
+// the exception: they are split per shard and rejoined with a pooled
+// scatter-join completion, so callers see one done for the whole batch.
 //
 // Hot-path discipline matches the other groups: sim::SmallFn completions,
 // pooled join slots indexed by small integers, zero steady-state
@@ -36,55 +34,29 @@
 
 namespace hyperloop::core {
 
-/// Maps region offsets to shards. A plain value type, cheap to copy.
+/// Maps region offsets to shards by range: shard s owns the contiguous
+/// `span` bytes from s * span, and offsets past shards * span clamp to
+/// the last shard. A plain value type, cheap to copy.
 struct ShardRouter {
-  enum class Policy : uint8_t { kHash, kRange };
-
-  Policy policy = Policy::kHash;
   uint32_t shards = 1;
-  /// kHash: routing granule = 1 << chunk_shift bytes; the granule index
-  /// is mix-hashed so adjacent granules spread across shards.
-  uint64_t chunk_shift = 12;
-  /// kRange: contiguous span (bytes) owned by each shard; offsets past
-  /// shards * span clamp to the last shard.
   uint64_t span = 0;
 
-  static ShardRouter hash(uint32_t shards, uint64_t chunk_shift = 12) {
-    ShardRouter r;
-    r.policy = Policy::kHash;
-    r.shards = shards;
-    r.chunk_shift = chunk_shift;
-    return r;
-  }
   static ShardRouter range(uint32_t shards, uint64_t span) {
     ShardRouter r;
-    r.policy = Policy::kRange;
     r.shards = shards;
     r.span = span;
     return r;
   }
 
-  /// splitmix64 finalizer: a stable, well-mixed granule hash.
-  static uint64_t mix(uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-
   uint32_t shard_of(uint64_t offset) const {
-    if (policy == Policy::kRange) {
-      const uint64_t s = offset / span;
-      return s >= shards ? shards - 1 : static_cast<uint32_t>(s);
-    }
-    return static_cast<uint32_t>(mix(offset >> chunk_shift) % shards);
+    const uint64_t s = offset / span;
+    return s >= shards ? shards - 1 : static_cast<uint32_t>(s);
   }
 
   /// First offset after `offset` where the owning shard may change.
   /// Local bulk accessors split ranges at these boundaries.
   uint64_t next_boundary(uint64_t offset) const {
-    if (policy == Policy::kRange) return (offset / span + 1) * span;
-    return ((offset >> chunk_shift) + 1) << chunk_shift;
+    return (offset / span + 1) * span;
   }
 };
 

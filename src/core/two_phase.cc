@@ -106,6 +106,13 @@ void TwoPhaseCoordinator::abort_release(std::shared_ptr<TxnCtx> t, size_t i) {
 
 // Prepare partitions one at a time (simple and restartable under log
 // backpressure); each step retries itself until its append is accepted.
+// A full log is drained before the retry, as KvStore does: the records
+// filling it may be prepare records of transactions that are themselves
+// waiting for log space, and only run_execs would apply them otherwise.
+// Every drained record is durable, so applying it early writes only what
+// replay would: a prepare's staging block and PREPARED mark, or a commit
+// record's writes (a transaction is committed once any of its commit
+// records is durable).
 void TwoPhaseCoordinator::prepare_step(std::shared_ptr<TxnCtx> t,
                                        size_t idx) {
   if (idx == t->parts.size()) {
@@ -125,14 +132,16 @@ void TwoPhaseCoordinator::prepare_step(std::shared_ptr<TxnCtx> t,
         prepare_step(std::move(t), idx + 1);
       });
   if (!ok) {
+    parts_[part].wal->execute_and_advance(ReplicatedWal::Done{});
     loop_.schedule_after(sim::usec(200), [this, t = std::move(t), idx] {
       prepare_step(t, idx);
     });
   }
 }
 
-// Phase 2, per partition in order: commit-record append. The global
-// commit point is the last partition's durable append; run_execs follows.
+// Phase 2, per partition in order: commit-record append, retried like a
+// prepare. The global commit point is the last partition's durable
+// append; run_execs follows.
 void TwoPhaseCoordinator::commit_step(std::shared_ptr<TxnCtx> t,
                                       size_t idx) {
   if (idx == t->parts.size()) {
@@ -150,6 +159,7 @@ void TwoPhaseCoordinator::commit_step(std::shared_ptr<TxnCtx> t,
         commit_step(std::move(t), idx + 1);
       });
   if (!ok) {
+    parts_[part].wal->execute_and_advance(ReplicatedWal::Done{});
     loop_.schedule_after(sim::usec(200), [this, t = std::move(t), idx] {
       commit_step(t, idx);
     });

@@ -1,6 +1,7 @@
 // One factory for every ReplicationGroup backend, for tests that run the
 // same scenario on each of them (parameterize over kAllBackends and name
-// the instances with backend_name).
+// the instances with backend_name). make_backend returns the single-chain
+// ones as a BackendGroup, whose replica accessors need no cast.
 //
 // Servers 0..2 of backend_cluster_config() are the replicas and server 3
 // is the client. Every server has two NICs, so the 2-shard ShardedGroup
@@ -13,12 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "chain_setup.h"
 #include "core/fanout_group.h"
-#include "core/group.h"
-#include "core/hyperloop_group.h"
 #include "core/naive_group.h"
-#include "core/remote_reader.h"
-#include "core/server.h"
 #include "core/sharded_group.h"
 #include "core/tcp_group.h"
 
@@ -65,24 +63,31 @@ inline Cluster::Config backend_cluster_config() {
   return c;
 }
 
-/// A 3-replica group of backend `b` over `region_size` bytes whose credit
-/// window admits `max_inflight` ops. The sharded group splits the region
-/// into two equal ranges, one HyperLoop chain each.
-inline std::unique_ptr<ReplicationGroup> make_group(Backend b,
-                                                    Cluster& cluster,
-                                                    uint64_t region_size,
-                                                    uint32_t max_inflight) {
+/// Every backend but the sharded one: one chain, one BackendGroup.
+inline constexpr Backend kSingleChainBackends[] = {
+    Backend::kHyperLoop,          Backend::kNaiveEvent, Backend::kNaivePolling,
+    Backend::kNaiveSharedPolling, Backend::kFanout,     Backend::kTcp,
+};
+
+/// A 3-replica HyperLoop chain over `region_size` bytes whose credit
+/// window admits `max_inflight` ops, its QPs on NIC `nic`.
+inline std::unique_ptr<HyperLoopGroup> make_hyperloop(Cluster& cluster,
+                                                      uint64_t region_size,
+                                                      uint32_t max_inflight,
+                                                      uint32_t nic = 0) {
+  return make_chain(cluster, {.region_size = region_size,
+                              .ring_slots = 4 * max_inflight,
+                              .max_inflight = max_inflight,
+                              .nic_index = nic});
+}
+
+/// A 3-replica group of single-chain backend `b` (any but kSharded) over
+/// `region_size` bytes whose credit window admits `max_inflight` ops.
+inline std::unique_ptr<BackendGroup> make_backend(Backend b, Cluster& cluster,
+                                                  uint64_t region_size,
+                                                  uint32_t max_inflight) {
   Server& client = cluster.server(3);
-  std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),
-                               &cluster.server(2)};
-  auto hyperloop = [&](uint32_t nic) {
-    HyperLoopGroup::Config gc;
-    gc.region_size = region_size;
-    gc.ring_slots = 4 * max_inflight;
-    gc.max_inflight = max_inflight;
-    gc.nic_index = nic;
-    return std::make_unique<HyperLoopGroup>(client, reps, gc);
-  };
+  const std::vector<Server*> reps = chain_replicas(cluster);
   auto naive = [&](NaiveRdmaGroup::Mode mode) {
     NaiveRdmaGroup::Config gc;
     gc.region_size = region_size;
@@ -92,7 +97,7 @@ inline std::unique_ptr<ReplicationGroup> make_group(Backend b,
   };
   switch (b) {
     case Backend::kHyperLoop:
-      return hyperloop(0);
+      return make_hyperloop(cluster, region_size, max_inflight);
     case Backend::kNaiveEvent:
       return naive(NaiveRdmaGroup::Mode::kEvent);
     case Backend::kNaivePolling:
@@ -112,49 +117,27 @@ inline std::unique_ptr<ReplicationGroup> make_group(Backend b,
       gc.max_inflight = max_inflight;
       return std::make_unique<TcpReplicationGroup>(client, reps, gc);
     }
-    case Backend::kSharded: {
-      std::vector<std::unique_ptr<ReplicationGroup>> chains;
-      chains.push_back(hyperloop(0));
-      chains.push_back(hyperloop(1));
-      return std::make_unique<ShardedGroup>(
-          std::move(chains), ShardRouter::range(2, region_size / 2));
-    }
+    case Backend::kSharded:
+      break;
   }
+  ADD_FAILURE() << "the sharded backend has no single BackendGroup";
   return nullptr;
 }
 
-/// One RemoteReader target per replica of a single-chain group `g` of
-/// backend `b`: target i is replica i, read through a read-only memory
-/// region registered over its replicated region.
-inline std::vector<RemoteReader::Target> replica_read_targets(
-    Backend b, ReplicationGroup& g) {
-  auto targets = [&](auto& group) {
-    std::vector<RemoteReader::Target> t;
-    for (size_t i = 0; i < group.group_size(); ++i) {
-      Server& s = group.replica_server(i);
-      const rdma::Addr base = group.replica_region_base(i);
-      t.push_back({&s, base,
-                   s.nic().register_mr(base, group.region_size(),
-                                       rdma::kRemoteRead).rkey});
-    }
-    return t;
-  };
-  switch (b) {
-    case Backend::kHyperLoop:
-      return targets(static_cast<HyperLoopGroup&>(g));
-    case Backend::kNaiveEvent:
-    case Backend::kNaivePolling:
-    case Backend::kNaiveSharedPolling:
-      return targets(static_cast<NaiveRdmaGroup&>(g));
-    case Backend::kFanout:
-      return targets(static_cast<FanoutGroup&>(g));
-    case Backend::kTcp:
-      return targets(static_cast<TcpReplicationGroup&>(g));
-    case Backend::kSharded:
-      break;  // several chains: no single replica i
+/// A 3-replica group of backend `b`. The sharded group splits the region
+/// into two equal ranges, one HyperLoop chain each.
+inline std::unique_ptr<ReplicationGroup> make_group(Backend b,
+                                                    Cluster& cluster,
+                                                    uint64_t region_size,
+                                                    uint32_t max_inflight) {
+  if (b != Backend::kSharded) {
+    return make_backend(b, cluster, region_size, max_inflight);
   }
-  ADD_FAILURE() << "no single-chain read targets for this backend";
-  return {};
+  std::vector<std::unique_ptr<ReplicationGroup>> chains;
+  chains.push_back(make_hyperloop(cluster, region_size, max_inflight, 0));
+  chains.push_back(make_hyperloop(cluster, region_size, max_inflight, 1));
+  return std::make_unique<ShardedGroup>(
+      std::move(chains), ShardRouter::range(2, region_size / 2));
 }
 
 }  // namespace hyperloop::core

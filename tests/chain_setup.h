@@ -1,5 +1,5 @@
-// Shared set-up for tests that run on HyperLoop chains. Test clusters put
-// a chain's replicas on servers 0..n-1 and its client on server n.
+// Shared set-up for tests that run on chains. Test clusters put a chain's
+// replicas on servers 0..n-1 and its client on server n.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +27,9 @@ inline std::unique_ptr<HyperLoopGroup> make_chain(Cluster& cluster,
                                           chain_replicas(cluster, n), cfg);
 }
 
-/// One reader target per replica of `chain`: target i is replica i.
-inline std::vector<RemoteReader::Target> replica_targets(
-    HyperLoopGroup& chain) {
+/// One reader target per replica of `chain`: target i is replica i, read
+/// through the chain's own memory region over it.
+inline std::vector<RemoteReader::Target> replica_targets(BackendGroup& chain) {
   std::vector<RemoteReader::Target> t;
   for (size_t i = 0; i < chain.group_size(); ++i) {
     t.push_back({&chain.replica_server(i), chain.replica_region_base(i),

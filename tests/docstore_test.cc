@@ -48,7 +48,7 @@ class DocStoreTest : public ::testing::TestWithParam<Backend> {
 
   RegionLayout layout_;
   std::unique_ptr<Cluster> cluster_;
-  std::unique_ptr<core::ReplicationGroup> group_;
+  std::unique_ptr<core::BackendGroup> group_;
   std::unique_ptr<DocStore> store_;
 };
 
@@ -97,12 +97,7 @@ TEST_P(DocStoreTest, CommittedUpdateSurvivesCrashEverywhere) {
   run();
   ASSERT_TRUE(upd);
   for (size_t i = 0; i < 3; ++i) {
-    Server& s = GetParam() == Backend::kHyperLoop
-                    ? static_cast<HyperLoopGroup*>(group_.get())
-                          ->replica_server(i)
-                    : static_cast<core::TcpReplicationGroup*>(group_.get())
-                          ->replica_server(i);
-    s.nvm().crash();
+    group_->replica_server(i).nvm().crash();
     const uint64_t stride = 16 + 256;
     std::vector<uint8_t> doc(stride);
     group_->replica_load(i, layout_.db_base() + 9 * stride, doc.data(),

@@ -5,7 +5,9 @@
 // a record's apply, so every backend is held to it here for both: chains
 // of gcas(i -> i+1) issued back to back far past the credit window must
 // each find exactly i on every replica they execute on, and a chain of
-// dependent gMEMCPYs must carry its seed to the end.
+// dependent gMEMCPYs must carry its seed to the end. gFLUSH, the barrier
+// WAL truncation relies on, must make the unflushed writes before it
+// durable on every replica.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -114,6 +116,22 @@ TEST_P(GroupOrderTest, DependentMemcpyChainsRunInIssueOrder) {
     for (uint64_t w : kWords) {
       EXPECT_EQ(word(r, w + 8 * kOps), kSeed) << "replica " << r;
     }
+  }
+}
+
+TEST_P(GroupOrderTest, GflushMakesEarlierOpsDurable) {
+  // Unflushed gWRITEs, then gFLUSH: the flush is a durability barrier at
+  // each replica (group.h), so the bytes survive a crash of every one.
+  constexpr uint64_t kValue = 0xD0AB1E00FEEDF00D;
+  for (uint64_t w : kWords) {
+    group->gwrite_bytes(w, &kValue, 8, /*flush=*/false, {});
+  }
+  group->gflush([this] { ++completed; });
+  run();
+  ASSERT_EQ(completed, 1u);
+  for (size_t r = 0; r < kReplicas; ++r) {
+    cluster.server(r).nvm().crash();
+    for (uint64_t w : kWords) EXPECT_EQ(word(r, w), kValue) << "replica " << r;
   }
 }
 

@@ -66,11 +66,7 @@ TEST(RegisterHistoryTest, ReadBeforeItsWriteOrOfNoWriteFails) {
 }
 
 using core::Backend;
-
-constexpr Backend kSingleChainBackends[] = {
-    Backend::kHyperLoop,          Backend::kNaiveEvent, Backend::kNaivePolling,
-    Backend::kNaiveSharedPolling, Backend::kFanout,     Backend::kTcp,
-};
+using core::kSingleChainBackends;
 
 /// Closed-loop clients issue reads and updates on a few hot keys. Every
 /// update stores a value whose first 16 bytes are its (client, op) tag, so
@@ -89,7 +85,7 @@ class DocStoreHistoryTest
     layout.region_size = 1 << 20;
     layout.log_size = 64 << 10;
     layout.num_locks = 8;
-    group_ = core::make_group(backend, cluster_, layout.region_size, 16);
+    group_ = core::make_backend(backend, cluster_, layout.region_size, 16);
     apps::DocStore::Config dc;
     dc.layout = layout;
     dc.value_size = kValueSize;
@@ -98,8 +94,7 @@ class DocStoreHistoryTest
       core::RemoteReader::Options ro;
       ro.policy = core::RemoteReader::Policy::kRoundRobin;
       reader_ = std::make_unique<core::RemoteReader>(
-          cluster_.server(3), core::replica_read_targets(backend, *group_),
-          ro);
+          cluster_.server(3), core::replica_targets(*group_), ro);
       store_->set_remote_reader(reader_.get());
     }
   }
@@ -136,7 +131,7 @@ class DocStoreHistoryTest
   }
 
   core::Cluster cluster_{core::backend_cluster_config()};
-  std::unique_ptr<core::ReplicationGroup> group_;
+  std::unique_ptr<core::BackendGroup> group_;
   std::unique_ptr<apps::DocStore> store_;
   std::unique_ptr<core::RemoteReader> reader_;
   RegisterHistory history_;

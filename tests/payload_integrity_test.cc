@@ -32,10 +32,11 @@ class PayloadIntegrityTest : public ::testing::TestWithParam<uint64_t> {
   static constexpr uint64_t kRegion = 1 << 20;
 
   void build(double loss) {
-    cluster_ = std::make_unique<Cluster>(
-        Cluster::Config{.num_servers = 4,
-                        .network = {.loss_probability = loss},
-                        .seed = GetParam()});
+    Cluster::Config cc;
+    cc.num_servers = 4;
+    cc.network.loss_probability = loss;
+    cc.seed = GetParam();
+    cluster_ = std::make_unique<Cluster>(cc);
     group_ = make_chain(
         *cluster_,
         {.region_size = kRegion, .ring_slots = 128, .max_inflight = 16});

@@ -17,8 +17,10 @@ namespace {
 class PropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   PropertyTest() {
-    cluster_ = std::make_unique<Cluster>(
-        Cluster::Config{.num_servers = 4, .seed = GetParam()});
+    Cluster::Config cc;
+    cc.num_servers = 4;
+    cc.seed = GetParam();
+    cluster_ = std::make_unique<Cluster>(cc);
     group_ = make_chain(
         *cluster_,
         {.region_size = 1 << 20, .ring_slots = 256, .max_inflight = 32});

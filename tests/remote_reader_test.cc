@@ -120,27 +120,6 @@ TEST_F(ReaderFixture, RoundRobinSpreadsAcrossReplicas) {
   EXPECT_EQ(reader->replica_frags(2), 3u);
 }
 
-TEST_F(ReaderFixture, LeastOutstandingBalancesInFlight) {
-  RemoteReader::Options opts;
-  opts.policy = RemoteReader::Policy::kLeastOutstanding;
-  auto reader = make_reader(opts);
-  // Issue back-to-back without draining: each pick sees the previous
-  // reads still outstanding, so the argmin walks 0,1,2,0,1,2.
-  int ok = 0;
-  for (int k = 0; k < 6; ++k) {
-    reader->read(static_cast<uint64_t>(k) * 512, 64, [&](ReadView) { ++ok; });
-  }
-  EXPECT_EQ(reader->outstanding(0), 2u);
-  EXPECT_EQ(reader->outstanding(1), 2u);
-  EXPECT_EQ(reader->outstanding(2), 2u);
-  run();
-  ASSERT_EQ(ok, 6);
-  EXPECT_EQ(reader->replica_frags(0), 2u);
-  EXPECT_EQ(reader->replica_frags(1), 2u);
-  EXPECT_EQ(reader->replica_frags(2), 2u);
-  EXPECT_EQ(reader->outstanding(0), 0u);
-}
-
 TEST_F(ReaderFixture, NextReplicaAdvancesRoundRobinState) {
   RemoteReader::Options opts;
   opts.policy = RemoteReader::Policy::kRoundRobin;

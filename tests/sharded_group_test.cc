@@ -1,7 +1,7 @@
 // ShardedGroup (multi-chain replication) tests.
 //
 // Covers the router contract and the composition semantics:
-//   - range/hash routing math (granule stability, clamping, boundaries)
+//   - range routing math (clamping, boundaries)
 //   - identity addressing: offsets are never rebased, data written through
 //     the sharded facade reads back from every child chain's replicas
 //   - cross-shard gWRITEV split + pooled scatter-join (one done per batch)
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "chain_setup.h"
@@ -64,25 +63,6 @@ TEST(ShardRouterTest, RangePolicyMapsSpansAndClamps) {
   EXPECT_EQ(r.next_boundary(0), 1000u);
   EXPECT_EQ(r.next_boundary(999), 1000u);
   EXPECT_EQ(r.next_boundary(1000), 2000u);
-}
-
-TEST(ShardRouterTest, HashPolicyIsGranuleStableAndSpreads) {
-  const ShardRouter r = ShardRouter::hash(4, /*chunk_shift=*/12);
-  // Every offset inside one 4KB granule routes identically.
-  const uint32_t owner = r.shard_of(8 << 12);
-  for (uint64_t o = 0; o < 4096; o += 64) {
-    EXPECT_EQ(r.shard_of((8 << 12) + o), owner);
-  }
-  EXPECT_EQ(r.next_boundary(8 << 12), uint64_t{9} << 12);
-  // Adjacent granules spread: over many granules every shard shows up.
-  std::set<uint32_t> seen;
-  for (uint64_t g = 0; g < 64; ++g) seen.insert(r.shard_of(g << 12));
-  EXPECT_EQ(seen.size(), 4u);
-  // Deterministic across instances.
-  const ShardRouter r2 = ShardRouter::hash(4, 12);
-  for (uint64_t g = 0; g < 64; ++g) {
-    EXPECT_EQ(r.shard_of(g << 12), r2.shard_of(g << 12));
-  }
 }
 
 TEST_F(ShardedGroupFixture, IdentityAddressedWritesLandOnEveryReplica) {

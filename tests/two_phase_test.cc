@@ -170,6 +170,39 @@ TEST_F(TwoPhaseFixture, ManyConcurrentTxnsAllCommit) {
   }
 }
 
+// An 8 KB log holds four of the prepare records below. Twelve
+// transactions prepare at once and fill it; each commit append then finds
+// it full and must drain the prepare records itself, since run_execs, the
+// usual drain, runs only after every commit append.
+struct TwoPhaseSmallLogFixture : TwoPhaseFixture {
+  TwoPhaseSmallLogFixture() { layout.log_size = 8 << 10; }
+};
+
+TEST_F(TwoPhaseSmallLogFixture, PrepareRecordsFillingTheLogDoNotStallCommits) {
+  constexpr int kTxns = 12;
+  const uint64_t base = coord->app_data_base();
+  int committed = 0;
+  for (int t = 0; t < kTxns; ++t) {
+    const std::vector<uint8_t> data(1536, static_cast<uint8_t>(t + 1));
+    const uint64_t off = base + static_cast<uint64_t>(t) * 2048;
+    const auto lock = static_cast<uint32_t>(t);
+    coord->execute({{0, off, lock, data}, {1, off, lock, data}},
+                   [&](bool ok) { committed += ok ? 1 : 0; });
+  }
+  run(sim::seconds(2));
+  EXPECT_EQ(committed, kTxns);
+  for (int t = 0; t < kTxns; ++t) {
+    uint64_t want = 0;
+    std::memset(&want, t + 1, 8);
+    for (int p = 0; p < kPartitions; ++p) {
+      for (size_t r = 0; r < 3; ++r) {
+        EXPECT_EQ(db_read(p, r, base + static_cast<uint64_t>(t) * 2048), want)
+            << "txn " << t << " partition " << p << " replica " << r;
+      }
+    }
+  }
+}
+
 TEST_F(TwoPhaseFixture, PreparedOnlyTxnIsPresumedAborted) {
   // Simulate a coordinator crash after prepare: append the prepare record
   // manually (what prepare_all does) and never commit. The staged bytes

@@ -174,6 +174,43 @@ TEST_F(TxnFixture, LogBackpressureRetriesAndSucceeds) {
   EXPECT_EQ(committed, n);
 }
 
+// An 8 KB log holds three of these transactions' records, so most
+// appends find it full and retry until earlier transactions have applied
+// and truncated theirs.
+TEST(TxnLogFullTest, FullLogAppendsRetryUntilEveryTransactionCommits) {
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
+  RegionLayout layout;
+  layout.region_size = 1 << 20;
+  layout.log_size = 8 << 10;
+  layout.num_locks = 32;
+  auto group = make_chain(cluster, {.region_size = layout.region_size,
+                                    .ring_slots = 128,
+                                    .max_inflight = 32});
+  ReplicatedWal wal{*group, layout};
+  GroupLockManager locks{*group, layout, cluster.loop()};
+  TransactionManager txns{*group, wal, locks, cluster.loop()};
+  constexpr uint32_t kTxns = 24;
+  uint32_t committed = 0;
+  for (uint32_t k = 0; k < kTxns; ++k) {
+    txns.execute({{uint64_t{k} * 4096,
+                   std::vector<uint8_t>(2048, static_cast<uint8_t>(k + 1))}},
+                 {k}, [&](bool ok) { committed += ok ? 1 : 0; });
+  }
+  cluster.loop().run_until(cluster.loop().now() + sim::seconds(2));
+  EXPECT_EQ(committed, kTxns);
+  EXPECT_GT(wal.stats().append_failures, 0u) << "the log never filled";
+  for (size_t r = 0; r < 3; ++r) {
+    for (uint32_t k = 0; k < kTxns; ++k) {
+      uint64_t word = ~uint64_t{0};
+      group->replica_load(r, layout.lock_offset(k), &word, 8);
+      EXPECT_EQ(word, 0u) << "lock " << k << " replica " << r;
+      uint8_t b = 0;
+      group->replica_load(r, layout.db_base() + uint64_t{k} * 4096, &b, 1);
+      EXPECT_EQ(b, k + 1) << "txn " << k << " replica " << r;
+    }
+  }
+}
+
 TEST_F(TxnFixture, CrashBeforeExecuteIsRecoveredByReplay) {
   // Append a record manually (commit), crash a replica before execution,
   // replay must reconstruct the DB state.

@@ -4,8 +4,7 @@
 
 #include <string>
 
-#include "chain_setup.h"
-#include "core/naive_group.h"
+#include "backends.h"
 #include "sim/rng.h"
 
 namespace hyperloop::core {
@@ -50,27 +49,14 @@ TEST(WalCrc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   }
 }
 
-enum class Backend { kHyperLoop, kNaive };
-
-// The WAL must behave identically over both group implementations.
+// The WAL must behave identically over every single-chain backend.
 class WalTest : public ::testing::TestWithParam<Backend> {
  protected:
   WalTest() {
-    cluster_ = std::make_unique<Cluster>(
-        Cluster::Config{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}});
     layout_.region_size = 1 << 20;
     layout_.log_size = 64 << 10;
     layout_.num_locks = 16;
-    if (GetParam() == Backend::kHyperLoop) {
-      group_ = make_chain(*cluster_, {.region_size = layout_.region_size,
-                                      .ring_slots = 64,
-                                      .max_inflight = 16});
-    } else {
-      NaiveRdmaGroup::Config gc;
-      gc.region_size = layout_.region_size;
-      group_ = std::make_unique<NaiveRdmaGroup>(
-          cluster_->server(3), chain_replicas(*cluster_), gc);
-    }
+    group_ = make_backend(GetParam(), *cluster_, layout_.region_size, 16);
     wal_ = std::make_unique<ReplicatedWal>(*group_, layout_);
   }
 
@@ -90,8 +76,9 @@ class WalTest : public ::testing::TestWithParam<Backend> {
   }
 
   RegionLayout layout_;
-  std::unique_ptr<Cluster> cluster_;
-  std::unique_ptr<ReplicationGroup> group_;
+  std::unique_ptr<Cluster> cluster_ =
+      std::make_unique<Cluster>(backend_cluster_config());
+  std::unique_ptr<BackendGroup> group_;
   std::unique_ptr<ReplicatedWal> wal_;
 };
 
@@ -106,9 +93,7 @@ TEST_P(WalTest, AppendCommitsDurably) {
 
   // The record and tail are durable on every replica: crash + inspect.
   for (size_t i = 0; i < 3; ++i) {
-    dynamic_cast<HyperLoopGroup*>(group_.get()) != nullptr
-        ? static_cast<HyperLoopGroup*>(group_.get())->replica_server(i).nvm().crash()
-        : static_cast<NaiveRdmaGroup*>(group_.get())->replica_server(i).nvm().crash();
+    group_->replica_server(i).nvm().crash();
     uint64_t tail = 0;
     group_->replica_load(i, RegionLayout::kTailOffset, &tail, 8);
     EXPECT_EQ(tail, wal_->tail()) << "replica " << i;
@@ -129,6 +114,28 @@ TEST_P(WalTest, ExecuteAppliesToDbOnAllReplicas) {
     EXPECT_EQ(db_read(i, 300, 4), "beta") << i;
   }
   EXPECT_TRUE(wal_->empty());
+}
+
+// The execute batch's gMEMCPYs ride unflushed and the flushed head
+// advance behind them persists them (group.h), so records the log has
+// truncated are durable in the DB area: a crash after the advance loses
+// neither the head nor the applied bytes.
+TEST_P(WalTest, AppliedRecordsSurviveACrashAfterTheHeadAdvance) {
+  bool truncated = false;
+  ASSERT_TRUE(wal_->append({{100, bytes("applied")}}, [&](uint64_t) {
+    wal_->execute_and_advance([&] { truncated = true; });
+  }));
+  run();
+  ASSERT_TRUE(truncated);
+  for (size_t i = 0; i < 3; ++i) {
+    group_->replica_server(i).nvm().crash();
+    uint64_t head = 0, tail = 0;
+    group_->replica_load(i, layout_.head_ptr_offset(), &head, 8);
+    group_->replica_load(i, layout_.tail_ptr_offset(), &tail, 8);
+    EXPECT_EQ(head, wal_->tail()) << "replica " << i;
+    EXPECT_EQ(tail, wal_->tail()) << "replica " << i;
+    EXPECT_EQ(db_read(i, 100, 7), "applied") << "replica " << i;
+  }
 }
 
 TEST_P(WalTest, ExecuteOnEmptyLogReturnsFalse) {
@@ -243,17 +250,11 @@ TEST_P(WalTest, ReplayRecoversCommittedRecords) {
   ASSERT_TRUE(wal_->append({{64, bytes("second")}}, [](uint64_t) {}));
   run();
 
-  Server& victim =
-      GetParam() == Backend::kHyperLoop
-          ? static_cast<HyperLoopGroup*>(group_.get())->replica_server(1)
-          : static_cast<NaiveRdmaGroup*>(group_.get())->replica_server(1);
+  Server& victim = group_->replica_server(1);
   victim.nvm().crash();
 
   // DB area is empty (nothing executed), but the log is durable; replay.
-  const rdma::Addr base =
-      GetParam() == Backend::kHyperLoop
-          ? static_cast<HyperLoopGroup*>(group_.get())->replica_region_base(1)
-          : static_cast<NaiveRdmaGroup*>(group_.get())->replica_region_base(1);
+  const rdma::Addr base = group_->replica_region_base(1);
   const uint64_t applied = ReplicatedWal::replay(
       layout_,
       [&](uint64_t off, void* dst, uint32_t len) {
@@ -301,14 +302,8 @@ TEST_P(WalTest, WalkStopsWhereTheExpectedLsnIsNotFound) {
 TEST_P(WalTest, ReplayIsIdempotent) {
   ASSERT_TRUE(wal_->append({{8, bytes("idem")}}, [](uint64_t) {}));
   run();
-  const rdma::Addr base =
-      GetParam() == Backend::kHyperLoop
-          ? static_cast<HyperLoopGroup*>(group_.get())->replica_region_base(0)
-          : static_cast<NaiveRdmaGroup*>(group_.get())->replica_region_base(0);
-  Server& r =
-      GetParam() == Backend::kHyperLoop
-          ? static_cast<HyperLoopGroup*>(group_.get())->replica_server(0)
-          : static_cast<NaiveRdmaGroup*>(group_.get())->replica_server(0);
+  const rdma::Addr base = group_->replica_region_base(0);
+  Server& r = group_->replica_server(0);
   auto load = [&](uint64_t off, void* dst, uint32_t len) {
     r.mem().read(base + off, dst, len);
   };
@@ -327,14 +322,8 @@ TEST_P(WalTest, UncommittedTailIsNotReplayed) {
   run();
 
   // Hand-craft garbage after the tail on replica 0's image.
-  const rdma::Addr base =
-      GetParam() == Backend::kHyperLoop
-          ? static_cast<HyperLoopGroup*>(group_.get())->replica_region_base(0)
-          : static_cast<NaiveRdmaGroup*>(group_.get())->replica_region_base(0);
-  Server& r =
-      GetParam() == Backend::kHyperLoop
-          ? static_cast<HyperLoopGroup*>(group_.get())->replica_server(0)
-          : static_cast<NaiveRdmaGroup*>(group_.get())->replica_server(0);
+  const rdma::Addr base = group_->replica_region_base(0);
+  Server& r = group_->replica_server(0);
   const char junk[] = "torn-record-gibberish";
   r.mem().write(base + layout_.log_base() + (wal_->tail() % layout_.log_size),
                 junk, sizeof(junk));
@@ -489,13 +478,14 @@ TEST_P(WalTest, ReloadResumesLsnsAfterTheLog) {
   EXPECT_EQ(db_read(2, 64, 3), "new");
 }
 
+// The event-mode Naïve instances keep the name they had when this suite
+// ran on HyperLoop and Naïve only.
 INSTANTIATE_TEST_SUITE_P(Backends, WalTest,
-                         ::testing::Values(Backend::kHyperLoop,
-                                           Backend::kNaive),
-                         [](const auto& info) {
-                           return info.param == Backend::kHyperLoop
-                                      ? "HyperLoop"
-                                      : "NaiveRdma";
+                         ::testing::ValuesIn(kSingleChainBackends),
+                         [](const ::testing::TestParamInfo<Backend>& p) {
+                           return p.param == Backend::kNaiveEvent
+                                      ? std::string("NaiveRdma")
+                                      : backend_name(p);
                          });
 
 }  // namespace

@@ -14,6 +14,8 @@ ROOT=$(cd "$(dirname "$0")/.." && pwd)
 
 FILES="
 src/core/group.h
+src/core/backend_group.h
+src/core/backend_group.cc
 src/core/hyperloop_group.h
 src/core/hyperloop_group.cc
 src/core/naive_group.h
