@@ -429,8 +429,9 @@ BENCHMARK(BM_WalAppendBatched);
 // Aggregate replication throughput across independent chains (DESIGN.md
 // "Sharded datapath"): a sharded KvStore over K HyperLoop chains, one
 // NIC per chain, driven by a pipelined update-heavy uniform workload.
-// The scaling claim lives in *simulated* time — each chain's WAL keeps
-// one group-commit batch outstanding (latency-bound), so K independent
+// The scaling claim lives in *simulated* time — each chain's WAL
+// commits at most two batches at a time, a second only behind a
+// single-record one, so a loaded chain is latency-bound and K independent
 // chains commit ~K times the records per simulated second. The usual
 // wall-clock items_per_second still guards simulator cost; the
 // sim_items_per_sec counter carries the scaling signal, and

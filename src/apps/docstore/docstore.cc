@@ -86,11 +86,12 @@ void DocStore::read(uint64_t key, ReadDone done) {
                   key, replica,
                   [this, key, replica, done = std::move(done)](
                       bool ok2, std::vector<uint8_t> v) mutable {
-                    locks_.rd_unlock(stripe(key), replica,
-                                     [done = std::move(done), ok2,
-                                      v = std::move(v)]() mutable {
-                                       done(ok2, std::move(v));
-                                     });
+                    // The value is fixed once read under the lock, so
+                    // report now. Unlock first: every later lock op of
+                    // this client then executes behind the decrement
+                    // (group.h), so it never meets its own read count.
+                    locks_.rd_unlock(stripe(key), replica, {});
+                    done(ok2, std::move(v));
                   });
             });
       });

@@ -11,8 +11,14 @@
 // replica after the report still waits for the record to land there.
 // Reads take a read lock on replica 0 and read the client's copy by
 // default; an attached RemoteReader serves them from a chain replica
-// instead (one-sided RDMA). tests/linearizability_test.cc checks both
-// read paths' histories.
+// instead (one-sided RDMA). Once the value is read under the lock it is
+// fixed, so a read reports then: it issues its read unlock first and
+// does not wait for it. A locked read thus waits for the lock's one
+// round trip (plus the one-sided read), and every later lock op of
+// this client, a read_modify_write's write lock included, executes
+// behind the unlock on the gCAS ring (core/group.h), so it never meets
+// the client's own read count. tests/linearizability_test.cc checks
+// both read paths' histories, read-modify-writes included.
 //
 // The store runs on one region slice with one oplog, lock table and
 // transaction manager. Documents live in its DB area in the slot format
@@ -43,8 +49,7 @@ class DocStore : public StorageEngine {
     sim::Duration op_cpu = sim::usec(4);
     /// Take read locks for reads (required for consistent replica reads).
     bool use_read_locks = true;
-    /// Oplog group-commit tuning (staged-window depth, latency clock);
-    /// staged_capacity = 1 restores per-record issue semantics.
+    /// Oplog group-commit tuning (staged-window depth, latency clock).
     core::ReplicatedWal::Options wal;
   };
 

@@ -228,9 +228,9 @@ uint64_t KvStore::sync_shard(size_t i, uint32_t s) {
   const auto load = [this, i](uint64_t off, void* dst, uint32_t len) {
     group_.replica_load(i, off, dst, len);
   };
-  uint64_t head = 0, tail = 0;
+  uint64_t head = 0;
   load(lay.head_ptr_offset(), &head, 8);
-  load(lay.tail_ptr_offset(), &tail, 8);
+  const uint64_t tail = core::ReplicatedWal::load_tail(lay, load);
   const auto apply = [&](uint64_t db_offset, uint64_t data, uint32_t len) {
     if (db_offset + len <= image.size()) {
       load(data, image.data() + db_offset, len);

@@ -53,8 +53,7 @@ class KvStore : public StorageEngine {
     sim::Duration op_cpu = sim::usec(2);
     /// Run the replicas' off-path memtable sync.
     bool replicas_sync = true;
-    /// WAL group-commit tuning (staged-window depth, latency clock);
-    /// staged_capacity = 1 restores per-record issue semantics.
+    /// WAL group-commit tuning (staged-window depth, latency clock).
     core::ReplicatedWal::Options wal{};
   };
 

@@ -30,12 +30,14 @@
 // backend.
 //
 // Ordering contract: ops of one primitive issued on one group execute at
-// every replica in issue order. That includes ops parked for a credit and
-// ops issued back to back without waiting for an ACK. Every backend keeps
-// its credit window in an OpWindow (core/op_window.h), the one place the
-// park rule is enforced: the credit-wait queue is FIFO, and an op issued
-// while others are parked parks behind them, even when a completion has
-// just freed a credit. A ShardedGroup keeps the contract among the ops
+// every replica in issue order, and their completions fire in issue
+// order. That includes ops parked for a credit and ops issued back to
+// back without waiting for an ACK. Every backend keeps its credit window
+// in an OpWindow (core/op_window.h), the one place the park rule is
+// enforced: the credit-wait queue is FIFO, and an op issued while others
+// are parked parks behind them, even when a completion has just freed a
+// credit. The TCP backend also handles commands and ACKs in issue order
+// (core/tcp_group.h). A ShardedGroup keeps the contract among the ops
 // routed to one chain (ops on different chains touch disjoint bytes).
 // Across primitives nothing is promised: HyperLoopGroup runs each
 // primitive on its own ring. Callers that rely on the contract:
@@ -43,9 +45,11 @@
 //   - GroupLockManager, which pipelines dependent gCAS pairs;
 //   - GroupLockManager::wr_unlock, a gMEMCPY that TransactionManager and
 //     TwoPhaseCoordinator issue right behind a record's apply gMEMCPYs,
-//     so the lock clears on each replica only after the apply.
-// tests/group_order_test.cc holds every backend to it, for gCAS and for
-// gMEMCPY.
+//     so the lock clears on each replica only after the apply;
+//   - ReplicatedWal, whose two commit batches in flight must complete in
+//     the order they went out.
+// tests/group_order_test.cc holds every backend to it, for gCAS, gMEMCPY
+// and gWRITE.
 //
 // Callback-type policy (see DESIGN.md "Callback types"): every async
 // boundary in src/core takes a sim::SmallFn — never a copyable

@@ -161,17 +161,16 @@ void GroupLockManager::rd_attempt(uint32_t idx) {
   }
   const ExecMap one = ExecMap::one(op.replica);
   if (op.writer != 0) {
-    // A writer was seen: wait for it to leave with read-only probes, so a
-    // waiting reader never holds the count up and starves its drain.
+    // A writer was seen: probe the writer word back to back until it
+    // clears. Probes never touch the count, so a waiting reader never
+    // holds it up and starves the writer's drain. Each probe is an
+    // attempt.
+    --op.attempts_left;
     group_.gcas(layout_.lock_offset(op.lock_id), 0, 0, one,
                 [this, idx](const CasResult& r) {
                   RdOp& op = rd_ops_[idx];
                   op.writer = r[op.replica];
-                  if (op.writer != 0) {
-                    rd_retry(idx);
-                  } else {
-                    rd_attempt(idx);
-                  }
+                  rd_attempt(idx);
                 });
     return;
   }
@@ -201,26 +200,15 @@ void GroupLockManager::rd_settle(uint32_t idx) {
     return;
   }
   if (incremented) {
-    // A writer slipped in ahead of the check: back out, then retry.
+    // A writer slipped in ahead of the check: back out, then probe.
     cas_loop_add(layout_.reader_offset(op.lock_id), op.replica, -1,
-                 op.guess + 1, [this, idx] { rd_retry(idx); });
+                 op.guess + 1, [this, idx] { rd_attempt(idx); });
     return;
   }
-  // The increment missed: retry it against the count it found, after a
-  // back-off (and a wait for the writer) only if a writer holds the lock.
+  // The increment missed: retry it against the count it found, once the
+  // writer word (if it was set) reads clear.
   op.guess = op.count;
-  if (op.writer != 0) {
-    rd_retry(idx);
-  } else {
-    rd_attempt(idx);
-  }
-}
-
-void GroupLockManager::rd_retry(uint32_t idx) {
-  loop_.schedule_after(cfg_.retry_backoff, [this, idx] {
-    --rd_ops_[idx].attempts_left;
-    rd_attempt(idx);
-  });
+  rd_attempt(idx);
 }
 
 void GroupLockManager::rd_unlock(uint32_t lock_id, size_t replica,

@@ -39,12 +39,18 @@
 // and sees the increment, so the writer waits for the count to drain — or
 // W1 runs before R2, and the reader sees the writer and backs out. A
 // reader and a writer therefore never both believe they hold one
-// replica's lock. A reader that has seen a writer waits for the writer
-// word to clear with read-only gCAS probes before it increments again, so
-// waiting readers never hold the count up and starve the writer's drain.
-// An uncontended read costs 3 gCAS in 2 serial round trips (the pair,
-// then the unlock decrement); an uncontended write lock costs 1 round
-// trip.
+// replica's lock. An uncontended read lock costs 2 gCAS in 1 serial
+// round trip, and an uncontended write lock the same. The read unlock is
+// a third gCAS (the decrement); a caller that already has its value need
+// not wait for it (apps/docstore), so a locked read waits for 1 lock
+// round trip.
+//
+// Probe rule. A reader that has seen a writer backs out of the count if
+// its increment landed, then probes the writer word with read-only gCAS,
+// each issued as soon as the previous one returns, and increments again
+// only once the word reads clear. Probes never touch the count, so
+// waiting readers cannot hold it up and starve the writer's drain. Each
+// probe counts against max_attempts. Writers retry after retry_backoff.
 //
 // Every multi-step acquisition (attempt/backoff/undo loops) runs as a
 // small state machine over a pooled slot table: callbacks capture only
@@ -65,7 +71,10 @@ namespace hyperloop::core {
 class GroupLockManager {
  public:
   struct Config {
+    /// A writer's wait before it retries a held lock or re-reads the
+    /// reader counts. Readers probe without waiting (see above).
     sim::Duration retry_backoff = sim::usec(20);
+    /// Attempts before done(false): a writer's tries, a reader's probes.
     int max_attempts = 10000;
   };
 
@@ -97,10 +106,14 @@ class GroupLockManager {
   /// empty) fires when the release has executed everywhere.
   void wr_unlock(uint32_t lock_id, Done done);
 
-  /// Acquires a read lock on one replica.
+  /// Acquires a read lock on one replica. done(false) after max_attempts
+  /// probes of a writer word that never cleared; the reader holds no
+  /// count then.
   void rd_lock(uint32_t lock_id, size_t replica, LockDone done);
 
-  /// Releases a read lock on one replica.
+  /// Releases a read lock on one replica. `done` (may be empty) fires
+  /// when the decrement has executed; lock ops issued later on this group
+  /// execute behind it on that replica (group.h).
   void rd_unlock(uint32_t lock_id, size_t replica, Done done);
 
   const Stats& stats() const { return stats_; }
@@ -155,7 +168,6 @@ class GroupLockManager {
 
   void rd_attempt(uint32_t idx);
   void rd_settle(uint32_t idx);
-  void rd_retry(uint32_t idx);
   void rd_finish(uint32_t idx, bool acquired);
 
   /// Adds `delta` to one replica's reader count with a gCAS loop whose

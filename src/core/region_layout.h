@@ -5,12 +5,22 @@
 //   [ control block | lock table | write-ahead log | database ]
 //
 // Control block (64 B):
-//   u64 log_head   offset of the first unprocessed record (relative to log)
-//   u64 log_tail   offset one past the last appended record
-//   u64 epoch      membership epoch (bumped by reconfiguration)
-//   u64 zero       always 0: nothing writes it. A write-lock release is a
-//                  gMEMCPY of this word onto the lock's writer word
-//                  (GroupLockManager::wr_unlock).
+//   u64 log_head     virtual log offset of the first unprocessed record
+//   u64 log_tail[0]  tail slot 0: virtual log offset one past the last
+//                    record of an even-numbered commit batch
+//   u64 epoch        reserved for a membership epoch; nothing reads or
+//                    writes it today
+//   u64 zero         always 0: nothing writes it. A write-lock release is
+//                    a gMEMCPY of this word onto the lock's writer word
+//                    (GroupLockManager::wr_unlock).
+//   u64 log_tail[1]  tail slot 1 (offset 32): the same for odd-numbered
+//                    batches
+//   bytes 40-63      unused
+//
+// The WAL's durable tail is the larger of the two tail slots
+// (ReplicatedWal::load_tail). Two slots let two commit batches be in
+// flight without one batch's tail WRITE carrying the other's value
+// (core/wal.h).
 //
 // Sharded deployments (PR 8) carve one group region into K back-to-back
 // slices, each a complete layout of its own: slice s sets `base` to
@@ -33,7 +43,7 @@ struct RegionLayout {
   static constexpr uint64_t kControlBase = 0;
   static constexpr uint64_t kControlSize = 64;
   static constexpr uint64_t kHeadOffset = 0;   ///< within control block
-  static constexpr uint64_t kTailOffset = 8;
+  static constexpr uint64_t kTailOffsets[2] = {8, 32};  ///< tail slots
   static constexpr uint64_t kEpochOffset = 16;
   static constexpr uint64_t kZeroOffset = 24;
 
@@ -42,7 +52,9 @@ struct RegionLayout {
 
   uint64_t control_base() const { return base + kControlBase; }
   uint64_t head_ptr_offset() const { return control_base() + kHeadOffset; }
-  uint64_t tail_ptr_offset() const { return control_base() + kTailOffset; }
+  uint64_t tail_slot_offset(uint32_t slot) const {
+    return control_base() + kTailOffsets[slot];
+  }
   uint64_t epoch_ptr_offset() const { return control_base() + kEpochOffset; }
   uint64_t zero_word_offset() const { return control_base() + kZeroOffset; }
 

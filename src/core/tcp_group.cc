@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "core/buf_pool.h"
 #include "core/cpu_costs.h"
@@ -21,6 +22,12 @@ TcpReplicationGroup::TcpReplicationGroup(Server& client,
     cfg_.port = next_port++;
   }
   client_pid_ = client_.sched().create_process(client_.name() + "-tcp-cli");
+  uint32_t span = 1;
+  while (span < cfg_.max_inflight) span <<= 1;
+  order_mask_ = span - 1;
+  ack_order_.held.resize(span);
+  replica_order_.resize(replicas_.size());
+  for (InOrder& o : replica_order_) o.held.resize(span);
 
   client_.tcp().listen(cfg_.port, client_pid_,
                        [this](rdma::NicId, uint16_t, std::vector<uint8_t> m) {
@@ -44,6 +51,13 @@ void TcpReplicationGroup::stop() {
   if (stopped_) return;
   stopped_ = true;
   aborted_ops_ += window_.abort_all();
+  const auto drop_held = [](InOrder& o) {
+    for (std::vector<uint8_t>& m : o.held) {
+      if (!m.empty()) BufPool::release(std::exchange(m, {}));
+    }
+  };
+  drop_held(ack_order_);
+  for (InOrder& o : replica_order_) drop_held(o);
   // No QPs/CQs to tear down: this baseline rides the kernel TCP stack.
   // Listeners stay registered but every handler early-outs on stopped_.
 }
@@ -76,23 +90,50 @@ void TcpReplicationGroup::on_replica_message(size_t i,
           BufPool::release(std::move(m));
           return;
         }
-        const Replica& rr = replicas_[i];
-        ForwardedCmd c;
-        std::memcpy(&c, m.data(), sizeof(c));
-        if (c.kind() == GroupOp::Kind::kWrite && c.len > 0) {
-          rr.server->mem().write(rr.data_base + c.offset,
-                                 m.data() + sizeof(ForwardedCmd), c.len);
-        }
-        // A flushed command persists everything applied before it too:
-        // the pipeline is FIFO per replica, which is what lets callers
-        // batch unflushed ops under one trailing flushed op (e.g. the
-        // WAL's execute batch).
-        c.apply(*rr.server, rr.data_base, i);
-        // The message carries this replica's gCAS result on.
-        std::memcpy(m.data(), &c, sizeof(c));
-        forward(i, std::move(m));
+        in_order(replica_order_[i], std::move(m),
+                 [this, i](std::vector<uint8_t> c) {
+                   apply_and_forward(i, std::move(c));
+                 });
       },
       /*fresh_wakeup=*/false);
+}
+
+template <typename Handle>
+void TcpReplicationGroup::in_order(InOrder& o, std::vector<uint8_t> msg,
+                                   Handle&& handle) {
+  ForwardedCmd cmd;
+  std::memcpy(&cmd, msg.data(), sizeof(cmd));
+  if (cmd.seq != o.next) {
+    std::vector<uint8_t>& slot = o.held[cmd.seq & order_mask_];
+    assert(slot.empty() && "more seqs live than the credit window admits");
+    slot = std::move(msg);
+    return;
+  }
+  while (!msg.empty()) {
+    handle(std::move(msg));
+    if (stopped_) return;
+    ++o.next;
+    msg = std::exchange(o.held[o.next & order_mask_], {});
+  }
+}
+
+void TcpReplicationGroup::apply_and_forward(size_t i,
+                                            std::vector<uint8_t> msg) {
+  const Replica& r = replicas_[i];
+  ForwardedCmd c;
+  std::memcpy(&c, msg.data(), sizeof(c));
+  if (c.kind() == GroupOp::Kind::kWrite && c.len > 0) {
+    r.server->mem().write(r.data_base + c.offset,
+                          msg.data() + sizeof(ForwardedCmd), c.len);
+  }
+  // A flushed command persists everything applied before it too: the
+  // pipeline is FIFO per replica, which is what lets callers batch
+  // unflushed ops under one trailing flushed op (e.g. the WAL's execute
+  // batch).
+  c.apply(*r.server, r.data_base, i);
+  // The message carries this replica's gCAS result on.
+  std::memcpy(msg.data(), &c, sizeof(c));
+  forward(i, std::move(msg));
 }
 
 void TcpReplicationGroup::forward(size_t i, std::vector<uint8_t> msg) {
@@ -116,14 +157,16 @@ void TcpReplicationGroup::on_client_ack(std::vector<uint8_t> msg) {
     return;
   }
   assert(msg.size() >= sizeof(ForwardedCmd));
-  ForwardedCmd cmd;
-  std::memcpy(&cmd, msg.data(), sizeof(cmd));
-  BufPool::release(std::move(msg));
-  auto* slot = window_.ack(cmd.seq);
-  if (slot == nullptr) return;
-  window_.complete(
-      *slot, [&] { return CasResult(cmd.result, replicas_.size()); },
-      issuer());
+  in_order(ack_order_, std::move(msg), [this](std::vector<uint8_t> m) {
+    ForwardedCmd cmd;
+    std::memcpy(&cmd, m.data(), sizeof(cmd));
+    BufPool::release(std::move(m));
+    auto* slot = window_.ack(cmd.seq);
+    if (slot == nullptr) return;
+    window_.complete(
+        *slot, [&] { return CasResult(cmd.result, replicas_.size()); },
+        issuer());
+  });
 }
 
 void TcpReplicationGroup::submit(const GroupOp& op, Done done,

@@ -7,6 +7,13 @@
 // CAS/persist) — all of it on schedulable processes that queue behind
 // co-located tenants. This backend is the baseline for the MongoDB
 // experiments (Fig 2, Fig 12).
+//
+// Each message's CPU bursts run on whichever core is free, so a short
+// message can finish its bursts ahead of a longer one sent before it. A
+// TCP connection still delivers in order: each replica applies commands,
+// and the client completes them, in issue order (the command's seq),
+// which keeps the ordering contract of group.h. A command whose bursts
+// finished early waits for the ones before it.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +43,20 @@ class TcpReplicationGroup final : public BackendGroup {
   void stop() override;
 
  private:
+  /// Messages of one receiver, handled in seq order. A message that
+  /// arrives ahead of `next` is held in slot seq & order_mask_ (sized
+  /// once: at most max_inflight seqs are live).
+  struct InOrder {
+    uint32_t next = 0;
+    std::vector<std::vector<uint8_t>> held;
+  };
+  /// Runs handle(msg), then handle() on each held successor, once every
+  /// earlier seq has been handled; until then holds `msg`.
+  template <typename Handle>
+  void in_order(InOrder& o, std::vector<uint8_t> msg, Handle&& handle);
+
   void on_replica_message(size_t i, std::vector<uint8_t> msg);
+  void apply_and_forward(size_t i, std::vector<uint8_t> msg);
   void forward(size_t i, std::vector<uint8_t> msg);
   void on_client_ack(std::vector<uint8_t> msg);
   void submit(const GroupOp& op, Done done, CasDone cas_done) override;
@@ -51,6 +71,9 @@ class TcpReplicationGroup final : public BackendGroup {
   sim::ProcessId client_pid_;
 
   OpWindow<GroupOp> window_;  ///< seq is assigned when a command is issued
+  uint32_t order_mask_ = 0;
+  std::vector<InOrder> replica_order_;  ///< commands, per replica
+  InOrder ack_order_;                   ///< ACKs at the client
 };
 
 }  // namespace hyperloop::core

@@ -21,12 +21,16 @@
 // Atomicity: redo records are applied entirely or (after a crash)
 // replayed from the committed log. Consistency/Isolation: group locks; a
 // reader that locks a replica once the release has landed there sees the
-// record, and the locks are held on every replica until then. The
-// client's copy of the region holds the record when step 5 fires, since
-// gmemcpy() updates it at the call (group.h). Durability: the record is
-// gFLUSHed at step 2 and stays inside the durable [head, tail) range
-// until its head advance lands, so a crash replays it. With HyperLoop as
-// the group backend, steps 2-4 never involve a replica CPU.
+// record, and the locks are held on every replica until then. A reader
+// holds its read lock only while it reads: DocStore issues the read
+// unlock once it has the value, then reports without waiting for it
+// (apps/docstore/docstore.h), so a write lock the same client takes
+// after the report finds the count drained. The client's copy of the
+// region holds the record when step 5 fires, since gmemcpy() updates
+// it at the call (group.h). Durability: the record is gFLUSHed at step
+// 2 and stays inside the durable [head, tail) range until its head
+// advance lands, so a crash replays it. With HyperLoop as the group
+// backend, steps 2-4 never involve a replica CPU.
 #pragma once
 
 #include <cstdint>

@@ -158,66 +158,84 @@ bool ReplicatedWal::append(std::span<const Entry> entries, AppendDone done) {
 }
 
 void ReplicatedWal::maybe_flush() {
-  // At most one batch in flight. This is a correctness constraint, not
-  // just pacing: the tail-pointer extent is *gathered* from the client
-  // region at issue time by each hop's WRITE WQE, so a second batch's
-  // client_store of a newer tail value could be picked up by the first
-  // batch's still-traversing WRITEs — making the tail durable ahead of
-  // the records it covers. (CRC-based torn detection cannot catch that:
-  // after a ring wrap, the bytes under a stale tail are a *valid* old
-  // record.) One outstanding batch makes the gather race-free.
-  if (batch_outstanding_ || staged_.empty()) return;
+  // Issue rule: at most two batches in flight, and a second one only
+  // while the first carries a single record.
+  //
+  // Two, one per tail slot, for correctness. The tail extent is gathered
+  // when each hop's NIC executes its WRITE, not at the call, so a client
+  // store of a newer value into a slot could be picked up by the
+  // still-traversing WRITEs of the batch that carries the slot's older
+  // value: the tail would become durable ahead of the records it covers,
+  // and a replay or replica-side walk would meet a gap. Batch b writes
+  // slot b % 2, which only batch b + 2 rewrites, and that one goes out
+  // after b has completed.
+  //
+  // One record, for batching. Lone appends (one transaction at a time)
+  // stop waiting for each other's batches; a burst keeps sharing one
+  // traversal instead of splitting into more, smaller ones.
+  while (!staged_.empty()) {
+    const uint64_t in_flight = batches_issued_ - batches_done_;
+    if (in_flight == 2) return;
+    if (in_flight == 1 && inflight_count_[batches_done_ % 2] != 1) return;
 
-  ExtentVec ext;
-  uint64_t batch_tail = 0;
-  while (!staged_.empty() && inflight_count_ < ExtentVec::kCapacity) {
-    PendingRecord& pr = staged_.front();
-    const size_t needed = pr.wrap_len > 0 ? 2u : 1u;
-    // Reserve the last slot for the shared tail-pointer extent.
-    if (ext.size() + needed > ExtentVec::kCapacity - 1) break;
-    if (pr.wrap_len > 0) {
-      ext.push_back({log_phys(pr.rec_voff - pr.wrap_len),
-                     static_cast<uint32_t>(sizeof(RecordHeader))});
+    const uint64_t batch = batches_issued_++;
+    const uint32_t slot = static_cast<uint32_t>(batch % 2);
+    PendingRecord* rows = inflight_[slot];
+    uint32_t& count = inflight_count_[slot];
+    assert(count == 0);
+    ExtentVec ext;
+    uint64_t batch_tail = 0;
+    while (!staged_.empty() && count < ExtentVec::kCapacity) {
+      PendingRecord& pr = staged_.front();
+      const size_t needed = pr.wrap_len > 0 ? 2u : 1u;
+      // Reserve the last extent for the tail.
+      if (ext.size() + needed > ExtentVec::kCapacity - 1) break;
+      if (pr.wrap_len > 0) {
+        ext.push_back({log_phys(pr.rec_voff - pr.wrap_len),
+                       static_cast<uint32_t>(sizeof(RecordHeader))});
+      }
+      ext.push_back({log_phys(pr.rec_voff), pr.rec_len});
+      batch_tail = pr.rec_voff + pr.rec_len;
+      rows[count++] = std::move(pr);
+      staged_.pop_front();
     }
-    ext.push_back({log_phys(pr.rec_voff), pr.rec_len});
-    batch_tail = pr.rec_voff + pr.rec_len;
-    inflight_[inflight_count_++] = std::move(pr);
-    staged_.pop_front();
+    assert(count > 0 && !ext.empty());
+
+    // The tail rides as the *last* extent: extents land in list order,
+    // and each hop's gFLUSH persists them atomically, so the durable tail
+    // never runs ahead of the record bodies it commits.
+    const uint64_t tail_off = layout_.tail_slot_offset(slot);
+    group_.client_store(tail_off, &batch_tail, 8);
+    ext.push_back({tail_off, 8});
+
+    ++stats_.gwritev_batches;
+    records_per_gwrite_.record(count);
+    group_.gwritev(ext, /*flush=*/true,
+                   [this, batch] { on_batch_done(batch); });
   }
-  assert(inflight_count_ > 0 && !ext.empty());
-
-  // The tail rides as the *last* extent: extents land in list order, and
-  // each hop's gFLUSH persists them atomically, so the durable tail never
-  // runs ahead of the record bodies it commits.
-  group_.client_store(layout_.tail_ptr_offset(), &batch_tail, 8);
-  ext.push_back({layout_.tail_ptr_offset(), 8});
-
-  ++stats_.gwritev_batches;
-  records_per_gwrite_.record(inflight_count_);
-  batch_outstanding_ = true;
-  group_.gwritev(ext, /*flush=*/true, [this] { on_batch_done(); });
 }
 
-void ReplicatedWal::on_batch_done() {
+void ReplicatedWal::on_batch_done(uint64_t batch) {
+  assert(batch == batches_done_ && "commit batches complete in issue order");
   const sim::Time now = opts_.loop ? opts_.loop->now() : 0;
+  const uint32_t slot = static_cast<uint32_t>(batch % 2);
+  PendingRecord* rows = inflight_[slot];
+  const uint32_t n = inflight_count_[slot];
+  assert(n > 0);
   // Advance the durable frontier before firing completions: a done
   // callback typically calls execute_and_advance, which may drain every
   // record this batch just committed.
-  assert(inflight_count_ > 0);
-  durable_tail_ = inflight_[inflight_count_ - 1].rec_voff +
-                  inflight_[inflight_count_ - 1].rec_len;
-  // Fire completions by moving records out of inflight_ first and keep
-  // batch_outstanding_ set throughout: a done callback may append (and
-  // thus re-enter maybe_flush), which must not repopulate inflight_ while
-  // we iterate it.
-  const uint32_t n = inflight_count_;
+  durable_tail_ = rows[n - 1].rec_voff + rows[n - 1].rec_len;
+  // Fire completions while the batch still counts as in flight: a done
+  // callback may append (and thus re-enter maybe_flush), which must not
+  // reuse this row while we iterate it.
   for (uint32_t i = 0; i < n; ++i) {
-    PendingRecord pr = std::move(inflight_[i]);
+    PendingRecord pr = std::move(rows[i]);
     if (opts_.loop) commit_latency_.record(now - pr.start);
     if (pr.done) pr.done(pr.lsn);
   }
-  inflight_count_ = 0;
-  batch_outstanding_ = false;
+  inflight_count_[slot] = 0;
+  ++batches_done_;
   maybe_flush();
 }
 
@@ -348,7 +366,9 @@ bool ReplicatedWal::execute_and_advance(Done done) {
 
 void ReplicatedWal::reload_pointers() {
   group_.client_load(layout_.head_ptr_offset(), &head_, 8);
-  group_.client_load(layout_.tail_ptr_offset(), &tail_, 8);
+  tail_ = load_tail(layout_, [this](uint64_t off, void* dst, uint32_t len) {
+    group_.client_load(off, dst, len);
+  });
   applied_head_ = head_;
   // The recovered tail came from the durable control region, so every
   // record below it is committed and replicated by definition.

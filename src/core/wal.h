@@ -1,17 +1,19 @@
 // Replicated write-ahead log (§5, "Log Replication" / "Log Processing").
 //
 // Records are redo logs: lists of (db_offset, bytes) modifications. The
-// client appends a record with Append(): the record body and the tail
+// client appends a record with Append(): the record body and a tail
 // pointer are replicated together as one gWRITEV+gFLUSH — a single chain
 // traversal — with the tail as the *last* extent, so the tail is the
 // commit point: a record is committed iff the durable tail covers it.
-// ExecuteAndAdvance() drains every committed-but-unprocessed record in
-// one batch: an unflushed gMEMCPY per entry applies them on every replica
-// and a single flushed head advance (truncation) persists the lot — the
-// chain's FIFO order guarantees the trailing gFLUSH lands after every
-// apply. Replay() performs crash recovery: it re-applies every
-// committed-but-unprocessed record, which is idempotent because records
-// are pure redo.
+// The control block holds two tail slots (region_layout.h); commit batch
+// b writes slot b % 2, and the durable tail is the larger of the two
+// (load_tail). ExecuteAndAdvance() drains every committed-but-unprocessed
+// record in one batch: an unflushed gMEMCPY per entry applies them on
+// every replica and a single flushed head advance (truncation) persists
+// the lot — the chain's FIFO order guarantees the trailing gFLUSH lands
+// after every apply. Replay() performs crash recovery: it re-applies
+// every committed-but-unprocessed record, which is idempotent because
+// records are pure redo.
 //
 // Head advances go out in batch order: a batch's goes out once its
 // gMEMCPYs and those of every batch issued before it have acked on every
@@ -21,12 +23,16 @@
 // releases its locks behind its record's apply on the gMEMCPY ring
 // instead of waiting for any ACK (core/txn.h).
 //
-// Group commit: at most one gWRITEV batch is in flight at a time (see
-// maybe_flush() for why the tail-pointer gather requires that). Appends
-// arriving while a batch is outstanding are staged into a bounded ring
-// and flushed together — several records plus one shared tail write per
-// traversal — amortizing the fixed per-traversal costs (per-hop WQEs,
-// descriptor-patch SEND, doorbell) exactly where HyperLoop pays them.
+// Group commit: appends that cannot go out at once are staged into a
+// bounded ring and flushed together — several records plus one shared
+// tail write per traversal — amortizing the fixed per-traversal costs
+// (per-hop WQEs, descriptor-patch SEND, doorbell) exactly where HyperLoop
+// pays them. At most two batches are in flight, one per tail slot, and a
+// second one goes out only while the first carries a single record (see
+// maybe_flush() for both rules). An append that finds only a lone
+// record in flight goes out at once instead of waiting for that batch,
+// while a burst still shares traversals. Batches complete in issue
+// order, as the ordering contract of group.h implies (asserted).
 //
 // Log space is a ring addressed by monotonically increasing virtual
 // offsets (physical = v % log_size); records never straddle the wrap — a
@@ -81,12 +87,12 @@ class ReplicatedWal {
     uint64_t exec_batches = 0;      ///< batched execute_and_advance drains
   };
 
-  /// Group-commit tuning. The defaults batch transparently; callers that
-  /// want per-record issue semantics back set staged_capacity = 1.
+  /// Group-commit tuning. The defaults batch transparently.
   struct Options {
-    /// Staged-record window: appends arriving while a batch is in flight
-    /// queue here; when it is full, append() fails (append_failures) just
-    /// like a full log. Must be >= 1.
+    /// Staged-record window: appends that cannot go out at once queue
+    /// here; when it is full, append() fails (append_failures) just like
+    /// a full log. It sets only that backpressure window, not how staged
+    /// records are batched. Must be >= 1.
     uint32_t staged_capacity = 64;
     /// Clock for the commit-latency histogram; nullptr disables timing.
     sim::EventLoop* loop = nullptr;
@@ -137,8 +143,19 @@ class ReplicatedWal {
   }
   /// append() call to durable-commit latency (needs Options::loop).
   const stats::Histogram& commit_latency() const { return commit_latency_; }
-  /// Appends staged but not yet issued (waiting for the in-flight batch).
+  /// Appends staged but not yet issued (waiting for an in-flight batch).
   size_t staged_records() const { return staged_.size(); }
+
+  /// The durable tail of a raw region image read through
+  /// `load(off, dst, len)`: the larger of the two tail slots. Every
+  /// reader of a replicated tail goes through this.
+  template <typename LoadFn>
+  static uint64_t load_tail(const RegionLayout& layout, LoadFn&& load) {
+    uint64_t slots[2] = {};
+    load(layout.tail_slot_offset(0), &slots[0], 8);
+    load(layout.tail_slot_offset(1), &slots[1], 8);
+    return slots[0] > slots[1] ? slots[0] : slots[1];
+  }
 
   /// Where walk() stopped and how many records it passed.
   struct WalkEnd {
@@ -232,12 +249,13 @@ class ReplicatedWal {
   uint32_t stage_record(std::span<const Entry> entries, uint64_t lsn,
                         uint64_t voff);
 
-  /// Issues the next group-commit batch if none is in flight: packs as
-  /// many staged records (plus their wrap markers) as fit in one
-  /// ExtentVec, reserving the last slot for the shared tail-pointer
-  /// extent, and replicates them in one gwritev+gFLUSH.
+  /// Issues staged records while the issue rule allows a batch (see the
+  /// definition): each batch packs as many staged records (plus their
+  /// wrap markers) as fit in one ExtentVec, reserving the last extent
+  /// for its tail slot, and replicates them in one gwritev+gFLUSH.
   void maybe_flush();
-  void on_batch_done();
+  /// Completes batch number `batch`, which must be the oldest in flight.
+  void on_batch_done(uint64_t batch);
 
   /// Marks batch `idx` applied and retires the applied prefix of
   /// batches, issuing each retired batch's head advance.
@@ -272,13 +290,16 @@ class ReplicatedWal {
   sim::SlotPool<ExecOp> exec_ops_;
   sim::Ring<uint32_t> exec_order_;   ///< live batches, in issue order
 
-  // Group-commit state: staged appends wait here for the single in-flight
-  // batch; the batch's own records sit in the fixed inflight_ array
+  // Group-commit state: staged appends wait here until the issue rule
+  // lets a batch go out. Batch b is the b-th issued; it writes tail slot
+  // b % 2, and its records sit in row b % 2 of the fixed inflight_ array
   // (bounded by the extent capacity) until the chain ack fires them.
+  // Batches [batches_done_, batches_issued_) are in flight, at most two.
   sim::Ring<PendingRecord> staged_;
-  PendingRecord inflight_[ExtentVec::kCapacity];
-  uint32_t inflight_count_ = 0;
-  bool batch_outstanding_ = false;
+  PendingRecord inflight_[2][ExtentVec::kCapacity];
+  uint32_t inflight_count_[2] = {};
+  uint64_t batches_issued_ = 0;
+  uint64_t batches_done_ = 0;
   stats::Histogram records_per_gwrite_;
   stats::Histogram commit_latency_;
 };
@@ -382,9 +403,9 @@ ReplicatedWal::WalkEnd ReplicatedWal::walk(const RegionLayout& layout,
 template <typename LoadFn, typename StoreFn>
 uint64_t ReplicatedWal::replay(const RegionLayout& layout, LoadFn&& load,
                                StoreFn&& store) {
-  uint64_t head = 0, tail = 0;
+  uint64_t head = 0;
   load(layout.head_ptr_offset(), &head, 8);
-  load(layout.tail_ptr_offset(), &tail, 8);
+  const uint64_t tail = load_tail(layout, load);
   uint64_t next_lsn = 0;
   uint8_t chunk[512];
   constexpr uint32_t kChunk = sizeof(chunk);

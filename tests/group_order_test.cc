@@ -5,12 +5,14 @@
 // a record's apply, so every backend is held to it here for both: chains
 // of gcas(i -> i+1) issued back to back far past the credit window must
 // each find exactly i on every replica they execute on, and a chain of
-// dependent gMEMCPYs must carry its seed to the end. gFLUSH, the barrier
-// WAL truncation relies on, must make the unflushed writes before it
-// durable on every replica.
+// dependent gMEMCPYs must carry its seed to the end. gWRITEs of mixed
+// sizes must complete in issue order (the WAL's commit batches). gFLUSH,
+// the barrier WAL truncation relies on, must make the unflushed writes
+// before it durable on every replica.
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <vector>
 
 #include "backends.h"
 
@@ -115,6 +117,32 @@ TEST_P(GroupOrderTest, DependentMemcpyChainsRunInIssueOrder) {
   for (size_t r = 0; r < kReplicas; ++r) {
     for (uint64_t w : kWords) {
       EXPECT_EQ(word(r, w + 8 * kOps), kSeed) << "replica " << r;
+    }
+  }
+}
+
+TEST_P(GroupOrderTest, MixedSizeWritesCompleteInIssueOrder) {
+  // Flushed gWRITEs alternating between 4 KB and one word: a short write
+  // costs a CPU-forwarding backend less than the long one before it, yet
+  // must not complete ahead of it. The WAL counts on its commit batches
+  // completing in issue order.
+  constexpr uint32_t kLong = 4096;
+  std::vector<uint8_t> bytes(kLong);
+  for (size_t k = 0; k < bytes.size(); ++k) bytes[k] = static_cast<uint8_t>(k);
+  std::vector<uint64_t> order[std::size(kWords)];
+  for (uint64_t i = 0; i < kOps; ++i) {
+    const uint32_t len = i % 2 == 0 ? kLong : 8;
+    for (size_t c = 0; c < std::size(kWords); ++c) {
+      group->gwrite_bytes(kWords[c] + i * kLong, bytes.data(), len,
+                          /*flush=*/true,
+                          [&order, c, i] { order[c].push_back(i); });
+    }
+  }
+  run();
+  for (const std::vector<uint64_t>& o : order) {
+    ASSERT_EQ(o.size(), kOps);
+    for (uint64_t i = 0; i < kOps; ++i) {
+      EXPECT_EQ(o[i], i) << "completion " << i;
     }
   }
 }

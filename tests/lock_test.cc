@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "backends.h"
+#include "forwarding_group.h"
 #include "sim/rng.h"
 
 namespace hyperloop::core {
@@ -194,6 +195,39 @@ LOCK_TEST(WriterBlocksNewReaders) {
   EXPECT_TRUE(reader);
 }
 
+LOCK_TEST(ReaderGivesUpBehindAWriterThatNeverLeaves) {
+  // The writer never releases. The reader's increment lands, its check
+  // sees the writer, it backs out, then probes the writer word back to
+  // back: after max_attempts probes it fails, holding no count.
+  constexpr uint32_t kId = 14;
+  constexpr size_t kReplica = 2;
+  constexpr int kAttempts = 5;
+  bool writer = false;
+  h.locks.wr_lock(kId, 5, [&](bool ok) { writer = ok; });
+  h.run(sim::msec(5));
+  ASSERT_TRUE(writer);
+
+  ForwardingGroup counted(*h.group);
+  GroupLockManager readers(counted, h.layout, h.cluster.loop(),
+                           {.retry_backoff = sim::usec(20),
+                            .max_attempts = kAttempts});
+  int calls = 0;
+  bool acquired = true;
+  readers.rd_lock(kId, kReplica, [&](bool ok) {
+    ++calls;
+    acquired = ok;
+  });
+  h.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(acquired);
+  // The pair, the back-out decrement, then one probe per attempt.
+  EXPECT_EQ(counted.gcas_count(), 3u + kAttempts);
+  for (size_t r = 0; r < kReplicas; ++r) {
+    EXPECT_EQ(h.reader_count(r, kId), 0u) << "replica " << r;
+    EXPECT_EQ(h.lock_word(r, kId), 5u) << "replica " << r;
+  }
+}
+
 LOCK_TEST(IndependentLocksDoNotInterfere) {
   bool a = false, b = false;
   h.locks.wr_lock(10, 1, [&](bool ok) { a = ok; });
@@ -275,9 +309,9 @@ LOCK_TEST(SeededReadersAndWritersNeverOverlap) {
 /// Forwards every primitive to `inner`, running `hook` once just before
 /// the first gCAS that matches (offset, expected, desired, exec) is
 /// forwarded — so ops the hook issues on `inner` execute right before it.
-class InterposingGroup final : public ReplicationGroup {
+class InterposingGroup final : public ForwardingGroup {
  public:
-  explicit InterposingGroup(ReplicationGroup& inner) : inner_(inner) {}
+  using ForwardingGroup::ForwardingGroup;
 
   struct Trap {
     uint64_t offset = 0, expected = 0, desired = 0;
@@ -288,15 +322,6 @@ class InterposingGroup final : public ReplicationGroup {
     hook_ = std::move(hook);
   }
 
-  size_t group_size() const override { return inner_.group_size(); }
-  uint64_t region_size() const override { return inner_.region_size(); }
-  void gwrite(uint64_t offset, uint32_t len, bool flush, Done done) override {
-    inner_.gwrite(offset, len, flush, std::move(done));
-  }
-  void gmemcpy(uint64_t src, uint64_t dst, uint32_t len, bool flush,
-               Done done) override {
-    inner_.gmemcpy(src, dst, len, flush, std::move(done));
-  }
   void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
             ExecMap exec, CasDone done) override {
     if (hook_ && offset == trap_.offset && expected == trap_.expected &&
@@ -305,23 +330,10 @@ class InterposingGroup final : public ReplicationGroup {
       hook_ = nullptr;
       hook();
     }
-    inner_.gcas(offset, expected, desired, exec, std::move(done));
-  }
-  void gflush(Done done) override { inner_.gflush(std::move(done)); }
-  void stop() override {}
-  void client_store(uint64_t offset, const void* src, uint32_t len) override {
-    inner_.client_store(offset, src, len);
-  }
-  void client_load(uint64_t offset, void* dst, uint32_t len) const override {
-    inner_.client_load(offset, dst, len);
-  }
-  void replica_load(size_t i, uint64_t offset, void* dst,
-                    uint32_t len) const override {
-    inner_.replica_load(i, offset, dst, len);
+    ForwardingGroup::gcas(offset, expected, desired, exec, std::move(done));
   }
 
  private:
-  ReplicationGroup& inner_;
   Trap trap_;
   std::function<void()> hook_;
 };

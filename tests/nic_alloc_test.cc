@@ -208,12 +208,13 @@ namespace {
 // directly into the client region, gWRITE + gFLUSH down the chain),
 // ExecuteAndAdvance gMEMCPYs, and the releasing gMEMCPY issued right
 // behind them — touches the heap zero times in steady state. Each lap
-// runs three transactions the way core/txn.cc does: the first commits
-// alone, the other two share the next commit batch, so the second one's
-// execute applies the third's record and the third only releases. A
-// transaction counts as done when its release acks. Every continuation
-// lives inline in a pending-op slot or pool entry; the op-tracking
-// tables and rings are at their high-water marks after warm-up.
+// runs four transactions the way core/txn.cc does: the first two commit
+// in batches of their own (two batches in flight), the other two share
+// the next commit batch, so the third one's execute applies the fourth's
+// record and the fourth only releases. A transaction counts as done when
+// its release acks. Every continuation lives inline in a pending-op slot
+// or pool entry; the op-tracking tables and rings are at their
+// high-water marks after warm-up.
 TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   RegionLayout layout;
@@ -234,7 +235,7 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   std::vector<ReplicatedWal::Entry> entries;
   entries.push_back({/*db_offset=*/256, payload});
 
-  constexpr uint32_t kTxnsPerLap = 3;
+  constexpr uint32_t kTxnsPerLap = 4;
   int txns_done = 0;
   auto txn = [&](uint32_t lock, uint64_t owner) {
     locks.wr_lock(lock, owner, [&, lock](bool ok) {
@@ -253,7 +254,7 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   // Warm-up: grow the slot pools (lock ops, WAL exec ops), the group's
   // pending tables and credit rings, the NIC rings, and the event slab.
   for (int i = 0; i < 24; ++i) lap();
-  ASSERT_EQ(txns_done, 24 * 3);
+  ASSERT_EQ(txns_done, 24 * 4);
 
   const ReplicatedWal::Stats warm = wal.stats();
   const uint64_t before = alloc_count();
@@ -261,17 +262,17 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
   EXPECT_EQ(alloc_count() - before, 0u)
       << "transaction lap (lock -> append -> execute -> unlock) performed "
       << (alloc_count() - before) << " heap allocations";
-  EXPECT_EQ(txns_done, 28 * 3);
+  EXPECT_EQ(txns_done, 28 * 4);
 
   // Sanity: the laps really committed records, shared commit batches
   // and execute batches, and cycled the locks.
   const ReplicatedWal::Stats& st = wal.stats();
-  EXPECT_EQ(st.records_appended, 28u * 3);
-  EXPECT_EQ(st.gwritev_batches - warm.gwritev_batches, 4u * 2)
-      << "the second and third records of a lap share one commit batch";
-  EXPECT_EQ(st.exec_batches - warm.exec_batches, 4u * 2)
+  EXPECT_EQ(st.records_appended, 28u * 4);
+  EXPECT_EQ(st.gwritev_batches - warm.gwritev_batches, 4u * 3)
+      << "the third and fourth records of a lap share one commit batch";
+  EXPECT_EQ(st.exec_batches - warm.exec_batches, 4u * 3)
       << "one execute batch applies two transactions' records";
-  EXPECT_EQ(locks.stats().wr_acquired, 28u * 3);
+  EXPECT_EQ(locks.stats().wr_acquired, 28u * 4);
   for (uint32_t k = 0; k < kTxnsPerLap; ++k) {
     uint64_t word = ~uint64_t{0};
     group.replica_load(0, layout.lock_offset(1 + k), &word, 8);

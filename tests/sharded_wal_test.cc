@@ -83,9 +83,10 @@ TEST_F(ShardedWalTest, SegmentsCommitIndependently) {
     EXPECT_EQ(lsns[s], 1u) << "segment " << s;  // each segment's own LSNs
     EXPECT_GT(wal_->shard(s).used_bytes(), 0u);
     // The durable tail pointer lives in the slice's own control block.
-    uint64_t tail = 0;
-    group_->replica_load(0, slice_.shard_slice(s).tail_ptr_offset(), &tail,
-                         8);
+    const uint64_t tail = ReplicatedWal::load_tail(
+        slice_.shard_slice(s), [&](uint64_t off, void* dst, uint32_t len) {
+          group_->replica_load(0, off, dst, len);
+        });
     EXPECT_EQ(tail, wal_->shard(s).tail()) << "segment " << s;
   }
   EXPECT_EQ(wal_->totals().records_appended, uint64_t{kShards});

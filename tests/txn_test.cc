@@ -296,14 +296,17 @@ TEST(TxnClientCopyTest, ClientCopyHoldsTheRecordAtDone) {
 
 // On every replica, a lock clears only after the record has been applied
 // there, including when another transaction's execute batch applied it.
-// Rounds of three transactions on distinct locks: the second and third
-// records share a group-commit batch, and the second one's execute claims
-// both. Runs lossless and over a 3% lossy fabric, where retransmits
-// stretch the window between an apply and an unlock that raced it.
+// Rounds of four transactions on distinct locks: the first two records
+// go out in commit batches of their own (the second behind the first,
+// which carries one record), the third and fourth share the next batch,
+// and the third one's execute claims both. Runs lossless and over a 3%
+// lossy fabric, where retransmits stretch the window between an apply and
+// an unlock that raced it.
 class TxnUnlockOrderTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {
   constexpr uint32_t kTxns = 48;
+  constexpr uint32_t kPerRound = 4;
   constexpr uint64_t kStride = 64;
   Cluster cluster({.num_servers = 4,
                    .server = {.cpu = {.num_cores = 8}},
@@ -330,8 +333,8 @@ TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {
   for (uint64_t& v : values) v = rng.next_u64() | 1;  // never the zero slot
 
   uint32_t committed = 0;
-  for (uint32_t round = 0; round < kTxns; round += 3) {
-    for (uint32_t k = round; k < round + 3; ++k) {
+  for (uint32_t round = 0; round < kTxns; round += kPerRound) {
+    for (uint32_t k = round; k < round + kPerRound; ++k) {
       probe.expect(k, values[k]);
       std::vector<uint8_t> b(8);
       std::memcpy(b.data(), &values[k], 8);
@@ -339,7 +342,7 @@ TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {
                    [&](bool ok) { committed += ok ? 1 : 0; });
     }
     cluster.loop().run_until(cluster.loop().now() + sim::msec(100));
-    ASSERT_EQ(committed, round + 3) << "round " << round / 3;
+    ASSERT_EQ(committed, round + kPerRound) << "round " << round / kPerRound;
   }
 
   EXPECT_EQ(probe.releases(), uint64_t{kTxns} * group.group_size());

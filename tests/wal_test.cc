@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "backends.h"
+#include "forwarding_group.h"
 #include "sim/rng.h"
 
 namespace hyperloop::core {
@@ -68,6 +70,14 @@ class WalTest : public ::testing::TestWithParam<Backend> {
     return std::vector<uint8_t>(s.begin(), s.end());
   }
 
+  /// Replica `replica`'s durable tail, as replay reads it.
+  uint64_t replica_tail(size_t replica) {
+    return ReplicatedWal::load_tail(
+        layout_, [&](uint64_t off, void* dst, uint32_t len) {
+          group_->replica_load(replica, off, dst, len);
+        });
+  }
+
   std::string db_read(size_t replica, uint64_t db_off, size_t len) {
     std::string out(len, '\0');
     group_->replica_load(replica, layout_.db_base() + db_off, out.data(),
@@ -94,9 +104,7 @@ TEST_P(WalTest, AppendCommitsDurably) {
   // The record and tail are durable on every replica: crash + inspect.
   for (size_t i = 0; i < 3; ++i) {
     group_->replica_server(i).nvm().crash();
-    uint64_t tail = 0;
-    group_->replica_load(i, RegionLayout::kTailOffset, &tail, 8);
-    EXPECT_EQ(tail, wal_->tail()) << "replica " << i;
+    EXPECT_EQ(replica_tail(i), wal_->tail()) << "replica " << i;
   }
 }
 
@@ -129,11 +137,10 @@ TEST_P(WalTest, AppliedRecordsSurviveACrashAfterTheHeadAdvance) {
   ASSERT_TRUE(truncated);
   for (size_t i = 0; i < 3; ++i) {
     group_->replica_server(i).nvm().crash();
-    uint64_t head = 0, tail = 0;
+    uint64_t head = 0;
     group_->replica_load(i, layout_.head_ptr_offset(), &head, 8);
-    group_->replica_load(i, layout_.tail_ptr_offset(), &tail, 8);
     EXPECT_EQ(head, wal_->tail()) << "replica " << i;
-    EXPECT_EQ(tail, wal_->tail()) << "replica " << i;
+    EXPECT_EQ(replica_tail(i), wal_->tail()) << "replica " << i;
     EXPECT_EQ(db_read(i, 100, 7), "applied") << "replica " << i;
   }
 }
@@ -188,9 +195,7 @@ TEST_P(WalTest, GroupCommitBatchesBurstAppends) {
   // Every batched record is durably committed on every replica: the
   // replicated tail covers all n records.
   for (size_t i = 0; i < 3; ++i) {
-    uint64_t tail = 0;
-    group_->replica_load(i, RegionLayout::kTailOffset, &tail, 8);
-    EXPECT_EQ(tail, wal.tail()) << "replica " << i;
+    EXPECT_EQ(replica_tail(i), wal.tail()) << "replica " << i;
   }
 }
 
@@ -199,24 +204,28 @@ TEST_P(WalTest, GroupCommitWindowBackpressure) {
   o.staged_capacity = 2;
   ReplicatedWal wal(*group_, layout_, o);
   int committed = 0;
-  // First append issues its batch immediately; the next two occupy the
-  // whole staged window while that batch is in flight.
+  // The first append issues its batch immediately, and the second goes
+  // out behind it, since that batch carries a single record. With two
+  // batches in flight, the next two occupy the whole staged window.
   ASSERT_TRUE(wal.append({{0, bytes("a")}}, [&](uint64_t) { ++committed; }));
   ASSERT_TRUE(wal.append({{8, bytes("b")}}, [&](uint64_t) { ++committed; }));
+  EXPECT_EQ(wal.stats().gwritev_batches, 2u);
+  EXPECT_EQ(wal.staged_records(), 0u);
   ASSERT_TRUE(wal.append({{16, bytes("c")}}, [&](uint64_t) { ++committed; }));
+  ASSERT_TRUE(wal.append({{24, bytes("d")}}, [&](uint64_t) { ++committed; }));
   EXPECT_EQ(wal.staged_records(), 2u);
 
   // Window full -> same failure surface as a full log.
-  EXPECT_FALSE(wal.append({{24, bytes("d")}}, [](uint64_t) {}));
+  EXPECT_FALSE(wal.append({{32, bytes("e")}}, [](uint64_t) {}));
   EXPECT_GE(wal.stats().append_failures, 1u);
 
   run();
-  EXPECT_EQ(committed, 3);
+  EXPECT_EQ(committed, 4);
   EXPECT_EQ(wal.staged_records(), 0u);
 
   // Batches drained; the window admits appends again.
   bool again = false;
-  EXPECT_TRUE(wal.append({{24, bytes("d")}}, [&](uint64_t) { again = true; }));
+  EXPECT_TRUE(wal.append({{32, bytes("e")}}, [&](uint64_t) { again = true; }));
   run();
   EXPECT_TRUE(again);
 }
@@ -342,9 +351,9 @@ TEST_P(WalTest, UncommittedTailIsNotReplayed) {
 /// Forwards every primitive to `inner` but holds each gMEMCPY's ack
 /// (the copy itself lands) until release(), so a test decides when an
 /// execute batch finishes.
-class MemcpyAckGate final : public ReplicationGroup {
+class MemcpyAckGate final : public ForwardingGroup {
  public:
-  explicit MemcpyAckGate(ReplicationGroup& inner) : inner_(inner) {}
+  using ForwardingGroup::ForwardingGroup;
 
   size_t held() const { return held_.size(); }
   void release() {
@@ -353,11 +362,6 @@ class MemcpyAckGate final : public ReplicationGroup {
     for (Done& d : acks) d();
   }
 
-  size_t group_size() const override { return inner_.group_size(); }
-  uint64_t region_size() const override { return inner_.region_size(); }
-  void gwrite(uint64_t offset, uint32_t len, bool flush, Done done) override {
-    inner_.gwrite(offset, len, flush, std::move(done));
-  }
   void gmemcpy(uint64_t src, uint64_t dst, uint32_t len, bool flush,
                Done done) override {
     inner_.gmemcpy(src, dst, len, flush,
@@ -365,25 +369,8 @@ class MemcpyAckGate final : public ReplicationGroup {
                      held_.push_back(std::move(d));
                    });
   }
-  void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
-            ExecMap exec, CasDone done) override {
-    inner_.gcas(offset, expected, desired, exec, std::move(done));
-  }
-  void gflush(Done done) override { inner_.gflush(std::move(done)); }
-  void stop() override {}
-  void client_store(uint64_t offset, const void* src, uint32_t len) override {
-    inner_.client_store(offset, src, len);
-  }
-  void client_load(uint64_t offset, void* dst, uint32_t len) const override {
-    inner_.client_load(offset, dst, len);
-  }
-  void replica_load(size_t i, uint64_t offset, void* dst,
-                    uint32_t len) const override {
-    inner_.replica_load(i, offset, dst, len);
-  }
 
  private:
-  ReplicationGroup& inner_;
   std::vector<Done> held_;
 };
 
@@ -476,6 +463,148 @@ TEST_P(WalTest, ReloadResumesLsnsAfterTheLog) {
   ASSERT_TRUE(restarted.execute_and_advance(ReplicatedWal::Done{}));
   run();
   EXPECT_EQ(db_read(2, 64, 3), "new");
+}
+
+// Two appends issued back to back go out as two batches in flight, each
+// writing its own tail slot (region_layout.h). Every hop gathers a
+// WRITE's bytes when its NIC executes it, so a slot shared by both
+// batches could carry the second batch's tail ahead of that batch's
+// records. Every 50 ns, on every replica, the log from the durable head
+// to the larger tail slot must walk to the tail with consecutive LSNs.
+// The log is small, so the rounds wrap it.
+TEST_P(WalTest, TailSlotsNeverRunAheadOfTheirRecords) {
+  RegionLayout small = layout_;
+  small.log_size = 4096;
+  ReplicatedWal wal(*group_, small);
+  const std::vector<uint8_t> payload(1000, 0x3C);
+  sim::EventLoop& loop = cluster_->loop();
+  uint64_t samples = 0;
+  const auto check_replicas = [&] {
+    for (size_t i = 0; i < 3; ++i) {
+      const auto load = [&](uint64_t off, void* dst, uint32_t len) {
+        group_->replica_load(i, off, dst, len);
+      };
+      uint64_t head = 0, next_lsn = 0;
+      load(small.head_ptr_offset(), &head, 8);
+      const uint64_t tail = ReplicatedWal::load_tail(small, load);
+      const auto end = ReplicatedWal::walk(small, load, head, tail, &next_lsn,
+                                           [](uint64_t, uint64_t, uint32_t) {});
+      ASSERT_EQ(end.pos, tail)
+          << "replica " << i << " at t=" << loop.now() << ": the tail runs "
+          << tail - end.pos << " bytes ahead of its records";
+      ++samples;
+    }
+  };
+  for (int round = 0; round < 6; ++round) {
+    int committed = 0;
+    bool truncated = false;
+    for (uint64_t k = 0; k < 2; ++k) {
+      ASSERT_TRUE(wal.append({{k * 1024, payload}}, [&](uint64_t) {
+        if (++committed == 2) {
+          wal.execute_and_advance([&] { truncated = true; });
+        }
+      }));
+    }
+    ASSERT_EQ(wal.stats().gwritev_batches, 2u * (round + 1))
+        << "the second append did not go out behind the first";
+    const sim::Time deadline = loop.now() + sim::msec(20);
+    while (!truncated && loop.now() < deadline) {
+      loop.run_until(loop.now() + sim::nsec(50));
+      check_replicas();
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_TRUE(truncated) << "round " << round;
+  }
+  EXPECT_GT(wal.tail(), 2 * small.log_size);  // wrapped more than once
+  EXPECT_GT(samples, 6u * 3 * 50);
+}
+
+// A crash at any instant of a two-batch round. Each sampled instant
+// re-runs the round on a fresh cluster, crashes every replica's NVM
+// there and replays every replica: the records replayed must be a prefix
+// of the two appended, and it must hold every record acknowledged before
+// the crash.
+TEST_P(WalTest, CrashDuringTwoBatchesReplaysAPrefixWithEveryAck) {
+  struct Rig {
+    explicit Rig(Backend b) {
+      Cluster::Config cc = backend_cluster_config();
+      cc.server.mem_capacity = 2u << 20;  // zeroed per rig: keep it small
+      cc.server.nvm_size = 512u << 10;
+      cluster = std::make_unique<Cluster>(cc);
+      layout.region_size = 256 << 10;
+      layout.log_size = 16 << 10;
+      layout.num_locks = 16;
+      group = make_backend(b, *cluster, layout.region_size, 16);
+      wal = std::make_unique<ReplicatedWal>(*group, layout);
+    }
+    std::unique_ptr<Cluster> cluster;
+    RegionLayout layout;
+    std::unique_ptr<BackendGroup> group;
+    std::unique_ptr<ReplicatedWal> wal;
+  };
+  const std::vector<uint8_t> payloads[2] = {std::vector<uint8_t>(300, 0xA1),
+                                            std::vector<uint8_t>(300, 0xB2)};
+  // Starts the round on `rig`; acked[k] turns true when record k commits.
+  const auto start = [&](Rig& rig, bool* acked) {
+    for (uint64_t k = 0; k < 2; ++k) {
+      ASSERT_TRUE(rig.wal->append({{k * 512, payloads[k]}},
+                                  [acked, k](uint64_t) { acked[k] = true; }));
+    }
+  };
+
+  // Dry run: how long the round takes to acknowledge both records.
+  sim::Duration span = 0;
+  {
+    Rig rig(GetParam());
+    bool acked[2] = {};
+    const sim::Time t0 = rig.cluster->loop().now();
+    start(rig, acked);
+    while (!acked[1] && rig.cluster->loop().now() - t0 < sim::msec(20)) {
+      rig.cluster->loop().run_until(rig.cluster->loop().now() + sim::nsec(50));
+    }
+    ASSERT_TRUE(acked[0] && acked[1]);
+    span = rig.cluster->loop().now() - t0;
+  }
+
+  // About 40 instants from the issue to just past the second ack.
+  const sim::Duration step = std::max<sim::Duration>(sim::nsec(50), span / 40);
+  int crashes = 0, replayed_both = 0;
+  for (sim::Duration at = 0; at <= span + step; at += step) {
+    Rig rig(GetParam());
+    bool acked[2] = {};
+    start(rig, acked);
+    rig.cluster->loop().run_until(rig.cluster->loop().now() + at);
+    const size_t acks = size_t{acked[0]} + size_t{acked[1]};
+    ASSERT_TRUE(acked[0] || !acked[1]) << "acked out of order at " << at;
+    for (size_t i = 0; i < 3; ++i) rig.group->replica_server(i).nvm().crash();
+    ++crashes;
+    for (size_t i = 0; i < 3; ++i) {
+      Server& r = rig.group->replica_server(i);
+      const rdma::Addr base = rig.group->replica_region_base(i);
+      const uint64_t replayed = ReplicatedWal::replay(
+          rig.layout,
+          [&](uint64_t off, void* dst, uint32_t len) {
+            r.mem().read(base + off, dst, len);
+          },
+          [&](uint64_t off, const void* src, uint32_t len) {
+            r.mem().write(base + off, src, len);
+          });
+      ASSERT_GE(replayed, acks) << "replica " << i << " lost an ack at " << at;
+      ASSERT_LE(replayed, 2u);
+      replayed_both += replayed == 2 ? 1 : 0;
+      for (uint64_t k = 0; k < 2; ++k) {
+        std::vector<uint8_t> db(payloads[k].size());
+        rig.group->replica_load(i, rig.layout.db_base() + k * 512, db.data(),
+                                static_cast<uint32_t>(db.size()));
+        const std::vector<uint8_t> want =
+            k < replayed ? payloads[k] : std::vector<uint8_t>(db.size(), 0);
+        ASSERT_EQ(db, want) << "replica " << i << " record " << k
+                            << " after a crash at " << at;
+      }
+    }
+  }
+  EXPECT_GT(crashes, 20);
+  EXPECT_GT(replayed_both, 0);
 }
 
 // The event-mode Naïve instances keep the name they had when this suite
