@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                                layout.region_size);
   auto* group = group_base.get();
   core::ReplicatedWal wal(*group, layout);
-  core::GroupLockManager locks(*group, layout, cluster->loop());
+  core::GroupLockManager locks(*group, layout);
   core::TransactionManager txns(*group, wal, locks, cluster->loop());
   cluster->loop().run_until(hyperloop::sim::msec(20));
 

@@ -46,7 +46,7 @@ int main() {
                                          &cluster.server(2)};
   core::HyperLoopGroup group(cluster.server(3), replicas, gc);
   core::ReplicatedWal wal(group, layout);
-  core::GroupLockManager locks(group, layout, cluster.loop());
+  core::GroupLockManager locks(group, layout);
   core::TransactionManager txns(group, wal, locks, cluster.loop());
 
   // Seed the ledger (control path): every account gets 1000.

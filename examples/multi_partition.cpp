@@ -42,8 +42,7 @@ int main() {
     part.group =
         std::make_unique<core::HyperLoopGroup>(cluster.server(3), reps, gc);
     part.wal = std::make_unique<core::ReplicatedWal>(*part.group, layout);
-    part.locks = std::make_unique<core::GroupLockManager>(*part.group, layout,
-                                                          cluster.loop());
+    part.locks = std::make_unique<core::GroupLockManager>(*part.group, layout);
     ctxs.push_back(
         {part.group.get(), part.wal.get(), part.locks.get(), layout});
     parts.push_back(std::move(part));

@@ -9,7 +9,7 @@ DocStore::DocStore(core::ReplicationGroup& group, core::Server& client,
     : group_(group), client_(client), cfg_(cfg),
       slots_(cfg.layout, 1, cfg.value_size),
       wal_(group, cfg.layout, cfg.wal),
-      locks_(group, cfg.layout, client.loop()),
+      locks_(group, cfg.layout),
       txns_(group, wal_, locks_, client.loop()) {
   client_pid_ = client_.sched().create_process(client_.name() + "-doc-fe");
 }

@@ -230,15 +230,15 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
   switch (p) {
     case Prim::kWrite:
     case Prim::kWriteV: {
+      // The patch decides which of the slot's WQEs are WRITEs, the FLUSH,
+      // the SEND and NOPs (stage_write_blob).
       const uint64_t n = next_wqes(p);
       nic.stage_send(c.qp_next, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      for (uint32_t j = 0; j < write_wqes(p); ++j) {
-        nic.stage_send(c.qp_next, placeholder(), /*deferred=*/true);  // WRITE
+      for (uint32_t j = 1; j < n; ++j) {
+        nic.stage_send(c.qp_next, placeholder(), /*deferred=*/true);
+        desc_sge(c.qp_next, n * seq + j);
       }
-      nic.stage_send(c.qp_next, placeholder(), true);  // FLUSH
-      nic.stage_send(c.qp_next, placeholder(), true);  // SEND
       nic.ring_doorbell(c.qp_next);
-      for (uint32_t j = 1; j < n; ++j) desc_sge(c.qp_next, n * seq + j);
       break;
     }
     case Prim::kMemcpy: {
@@ -354,33 +354,30 @@ uint32_t HyperLoopGroup::stage_write_blob(Prim p, uint64_t seq,
   const ClientChain& cc = client_chain_[static_cast<int>(p)];
   const Addr slot =
       cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
-  const uint32_t writes = write_wqes(p);
   const uint32_t nd = desc_count(p);  // WRITEs + FLUSH + SEND
 
+  // Live WQEs first and NOPs last, so that each hop forwards right behind
+  // its last live WQE (see the header).
   WqeDescriptor descs[kMaxExtents + 2];
   for (size_t i = 0; i < G; ++i) {
     const ReplicaChain& c = rings_[i].chain[static_cast<int>(p)];
+    uint32_t j = 0;
     if (i + 1 < G) {
       const Replica& next = replicas_[i + 1];
-      for (uint32_t j = 0; j < writes; ++j) {
-        if (j < extents.size()) {
-          const Extent& e = extents[j];
-          descs[j] = rdma::make_write(replicas_[i].data_base + e.offset, 0,
-                                      next.data_base + e.offset,
-                                      next.data_mr.rkey, e.len)
-                         .d;
-          // The forward hop re-sends bytes the upstream WRITE just landed
-          // in this replica's region — borrow them instead of re-gathering.
-          // The slot's own FLUSH/SEND behind it acks the WRITE cumulatively.
-          descs[j].flags |= rdma::kWqeFlagZeroCopy | rdma::kWqeFlagAckElide;
-        } else {
-          descs[j] = nop_desc();
-        }
+      for (const Extent& e : extents) {
+        descs[j] = rdma::make_write(replicas_[i].data_base + e.offset, 0,
+                                    next.data_base + e.offset,
+                                    next.data_mr.rkey, e.len)
+                       .d;
+        // The forward hop re-sends bytes the upstream WRITE just landed
+        // in this replica's region — borrow them instead of re-gathering.
+        // The slot's own FLUSH/SEND behind it acks the WRITE cumulatively.
+        descs[j++].flags |= rdma::kWqeFlagZeroCopy | rdma::kWqeFlagAckElide;
       }
-      descs[writes] =
-          flush ? rdma::make_flush(next.data_base, next.data_mr.rkey).d
-                : nop_desc();
-      descs[writes + 1] =
+      if (flush) {
+        descs[j++] = rdma::make_flush(next.data_base, next.data_mr.rkey).d;
+      }
+      descs[j++] =
           rdma::make_send(
               c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
               c.ring_lkey, c.staging_len)
@@ -389,15 +386,15 @@ uint32_t HyperLoopGroup::stage_write_blob(Prim p, uint64_t seq,
       // Last hop only ACKs the client, with a 0-byte WRITE_WITH_IMM: its
       // own data and durability were handled by the previous hop's WRITEs
       // and FLUSH (or the client's, when G == 1).
-      descs[0] = rdma::make_write_imm(
-                     0, 0,
-                     cc.ack_base +
-                         (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                     cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
-                     .d;
-      for (uint32_t j = 1; j < nd; ++j) descs[j] = nop_desc();
+      descs[j++] = rdma::make_write_imm(
+                       0, 0,
+                       cc.ack_base +
+                           (seq % (cfg_.max_inflight * 2)) * result_bytes(),
+                       cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
+                       .d;
     }
-    for (uint32_t j = 0; j < nd; ++j) descs[j].active = 1;
+    for (; j < nd; ++j) descs[j] = nop_desc();
+    for (j = 0; j < nd; ++j) descs[j].active = 1;
     client_.mem().write(slot + i * nd * kDescBytes, descs, nd * kDescBytes);
   }
   return static_cast<uint32_t>(nd * kDescBytes * G);

@@ -5,20 +5,29 @@
 // Per replica and per primitive, the group pre-posts rings of WQE chains
 // whose descriptors are *patched remotely* by the client:
 //
-//   gWRITE   qp_next: [WAIT(recv_prev >= k+1)] [WRITE] [FLUSH] [SEND]
-//   gWRITEV  qp_next: [WAIT(recv_prev >= k+1)] [WRITE x 8] [FLUSH] [SEND]
+//   gWRITE   qp_next: [WAIT(recv_prev >= k+1)] [3 patched WQEs]
+//   gWRITEV  qp_next: [WAIT(recv_prev >= k+1)] [10 patched WQEs]
 //   gMEMCPY  qp_loop: [WAIT(recv_prev >= k+1)] [COPY] [FLUSH]
 //            qp_next: [WAIT(loop_cq  >= 2(k+1))] [SEND]
 //   gCAS     qp_loop: [WAIT(recv_prev >= k+1)] [CAS]
 //            qp_next: [WAIT(loop_cq  >= k+1)]  [SEND]
 //
-// The bracketed WRITE/FLUSH/SEND/COPY/CAS WQEs are posted with *deferred
-// ownership* (active=0). The matching pre-posted RECV on qp_prev scatters
-// the inbound metadata SEND byte-for-byte onto those descriptors —
-// rewriting addresses, lengths and opcodes (FLUSH->NOP when no durability
-// is requested; CAS->NOP per the execute map) and setting active=1. The
-// recv completion then satisfies the WAIT and the NIC executes the patched
+// The WQEs behind each WAIT are posted with *deferred ownership*
+// (active=0). The matching pre-posted RECV on qp_prev scatters the inbound
+// metadata SEND byte-for-byte onto those descriptors — rewriting
+// addresses, lengths and opcodes (FLUSH->NOP when no durability is
+// requested; CAS->NOP per the execute map) and setting active=1. The recv
+// completion then satisfies the WAIT and the NIC executes the patched
 // chain with no replica CPU anywhere on the path.
+//
+// A write slot holds one WRITE per extent it can carry (1 or 8) plus two.
+// For a batch of k extents the client patches a forwarding hop's slot as
+//
+//   [WRITE x k] [FLUSH, if requested] [SEND] [NOP x the rest]
+//
+// and the last hop's as [WRITE_IMM] [NOP x the rest]. The NIC executes a
+// queue in order, so the SEND that triggers the next hop goes out right
+// behind the hop's last live WQE; the unused WQEs run after it.
 //
 // Replica CPUs only run a periodic refill task (off the critical path)
 // that re-arms consumed ring slots, exactly as §5.1 describes.
@@ -153,12 +162,12 @@ class HyperLoopGroup final : public BackendGroup {
   static bool is_write(Prim p) {
     return p == Prim::kWrite || p == Prim::kWriteV;
   }
-  /// WRITE WQEs per slot of a write ring; unused ones patch to NOPs.
+  /// Extents a slot of a write ring can carry, one WRITE each.
   static uint32_t write_wqes(Prim p) {
     return p == Prim::kWriteV ? kMaxExtents : 1;
   }
-  // WQEs per ring slot on each queue, by primitive. A write slot is
-  // [WAIT][WRITE x write_wqes][FLUSH][SEND].
+  // WQEs per ring slot on each queue, by primitive. A write slot is a
+  // WAIT and room for write_wqes WRITEs, a FLUSH and a SEND.
   static uint32_t next_wqes(Prim p) {
     return is_write(p) ? write_wqes(p) + 3 : 2;
   }

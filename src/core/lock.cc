@@ -15,9 +15,8 @@ bool all_zero(const CasResult& values) {
 }  // namespace
 
 GroupLockManager::GroupLockManager(ReplicationGroup& group,
-                                   RegionLayout layout, sim::EventLoop& loop,
-                                   Config cfg)
-    : group_(group), layout_(layout), loop_(loop), cfg_(cfg) {}
+                                   RegionLayout layout, Config cfg)
+    : group_(group), layout_(layout), cfg_(cfg) {}
 
 void GroupLockManager::wr_lock(uint32_t lock_id, uint64_t owner,
                                LockDone done) {
@@ -29,6 +28,7 @@ void GroupLockManager::wr_lock(uint32_t lock_id, uint64_t owner,
   op.owner = owner;
   op.attempts_left = cfg_.max_attempts;
   op.live = true;
+  op.held = false;
   op.done = std::move(done);
   wr_attempt(idx);
 }
@@ -45,6 +45,17 @@ void GroupLockManager::wr_attempt(uint32_t idx) {
   WrOp& op = wr_ops_[idx];
   if (op.attempts_left <= 0) {
     wr_finish(idx, false);
+    return;
+  }
+  if (op.held) {
+    // The lock was held: probe the writer word everywhere, back to back,
+    // until every replica reads it clear. Each probe is an attempt.
+    --op.attempts_left;
+    group_.gcas(layout_.lock_offset(op.lock_id), 0, 0, all_replicas(),
+                [this, idx](const CasResult& words) {
+                  wr_ops_[idx].held = !all_zero(words);
+                  wr_attempt(idx);
+                });
     return;
   }
   // Pipelined pair (see lock.h): set the writer word everywhere, then,
@@ -74,26 +85,21 @@ void GroupLockManager::wr_settle(uint32_t idx) {
     if (op.drained) {
       wr_finish(idx, true);
     } else {
-      drain_retry(idx);
+      wait_readers_drain(idx);
     }
     return;
   }
   ++stats_.wr_conflicts;
+  op.held = true;
   if (op.acquired.empty()) {
-    wr_retry(idx);
+    wr_attempt(idx);
     return;
   }
-  // Partial acquisition: undo exactly where we succeeded (§4.2).
+  // Partial acquisition: undo exactly where we succeeded (§4.2), then
+  // probe.
   ++stats_.partial_undos;
   group_.gcas(layout_.lock_offset(op.lock_id), op.owner, 0, op.acquired,
-              [this, idx](const CasResult&) { wr_retry(idx); });
-}
-
-void GroupLockManager::wr_retry(uint32_t idx) {
-  loop_.schedule_after(cfg_.retry_backoff, [this, idx] {
-    --wr_ops_[idx].attempts_left;
-    wr_attempt(idx);
-  });
+              [this, idx](const CasResult&) { wr_attempt(idx); });
 }
 
 void GroupLockManager::wait_readers_drain(uint32_t idx) {
@@ -104,22 +110,18 @@ void GroupLockManager::wait_readers_drain(uint32_t idx) {
                 [this, idx](const CasResult&) { wr_finish(idx, false); });
     return;
   }
-  // gCAS(0 -> 0) is a NIC-side read of every replica's reader count.
+  // gCAS(0 -> 0) is a NIC-side read of every replica's reader count,
+  // re-issued as soon as the previous one returns. Each read is an
+  // attempt.
+  --op.attempts_left;
   group_.gcas(layout_.reader_offset(op.lock_id), 0, 0, all_replicas(),
               [this, idx](const CasResult& counts) {
                 if (all_zero(counts)) {
                   wr_finish(idx, true);
                 } else {
-                  drain_retry(idx);
+                  wait_readers_drain(idx);
                 }
               });
-}
-
-void GroupLockManager::drain_retry(uint32_t idx) {
-  loop_.schedule_after(cfg_.retry_backoff, [this, idx] {
-    --wr_ops_[idx].attempts_left;
-    wait_readers_drain(idx);
-  });
 }
 
 void GroupLockManager::wr_unlock(uint32_t lock_id, Done done) {

@@ -45,14 +45,23 @@
 // not wait for it (apps/docstore), so a locked read waits for 1 lock
 // round trip.
 //
-// Probe rule. A reader that has seen a writer backs out of the count if
-// its increment landed, then probes the writer word with read-only gCAS,
-// each issued as soon as the previous one returns, and increments again
-// only once the word reads clear. Probes never touch the count, so
-// waiting readers cannot hold it up and starve the writer's drain. Each
-// probe counts against max_attempts. Writers retry after retry_backoff.
+// Probe rule. Nobody sleeps between tries: every wait is a read-only gCAS
+// issued as soon as the previous one returns, and each counts against
+// max_attempts.
+//   - A reader that has seen a writer backs out of the count if its
+//     increment landed, then probes the writer word on its replica and
+//     increments again only once the word reads clear. Probes never touch
+//     the count, so waiting readers cannot hold it up and starve the
+//     writer's drain.
+//   - A writer that found the lock held, or has just undone a partial
+//     acquisition, probes the writer word on every replica and reissues
+//     its pair only once every replica reads it clear. Probes set
+//     nothing, so a waiting writer never holds a word on some replicas
+//     that readers and other writers must then wait for and it must undo.
+//   - A writer that holds the writer word waits for the reader counts by
+//     re-reading them until every replica reads 0.
 //
-// Every multi-step acquisition (attempt/backoff/undo loops) runs as a
+// Every multi-step acquisition (attempt/probe/undo loops) runs as a
 // small state machine over a pooled slot table: callbacks capture only
 // [this, slot index], so they always fit a SmallFn's inline storage and
 // the retry loops allocate nothing in steady state.
@@ -62,7 +71,6 @@
 
 #include "core/group.h"
 #include "core/region_layout.h"
-#include "sim/event_loop.h"
 #include "sim/slot_pool.h"
 #include "sim/small_fn.h"
 
@@ -71,10 +79,7 @@ namespace hyperloop::core {
 class GroupLockManager {
  public:
   struct Config {
-    /// A writer's wait before it retries a held lock or re-reads the
-    /// reader counts. Readers probe without waiting (see above).
-    sim::Duration retry_backoff = sim::usec(20);
-    /// Attempts before done(false): a writer's tries, a reader's probes.
+    /// Probes and count re-reads (see above) before done(false).
     int max_attempts = 10000;
   };
 
@@ -90,14 +95,13 @@ class GroupLockManager {
   using LockDone = sim::SmallFn<void(bool acquired), kCallbackCap>;
   using Done = sim::SmallFn<void(), kCallbackCap>;
 
-  GroupLockManager(ReplicationGroup& group, RegionLayout layout,
-                   sim::EventLoop& loop, Config cfg);
-  GroupLockManager(ReplicationGroup& group, RegionLayout layout,
-                   sim::EventLoop& loop)
-      : GroupLockManager(group, layout, loop, Config()) {}
+  GroupLockManager(ReplicationGroup& group, RegionLayout layout, Config cfg);
+  GroupLockManager(ReplicationGroup& group, RegionLayout layout)
+      : GroupLockManager(group, layout, Config()) {}
 
   /// Acquires the write lock `lock_id` for `owner` (non-zero) on every
-  /// replica, retrying with backoff. done(false) after max_attempts.
+  /// replica. done(false) after max_attempts probes and count re-reads;
+  /// the writer holds no replica's writer word then.
   void wr_lock(uint32_t lock_id, uint64_t owner, LockDone done);
 
   /// Releases a write lock the caller holds on every replica: a gMEMCPY
@@ -130,6 +134,9 @@ class GroupLockManager {
     uint8_t pending = 0;
     ExecMap acquired;
     bool drained = false;
+    /// Another owner held the lock when last looked at: probe until it
+    /// reads clear everywhere before reissuing the pair.
+    bool held = false;
     LockDone done;
   };
 
@@ -161,9 +168,7 @@ class GroupLockManager {
 
   void wr_attempt(uint32_t idx);
   void wr_settle(uint32_t idx);
-  void wr_retry(uint32_t idx);
   void wait_readers_drain(uint32_t idx);
-  void drain_retry(uint32_t idx);
   void wr_finish(uint32_t idx, bool acquired);
 
   void rd_attempt(uint32_t idx);
@@ -182,7 +187,6 @@ class GroupLockManager {
 
   ReplicationGroup& group_;
   RegionLayout layout_;
-  sim::EventLoop& loop_;
   Config cfg_;
   Stats stats_;
 

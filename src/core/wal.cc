@@ -2,10 +2,27 @@
 
 #include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace hyperloop::core {
 namespace {
+
+// The virtual offset behind the header at `v`, on a walk that must meet
+// `tail`. A zero length would never advance the walk and one that runs
+// past the tail would never meet it, so either aborts, naming the header.
+uint64_t step_over(uint64_t v, uint32_t total_len, uint64_t tail) {
+  if (total_len == 0 || total_len > tail - v) {
+    std::fprintf(stderr,
+                 "ReplicatedWal: corrupt log header at virtual offset %llu: "
+                 "total_len=%u does not step to the durable tail %llu\n",
+                 static_cast<unsigned long long>(v), total_len,
+                 static_cast<unsigned long long>(tail));
+    std::abort();
+  }
+  return v + total_len;
+}
 
 // Slicing-by-8 tables for the reflected CRC-32 polynomial: kCrc[0] is
 // the classic byte table, kCrc[k][b] is byte b's contribution k bytes
@@ -276,7 +293,7 @@ bool ReplicatedWal::execute_and_advance(Done done) {
     RecordHeader hdr;
     group_.client_load(log_phys(head_), &hdr, sizeof(hdr));
     if (hdr.magic == kWrapMagic) {
-      head_ += hdr.total_len;
+      head_ = step_over(head_, hdr.total_len, durable_tail_);
       continue;
     }
     assert(hdr.magic == kRecordMagic && "corrupt log record");
@@ -305,7 +322,7 @@ bool ReplicatedWal::execute_and_advance(Done done) {
       num_entries += hdr.num_entries;
       ++num_records;
     }
-    v += hdr.total_len;
+    v = step_over(v, hdr.total_len, durable_tail_);
   }
 
   // Advance the in-memory head eagerly so a concurrent caller sees the

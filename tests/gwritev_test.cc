@@ -9,6 +9,8 @@
 //      per-replica packet / WQE counter deltas grow sub-linearly in K.
 //   3. Doorbell coalescing: a batch submission rings the client doorbell
 //      once, where K independent gwrites ring it K times.
+//   4. Slot order: each forwarding hop triggers the next right behind the
+//      batch's last live WQE, so fewer extents finish sooner.
 #include "core/hyperloop_group.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "chain_setup.h"
+#include "rdma/nic_costs.h"
 
 namespace hyperloop::core {
 namespace {
@@ -154,6 +157,41 @@ TEST_F(GwritevFixture, BatchCostsOneTraversalNotK) {
   // Doorbell coalescing: one submission, one client doorbell.
   EXPECT_EQ(batch_bells, 1u);
   EXPECT_EQ(single_bells, uint64_t{K});
+}
+
+// A forwarding hop patches its slot as [WRITE x k] [FLUSH] [SEND] [NOPs]:
+// the SEND that triggers the next hop goes out right behind the batch's
+// last live WQE, and the slot's unused WQEs run as NOPs after it. So on an
+// idle chain a 1-extent batch completes at least 7 WQE times per
+// forwarding hop before an 8-extent one. With the NOPs in front of the
+// FLUSH and SEND, both batches would wait for all 10 WQEs at every hop and
+// differ by the client's 7 extra WRITEs and their bytes only.
+void ExpectSendRightBehindLastLiveWqe(GwritevFixture& f, bool flush) {
+  auto g = f.make_group();
+  auto latency = [&](uint32_t extents) {
+    ExtentVec ext;
+    for (uint32_t k = 0; k < extents; ++k) ext.push_back({4096 + k * 64, 8});
+    const sim::Time start = f.cluster.loop().now();
+    sim::Time end = 0;
+    g->gwritev(ext, flush, [&] { end = f.cluster.loop().now(); });
+    f.run();
+    EXPECT_GT(end, start);
+    return end - start;
+  };
+  latency(1);  // first use of the ring
+  const sim::Duration one = latency(1);
+  const sim::Duration eight = latency(ExtentVec::kCapacity);
+  constexpr sim::Duration kForwardingHops = 2;  // R0 and R1 of 3 replicas
+  EXPECT_GE(eight - one, 7 * rdma::kWqeCost * kForwardingHops)
+      << "1 extent: " << one << " ns, 8 extents: " << eight << " ns";
+}
+
+TEST_F(GwritevFixture, FlushedHopSendsRightBehindItsFlush) {
+  ExpectSendRightBehindLastLiveWqe(*this, /*flush=*/true);
+}
+
+TEST_F(GwritevFixture, UnflushedHopSendsRightBehindItsLastWrite) {
+  ExpectSendRightBehindLastLiveWqe(*this, /*flush=*/false);
 }
 
 // Randomized equivalence: drive a batched group and a loop-of-gwrite

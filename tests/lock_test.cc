@@ -43,7 +43,7 @@ class LockHarness {
     return l;
   }();
   std::unique_ptr<ReplicationGroup> group;
-  GroupLockManager locks{*group, layout, cluster.loop()};
+  GroupLockManager locks{*group, layout};
 };
 
 struct LockFixture : ::testing::Test, LockHarness {
@@ -128,8 +128,7 @@ LOCK_TEST(PartialAcquisitionIsUndone) {
   bool result = true;
   GroupLockManager::Config quick;
   quick.max_attempts = 3;
-  quick.retry_backoff = sim::usec(10);
-  GroupLockManager impatient(*h.group, h.layout, h.cluster.loop(), quick);
+  GroupLockManager impatient(*h.group, h.layout, quick);
   impatient.wr_lock(9, 5, [&](bool ok) { result = ok; });
   h.run();
   EXPECT_FALSE(result);  // could not acquire
@@ -208,9 +207,7 @@ LOCK_TEST(ReaderGivesUpBehindAWriterThatNeverLeaves) {
   ASSERT_TRUE(writer);
 
   ForwardingGroup counted(*h.group);
-  GroupLockManager readers(counted, h.layout, h.cluster.loop(),
-                           {.retry_backoff = sim::usec(20),
-                            .max_attempts = kAttempts});
+  GroupLockManager readers(counted, h.layout, {.max_attempts = kAttempts});
   int calls = 0;
   bool acquired = true;
   readers.rd_lock(kId, kReplica, [&](bool ok) {
@@ -225,6 +222,104 @@ LOCK_TEST(ReaderGivesUpBehindAWriterThatNeverLeaves) {
   for (size_t r = 0; r < kReplicas; ++r) {
     EXPECT_EQ(h.reader_count(r, kId), 0u) << "replica " << r;
     EXPECT_EQ(h.lock_word(r, kId), 5u) << "replica " << r;
+  }
+}
+
+/// Forwards every primitive to `inner`, running `hook` once when the first
+/// gCAS forwarded after arm() completes, just before that gCAS's own
+/// callback.
+class CompletionTap final : public ForwardingGroup {
+ public:
+  using ForwardingGroup::ForwardingGroup;
+
+  void arm(std::function<void()> hook) { hook_ = std::move(hook); }
+
+  void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
+            ExecMap exec, CasDone done) override {
+    if (!hook_) {
+      ForwardingGroup::gcas(offset, expected, desired, exec, std::move(done));
+      return;
+    }
+    ForwardingGroup::gcas(
+        offset, expected, desired, exec,
+        [hook = std::move(hook_), d = std::move(done)](
+            const CasResult& r) mutable {
+          hook();
+          d(r);
+        });
+    hook_ = nullptr;
+  }
+
+ private:
+  std::function<void()> hook_;
+};
+
+LOCK_TEST(WriterBehindAWriterAcquiresOnTheNextProbe) {
+  // The holder releases as the waiter's pair returns with the lock held,
+  // the moment a writer that slept between tries would go to sleep. A
+  // waiter that probes back to back acquires within a probe that may
+  // miss the release, one that sees it and its pair: 3 idle round trips.
+  constexpr uint32_t kId = 15;
+  sim::EventLoop& loop = h.cluster.loop();
+  const sim::Time sent = loop.now();
+  sim::Duration round_trip = 0;
+  h.group->gcas(h.layout.lock_offset(kId), 0, 0, ExecMap::all(kReplicas),
+                [&](const CasResult&) { round_trip = loop.now() - sent; });
+  h.run(sim::msec(5));
+  ASSERT_GT(round_trip, 0);
+  bool holder = false;
+  h.locks.wr_lock(kId, 1, [&](bool ok) { holder = ok; });
+  h.run(sim::msec(5));
+  ASSERT_TRUE(holder);
+
+  CompletionTap tap(*h.group);
+  GroupLockManager waiters(tap, h.layout);
+  sim::Time released = 0, acquired = 0;
+  tap.arm([&] {
+    released = loop.now();
+    h.locks.wr_unlock(kId, {});
+  });
+  waiters.wr_lock(kId, 2, [&](bool ok) {
+    EXPECT_TRUE(ok);
+    acquired = loop.now();
+  });
+  h.run();
+  ASSERT_GT(released, 0);
+  ASSERT_GT(acquired, released);
+  EXPECT_LE(acquired - released, 3 * round_trip)
+      << "one idle gCAS round trip is " << round_trip << " ns";
+  EXPECT_EQ(waiters.stats().wr_conflicts, 1u);
+  for (size_t r = 0; r < kReplicas; ++r) {
+    EXPECT_EQ(h.lock_word(r, kId), 2u) << "replica " << r;
+  }
+}
+
+LOCK_TEST(WriterGivesUpBehindAWriterThatNeverLeaves) {
+  // The holder never releases. The waiter's pair finds the lock held, then
+  // it probes the writer word back to back: after max_attempts probes it
+  // fails, holding no replica's writer word and no count.
+  constexpr uint32_t kId = 16;
+  constexpr int kAttempts = 5;
+  bool holder = false;
+  h.locks.wr_lock(kId, 5, [&](bool ok) { holder = ok; });
+  h.run(sim::msec(5));
+  ASSERT_TRUE(holder);
+
+  ForwardingGroup counted(*h.group);
+  GroupLockManager waiters(counted, h.layout, {.max_attempts = kAttempts});
+  int calls = 0;
+  bool acquired = true;
+  waiters.wr_lock(kId, 6, [&](bool ok) {
+    ++calls;
+    acquired = ok;
+  });
+  h.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(acquired);
+  EXPECT_EQ(counted.gcas_count(), 2u + kAttempts);  // the pair, the probes
+  for (size_t r = 0; r < kReplicas; ++r) {
+    EXPECT_EQ(h.lock_word(r, kId), 5u) << "replica " << r;
+    EXPECT_EQ(h.reader_count(r, kId), 0u) << "replica " << r;
   }
 }
 
@@ -347,7 +442,7 @@ LOCK_TEST(WriterBetweenReaderIncrementAndCheckWins) {
   const uint32_t id = 12;
   const size_t replica = 1;
   InterposingGroup tap(*h.group);
-  GroupLockManager readers(tap, h.layout, h.cluster.loop());
+  GroupLockManager readers(tap, h.layout);
   bool hooked = false, writer = false, writer_released = false;
   bool reader = false, reader_during_writer = false;
   tap.arm({h.layout.lock_offset(id), 0, 0, ExecMap::one(replica)}, [&] {

@@ -226,7 +226,7 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
                         .ring_slots = 64,
                         .max_inflight = 16});
   ReplicatedWal wal(group, layout);
-  GroupLockManager locks(group, layout, cluster.loop());
+  GroupLockManager locks(group, layout);
 
   // Fixed inputs, built once: append() reads the caller's entry vector
   // and stages bytes straight into the client region, so reusing one
@@ -284,7 +284,7 @@ TEST(NicAllocTransaction, WalLockTransactionLapAllocatesNothing) {
 // pipelined increment misses and is reissued against the count it
 // found), then a reader that arrives while a writer holds the lock (its
 // increment lands, the check sees the writer, it backs out with a
-// decrement and retries after the back-off until the writer releases).
+// decrement and probes the writer word until the writer releases).
 // Every step is a slot-indexed continuation, so a warm lap allocates
 // nothing.
 TEST(NicAllocTransaction, ReadLockLapAllocatesNothing) {
@@ -297,7 +297,7 @@ TEST(NicAllocTransaction, ReadLockLapAllocatesNothing) {
                        {.region_size = layout.region_size,
                         .ring_slots = 64,
                         .max_inflight = 16});
-  GroupLockManager locks(group, layout, cluster.loop());
+  GroupLockManager locks(group, layout);
   sim::EventLoop& loop = cluster.loop();
 
   int reads_done = 0;

@@ -204,7 +204,7 @@ TEST_P(PropertyTest, TransactionsAreAllOrNothingAfterCrashReplay) {
   layout.log_size = 128 << 10;
   layout.num_locks = 16;
   ReplicatedWal wal(*group_, layout);
-  GroupLockManager locks(*group_, layout, cluster_->loop());
+  GroupLockManager locks(*group_, layout);
   TransactionManager txns(*group_, wal, locks, cluster_->loop());
   sim::Rng& rng = *rng_;
 

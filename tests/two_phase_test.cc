@@ -41,8 +41,7 @@ struct TwoPhaseFixture : ::testing::Test {
                                         .ring_slots = 128,
                                         .max_inflight = 32});
       part.wal = std::make_unique<ReplicatedWal>(*part.group, layout);
-      part.locks = std::make_unique<GroupLockManager>(*part.group, layout,
-                                                      cluster.loop());
+      part.locks = std::make_unique<GroupLockManager>(*part.group, layout);
       ctxs.push_back({part.group.get(), part.wal.get(), part.locks.get(),
                       layout});
       parts.push_back(std::move(part));
@@ -109,8 +108,7 @@ TEST_F(TwoPhaseFixture, LockHeldElsewhereAbortsAndReleasesHeldLocks) {
   std::vector<std::unique_ptr<GroupLockManager>> few;
   std::vector<TwoPhaseCoordinator::PartitionCtx> ctxs;
   for (Part& p : parts) {
-    few.push_back(std::make_unique<GroupLockManager>(*p.group, layout,
-                                                     cluster.loop(), lc));
+    few.push_back(std::make_unique<GroupLockManager>(*p.group, layout, lc));
     ctxs.push_back({p.group.get(), p.wal.get(), few.back().get(), layout});
   }
   TwoPhaseCoordinator txn(cluster.loop(), std::move(ctxs));
@@ -349,8 +347,7 @@ TEST_P(TwoPhaseUnlockOrderTest, LocksReleaseOnlyAfterRecordsAreApplied) {
                                           .ring_slots = 128,
                                           .max_inflight = 32}));
     wals.push_back(std::make_unique<ReplicatedWal>(*groups[p], layout));
-    locks.push_back(std::make_unique<GroupLockManager>(*groups[p], layout,
-                                                       cluster.loop()));
+    locks.push_back(std::make_unique<GroupLockManager>(*groups[p], layout));
     ctxs.push_back({groups[p].get(), wals[p].get(), locks[p].get(), layout});
   }
   TwoPhaseCoordinator coord(cluster.loop(), std::move(ctxs));

@@ -27,7 +27,7 @@ struct TxnFixture : ::testing::Test {
                 .ring_slots = 128,
                 .max_inflight = 32});
   ReplicatedWal wal{*group, layout};
-  GroupLockManager locks{*group, layout, cluster.loop()};
+  GroupLockManager locks{*group, layout};
   TransactionManager txns{*group, wal, locks, cluster.loop()};
 
   void run(sim::Duration d = sim::msec(500)) {
@@ -68,7 +68,7 @@ TEST_F(TxnFixture, CommitAppliesAtomically) {
 TEST_F(TxnFixture, LockHeldElsewhereAbortsAndReleasesHeldLocks) {
   GroupLockManager::Config lc;
   lc.max_attempts = 3;
-  GroupLockManager few{*group, layout, cluster.loop(), lc};
+  GroupLockManager few{*group, layout, lc};
   TransactionManager txn{*group, wal, few, cluster.loop()};
   bool held = false;
   few.wr_lock(5, /*owner=*/999, [&](bool ok) { held = ok; });
@@ -187,7 +187,7 @@ TEST(TxnLogFullTest, FullLogAppendsRetryUntilEveryTransactionCommits) {
                                     .ring_slots = 128,
                                     .max_inflight = 32});
   ReplicatedWal wal{*group, layout};
-  GroupLockManager locks{*group, layout, cluster.loop()};
+  GroupLockManager locks{*group, layout};
   TransactionManager txns{*group, wal, locks, cluster.loop()};
   constexpr uint32_t kTxns = 24;
   uint32_t committed = 0;
@@ -253,7 +253,7 @@ TEST(TxnClientCopyTest, ClientCopyHoldsTheRecordAtDone) {
       cluster,
       {.region_size = layout.region_size, .ring_slots = 4, .max_inflight = 1});
   ReplicatedWal wal(*group, layout);
-  GroupLockManager locks(*group, layout, cluster.loop());
+  GroupLockManager locks(*group, layout);
   TransactionManager txns(*group, wal, locks, cluster.loop());
 
   auto cell = [&](uint32_t c) {
@@ -320,7 +320,7 @@ TEST_P(TxnUnlockOrderTest, LocksReleaseOnlyAfterRecordIsApplied) {
                         .ring_slots = 128,
                         .max_inflight = 32});
   ReplicatedWal wal(group, layout);
-  GroupLockManager locks(group, layout, cluster.loop());
+  GroupLockManager locks(group, layout);
   TransactionManager txns(group, wal, locks, cluster.loop());
 
   UnlockOrderProbe probe(kTxns, /*slot_base=*/0, kStride);

@@ -607,6 +607,30 @@ TEST_P(WalTest, CrashDuringTwoBatchesReplaysAPrefixWithEveryAck) {
   EXPECT_GT(replayed_both, 0);
 }
 
+// execute_and_advance walks the client's copy of the log from the head to
+// the durable tail, header by header. A header whose length is 0 would
+// never advance that walk: it must stop the program, naming the header's
+// virtual offset, in every build.
+using WalDeathTest = WalTest;
+
+TEST_P(WalDeathTest, ZeroRecordLengthAbortsTheApplyWalk) {
+  bool committed = false;
+  ASSERT_TRUE(wal_->append({{0, bytes("record")}},
+                           [&](uint64_t) { committed = true; }));
+  run();
+  ASSERT_TRUE(committed);
+  // The head record's header: magic, num_entries (4 B each), lsn (8 B),
+  // then total_len.
+  const uint32_t zero = 0;
+  group_->client_store(layout_.log_base() + 16, &zero, sizeof(zero));
+  EXPECT_DEATH(wal_->execute_and_advance({}),
+               "corrupt log header at virtual offset 0: total_len=0");
+}
+
+INSTANTIATE_TEST_SUITE_P(HyperLoop, WalDeathTest,
+                         ::testing::Values(Backend::kHyperLoop),
+                         backend_name);
+
 // The event-mode Naïve instances keep the name they had when this suite
 // ran on HyperLoop and Naïve only.
 INSTANTIATE_TEST_SUITE_P(Backends, WalTest,
