@@ -89,8 +89,10 @@ void KvStore::maybe_checkpoint(uint32_t s) {
   }
   sh.checkpoint_running = true;
   ++checkpoints_;
-  // Drain until half the threshold, one record at a time, off the
-  // critical path (appends continue concurrently).
+  // Drain until half the threshold, off the critical path (appends
+  // continue concurrently). Each step drains the whole committed backlog
+  // as one execute batch, which applies only the newest write to each
+  // key's slot (core/wal.h).
   checkpoint_step(s);
 }
 

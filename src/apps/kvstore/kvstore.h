@@ -13,6 +13,8 @@
 //   - When the log fills beyond a threshold, the store checkpoints: it
 //     ExecuteAndAdvance's records into the database area (the "dump
 //     in-memory data and truncate the log" cycle), off the critical path.
+//     Like a RocksDB memtable flush, a checkpoint batch writes only the
+//     newest version of each key it holds (core/wal.h, absorption).
 //   - Recovery: rebuild the table from the database area plus a replay of
 //     the committed log suffix.
 //

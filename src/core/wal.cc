@@ -1,5 +1,6 @@
 #include "core/wal.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -274,7 +275,7 @@ void ReplicatedWal::finish_exec(uint32_t idx) {
     exec_order_.pop_front();
     ExecOp& op = exec_ops_[i];
     stats_.records_executed += op.records;
-    const uint64_t new_head = op.rec_voff + op.total_len;
+    const uint64_t new_head = op.end;
     applied_head_ = new_head;
     Done done = std::move(op.done);
     op.live = false;
@@ -288,39 +289,30 @@ void ReplicatedWal::finish_exec(uint32_t idx) {
 }
 
 bool ReplicatedWal::execute_and_advance(Done done) {
-  // Skip wrap markers.
-  while (head_ != durable_tail_) {
-    RecordHeader hdr;
-    group_.client_load(log_phys(head_), &hdr, sizeof(hdr));
-    if (hdr.magic == kWrapMagic) {
-      head_ = step_over(head_, hdr.total_len, durable_tail_);
-      continue;
-    }
-    assert(hdr.magic == kRecordMagic && "corrupt log record");
-    break;
-  }
-  if (head_ == durable_tail_) {
-    // Only wrap markers: with no batch in flight, nothing is left to apply
-    // before them.
-    if (exec_order_.empty()) applied_head_ = head_;
-    return false;
-  }
-
   // Every record in [head_, durable_tail_) is committed AND replicated
-  // (its batch acked), so that whole backlog drains as ONE batch. Count
-  // pass first: the batch's entry total must be known before any gMEMCPY
-  // ack can fire, and the span end ties the batch to a single head
-  // advance.
-  const uint64_t batch_voff = head_;
+  // (its batch acked), so that whole backlog drains as ONE batch. One
+  // walk collects its entries, above any an outer call of this function
+  // is still issuing.
+  const size_t base = exec_entries_.size();
+  exec_by_offset_.clear();
   uint64_t v = head_;
-  uint32_t num_entries = 0, num_records = 0;
+  uint32_t num_records = 0;
   while (v != durable_tail_) {
     RecordHeader hdr;
     group_.client_load(log_phys(v), &hdr, sizeof(hdr));
     if (hdr.magic != kWrapMagic) {
       assert(hdr.magic == kRecordMagic && "corrupt log record");
-      num_entries += hdr.num_entries;
       ++num_records;
+      uint64_t p = v + sizeof(RecordHeader);
+      for (uint32_t i = 0; i < hdr.num_entries; ++i) {
+        EntryHeader eh;
+        group_.client_load(log_phys(p), &eh, sizeof(eh));
+        const uint64_t data_voff = p + sizeof(EntryHeader);
+        exec_by_offset_.push_back(
+            static_cast<uint32_t>(exec_entries_.size()));
+        exec_entries_.push_back({eh.db_offset, data_voff, eh.len});
+        p = data_voff + ((eh.len + 7) & ~uint64_t{7});
+      }
     }
     v = step_over(v, hdr.total_len, durable_tail_);
   }
@@ -332,52 +324,72 @@ bool ReplicatedWal::execute_and_advance(Done done) {
   // wrapped onto it rides the gWRITEV ring, which nothing orders against
   // the gMEMCPYs still reading it.
   head_ = v;
+  if (num_records == 0) {
+    // Only wrap markers: with no batch in flight, nothing is left to apply
+    // before them.
+    if (exec_order_.empty()) applied_head_ = head_;
+    return false;
+  }
 
-  // Claim a pooled op slot; one gMEMCPY per entry decrements it, and the
+  // Absorption (wal.h): sort the entries by (db_offset, log order) and
+  // read each offset's run newest first; an entry no longer than the
+  // longest one after it is overwritten before the head advance.
+  const size_t end = exec_entries_.size();
+  std::sort(exec_by_offset_.begin(), exec_by_offset_.end(),
+            [this](uint32_t a, uint32_t b) {
+              const uint64_t oa = exec_entries_[a].db_offset;
+              const uint64_t ob = exec_entries_[b].db_offset;
+              return oa != ob ? oa < ob : a < b;
+            });
+  uint32_t absorbed = 0;
+  uint32_t longest_later = 0;
+  for (size_t k = exec_by_offset_.size(); k-- > 0;) {
+    ExecEntry& e = exec_entries_[exec_by_offset_[k]];
+    const bool newest =
+        k + 1 == exec_by_offset_.size() ||
+        exec_entries_[exec_by_offset_[k + 1]].db_offset != e.db_offset;
+    if (newest || e.len > longest_later) {
+      longest_later = e.len;
+    } else {
+      e.absorbed = true;
+      ++absorbed;
+    }
+  }
+  stats_.entries_absorbed += absorbed;
+
+  // Claim a pooled op slot; each issued gMEMCPY decrements it, and the
   // last ack marks the batch applied (finish_exec).
   const uint32_t idx = exec_ops_.claim();
   ExecOp& op = exec_ops_[idx];
   assert(!op.live);
-  op.rec_voff = batch_voff;
-  op.total_len = static_cast<uint32_t>(v - batch_voff);
-  op.remaining = num_entries;
+  op.end = v;
+  op.remaining = static_cast<uint32_t>(end - base) - absorbed;
   op.records = num_records;
   op.live = true;
   op.done = std::move(done);
   exec_order_.push_back(idx);
   ++stats_.exec_batches;
 
-  if (num_entries == 0) {
+  if (end == base) {
     finish_exec(idx);
     return true;
   }
 
-  // Issue pass: the per-entry gMEMCPYs ride unflushed — the chain applies
-  // them in FIFO order on every replica, so the single gFLUSH carried by
-  // the trailing head-pointer advance (finish_exec -> write_pointer)
+  // The gMEMCPYs ride unflushed, in log order — the chain applies them
+  // in FIFO order on every replica, so the single gFLUSH carried by the
+  // trailing head-pointer advance (finish_exec -> write_pointer)
   // persists the whole batch at once instead of paying one flush per
-  // record.
-  uint64_t r = batch_voff;
-  while (r != v) {
-    RecordHeader hdr;
-    group_.client_load(log_phys(r), &hdr, sizeof(hdr));
-    if (hdr.magic == kWrapMagic) {
-      r += hdr.total_len;
-      continue;
-    }
-    uint64_t p = r + sizeof(RecordHeader);
-    for (uint32_t i = 0; i < hdr.num_entries; ++i) {
-      EntryHeader eh;
-      group_.client_load(log_phys(p), &eh, sizeof(eh));
-      const uint64_t data_voff = p + sizeof(EntryHeader);
-      group_.gmemcpy(log_phys(data_voff), layout_.db_base() + eh.db_offset,
-                     eh.len, /*flush=*/false, [this, idx] {
-                       if (--exec_ops_[idx].remaining == 0) finish_exec(idx);
-                     });
-      p = data_voff + ((eh.len + 7) & ~uint64_t{7});
-    }
-    r += hdr.total_len;
+  // record. Entries are read by index and copied out: a completion that
+  // re-enters this function may grow the scratch.
+  for (size_t i = base; i < end; ++i) {
+    const ExecEntry e = exec_entries_[i];
+    if (e.absorbed) continue;
+    group_.gmemcpy(log_phys(e.data_voff), layout_.db_base() + e.db_offset,
+                   e.len, /*flush=*/false, [this, idx] {
+                     if (--exec_ops_[idx].remaining == 0) finish_exec(idx);
+                   });
   }
+  exec_entries_.resize(base);
   return true;
 }
 
@@ -397,10 +409,10 @@ void ReplicatedWal::reload_pointers() {
     group_.client_load(log_phys(v), &hdr, sizeof(hdr));
     if (hdr.magic == kRecordMagic) {
       next_lsn_ = hdr.lsn + 1;
-    } else if (hdr.magic != kWrapMagic || hdr.total_len == 0) {
+    } else if (hdr.magic != kWrapMagic) {
       break;
     }
-    v += hdr.total_len;
+    v = step_over(v, hdr.total_len, tail_);
   }
 }
 
@@ -426,6 +438,7 @@ ReplicatedWal::Stats ShardedWal::totals() const {
     t.append_failures += s.append_failures;
     t.gwritev_batches += s.gwritev_batches;
     t.exec_batches += s.exec_batches;
+    t.entries_absorbed += s.entries_absorbed;
   }
   return t;
 }

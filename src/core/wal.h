@@ -8,12 +8,25 @@
 // The control block holds two tail slots (region_layout.h); commit batch
 // b writes slot b % 2, and the durable tail is the larger of the two
 // (load_tail). ExecuteAndAdvance() drains every committed-but-unprocessed
-// record in one batch: an unflushed gMEMCPY per entry applies them on
-// every replica and a single flushed head advance (truncation) persists
-// the lot — the chain's FIFO order guarantees the trailing gFLUSH lands
-// after every apply. Replay() performs crash recovery: it re-applies
-// every committed-but-unprocessed record, which is idempotent because
-// records are pure redo.
+// record in one batch: an unflushed gMEMCPY per live entry applies them
+// on every replica and a single flushed head advance (truncation)
+// persists the lot — the chain's FIFO order guarantees the trailing
+// gFLUSH lands after every apply. Replay() performs crash recovery: it
+// re-applies every committed-but-unprocessed record, which is idempotent
+// because records are pure redo.
+//
+// Absorption: an entry is live unless a later entry of the same execute
+// batch writes the same db_offset with at least as many bytes. Such an
+// entry is absorbed: no gMEMCPY copies it, since the later one overwrites
+// every byte it would write before the batch's head advance makes either
+// final. The batch's final DB image is the in-order image, and that is
+// all the head advance's gFLUSH persists. A crash before the head advance
+// replays every record of the batch in log order, absorbed ones too. A
+// writer that holds a lock never meets itself in one batch: its record
+// is claimed before its lock is released, so the next writer's record
+// for that offset lands in a later batch. Lock-serialized stores
+// (DocStore, TransactionManager, 2PC application writes) therefore
+// absorb nothing; KvStore's unlocked updates of a hot key do.
 //
 // Head advances go out in batch order: a batch's goes out once its
 // gMEMCPYs and those of every batch issued before it have acked on every
@@ -41,8 +54,9 @@
 // The append/execute datapath is allocation-free in steady state: records
 // are serialized piecewise straight into the client's staging region (no
 // temporary buffer), staged/in-flight batch state lives in rings and
-// fixed arrays, and in-flight executions live in a pooled slot table
-// indexed by small integers. Completion callbacks are sim::SmallFn, sized
+// fixed arrays, an execute batch's entries are collected into a reused
+// scratch, and in-flight executions live in a pooled slot table indexed
+// by small integers. Completion callbacks are sim::SmallFn, sized
 // so every continuation in this file stays within the inline capacity.
 #pragma once
 
@@ -85,6 +99,9 @@ class ReplicatedWal {
     uint64_t append_failures = 0;   ///< log-full / window-full backpressure
     uint64_t gwritev_batches = 0;   ///< chain traversals issued by appends
     uint64_t exec_batches = 0;      ///< batched execute_and_advance drains
+    /// Execute entries a later entry of their batch overwrote, so no
+    /// gMEMCPY applied them (see the absorption rule above).
+    uint64_t entries_absorbed = 0;
   };
 
   /// Group-commit tuning. The defaults batch transparently.
@@ -115,10 +132,15 @@ class ReplicatedWal {
 
   /// Drains the whole committed backlog — [head, durable tail), every
   /// record whose commit batch has acked — as one batch: an unflushed
-  /// gMEMCPY per entry applies the records on every replica,
+  /// gMEMCPY per live entry applies the records on every replica,
   /// then a single flushed head advance (log truncation) persists the
   /// batch — one trailing gFLUSH instead of one per record, mirroring how
-  /// append() group-commits the log write. The gMEMCPYs are issued
+  /// append() group-commits the log write. An entry that a later entry
+  /// of the batch overwrites — same db_offset, at least as long — is
+  /// absorbed (Stats::entries_absorbed) and gets no gMEMCPY: the batch's
+  /// DB image is the in-order one all the same, the head advance goes
+  /// out only after every issued copy has acked, and until it lands a
+  /// crash replays every record of the batch. The gMEMCPYs are issued
   /// before the call returns; the head advance goes out once this batch
   /// and every earlier one have applied. Returns false if there is no
   /// unprocessed record (a concurrent caller may have claimed the
@@ -233,13 +255,20 @@ class ReplicatedWal {
   /// capture the slot *index*, never a pointer: the pool vector may grow.
   /// A slot stays live until it and every earlier batch have applied.
   struct ExecOp {
-    uint64_t rec_voff = 0;   ///< batch start (virtual offset)
-    uint32_t total_len = 0;  ///< batch span, wrap markers included
+    uint64_t end = 0;        ///< virtual offset past the batch: its new head
     uint32_t remaining = 0;  ///< gMEMCPY acks outstanding
     uint32_t records = 0;    ///< records drained by this batch
     bool live = false;
     bool applied = false;    ///< every gMEMCPY acked
     Done done;
+  };
+
+  /// One entry of the batch execute_and_advance is claiming.
+  struct ExecEntry {
+    uint64_t db_offset = 0;
+    uint64_t data_voff = 0;  ///< virtual offset of the entry's bytes
+    uint32_t len = 0;
+    bool absorbed = false;   ///< a later entry of the batch overwrites it
   };
 
   /// Serializes the record piecewise straight into the log ring at
@@ -289,6 +318,12 @@ class ReplicatedWal {
   Stats stats_;
   sim::SlotPool<ExecOp> exec_ops_;
   sim::Ring<uint32_t> exec_order_;   ///< live batches, in issue order
+  // execute_and_advance's scratch, reused so a warm call allocates
+  // nothing. A completion that re-enters the call while a batch's copies
+  // are being issued pushes its batch above the outer one's entries and
+  // pops it before returning.
+  std::vector<ExecEntry> exec_entries_;
+  std::vector<uint32_t> exec_by_offset_;  ///< entry indices by db_offset
 
   // Group-commit state: staged appends wait here until the issue rule
   // lets a batch go out. Batch b is the b-th issued; it writes tail slot

@@ -404,6 +404,57 @@ TEST(NicAllocTransaction, GroupCommitGwritevLapAllocatesNothing) {
   EXPECT_EQ(group.counters().gwritevs, wal.stats().gwritev_batches);
 }
 
+// The absorbing execute lap: eight records cycle over three DB offsets
+// and commit before one execute batch drains them all, so that batch
+// applies only the newest entry at each offset and absorbs the other
+// five. The walk's entry scratch is reused and the absorption sort runs
+// in place, so a warm lap allocates nothing.
+TEST(NicAllocTransaction, AbsorbingExecuteLapAllocatesNothing) {
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
+  RegionLayout layout;
+  layout.region_size = 1 << 20;
+  layout.log_size = 64 << 10;
+  layout.num_locks = 16;
+  HyperLoopGroup group(cluster.server(3), chain_replicas(cluster),
+                       {.region_size = layout.region_size,
+                        .ring_slots = 64,
+                        .max_inflight = 16});
+  ReplicatedWal::Options wo;
+  wo.staged_capacity = 16;
+  ReplicatedWal wal(group, layout, wo);
+
+  const std::vector<uint8_t> payload(48, 0x6D);
+  std::vector<ReplicatedWal::Entry> entries[3];
+  for (uint64_t k = 0; k < 3; ++k) entries[k].push_back({k * 64, payload});
+
+  constexpr int kRecordsPerLap = 8;
+  uint64_t committed = 0;
+  auto lap = [&] {
+    for (int k = 0; k < kRecordsPerLap; ++k) {
+      ASSERT_TRUE(wal.append(entries[k % 3], [&](uint64_t) { ++committed; }));
+    }
+    cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
+    ASSERT_TRUE(wal.execute_and_advance(ReplicatedWal::Done{}));
+    ASSERT_FALSE(wal.execute_and_advance(ReplicatedWal::Done{}));
+    cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
+  };
+
+  for (int i = 0; i < 24; ++i) lap();
+  ASSERT_EQ(committed, 24u * kRecordsPerLap);
+
+  const ReplicatedWal::Stats warm = wal.stats();
+  const uint64_t gmemcpys = group.counters().gmemcpys;
+  const uint64_t before = alloc_count();
+  for (int i = 0; i < 4; ++i) lap();
+  EXPECT_EQ(alloc_count() - before, 0u)
+      << "absorbing execute lap performed " << (alloc_count() - before)
+      << " heap allocations";
+  EXPECT_EQ(committed, 28u * kRecordsPerLap);
+  EXPECT_EQ(wal.stats().exec_batches - warm.exec_batches, 4u);
+  EXPECT_EQ(wal.stats().entries_absorbed - warm.entries_absorbed, 4u * 5);
+  EXPECT_EQ(group.counters().gmemcpys - gmemcpys, 4u * 3);
+}
+
 // The copy-discipline gate: a 64 KB gWRITE through a 3-replica chain
 // must move payload bytes exactly 1 + num_sinks times — one DMA-in
 // gather at the source NIC and one DMA-out into each sink's region.

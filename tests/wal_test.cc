@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "backends.h"
@@ -76,6 +77,21 @@ class WalTest : public ::testing::TestWithParam<Backend> {
         layout_, [&](uint64_t off, void* dst, uint32_t len) {
           group_->replica_load(replica, off, dst, len);
         });
+  }
+
+  /// Appends `records`, lets them commit, and claims them as one execute
+  /// batch of `wal`; `*truncated` turns true at its head advance.
+  void claim_one_batch(
+      ReplicatedWal& wal,
+      std::span<const std::vector<ReplicatedWal::Entry>> records,
+      bool* truncated) {
+    for (const auto& rec : records) {
+      ASSERT_TRUE(wal.append(rec, [](uint64_t) {}));
+    }
+    run();
+    ASSERT_TRUE(wal.execute_and_advance([truncated] { *truncated = true; }));
+    ASSERT_EQ(wal.stats().exec_batches, 1u);
+    run();
   }
 
   std::string db_read(size_t replica, uint64_t db_off, size_t len) {
@@ -417,8 +433,12 @@ TEST_P(WalTest, ClaimedButUnappliedLogSpaceIsNotFree) {
   MemcpyAckGate gate(*group_);
   ReplicatedWal wal(gate, layout_);
   const std::vector<uint8_t> kb(1024, 0x5A);
-  auto append_kb = [&] { return wal.append({{0, kb}}, [](uint64_t) {}); };
   int records = 0;
+  // Record i writes DB offset i x 1024, so no record of the batch
+  // overwrites another and every copy stays held.
+  auto append_kb = [&] {
+    return wal.append({{uint64_t(records) * 1024, kb}}, [](uint64_t) {});
+  };
   while (append_kb()) {
     ++records;
     run();
@@ -435,6 +455,116 @@ TEST_P(WalTest, ClaimedButUnappliedLogSpaceIsNotFree) {
   EXPECT_TRUE(wal.append({{0, kb}}, [&](uint64_t) { committed = true; }));
   run();
   EXPECT_TRUE(committed);
+}
+
+// One execute batch of three records whose entries write DB offsets 0,
+// 64, 0, 0, 128 and 64. The second 64-B entry at 0 overwrites the first,
+// and the last entry overwrites the one at 64; the 32-B entry at 0 is
+// shorter than the 64-B entry before it, so it absorbs nothing.
+const std::vector<ReplicatedWal::Entry> kAbsorbingRecords[3] = {
+    {{0, std::vector<uint8_t>(64, 'a')},
+     {64, std::vector<uint8_t>(64, 'b')},
+     {0, std::vector<uint8_t>(64, 'c')}},
+    {{0, std::vector<uint8_t>(32, 'd')},
+     {128, std::vector<uint8_t>(64, 'e')}},
+    {{64, std::vector<uint8_t>(64, 'f')}},
+};
+
+// The first `len` DB bytes after applying every entry of `records` in
+// log order.
+std::string in_order_image(
+    std::span<const std::vector<ReplicatedWal::Entry>> records, size_t len) {
+  std::string db(len, '\0');
+  for (const auto& rec : records) {
+    for (const ReplicatedWal::Entry& e : rec) {
+      std::copy(e.data.begin(), e.data.end(), db.begin() + e.db_offset);
+    }
+  }
+  return db;
+}
+
+// An entry that a later entry of its batch overwrites (same offset, at
+// least as long) gets no gMEMCPY; after the batch the client's copy and
+// every replica hold the in-order image.
+TEST_P(WalTest, LaterEntriesAbsorbEarlierOnesAtTheirOffset) {
+  MemcpyAckGate gate(*group_);
+  ReplicatedWal wal(gate, layout_);
+  bool truncated = false;
+  claim_one_batch(wal, kAbsorbingRecords, &truncated);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(gate.held(), 4u) << "one copy per entry nothing overwrites";
+  EXPECT_EQ(wal.stats().entries_absorbed, 2u);
+  EXPECT_FALSE(truncated);
+
+  gate.release();
+  run();
+  EXPECT_TRUE(truncated);
+  EXPECT_EQ(wal.stats().records_executed, 3u);
+  const std::string want = in_order_image(kAbsorbingRecords, 192);
+  std::string client(want.size(), '\0');
+  group_->client_load(layout_.db_base(), client.data(),
+                      static_cast<uint32_t>(client.size()));
+  EXPECT_EQ(client, want) << "client copy";
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(db_read(i, 0, want.size()), want) << "replica " << i;
+  }
+}
+
+// A crash while the batch's copies are unacked, before its head advance:
+// replay applies every record in log order, absorbed entries included,
+// and yields the same DB bytes on every replica.
+TEST_P(WalTest, ACrashBeforeTheHeadAdvanceReplaysAbsorbedEntries) {
+  MemcpyAckGate gate(*group_);
+  ReplicatedWal wal(gate, layout_);
+  bool truncated = false;
+  claim_one_batch(wal, kAbsorbingRecords, &truncated);
+  if (HasFatalFailure()) return;
+  ASSERT_EQ(gate.held(), 4u);
+  const std::string want = in_order_image(kAbsorbingRecords, 192);
+  for (size_t i = 0; i < 3; ++i) {
+    Server& r = group_->replica_server(i);
+    r.nvm().crash();
+    uint64_t head = ~uint64_t{0};
+    group_->replica_load(i, layout_.head_ptr_offset(), &head, 8);
+    ASSERT_EQ(head, 0u) << "replica " << i;
+    const rdma::Addr base = group_->replica_region_base(i);
+    const uint64_t replayed = ReplicatedWal::replay(
+        layout_,
+        [&](uint64_t off, void* dst, uint32_t len) {
+          r.mem().read(base + off, dst, len);
+        },
+        [&](uint64_t off, const void* src, uint32_t len) {
+          r.mem().write(base + off, src, len);
+        });
+    EXPECT_EQ(replayed, 3u) << "replica " << i;
+    EXPECT_EQ(db_read(i, 0, want.size()), want) << "replica " << i;
+  }
+}
+
+// Entries at distinct offsets absorb nothing, even where they overlap or
+// a shorter one follows a longer one.
+TEST_P(WalTest, DistinctOffsetsAbsorbNothing) {
+  const std::vector<ReplicatedWal::Entry> records[2] = {
+      {{0, std::vector<uint8_t>(64, 'p')},
+       {32, std::vector<uint8_t>(16, 'q')}},
+      {{64, std::vector<uint8_t>(64, 'r')},
+       {8, std::vector<uint8_t>(8, 's')},
+       {128, std::vector<uint8_t>(32, 't')}},
+  };
+  MemcpyAckGate gate(*group_);
+  ReplicatedWal wal(gate, layout_);
+  bool truncated = false;
+  claim_one_batch(wal, records, &truncated);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(gate.held(), 5u);
+  EXPECT_EQ(wal.stats().entries_absorbed, 0u);
+  gate.release();
+  run();
+  EXPECT_TRUE(truncated);
+  const std::string want = in_order_image(records, 160);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(db_read(i, 0, want.size()), want) << "replica " << i;
+  }
 }
 
 TEST_P(WalTest, ReloadResumesLsnsAfterTheLog) {
@@ -624,6 +754,21 @@ TEST_P(WalDeathTest, ZeroRecordLengthAbortsTheApplyWalk) {
   const uint32_t zero = 0;
   group_->client_store(layout_.log_base() + 16, &zero, sizeof(zero));
   EXPECT_DEATH(wal_->execute_and_advance({}),
+               "corrupt log header at virtual offset 0: total_len=0");
+}
+
+// reload_pointers walks the recovered log the same way to find the last
+// LSN, and must stop on the same header instead of spinning on it.
+TEST_P(WalDeathTest, ZeroRecordLengthAbortsReload) {
+  bool committed = false;
+  ASSERT_TRUE(wal_->append({{0, bytes("record")}},
+                           [&](uint64_t) { committed = true; }));
+  run();
+  ASSERT_TRUE(committed);
+  const uint32_t zero = 0;
+  group_->client_store(layout_.log_base() + 16, &zero, sizeof(zero));
+  ReplicatedWal restarted(*group_, layout_);
+  EXPECT_DEATH(restarted.reload_pointers(),
                "corrupt log header at virtual offset 0: total_len=0");
 }
 
