@@ -11,7 +11,6 @@
 #include "core/region_layout.h"
 #include "core/wal.h"
 #include "nvm/dirty_bitmap.h"
-#include "nvm/interval_set.h"
 #include "nvm/nvm_device.h"
 #include "rdma/network.h"
 #include "rdma/nic.h"
@@ -610,24 +609,8 @@ void BM_ShardedScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedScan)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_IntervalSetChurn(benchmark::State& state) {
-  nvm::IntervalSet s;
-  sim::Rng rng(4);
-  for (auto _ : state) {
-    const uint64_t a = rng.next_below(1 << 20);
-    if (rng.chance(0.7)) {
-      s.insert(a, a + 64);
-    } else {
-      s.erase(a, a + 4096);
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_IntervalSetChurn);
-
-// Same op mix as BM_IntervalSetChurn, on the production tracker: the
-// two-level DirtyBitmap that replaced the std::map interval set in
-// NvmDevice. Apples-to-apples measurement of the swap.
+// The NVM dirty tracker alone: the two-level DirtyBitmap under a mix of
+// 70% 64 B marks and 30% 4 KiB clears.
 void BM_DirtyBitmapChurn(benchmark::State& state) {
   nvm::DirtyBitmap s(1 << 21);
   sim::Rng rng(4);

@@ -99,38 +99,7 @@ const std::vector<uint8_t>* SkipList::find(uint64_t key) const {
   return nullptr;
 }
 
-bool SkipList::erase(uint64_t key) {
-  SkipNode* update[kMaxLevel];
-  SkipNode* x = head_;
-  for (int i = level_ - 1; i >= 0; --i) {
-    while (x->next[static_cast<size_t>(i)] != nullptr &&
-           x->next[static_cast<size_t>(i)]->key < key) {
-      x = x->next[static_cast<size_t>(i)];
-    }
-    update[i] = x;
-  }
-  SkipNode* cand = x->next[0];
-  if (cand == nullptr || cand->key != key) return false;
-  for (int i = 0; i < level_; ++i) {
-    if (update[i]->next[static_cast<size_t>(i)] == cand) {
-      update[i]->next[static_cast<size_t>(i)] =
-          cand->next[static_cast<size_t>(i)];
-    }
-  }
-  delete cand;
-  while (level_ > 1 &&
-         head_->next[static_cast<size_t>(level_ - 1)] == nullptr) {
-    --level_;
-  }
-  --size_;
-  return true;
-}
-
 uint64_t SkipList::Iterator::key() const { return node_->key; }
-
-const std::vector<uint8_t>& SkipList::Iterator::value() const {
-  return node_->value;
-}
 
 void SkipList::Iterator::next() { node_ = node_->next[0]; }
 
@@ -146,12 +115,5 @@ SkipList::Iterator SkipList::seek(uint64_t from) const {
 }
 
 SkipList::Iterator SkipList::begin() const { return Iterator(head_->next[0]); }
-
-void SkipList::copy_from(const SkipList& other) {
-  clear();
-  for (Iterator it = other.begin(); it.valid(); it.next()) {
-    insert(it.key(), it.value());
-  }
-}
 
 }  // namespace hyperloop::apps

@@ -26,9 +26,6 @@ class SkipList {
   /// Returns the value or nullptr.
   const std::vector<uint8_t>* find(uint64_t key) const;
 
-  /// Removes a key. Returns true if it existed.
-  bool erase(uint64_t key);
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   void clear();
@@ -38,7 +35,6 @@ class SkipList {
    public:
     bool valid() const { return node_ != nullptr; }
     uint64_t key() const;
-    const std::vector<uint8_t>& value() const;
     void next();
 
    private:
@@ -48,9 +44,6 @@ class SkipList {
   };
   Iterator seek(uint64_t from) const;
   Iterator begin() const;
-
-  /// Deep copy (replica table seeding in bulk load).
-  void copy_from(const SkipList& other);
 
  private:
   struct SkipNode* head_;

@@ -164,47 +164,4 @@ void ChainManager::revive_replica(size_t i) {
   });
 }
 
-ShardedChainManager::ShardedChainManager(
-    Server& client,
-    std::vector<std::vector<ChainManager::ReplicaInfo>> shard_replicas,
-    uint64_t region_size, ChainManager::Config cfg) {
-  mgrs_.reserve(shard_replicas.size());
-  for (size_t s = 0; s < shard_replicas.size(); ++s) {
-    ChainManager::Config shard_cfg = cfg;
-    shard_cfg.port_base = static_cast<uint16_t>(cfg.port_base + s);
-    mgrs_.push_back(std::make_unique<ChainManager>(
-        client, std::move(shard_replicas[s]), region_size, shard_cfg));
-  }
-}
-
-void ShardedChainManager::start() {
-  for (auto& m : mgrs_) m->start();
-}
-
-void ShardedChainManager::set_on_shard_failure(
-    std::function<void(size_t, size_t)> fn) {
-  for (size_t s = 0; s < mgrs_.size(); ++s) {
-    mgrs_[s]->set_on_failure([fn, s](size_t replica) { fn(s, replica); });
-  }
-}
-
-void ShardedChainManager::set_on_shard_recovered(
-    std::function<void(size_t, size_t)> fn) {
-  for (size_t s = 0; s < mgrs_.size(); ++s) {
-    mgrs_[s]->set_on_recovered([fn, s](size_t replica) { fn(s, replica); });
-  }
-}
-
-uint64_t ShardedChainManager::failures_detected() const {
-  uint64_t n = 0;
-  for (const auto& m : mgrs_) n += m->failures_detected();
-  return n;
-}
-
-uint64_t ShardedChainManager::recoveries() const {
-  uint64_t n = 0;
-  for (const auto& m : mgrs_) n += m->recoveries();
-  return n;
-}
-
 }  // namespace hyperloop::core

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/server.h"
@@ -88,39 +87,6 @@ class ChainManager {
   uint64_t recoveries_ = 0;
   std::function<void(size_t)> on_failure_;
   std::function<void(size_t)> on_recovered_;
-};
-
-/// Per-chain supervision for sharded deployments: one ChainManager per
-/// shard (each heartbeating its own chain on its own port), so a replica
-/// failure pauses — and recovery resumes — exactly one shard's writes
-/// while the other chains keep committing (DESIGN.md "Sharded datapath").
-class ShardedChainManager {
- public:
-  /// `shard_replicas[s]` is shard s's chain. Manager s heartbeats on
-  /// cfg.port_base + s.
-  ShardedChainManager(Server& client,
-                      std::vector<std::vector<ChainManager::ReplicaInfo>>
-                          shard_replicas,
-                      uint64_t region_size, ChainManager::Config cfg);
-
-  /// Starts every shard's heartbeat loop. Idempotent.
-  void start();
-
-  ChainManager& shard(size_t s) { return *mgrs_.at(s); }
-  size_t shards() const { return mgrs_.size(); }
-  bool writes_paused(size_t s) const { return mgrs_.at(s)->writes_paused(); }
-
-  /// Fired with (shard, replica) when any shard's detector declares a
-  /// failure.
-  void set_on_shard_failure(std::function<void(size_t, size_t)> fn);
-  /// Fired with (shard, replica) when a replica finishes catch-up.
-  void set_on_shard_recovered(std::function<void(size_t, size_t)> fn);
-
-  uint64_t failures_detected() const;
-  uint64_t recoveries() const;
-
- private:
-  std::vector<std::unique_ptr<ChainManager>> mgrs_;
 };
 
 }  // namespace hyperloop::core

@@ -44,11 +44,6 @@ class FanoutGroup final : public BackendGroup {
   void stop() override;
 
   uint64_t total_rnr_stalls() const;
-  /// Bytes the primary's NIC transmitted (the fan-out hotspot; compare
-  /// with a chain replica's NIC in bench/ablation_fanout).
-  uint64_t primary_nic_tx_bytes() const {
-    return replicas_[0].server->nic().counters().bytes_tx;
-  }
 
  private:
   static constexpr uint32_t kDescBytes = sizeof(rdma::WqeDescriptor);

@@ -1,6 +1,5 @@
 #include "core/sharded_reader.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace hyperloop::core {
@@ -14,29 +13,6 @@ ShardedReader::ShardedReader(
 }
 
 ShardedReader::~ShardedReader() { stop(); }
-
-void ShardedReader::read(uint64_t offset, uint32_t len, ReadDone done) {
-  assert(!stopped_ && "read on a stopped reader");
-  assert(len > 0);
-  const uint32_t s = router_.shard_of(offset);
-  assert(s == router_.shard_of(offset + len - 1) &&
-         "read straddles a routing boundary");
-  ++stats_.reads_issued;
-  stats_.read_bytes += len;
-  shards_[s]->read(offset, len, std::move(done));
-}
-
-void ShardedReader::read_from(size_t replica, uint64_t offset, uint32_t len,
-                              ReadDone done) {
-  assert(!stopped_ && "read on a stopped reader");
-  assert(len > 0);
-  const uint32_t s = router_.shard_of(offset);
-  assert(s == router_.shard_of(offset + len - 1) &&
-         "read straddles a routing boundary");
-  ++stats_.reads_issued;
-  stats_.read_bytes += len;
-  shards_[s]->read_from(replica, offset, len, std::move(done));
-}
 
 void ShardedReader::readv(const ReadVec& extents, ReadDone done) {
   assert(!stopped_ && "read on a stopped reader");
@@ -115,29 +91,6 @@ void ShardedReader::child_done(uint32_t idx, uint32_t shard, ReadView view) {
   const uint32_t len = op.total_len;
   done(ReadView(data, len));
   join_ops_.release(idx);
-}
-
-void ShardedReader::scan(uint64_t offset, uint64_t len, ReadDone done) {
-  assert(len > 0);
-  ReadVec v;
-  uint64_t off = offset;
-  const uint64_t end = offset + len;
-  while (off < end) {
-    const uint64_t b = std::min(router_.next_boundary(off), end);
-    const uint32_t s = router_.shard_of(off);
-    // Adjacent chunks owned by the same shard merge into one extent
-    // (identity addressing keeps them contiguous on the replica too).
-    if (!v.empty() &&
-        router_.shard_of(v.entries[v.count - 1].offset) == s &&
-        v.entries[v.count - 1].offset + v.entries[v.count - 1].len == off) {
-      v.entries[v.count - 1].len += static_cast<uint32_t>(b - off);
-    } else {
-      assert(!v.full() && "scan spans too many routing chunks");
-      v.push_back(ReadExtent{off, static_cast<uint32_t>(b - off)});
-    }
-    off = b;
-  }
-  readv(v, std::move(done));
 }
 
 uint64_t ShardedReader::replica_frags(size_t i) const {

@@ -1,7 +1,7 @@
 // Sharded one-sided read datapath (DESIGN.md "Read datapath").
 //
 // A ShardedReader composes K per-shard RemoteReader pools behind the
-// single-reader read/readv/scan API, routing offsets through the same POD
+// single-reader readv API, routing offsets through the same POD
 // ShardRouter as ShardedGroup — identity addressing, so the layers above
 // keep their logical offsets and each shard's reader simply serves the
 // slices its chain owns. Uniform batches forward untouched to the owning
@@ -12,10 +12,6 @@
 // slot *index*, the assembled bytes live in a per-join scratch that grows
 // to high-water and is reused, and the caller sees one ReadDone with the
 // extents concatenated in list order.
-//
-// scan() is the batched cross-slice form: one contiguous logical span is
-// split at routing boundaries into one extent per shard and issued as a
-// single scatter readv — N slice hops become one doorbell per shard.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +27,7 @@ namespace hyperloop::core {
 class ShardedReader {
  public:
   struct Stats {
-    uint64_t reads_issued = 0;   ///< logical reads routed (incl. scans)
+    uint64_t reads_issued = 0;   ///< logical reads routed
     uint64_t read_bytes = 0;     ///< payload bytes returned to callers
     uint64_t scatter_reads = 0;  ///< batches split across >1 shard
     uint64_t aborted_reads = 0;  ///< joins dropped by stop()
@@ -46,24 +42,12 @@ class ShardedReader {
   ShardedReader(const ShardedReader&) = delete;
   ShardedReader& operator=(const ShardedReader&) = delete;
 
-  /// Reads `len` bytes at logical `offset`. The range must not straddle a
-  /// routing boundary (same contract as the write primitives).
-  void read(uint64_t offset, uint32_t len, ReadDone done);
-
-  /// Same, from a specific replica of the owning shard's chain (callers
-  /// that read-lock a replica must read the one they locked).
-  void read_from(size_t replica, uint64_t offset, uint32_t len,
-                 ReadDone done);
-
-  /// Batched scatter read: extents may live on different shards. The
-  /// completion view is the extents' bytes concatenated in list order;
-  /// single-shard batches forward to that shard's reader untouched.
+  /// Batched scatter read: extents may live on different shards, but no
+  /// extent may straddle a routing boundary (same contract as the write
+  /// primitives). The completion view is the extents' bytes concatenated
+  /// in list order; single-shard batches forward to that shard's reader
+  /// untouched.
   void readv(const ReadVec& extents, ReadDone done);
-
-  /// Contiguous logical span [offset, offset + len), split at routing
-  /// boundaries into at most ReadVec::kCapacity extents and issued as one
-  /// scatter readv.
-  void scan(uint64_t offset, uint64_t len, ReadDone done);
 
   /// Idempotent teardown: live joins are dropped without their callbacks
   /// firing, then every per-shard reader stops. Destructor calls stop().

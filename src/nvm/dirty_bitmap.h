@@ -3,10 +3,10 @@
 // The NVM durability tracker's hot operations are: mark a written range
 // dirty (every CPU store / NIC DMA into the NVM range), clear a range on
 // persist, query a range (is_durable), and walk all dirty ranges
-// (persist_all / crash). IntervalSet (src/nvm/interval_set.h) does these
-// in O(log n) with a std::map — node allocation on every insert, erase on
-// every persist. This bitmap does them in O(words touched) with zero heap
-// allocation after construction:
+// (persist_all / crash). A std::map interval set (the tests' reference
+// model, tests/interval_set.h) does these in O(log n) — node allocation
+// on every insert, erase on every persist. This bitmap does them in
+// O(words touched) with zero heap allocation after construction:
 //
 //   level 0: one bit per 64 B line of the tracked range
 //   level 1: one summary bit per level-0 word (= per 64 lines = 4 KiB)

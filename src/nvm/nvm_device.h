@@ -18,8 +18,8 @@
 // granularity (see dirty_bitmap.h): marking, persisting and querying are
 // word operations with zero steady-state heap allocation, and — like real
 // CLWB/ADR hardware — flushing any byte of a line makes the whole line
-// durable. IntervalSet remains as the byte-exact reference model the
-// bitmap is property-tested against.
+// durable. The tests check the bitmap against a byte-exact interval-set
+// reference model (tests/interval_set.h).
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 namespace hyperloop::rdma {
@@ -71,7 +72,6 @@ void Nic::destroy_qp(QueuePair* q) {
   }
   if (q->waiting_cqn != 0) unlink_waiter(q);
   q->on_dma_watch = false;  // dma_watch_ entry is cleaned up lazily
-  if (q->srq != nullptr) detach_srq(q);
   if (q->ctx_cache_slot >= 0) {
     qp_cache_slots_[static_cast<size_t>(q->ctx_cache_slot)] = QpCacheSlot{};
     q->ctx_cache_slot = -1;
@@ -99,14 +99,6 @@ void Nic::ring_doorbell(QueuePair* qp) {
   kick(qp);
 }
 
-void Nic::grant_ownership(QueuePair* qp, uint64_t slot_seq) {
-  const Addr a = qp->slot_addr(slot_seq);
-  auto w = mem_.read_obj<Wqe>(a);
-  w.d.active = 1;
-  mem_.write_obj(a, w);
-  kick(qp);
-}
-
 void Nic::post_recv(QueuePair* qp, RecvWqe wqe) {
   qp->recv_queue.push_back(std::move(wqe));
   // Replay a receiver-not-ready packet if one is parked. It already
@@ -116,40 +108,6 @@ void Nic::post_recv(QueuePair* qp, RecvWqe wqe) {
     Packet p = std::move(qp->stalled_inbound.front());
     qp->stalled_inbound.pop_front();
     dispatch_packet(std::move(p));
-  }
-}
-
-SharedReceiveQueue* Nic::create_srq() {
-  auto srq = std::make_unique<SharedReceiveQueue>();
-  srq->srqn = static_cast<uint32_t>(srqs_.size()) + 1;
-  srqs_.push_back(std::move(srq));
-  return srqs_.back().get();
-}
-
-void Nic::attach_srq(QueuePair* qp, SharedReceiveQueue* srq) {
-  assert(qp->srq == nullptr && "QP already attached to an SRQ");
-  qp->srq = srq;
-  srq->member_qpns.push_back(qp->qpn);
-}
-
-void Nic::detach_srq(QueuePair* qp) {
-  SharedReceiveQueue* srq = qp->srq;
-  if (srq == nullptr) return;
-  qp->srq = nullptr;
-  auto& v = srq->member_qpns;
-  v.erase(std::remove(v.begin(), v.end(), qp->qpn), v.end());
-}
-
-void Nic::post_srq_recv(SharedReceiveQueue* srq, RecvWqe wqe) {
-  srq->queue.push_back(std::move(wqe));
-  // Replay one parked packet from any attached QP (FIFO across members).
-  for (uint32_t qpn : srq->member_qpns) {
-    QueuePair* q = qp(qpn);
-    if (q == nullptr || q->stalled_inbound.empty()) continue;
-    Packet p = std::move(q->stalled_inbound.front());
-    q->stalled_inbound.pop_front();
-    dispatch_packet(std::move(p));  // PSN was accepted on first arrival
-    return;
   }
 }
 
@@ -193,8 +151,8 @@ void Nic::engine_step(QueuePair* qp, sim::Duration lead) {
       return;
     }
     if (!w.d.active) {
-      // Ownership still with the driver; a DMA patch or grant_ownership()
-      // will re-kick this queue. Register on the DMA watch list so
+      // Ownership still with the driver; a DMA patch will re-kick this
+      // queue. Register on the DMA watch list so
       // after_dma_write only scans queues that can actually be woken.
       qp->engine_running = false;
       if (!qp->on_dma_watch) {
@@ -283,6 +241,7 @@ void Nic::execute_local(QueuePair* qp, const Wqe& w) {
         QueuePair* q = qps_.get(qpn);
         if (q == nullptr) return;  // destroyed mid-WQE: drop it
         mem_.copy(w.d.remote_addr, w.d.local_addr, w.d.length);
+        counters_.payload_bytes_copied += w.d.length;
         after_dma_write(w.d.remote_addr, w.d.length);
         local_completion(q, w, CqStatus::kSuccess, w.d.length);
         engine_step(q);
@@ -466,9 +425,7 @@ void Nic::dispatch_packet(Packet p) {
     case Packet::Type::kWriteImm: {
       QueuePair* dst = qp(p.dst_qpn);
       assert(dst != nullptr && "packet for unknown QP");
-      sim::Ring<RecvWqe>& pool =
-          dst->srq != nullptr ? dst->srq->queue : dst->recv_queue;
-      if (pool.empty()) {
+      if (dst->recv_queue.empty()) {
         ++counters_.rnr_stalls;
         dst->stalled_inbound.push_back(std::move(p));
         return;
@@ -476,8 +433,8 @@ void Nic::dispatch_packet(Packet p) {
       if (p.type == Packet::Type::kWriteImm) {
         responder_write(p);  // sends the ACK itself
         // Consume a RECV to deliver the immediate.
-        RecvWqe r = std::move(pool.front());
-        pool.pop_front();
+        RecvWqe r = std::move(dst->recv_queue.front());
+        dst->recv_queue.pop_front();
         Cqe c;
         c.wr_id = r.wr_id;
         c.qpn = dst->qpn;
@@ -509,10 +466,8 @@ void Nic::dispatch_packet(Packet p) {
 }
 
 void Nic::responder_send(Packet& p, QueuePair* dst) {
-  sim::Ring<RecvWqe>& pool =
-      dst->srq != nullptr ? dst->srq->queue : dst->recv_queue;
-  RecvWqe r = std::move(pool.front());
-  pool.pop_front();
+  RecvWqe r = std::move(dst->recv_queue.front());
+  dst->recv_queue.pop_front();
 
   // Scatter the payload across the RECV's SGE list, in order. This is
   // where remote work-request manipulation happens: SGEs may point at

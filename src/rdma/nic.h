@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nvm/nvm_device.h"
@@ -92,11 +91,13 @@ class Nic {
     uint64_t invalid_qp_drops = 0;  ///< packets for destroyed/unknown QPNs
     uint64_t qp_cache_misses = 0;
     uint64_t qp_cache_hits = 0;
-    /// Data-plane payload bytes this NIC memcpy'd between HostMemory and
+    /// Data-plane payload bytes this NIC memcpy'd: between HostMemory and
     /// packet buffers (WRITE/READ gathers unless zero-copy borrowed, sink
-    /// DMA-out writes, response landings). SEND descriptor blobs excluded.
-    /// The global cross-NIC total (incl. borrow materializations) is
-    /// PayloadBuf::bytes_copied().
+    /// DMA-out writes, response landings) and within HostMemory (local
+    /// DMA copies: gMEMCPY's kLocalCopy and loopback kWrite). SEND
+    /// descriptor blobs excluded. PayloadBuf::bytes_copied() is the global
+    /// total of packet-buffer copies only (incl. borrow materializations,
+    /// excl. local DMA copies).
     uint64_t payload_bytes_copied = 0;
   };
 
@@ -147,8 +148,8 @@ class Nic {
   void destroy_cq(CompletionQueue* cq);
 
   /// Posts a send WQE. With `deferred_ownership` the WQE is written with
-  /// active=0 and the engine will stall at it until a DMA patch (or
-  /// grant_ownership) activates it. Returns the WQE's slot sequence.
+  /// active=0 and the engine will stall at it until a DMA patch activates
+  /// it. Returns the WQE's slot sequence.
   /// Equivalent to stage_send() + ring_doorbell(): one doorbell per WQE.
   uint64_t post_send(QueuePair* qp, Wqe wqe, bool deferred_ownership = false);
 
@@ -164,28 +165,8 @@ class Nic {
   /// bug (staged WQEs execute only after the next doorbell or WAIT wake).
   void ring_doorbell(QueuePair* qp);
 
-  /// Activates a previously deferred WQE (local driver path).
-  void grant_ownership(QueuePair* qp, uint64_t slot_seq);
-
   /// Posts a receive WQE.
   void post_recv(QueuePair* qp, RecvWqe wqe);
-
-  /// Creates a shared receive queue.
-  SharedReceiveQueue* create_srq();
-
-  /// Attaches a QP to an SRQ: its inbound SEND/WRITE_IMM traffic consumes
-  /// SRQ WQEs instead of per-QP RECVs.
-  void attach_srq(QueuePair* qp, SharedReceiveQueue* srq);
-
-  /// Detaches a QP from its SRQ (membership is tracked by QPN, so this is
-  /// safe with packets in flight and with parked receiver-not-ready
-  /// packets — those stay parked until the QP is reattached or RECVs are
-  /// posted directly).
-  void detach_srq(QueuePair* qp);
-
-  /// Posts a receive WQE to an SRQ (re-plays any receiver-not-ready
-  /// packet parked on an attached QP).
-  void post_srq_recv(SharedReceiveQueue* srq, RecvWqe wqe);
 
   QueuePair* qp(uint32_t qpn) { return qps_.get(qpn); }
   CompletionQueue* cq(uint32_t id) { return cqs_.get(id); }
@@ -268,7 +249,6 @@ class Nic {
 
   SlotTable<QueuePair> qps_;
   SlotTable<CompletionQueue> cqs_;
-  std::vector<std::unique_ptr<SharedReceiveQueue>> srqs_;
   /// QPNs whose engine is stalled at an inactive (deferred-ownership)
   /// head WQE, i.e. the only queues a DMA patch could wake. Entries are
   /// removed lazily (QueuePair::on_dma_watch is authoritative).

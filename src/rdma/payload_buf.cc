@@ -1,7 +1,6 @@
 #include "rdma/payload_buf.h"
 
 #include <bit>
-#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -82,25 +81,13 @@ void PayloadBuf::resize(size_t n) {
 
 void PayloadBuf::resize_uninit(size_t n) {
   release();
-  off_ = 0;
-  len_ = static_cast<uint32_t>(n);
   if (n == 0) return;
   b_ = acquire(n);
-}
-
-PayloadBuf PayloadBuf::slice(size_t off, size_t len) const {
-  assert(off + len <= size());
-  PayloadBuf v(*this);
-  v.off_ = off_ + static_cast<uint32_t>(off);
-  v.len_ = static_cast<uint32_t>(len);
-  return v;
 }
 
 PayloadBuf PayloadBuf::borrow(BorrowRegistry& reg, const uint8_t* src,
                               uint64_t addr, size_t len) {
   PayloadBuf v;
-  v.off_ = 0;
-  v.len_ = static_cast<uint32_t>(len);
   if (len == 0) return v;
   Block* b = acquire(len);  // own storage reserved for materialization
   b->ext = src;

@@ -13,20 +13,16 @@
 // EventLoop drives all NICs), so refcounts and pool free lists are plain
 // integers/pointers — no atomics.
 //
-// Two zero-copy extensions keep large payloads single-copy end to end:
+// borrow(...) keeps large payloads single-copy end to end: it wraps an
+// existing HostMemory extent without copying. The block points at the
+// arena bytes and registers itself with the arena's BorrowRegistry.
+// Before any overlapping arena mutation (or arena teardown) the registry
+// *materializes* the block — one memcpy of the old bytes into the
+// block's own pool storage (acquired up front, so materialization never
+// allocates). Until then every sharer — the in-flight packet, the
+// retransmit window, the response cache — reads the arena directly.
 //
-//  * slice(off, len) — a sub-range view sharing the parent block
-//    (refcount bump, no bytes move). Handles carry an (offset, length)
-//    window over the block, so a slice is just a narrower window.
-//
-//  * borrow(...) — wraps an existing HostMemory extent without copying:
-//    the block points at the arena bytes and registers itself with the
-//    arena's BorrowRegistry. Before any overlapping arena mutation (or
-//    arena teardown) the registry *materializes* the block — one memcpy
-//    of the old bytes into the block's own pool storage (acquired up
-//    front, so materialization never allocates). Until then every
-//    sharer — the in-flight packet, the retransmit window, the response
-//    cache — reads the arena directly.
+// A handle is one pointer: the block carries the payload's size.
 #pragma once
 
 #include <cstddef>
@@ -45,26 +41,20 @@ class PayloadBuf {
   class BorrowRegistry;
 
   PayloadBuf() = default;
-  PayloadBuf(const PayloadBuf& o) : b_(o.b_), off_(o.off_), len_(o.len_) {
+  PayloadBuf(const PayloadBuf& o) : b_(o.b_) {
     if (b_ != nullptr) ++b_->refs;
   }
-  PayloadBuf(PayloadBuf&& o) noexcept : b_(o.b_), off_(o.off_), len_(o.len_) {
-    o.b_ = nullptr;
-  }
+  PayloadBuf(PayloadBuf&& o) noexcept : b_(o.b_) { o.b_ = nullptr; }
   PayloadBuf& operator=(const PayloadBuf& o) {
     if (o.b_ != nullptr) ++o.b_->refs;
     release();
     b_ = o.b_;
-    off_ = o.off_;
-    len_ = o.len_;
     return *this;
   }
   PayloadBuf& operator=(PayloadBuf&& o) noexcept {
     if (this != &o) {
       release();
       b_ = o.b_;
-      off_ = o.off_;
-      len_ = o.len_;
       o.b_ = nullptr;
     }
     return *this;
@@ -82,10 +72,6 @@ class PayloadBuf {
   /// Drops this reference (block returns to the pool when unshared).
   void reset() { release(); }
 
-  /// A view of [off, off+len) of this buffer, sharing the block: no
-  /// bytes move, the parent handle may be released before the slice.
-  PayloadBuf slice(size_t off, size_t len) const;
-
   /// Wraps `len` bytes of a HostMemory arena (`src` = live pointer,
   /// `addr` = arena address) without copying. Pool storage for `len`
   /// bytes is acquired now so the later copy-on-write materialization
@@ -99,13 +85,12 @@ class PayloadBuf {
     // Borrowed blocks alias arena bytes that only the arena may mutate;
     // this non-const accessor exists for the fill-after-resize pattern,
     // which never runs on a borrowed block.
-    return b_ == nullptr ? nullptr
-                         : const_cast<uint8_t*>(block_bytes(b_)) + off_;
+    return b_ == nullptr ? nullptr : const_cast<uint8_t*>(block_bytes(b_));
   }
   const uint8_t* data() const {
-    return b_ == nullptr ? nullptr : block_bytes(b_) + off_;
+    return b_ == nullptr ? nullptr : block_bytes(b_);
   }
-  size_t size() const { return b_ == nullptr ? 0 : len_; }
+  size_t size() const { return b_ == nullptr ? 0 : b_->size; }
   bool empty() const { return size() == 0; }
 
   /// True when both handles reference the same underlying block.
@@ -216,10 +201,8 @@ class PayloadBuf {
   }
 
   Block* b_ = nullptr;
-  // View window over the block (slices narrow it; whole-block handles
-  // have off_ == 0, len_ == b_->size).
-  uint32_t off_ = 0;
-  uint32_t len_ = 0;
 };
+
+static_assert(sizeof(PayloadBuf) == sizeof(void*));
 
 }  // namespace hyperloop::rdma

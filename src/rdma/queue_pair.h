@@ -26,19 +26,6 @@ namespace hyperloop::rdma {
 
 class Nic;
 
-/// A shared receive queue (§5: "multiple clients can be supported using
-/// shared receive queues on the first replica"): several QPs draw RECV
-/// WQEs from one pool, so a replica can serve many upstream clients with
-/// a single pre-posted ring.
-struct SharedReceiveQueue {
-  uint32_t srqn = 0;
-  sim::Ring<RecvWqe> queue;
-  /// QPNs of attached QPs, in attach order (RNR replay scans these).
-  /// QPN-based, not pointer-based: a destroyed member goes stale via its
-  /// generation tag instead of leaving a dangling pointer key.
-  std::vector<uint32_t> member_qpns;
-};
-
 /// Requester-side completion bookkeeping for one in-flight work request,
 /// carried inside the retransmit window entry.
 struct PendingWr {
@@ -89,9 +76,6 @@ struct QueuePair {
   CompletionQueue* recv_cq = nullptr;
 
   sim::Ring<RecvWqe> recv_queue;
-  /// When set, inbound SEND/WRITE_IMM consume from the SRQ instead of
-  /// recv_queue.
-  SharedReceiveQueue* srq = nullptr;
   /// Inbound SEND/WRITE_IMM packets that arrived before a RECV was posted
   /// (receiver-not-ready; replayed on the next post_recv).
   sim::Ring<Packet> stalled_inbound;

@@ -96,6 +96,28 @@ TEST_F(GroupFixture, GmemcpyCopiesOnEveryReplica) {
   EXPECT_EQ(cli, data);
 }
 
+// Each replica's NIC executes a gMEMCPY as a local DMA copy and charges
+// it to its payload_bytes_copied: on an idle chain one gMEMCPY of L bytes
+// raises the replicas' sum by exactly L per replica (the descriptors the
+// chain forwards travel as SENDs, which are not data-plane copies).
+TEST_F(GroupFixture, GmemcpyChargesOneLocalCopyPerReplica) {
+  auto g = make_group();
+  constexpr uint32_t kLen = 3000;
+  auto replicas_copied = [&] {
+    uint64_t n = 0;
+    for (size_t i = 0; i < g->group_size(); ++i) {
+      n += g->replica_server(i).nic().counters().payload_bytes_copied;
+    }
+    return n;
+  };
+  const uint64_t before = replicas_copied();
+  bool copied = false;
+  g->gmemcpy(0, 64 << 10, kLen, false, [&] { copied = true; });
+  run();
+  ASSERT_TRUE(copied);
+  EXPECT_EQ(replicas_copied() - before, uint64_t{kLen} * g->group_size());
+}
+
 TEST_F(GroupFixture, GcasAcquiresOnAllReplicas) {
   auto g = make_group();
   std::vector<uint64_t> result;

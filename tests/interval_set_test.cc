@@ -1,4 +1,4 @@
-#include "nvm/interval_set.h"
+#include "interval_set.h"
 
 #include <gtest/gtest.h>
 

@@ -323,6 +323,38 @@ LOCK_TEST(WriterGivesUpBehindAWriterThatNeverLeaves) {
   }
 }
 
+LOCK_TEST(WriterGivesUpBehindAReaderThatNeverLeaves) {
+  // A reader holds a count on one replica and never unlocks. The writer's
+  // pair sets its word everywhere but sees the count; it re-reads the
+  // counts back to back, and after max_attempts reads it releases its
+  // word and fails. No writer word is left behind; the count stays.
+  constexpr uint32_t kId = 17;
+  constexpr size_t kReplica = 1;
+  constexpr int kAttempts = 5;
+  bool reader = false;
+  h.locks.rd_lock(kId, kReplica, [&](bool ok) { reader = ok; });
+  h.run(sim::msec(5));
+  ASSERT_TRUE(reader);
+
+  ForwardingGroup counted(*h.group);
+  GroupLockManager writers(counted, h.layout, {.max_attempts = kAttempts});
+  int calls = 0;
+  bool acquired = true;
+  writers.wr_lock(kId, 6, [&](bool ok) {
+    ++calls;
+    acquired = ok;
+  });
+  h.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(acquired);
+  // The pair, one count re-read per attempt, then the release.
+  EXPECT_EQ(counted.gcas_count(), 3u + kAttempts);
+  for (size_t r = 0; r < kReplicas; ++r) {
+    EXPECT_EQ(h.lock_word(r, kId), 0u) << "replica " << r;
+  }
+  EXPECT_EQ(h.reader_count(kReplica, kId), 1u);
+}
+
 LOCK_TEST(IndependentLocksDoNotInterfere) {
   bool a = false, b = false;
   h.locks.wr_lock(10, 1, [&](bool ok) { a = ok; });

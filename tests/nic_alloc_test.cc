@@ -519,8 +519,9 @@ TEST(NicAllocTransaction, ChainedGwriteCopiesExactlyOncePerSink) {
 // pooled op/join tables, and the per-op scratch buffers have warmed to
 // the workload's high-water mark, a steady-state read mix — single-shard
 // reads spread across replicas, a fragmented large read slicing across
-// bounce slots, and a cross-shard scatter scan split/joined through the
-// ShardedReader — must perform ZERO heap allocations. ReadView hands the
+// bounce slots, and a cross-shard scan (one extent per shard, as KvStore
+// builds them) joined through the ShardedReader — all issued through
+// readv — must perform ZERO heap allocations. ReadView hands the
 // caller a window into pooled scratch; any regression that reintroduces
 // a per-read vector or a SmallFn spill fails here.
 TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
@@ -564,6 +565,11 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
                               .nic_index = s}));
   }
   ShardedReader reader(std::move(readers), group.router());
+  auto read_one = [&reader](uint64_t offset, uint32_t len, ReadDone done) {
+    ReadVec v;
+    v.push_back({offset, len});
+    reader.readv(v, std::move(done));
+  };
 
   int laps_done = 0;
   auto lap = [&] {
@@ -572,19 +578,20 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
     // the responders' response caches during warm-up, and to exhaust the
     // 8-slot bounce rings so the park/replay path is exercised too).
     for (int k = 0; k < 12; ++k) {
-      reader.read(base + static_cast<uint64_t>(k) * 256, 128,
-                  [&done](ReadView) { ++done; });
-      reader.read(kSpan + static_cast<uint64_t>(k) * 256, 128,
-                  [&done](ReadView) { ++done; });
+      read_one(base + static_cast<uint64_t>(k) * 256, 128,
+               [&done](ReadView) { ++done; });
+      read_one(kSpan + static_cast<uint64_t>(k) * 256, 128,
+               [&done](ReadView) { ++done; });
     }
     // A fragmented large read: 12 KB slices across three 4 KB slots.
-    reader.read(kSpan, 12 << 10, [&done](ReadView v) {
-      done += v.size() == (12u << 10);
-    });
-    // A cross-shard scatter scan: split at the boundary, joined pooled.
-    reader.scan(kSpan - 4096, 8192, [&done](ReadView v) {
-      done += v.size() == 8192u;
-    });
+    read_one(kSpan, 12 << 10,
+             [&done](ReadView v) { done += v.size() == (12u << 10); });
+    // A cross-shard scatter read: one extent per side of the routing
+    // boundary, joined pooled.
+    ReadVec scan;
+    scan.push_back({kSpan - 4096, 4096});
+    scan.push_back({kSpan, 4096});
+    reader.readv(scan, [&done](ReadView v) { done += v.size() == 8192u; });
     cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
     ASSERT_EQ(done, 26);
     ++laps_done;

@@ -1,6 +1,5 @@
-// PayloadBuf slice/adopt unit tests: refcount lifetime, slice views that
-// outlive their parent handle, pool return ordering, and the borrow
-// (zero-copy arena adoption) copy-on-write discipline.
+// PayloadBuf unit tests: refcount lifetime, pool return ordering, and the
+// borrow (zero-copy arena adoption) copy-on-write discipline.
 #include "rdma/payload_buf.h"
 
 #include <gtest/gtest.h>
@@ -33,47 +32,6 @@ TEST(PayloadBuf, CopySharesBlockAndTracksRefcount) {
   b.reset();
   EXPECT_EQ(a.ref_count(), 1u);
   EXPECT_EQ(a.data()[255], 255u);
-}
-
-TEST(PayloadBuf, SliceSharesParentBlock) {
-  PayloadBuf a;
-  a.resize(1024);
-  for (size_t i = 0; i < 1024; ++i) a.data()[i] = static_cast<uint8_t>(i * 3);
-
-  PayloadBuf s = a.slice(100, 200);
-  EXPECT_TRUE(s.shares_with(a));
-  EXPECT_EQ(s.size(), 200u);
-  EXPECT_EQ(s.data(), a.data() + 100) << "a slice is a window, not a copy";
-  for (size_t i = 0; i < 200; ++i) {
-    ASSERT_EQ(s.data()[i], static_cast<uint8_t>((i + 100) * 3));
-  }
-
-  // Slice of a slice narrows further within the same block.
-  PayloadBuf s2 = s.slice(50, 25);
-  EXPECT_TRUE(s2.shares_with(a));
-  EXPECT_EQ(s2.data(), a.data() + 150);
-  EXPECT_EQ(s2.size(), 25u);
-}
-
-TEST(PayloadBuf, SliceKeepsBlockAliveAfterParentRelease) {
-  PayloadBuf::pool_trim();
-  PayloadBuf s;
-  {
-    PayloadBuf a;
-    a.resize(512);
-    for (size_t i = 0; i < 512; ++i) a.data()[i] = static_cast<uint8_t>(i ^ 7);
-    s = a.slice(64, 128);
-    EXPECT_EQ(s.ref_count(), 2u);
-  }  // parent handle gone; the slice still owns the block
-  EXPECT_EQ(s.ref_count(), 1u);
-  EXPECT_EQ(PayloadBuf::pool_free_blocks(), 0u)
-      << "block must not return to the pool while a slice is live";
-  for (size_t i = 0; i < 128; ++i) {
-    ASSERT_EQ(s.data()[i], static_cast<uint8_t>((i + 64) ^ 7));
-  }
-  s.reset();
-  EXPECT_EQ(PayloadBuf::pool_free_blocks(), 1u)
-      << "releasing the last slice returns the block";
 }
 
 TEST(PayloadBuf, PoolReturnsBlocksInLifoOrder) {
@@ -130,7 +88,7 @@ TEST(PayloadBuf, BorrowMaterializesBeforeOverlappingStore) {
   mem.write(addr, src.data(), src.size());
 
   PayloadBuf b = mem.borrow_payload(addr, 4096);
-  PayloadBuf s = b.slice(1024, 512);  // slices share the borrow state
+  PayloadBuf s = b;  // copies share the borrow state
 
   // Overwrite part of the borrowed range: copy-on-write must run first,
   // so every sharer keeps the pre-store bytes.
@@ -142,7 +100,7 @@ TEST(PayloadBuf, BorrowMaterializesBeforeOverlappingStore) {
   EXPECT_EQ(PayloadBuf::bytes_copied() - copied_before, 4096u)
       << "materialization copies the whole borrowed block once";
 
-  for (size_t i = 0; i < 512; ++i) {
+  for (size_t i = 1024; i < 1536; ++i) {
     ASSERT_EQ(s.data()[i], 0xAB) << "sharer observed post-store bytes";
   }
   // The arena itself has the new bytes.

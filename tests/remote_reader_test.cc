@@ -2,13 +2,13 @@
 //
 // Covers the read-pool contract and the sharded composition:
 //   - fragmented large reads (len > slot_size slices across bounce slots)
-//   - replica-selection policies (head-only, round-robin, least-outstanding)
+//   - replica-selection policies (head-only, round-robin)
 //   - slot exhaustion: reads park FIFO and replay in order (no jumping)
 //   - readv extent batching: one endpoint, bytes concatenated in order
 //   - teardown with reads in flight: callbacks dropped, responses drop at
 //     the NIC as invalid_qp_drops, no crash
-//   - ShardedReader routing, cross-shard scatter/join, boundary-splitting
-//     scan, and stop() aborting live joins
+//   - ShardedReader routing, cross-shard scatter/join, and stop() aborting
+//     live joins
 #include "core/remote_reader.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,12 @@ namespace hyperloop::core {
 namespace {
 
 uint8_t pattern_byte(uint64_t i) { return static_cast<uint8_t>(i * 31 + 7); }
+
+ReadVec one_extent(uint64_t offset, uint32_t len) {
+  ReadVec v;
+  v.push_back({offset, len});
+  return v;
+}
 
 // One 3-replica chain plus a client; the region is pre-filled with a
 // deterministic pattern replicated to every replica, so reads from any
@@ -265,7 +271,7 @@ struct ShardedReaderFixture : ::testing::Test {
   }();
 
   void SetUp() override {
-    // Pattern across the routing boundary so scans have bytes on both
+    // Pattern across the routing boundary so reads have bytes on both
     // shards; the facade splits the store/gwrite per owning chain.
     std::vector<uint8_t> fill(8 << 10);
     const uint64_t base = kSpan - (4 << 10);
@@ -304,13 +310,13 @@ TEST_F(ShardedReaderFixture, RoutesSingleReadsToTheOwningShard) {
   int ok = 0;
   const uint64_t off0 = kSpan - 1024;  // shard 0
   const uint64_t off1 = kSpan + 512;   // shard 1
-  reader->read(off0, 64, [&, off0](ReadView view) {
+  reader->readv(one_extent(off0, 64), [&, off0](ReadView view) {
     ++ok;
     for (uint32_t i = 0; i < view.size(); ++i) {
       ASSERT_EQ(view[i], pattern_byte(off0 + i));
     }
   });
-  reader->read(off1, 64, [&, off1](ReadView view) {
+  reader->readv(one_extent(off1, 64), [&, off1](ReadView view) {
     ++ok;
     for (uint32_t i = 0; i < view.size(); ++i) {
       ASSERT_EQ(view[i], pattern_byte(off1 + i));
@@ -369,37 +375,6 @@ TEST_F(ShardedReaderFixture, UniformReadvForwardsWithoutJoining) {
   EXPECT_EQ(reader->stats().scatter_reads, 0u);
   EXPECT_EQ(reader->shard(0).stats().reads_issued, 1u);
   EXPECT_EQ(reader->shard(1).stats().reads_issued, 0u);
-}
-
-TEST_F(ShardedReaderFixture, ScanSplitsAtRoutingBoundary) {
-  auto reader = make_sharded_reader();
-  const uint64_t base = kSpan - 2048;
-  const uint64_t len = 4096;  // halves in shard 0 and shard 1
-  bool done = false;
-  reader->scan(base, len, [&](ReadView view) {
-    done = true;
-    ASSERT_EQ(view.size(), len);
-    for (uint32_t i = 0; i < len; ++i) {
-      ASSERT_EQ(view[i], pattern_byte(base + i)) << "byte " << i;
-    }
-  });
-  run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(reader->stats().scatter_reads, 1u);
-  // One merged extent per shard, not one per chunk.
-  EXPECT_EQ(reader->shard(0).stats().frags_issued, 1u);
-  EXPECT_EQ(reader->shard(1).stats().frags_issued, 1u);
-}
-
-TEST_F(ShardedReaderFixture, ReadFromPinsTheReplicaOnTheOwningShard) {
-  auto reader = make_sharded_reader();
-  bool done = false;
-  reader->read_from(2, kSpan + 64, 32, [&](ReadView) { done = true; });
-  run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(reader->shard(1).replica_frags(2), 1u);
-  EXPECT_EQ(reader->shard(1).replica_frags(0), 0u);
-  EXPECT_EQ(reader->shard(0).replica_frags(2), 0u);
 }
 
 TEST_F(ShardedReaderFixture, StopAbortsLiveScatterJoins) {

@@ -1,7 +1,7 @@
 // Shard-fault isolation (DESIGN.md "Sharded datapath", failure isolation).
 //
 // Two replication chains behind one ShardedGroup, a sharded KvStore on
-// top, and one ShardedChainManager supervising each chain separately.
+// top, and one ChainManager per chain, each heartbeating on its own port.
 // Killing a replica of shard 0's chain mid-workload must:
 //   - fire only shard 0's detector and pause only shard 0's writes,
 //   - leave shard 1's commit latency unaffected while shard 0 is down,
@@ -33,7 +33,7 @@ struct ShardFaultFixture : ::testing::Test {
   std::vector<HyperLoopGroup*> chains;  // borrowed views into sharded
   std::unique_ptr<ShardedGroup> sharded;
   std::unique_ptr<apps::KvStore> kv;
-  std::unique_ptr<ShardedChainManager> mgr;
+  std::vector<std::unique_ptr<ChainManager>> mgrs;
 
   void SetUp() override {
     const std::vector<Server*> reps = chain_replicas(cluster);
@@ -59,23 +59,24 @@ struct ShardFaultFixture : ::testing::Test {
     kv = std::make_unique<apps::KvStore>(*sharded, cluster.server(3), reps,
                                          kc);
 
-    std::vector<std::vector<ChainManager::ReplicaInfo>> infos(kShards);
     for (uint32_t s = 0; s < kShards; ++s) {
+      std::vector<ChainManager::ReplicaInfo> info;
       for (size_t i = 0; i < reps.size(); ++i) {
-        infos[s].push_back(ChainManager::ReplicaInfo{
+        info.push_back(ChainManager::ReplicaInfo{
             &chains[s]->replica_server(i),
             chains[s]->replica_region_base(i)});
       }
+      ChainManager::Config mc;
+      mc.port_base = static_cast<uint16_t>(mc.port_base + s);
+      mgrs.push_back(std::make_unique<ChainManager>(
+          cluster.server(3), std::move(info), kSlice * kShards, mc));
+      // Chain supervision gates exactly one shard's write path.
+      mgrs[s]->set_on_failure(
+          [this, s](size_t) { kv->set_shard_paused(s, true); });
+      mgrs[s]->set_on_recovered(
+          [this, s](size_t) { kv->set_shard_paused(s, false); });
+      mgrs[s]->start();
     }
-    mgr = std::make_unique<ShardedChainManager>(
-        cluster.server(3), std::move(infos), kSlice * kShards,
-        ChainManager::Config{});
-    // Chain supervision gates exactly one shard's write path.
-    mgr->set_on_shard_failure(
-        [this](size_t s, size_t) { kv->set_shard_paused(s, true); });
-    mgr->set_on_shard_recovered(
-        [this](size_t s, size_t) { kv->set_shard_paused(s, false); });
-    mgr->start();
   }
 
   void run(sim::Duration d) {
@@ -123,11 +124,12 @@ TEST_F(ShardFaultFixture, OneShardsFailureLeavesTheOtherUnaffected) {
 
   // Phase 2: kill a replica on shard 0's chain; wait for detection.
   stat[1].measuring = true;
-  mgr->shard(0).kill_replica(1);
+  mgrs[0]->kill_replica(1);
   run(sim::msec(10));  // > missed_threshold * heartbeat_interval
-  EXPECT_EQ(mgr->failures_detected(), 1u);
-  EXPECT_TRUE(mgr->writes_paused(0));
-  EXPECT_FALSE(mgr->writes_paused(1));
+  EXPECT_EQ(mgrs[0]->failures_detected(), 1u);
+  EXPECT_EQ(mgrs[1]->failures_detected(), 0u);
+  EXPECT_TRUE(mgrs[0]->writes_paused());
+  EXPECT_FALSE(mgrs[1]->writes_paused());
   EXPECT_TRUE(kv->shard_paused(0));
   EXPECT_FALSE(kv->shard_paused(1));
 
@@ -143,13 +145,14 @@ TEST_F(ShardFaultFixture, OneShardsFailureLeavesTheOtherUnaffected) {
 
   // Phase 4: revive; catch-up copies the image, epoch bumps, shard 0
   // resumes and the deferred puts drain.
-  mgr->shard(0).revive_replica(1);
+  mgrs[0]->revive_replica(1);
   run(sim::msec(20));
-  EXPECT_EQ(mgr->recoveries(), 1u);
-  EXPECT_FALSE(mgr->writes_paused(0));
+  EXPECT_EQ(mgrs[0]->recoveries(), 1u);
+  EXPECT_EQ(mgrs[1]->recoveries(), 0u);
+  EXPECT_FALSE(mgrs[0]->writes_paused());
   EXPECT_FALSE(kv->shard_paused(0));
-  EXPECT_EQ(mgr->shard(0).epoch(), 2u);
-  EXPECT_EQ(mgr->shard(1).epoch(), 1u);
+  EXPECT_EQ(mgrs[0]->epoch(), 2u);
+  EXPECT_EQ(mgrs[1]->epoch(), 1u);
 
   writing = false;
   run(sim::msec(30));  // quiesce: deferred retries complete
@@ -170,19 +173,22 @@ TEST_F(ShardFaultFixture, OneShardsFailureLeavesTheOtherUnaffected) {
 
 TEST_F(ShardFaultFixture, EachChainDetectsItsOwnReplicaOnly) {
   size_t failed_shard = 999, failed_replica = 999;
-  mgr->set_on_shard_failure([&](size_t s, size_t r) {
-    failed_shard = s;
-    failed_replica = r;
-    kv->set_shard_paused(s, true);
-  });
+  for (size_t s = 0; s < kShards; ++s) {
+    mgrs[s]->set_on_failure([&, s](size_t r) {
+      failed_shard = s;
+      failed_replica = r;
+      kv->set_shard_paused(s, true);
+    });
+  }
   run(sim::msec(5));
-  mgr->shard(1).kill_replica(2);
+  mgrs[1]->kill_replica(2);
   run(sim::msec(10));
   EXPECT_EQ(failed_shard, 1u);
   EXPECT_EQ(failed_replica, 2u);
-  EXPECT_FALSE(mgr->writes_paused(0));
-  EXPECT_TRUE(mgr->writes_paused(1));
-  EXPECT_EQ(mgr->failures_detected(), 1u);
+  EXPECT_FALSE(mgrs[0]->writes_paused());
+  EXPECT_TRUE(mgrs[1]->writes_paused());
+  EXPECT_EQ(mgrs[0]->failures_detected(), 0u);
+  EXPECT_EQ(mgrs[1]->failures_detected(), 1u);
 }
 
 }  // namespace

@@ -95,6 +95,27 @@ TEST_F(TxnFixture, LockHeldElsewhereAbortsAndReleasesHeldLocks) {
   }
   EXPECT_EQ(wal.stats().records_appended, 0u);
   EXPECT_EQ(wal.tail(), 0u);
+
+  // Same, with the held lock the transaction's first: it gives up holding
+  // nothing, so it reports without releasing anything and never tries
+  // its second lock.
+  TransactionManager first{*group, wal, few, cluster.loop()};
+  done = false;
+  committed = true;
+  first.execute({{0, bytes("nope")}}, {5, 7}, [&](bool ok) {
+    done = true;
+    committed = ok;
+  });
+  run();
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(committed);
+  EXPECT_EQ(first.stats().aborted, 1u);
+  for (size_t i = 0; i < 3; ++i) {
+    uint64_t untried = 1;
+    group->replica_load(i, layout.lock_offset(7), &untried, 8);
+    EXPECT_EQ(untried, 0u) << "replica " << i;
+  }
+  EXPECT_EQ(wal.stats().records_appended, 0u);
 }
 
 TEST_F(TxnFixture, CommittedDataSurvivesCrash) {

@@ -95,20 +95,38 @@ TEST_F(ThreeNodes, WaitThresholdCountsMultipleCompletions) {
 }
 
 TEST_F(ThreeNodes, DeferredWqeStallsUntilGranted) {
+  // Ownership passes to the NIC only through a DMA patch of the
+  // descriptor: here a SEND from A scattered onto B's deferred slot.
   CompletionQueue* cq = b.create_cq();
   QueuePair* lb = b.create_loopback_qp(cq, 16);
   const Addr src = mem_b.alloc(8);
   const Addr dst = mem_b.alloc(8);
   mem_b.write(src, "own", 3);
 
-  const uint64_t seq =
-      b.post_send(lb, make_local_copy(src, dst, 3), /*deferred=*/true);
+  const Wqe copy = make_local_copy(src, dst, 3);
+  const uint64_t seq = b.post_send(lb, copy, /*deferred=*/true);
   loop.run();
   char out[4] = {};
   mem_b.read(dst, out, 3);
   EXPECT_STREQ(out, "");  // driver still owns the WQE
 
-  b.grant_ownership(lb, seq);
+  CompletionQueue* recv_cq = b.create_cq();
+  QueuePair* qb = b.create_qp(nullptr, recv_cq, 16);
+  const MemoryRegion ring_mr = b.register_mr(
+      lb->sq_base, uint64_t{lb->sq_slots} * sizeof(Wqe), kLocalWrite);
+  RecvWqe recv;
+  recv.sges = {Sge{lb->slot_addr(seq), sizeof(WqeDescriptor), ring_mr.lkey}};
+  b.post_recv(qb, std::move(recv));
+  CompletionQueue* cq_a = a.create_cq();
+  QueuePair* qa = a.create_qp(cq_a, nullptr, 16);
+  a.connect(qa, b.id(), qb->qpn);
+  b.connect(qb, a.id(), qa->qpn);
+
+  WqeDescriptor patch = copy.d;
+  patch.active = 1;
+  const Addr blob = mem_a.alloc(sizeof(patch));
+  mem_a.write(blob, &patch, sizeof(patch));
+  a.post_send(qa, make_send(blob, 0, sizeof(patch)));
   loop.run();
   mem_b.read(dst, out, 3);
   EXPECT_STREQ(out, "own");
