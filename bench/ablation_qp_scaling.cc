@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
       cc.num_servers = 4;
       cc.server = testbed_server();
       cc.server.nic.qp_cache_entries = 32;
-      cc.server.nic.qp_cache_miss_cost = hyperloop::sim::nsec(400);
       cc.seed = 9100 + static_cast<uint64_t>(ngroups) * 10 + topo;
       Cluster cluster(cc);
       std::vector<Server*> reps = {&cluster.server(0), &cluster.server(1),

@@ -190,8 +190,7 @@ void BM_NicPacketRx(benchmark::State& state) {
   CompletionQueue* cq = a.create_cq(1 << 12);
   QueuePair* qa = a.create_qp(cq, nullptr, 1024);
   QueuePair* qb = b.create_qp(nullptr, nullptr, 1024);
-  a.connect(qa, b.id(), qb->qpn);
-  b.connect(qb, a.id(), qa->qpn);
+  rdma::connect(qa, qb);
   const Addr src = mem_a.alloc(8192);
   const Addr dst = mem_b.alloc(8192);
   MemoryRegion mr = b.register_mr(dst, 8192, kRemoteWrite);

@@ -40,19 +40,54 @@ void ForwardedCmd::apply(Server& replica, rdma::Addr base, size_t i) {
 
 BackendGroup::BackendGroup(Server& client, std::vector<Server*> replicas,
                            uint64_t region_size, uint32_t nic_index)
-    : client_(client), region_size_(region_size) {
+    : client_(client),
+      client_nic_(client.nic(nic_index)),
+      region_size_(region_size) {
   assert(!replicas.empty() && replicas.size() <= ExecMap::kMaxReplicas);
   client_region_ = client_.nvm().alloc(region_size_, 4096);
   replicas_.resize(replicas.size());
   for (size_t i = 0; i < replicas.size(); ++i) {
     Replica& r = replicas_[i];
     r.server = replicas[i];
+    r.nic = &r.server->nic(nic_index);
     r.data_base = r.server->nvm().alloc(region_size_, 4096);
-    r.data_mr = r.server->nic(nic_index).register_mr(
+    r.data_mr = r.nic->register_mr(
         r.data_base, region_size_,
         rdma::kRemoteRead | rdma::kRemoteWrite | rdma::kRemoteAtomic |
             rdma::kLocalWrite);
   }
+}
+
+void BackendGroup::stop() {
+  if (stopped_) return;
+  stopped_ = true;
+  aborted_ops_ += abort_pending();
+  for (rdma::QueuePair* qp : qps_) qp->nic->destroy_qp(qp);
+  for (auto [nic, cq] : cqs_) nic->destroy_cq(cq);
+  qps_.clear();
+  cqs_.clear();
+}
+
+rdma::CompletionQueue* BackendGroup::make_cq(rdma::Nic& nic,
+                                             size_t capacity) {
+  rdma::CompletionQueue* cq = nic.create_cq(capacity);
+  cqs_.emplace_back(&nic, cq);
+  return cq;
+}
+
+rdma::QueuePair* BackendGroup::make_qp(rdma::Nic& nic,
+                                       rdma::CompletionQueue* send_cq,
+                                       rdma::CompletionQueue* recv_cq,
+                                       uint32_t sq_slots) {
+  qps_.push_back(nic.create_qp(send_cq, recv_cq, sq_slots));
+  return qps_.back();
+}
+
+rdma::QueuePair* BackendGroup::make_loopback_qp(rdma::Nic& nic,
+                                                rdma::CompletionQueue* send_cq,
+                                                uint32_t sq_slots) {
+  qps_.push_back(nic.create_loopback_qp(send_cq, sq_slots));
+  return qps_.back();
 }
 
 void BackendGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
@@ -123,6 +158,12 @@ void BackendGroup::replica_load(size_t i, uint64_t offset, void* dst,
 sim::Duration BackendGroup::replica_cpu_time(size_t i) const {
   const Replica& r = replicas_.at(i);
   return r.pid == kNoProcess ? 0 : r.server->sched().stats(r.pid).cpu_time;
+}
+
+uint64_t BackendGroup::total_rnr_stalls() const {
+  uint64_t n = 0;
+  for (const Replica& r : replicas_) n += r.nic->counters().rnr_stalls;
+  return n;
 }
 
 }  // namespace hyperloop::core

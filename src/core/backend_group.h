@@ -7,26 +7,34 @@
 //
 //   - allocation: the client's copy of the region, then each replica's
 //     NVM region with its memory region (remote read, write and atomic)
-//     on one NIC;
+//     on the group's NIC;
+//   - the NIC plumbing: the NIC of each server that carries the group's
+//     QPs, resolved once, and make_cq / make_qp / make_loopback_qp, which
+//     create through it and record every handle;
+//   - teardown: stop() drops the backend's pending ops uncalled, then
+//     destroys every recorded QP before any recorded CQ;
 //   - gwrite, gmemcpy and gcas with their bounds checks. Each packs its
 //     parameters into a GroupOp and hands it to the backend's submit().
 //     gMEMCPY makes the client's own copy at the call (group.h);
 //   - gflush, a flushed 0-byte gWRITE;
 //   - the client-copy and replica accessors that tests, readers, benches
-//     and examples use.
+//     and examples use, and the replicas' RNR stall count.
 //
-// A backend implements only its datapath: submit() and stop(). The two
+// A backend implements only its datapath: its set-up, submit(), and
+// abort_pending(), which drops its own credit windows. The two
 // CPU-forwarded baselines (Naïve-RDMA, TCP) also share ForwardedCmd, the
 // command each hop carries and the replica-side apply.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/group.h"
 #include "core/server.h"
 #include "rdma/memory.h"
+#include "rdma/nic.h"
 
 namespace hyperloop::core {
 
@@ -90,6 +98,10 @@ class BackendGroup : public ReplicationGroup {
   void gcas(uint64_t offset, uint64_t expected, uint64_t desired,
             ExecMap exec_map, CasDone done) final;
   void gflush(Done done) override;
+  /// Drops the pending ops (abort_pending), then destroys every QP the
+  /// group made before any of its CQs: destroying a QP unlinks it from a
+  /// CQ's WAIT list, and destroy_cq asserts that no waiter is left.
+  void stop() final;
   void client_store(uint64_t offset, const void* src, uint32_t len) final;
   void client_load(uint64_t offset, void* dst, uint32_t len) const final;
   void replica_load(size_t i, uint64_t offset, void* dst,
@@ -108,12 +120,17 @@ class BackendGroup : public ReplicationGroup {
   /// CPU replica i has spent on this group: the Naïve or TCP handler, or
   /// the HyperLoop or fan-out ring refill. 0 when it runs no process.
   sim::Duration replica_cpu_time(size_t i) const;
+  /// Receiver-not-ready stalls on the replicas' NICs. The offloaded
+  /// backends keep it at 0 while their refill stays ahead of the client
+  /// (asserted by tests, reported by benches).
+  uint64_t total_rnr_stalls() const;
 
  protected:
   static constexpr sim::ProcessId kNoProcess = UINT32_MAX;
 
   struct Replica {
     Server* server = nullptr;
+    rdma::Nic* nic = nullptr;  ///< carries the group's QPs on this server
     rdma::Addr data_base = 0;
     rdma::MemoryRegion data_mr{};
     sim::ProcessId pid = kNoProcess;  ///< replica_cpu_time()'s process
@@ -127,13 +144,29 @@ class BackendGroup : public ReplicationGroup {
   /// Issues `op`, or parks it for a credit. `cas_done` is set for gCAS,
   /// `done` for the others.
   virtual void submit(const GroupOp& op, Done done, CasDone cas_done) = 0;
+  /// Drops every op in flight or parked for a credit without running its
+  /// callback, with whatever the datapath holds for them, and returns how
+  /// many ops it dropped. stop() calls it once.
+  virtual uint64_t abort_pending() = 0;
+
+  /// Create through `nic` (the client's or a replica's NIC of this group)
+  /// and record the handle, which stop() destroys.
+  rdma::CompletionQueue* make_cq(rdma::Nic& nic, size_t capacity = 4096);
+  rdma::QueuePair* make_qp(rdma::Nic& nic, rdma::CompletionQueue* send_cq,
+                           rdma::CompletionQueue* recv_cq, uint32_t sq_slots);
+  rdma::QueuePair* make_loopback_qp(rdma::Nic& nic,
+                                    rdma::CompletionQueue* send_cq,
+                                    uint32_t sq_slots);
 
   Server& client_;
+  rdma::Nic& client_nic_;  ///< carries the group's QPs on the client
   std::vector<Replica> replicas_;
   rdma::Addr client_region_ = 0;
 
  private:
   uint64_t region_size_ = 0;
+  std::vector<rdma::QueuePair*> qps_;
+  std::vector<std::pair<rdma::Nic*, rdma::CompletionQueue*>> cqs_;
 };
 
 }  // namespace hyperloop::core

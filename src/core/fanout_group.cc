@@ -6,19 +6,12 @@
 namespace hyperloop::core {
 
 using rdma::Addr;
-using rdma::Opcode;
 using rdma::RecvWqe;
 using rdma::Sge;
 using rdma::Wqe;
 using rdma::WqeDescriptor;
 
 namespace {
-
-Wqe placeholder() {
-  Wqe w = rdma::make_nop();
-  w.signaled = 1;
-  return w;
-}
 
 constexpr uint64_t kCasTag = uint64_t{1} << 62;
 
@@ -45,19 +38,17 @@ FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
   client_staging_slot_ = static_cast<uint32_t>(kDescBytes * 3 * (1 + 2 * K));
   client_staging_ = client_.mem().alloc(
       uint64_t{client_staging_slot_} * cfg_.max_inflight * 2, 64);
-  const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
-  ack_base_ =
-      client_.mem().alloc(uint64_t{ack_stride} * cfg_.max_inflight * 2, 64);
-  ack_mr_ = client_.nic().register_mr(
-      ack_base_, uint64_t{ack_stride} * cfg_.max_inflight * 2,
-      rdma::kRemoteWrite | rdma::kLocalWrite);
+  const uint64_t ack_ring = uint64_t{ack_stride()} * cfg_.max_inflight * 2;
+  ack_base_ = client_.mem().alloc(ack_ring, 64);
+  ack_mr_ = client_nic_.register_mr(ack_base_, ack_ring,
+                                    rdma::kRemoteWrite | rdma::kLocalWrite);
 
-  cq_down_ = client_.nic().create_cq();
-  cq_up_ = client_.nic().create_cq();
+  cq_down_ = make_cq(client_nic_);
+  cq_up_ = make_cq(client_nic_);
   qp_down_ =
-      client_.nic().create_qp(cq_down_, nullptr, cfg_.max_inflight * 4 + 16);
+      make_qp(client_nic_, cq_down_, nullptr, cfg_.max_inflight * 4 + 16);
 
-  zero_scratch_.assign(ack_stride, 0);
+  zero_scratch_.assign(ack_stride(), 0);
   cas_scratch_.resize(1 + K);
 
   setup_primary();
@@ -86,55 +77,12 @@ FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
 
 FanoutGroup::~FanoutGroup() { stop(); }
 
-void FanoutGroup::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  aborted_ops_ += window_.abort_all();
-
-  // Release NIC resources; QPs before the CQs they reference (destroying
-  // a WAIT-parked QP unlinks it from the CQ's waiter list).
-  {
-    rdma::Nic& nic = replicas_[0].server->nic();
-    if (primary_.qp_prev) nic.destroy_qp(primary_.qp_prev);
-    if (primary_.qp_loop) nic.destroy_qp(primary_.qp_loop);
-    for (rdma::QueuePair* qp : primary_.qp_out) nic.destroy_qp(qp);
-    primary_.qp_out.clear();
-    if (primary_.cq_recv) nic.destroy_cq(primary_.cq_recv);
-    if (primary_.cq_loop) nic.destroy_cq(primary_.cq_loop);
-    for (rdma::CompletionQueue* cq : primary_.cq_out) nic.destroy_cq(cq);
-    primary_.cq_out.clear();
-    primary_.qp_prev = primary_.qp_loop = nullptr;
-    primary_.cq_recv = primary_.cq_loop = nullptr;
-  }
-  for (size_t bi = 0; bi < backups_.size(); ++bi) {
-    Backup& b = backups_[bi];
-    rdma::Nic& nic = replicas_[bi + 1].server->nic();
-    if (b.qp_prev) nic.destroy_qp(b.qp_prev);
-    if (b.qp_ack) nic.destroy_qp(b.qp_ack);
-    if (b.qp_loop) nic.destroy_qp(b.qp_loop);
-    if (b.cq_recv) nic.destroy_cq(b.cq_recv);
-    if (b.cq_ack) nic.destroy_cq(b.cq_ack);
-    if (b.cq_loop) nic.destroy_cq(b.cq_loop);
-    b.qp_prev = b.qp_ack = b.qp_loop = nullptr;
-    b.cq_recv = b.cq_ack = b.cq_loop = nullptr;
-  }
-  {
-    rdma::Nic& nic = client_.nic();
-    if (qp_down_) nic.destroy_qp(qp_down_);
-    for (rdma::QueuePair* qp : qp_acks_) nic.destroy_qp(qp);
-    qp_acks_.clear();
-    qp_up_ = nullptr;
-    if (cq_down_) nic.destroy_cq(cq_down_);
-    if (cq_up_) nic.destroy_cq(cq_up_);
-    qp_down_ = nullptr;
-    cq_down_ = cq_up_ = nullptr;
-  }
-}
+uint64_t FanoutGroup::abort_pending() { return window_.abort_all(); }
 
 // ------------------------------------------------------------------ setup --
 
 void FanoutGroup::setup_primary() {
-  rdma::Nic& nic = replicas_[0].server->nic();
+  rdma::Nic& nic = *replicas_[0].nic;
   rdma::HostMemory& mem = replicas_[0].server->mem();
   const size_t K = backups_.size();
 
@@ -143,21 +91,21 @@ void FanoutGroup::setup_primary() {
   primary_.staging_base =
       mem.alloc(uint64_t{primary_.staging_slot} * cfg_.ring_slots, 64);
 
-  primary_.cq_recv = nic.create_cq();
-  primary_.qp_prev = nic.create_qp(nullptr, primary_.cq_recv, cfg_.ring_slots);
-  primary_.cq_loop = nic.create_cq();
-  primary_.qp_loop = nic.create_loopback_qp(primary_.cq_loop,
-                                            cfg_.ring_slots * 3);
+  primary_.cq_recv = make_cq(nic);
+  primary_.qp_prev = make_qp(nic, nullptr, primary_.cq_recv, cfg_.ring_slots);
+  primary_.cq_loop = make_cq(nic);
+  primary_.qp_loop =
+      make_loopback_qp(nic, primary_.cq_loop, cfg_.ring_slots * 3);
   for (size_t b = 0; b < K; ++b) {
-    primary_.cq_out.push_back(nic.create_cq());
+    primary_.cq_out.push_back(make_cq(nic));
     primary_.qp_out.push_back(
-        nic.create_qp(primary_.cq_out[b], nullptr, cfg_.ring_slots * 4));
+        make_qp(nic, primary_.cq_out[b], nullptr, cfg_.ring_slots * 4));
   }
   // The primary's own ACK rides the last out-queue pair... no: a
   // dedicated ack QP keeps thresholds simple.
-  primary_.cq_out.push_back(nic.create_cq());
+  primary_.cq_out.push_back(make_cq(nic));
   primary_.qp_out.push_back(
-      nic.create_qp(primary_.cq_out[K], nullptr, cfg_.ring_slots * 2));
+      make_qp(nic, primary_.cq_out[K], nullptr, cfg_.ring_slots * 2));
 
   const size_t arena_end = mem.used();
   primary_.ring_lkey =
@@ -167,17 +115,17 @@ void FanoutGroup::setup_primary() {
 
 void FanoutGroup::setup_backup(size_t bi) {
   Backup& b = backups_[bi];
-  rdma::Nic& nic = replicas_[bi + 1].server->nic();
+  rdma::Nic& nic = *replicas_[bi + 1].nic;
   rdma::HostMemory& mem = replicas_[bi + 1].server->mem();
 
   const size_t arena_start = mem.used();
   b.result_base = mem.alloc(uint64_t{8} * cfg_.ring_slots, 64);
-  b.cq_recv = nic.create_cq();
-  b.qp_prev = nic.create_qp(nullptr, b.cq_recv, cfg_.ring_slots);
-  b.cq_loop = nic.create_cq();
-  b.qp_loop = nic.create_loopback_qp(b.cq_loop, cfg_.ring_slots * 3);
-  b.cq_ack = nic.create_cq();
-  b.qp_ack = nic.create_qp(b.cq_ack, nullptr, cfg_.ring_slots * 2);
+  b.cq_recv = make_cq(nic);
+  b.qp_prev = make_qp(nic, nullptr, b.cq_recv, cfg_.ring_slots);
+  b.cq_loop = make_cq(nic);
+  b.qp_loop = make_loopback_qp(nic, b.cq_loop, cfg_.ring_slots * 3);
+  b.cq_ack = make_cq(nic);
+  b.qp_ack = make_qp(nic, b.cq_ack, nullptr, cfg_.ring_slots * 2);
   const size_t arena_end = mem.used();
   b.ring_lkey =
       nic.register_mr(arena_start, arena_end - arena_start, rdma::kLocalWrite)
@@ -186,39 +134,25 @@ void FanoutGroup::setup_backup(size_t bi) {
 
 void FanoutGroup::wire() {
   const size_t K = backups_.size();
-  rdma::Nic& client_nic = client_.nic();
-  rdma::Nic& primary_nic = replicas_[0].server->nic();
-  // client <-> primary.
-  client_nic.connect(qp_down_, primary_nic.id(), primary_.qp_prev->qpn);
-  primary_nic.connect(primary_.qp_prev, client_nic.id(), qp_down_->qpn);
+  // An ACK sink on the client for `from`, with a credit window's RECVs.
+  auto ack_sink = [this](rdma::QueuePair* from) {
+    rdma::QueuePair* up = make_qp(client_nic_, nullptr, cq_up_, 8);
+    rdma::connect(from, up);
+    for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
+      client_nic_.post_recv(up, RecvWqe{});
+    }
+  };
+  rdma::connect(qp_down_, primary_.qp_prev);
   // primary out QPs: [0..K-1] to the backups, [K] = ack QP to the client.
   for (size_t b = 0; b < K; ++b) {
-    rdma::Nic& backup_nic = replicas_[b + 1].server->nic();
-    rdma::QueuePair* up =
-        client_nic.create_qp(nullptr, cq_up_, 8);  // per-backup ack sink
-    qp_acks_.push_back(up);
-    primary_nic.connect(primary_.qp_out[b], backup_nic.id(),
-                        backups_[b].qp_prev->qpn);
-    backup_nic.connect(backups_[b].qp_prev, primary_nic.id(),
-                       primary_.qp_out[b]->qpn);
-    backup_nic.connect(backups_[b].qp_ack, client_nic.id(), up->qpn);
-    client_nic.connect(up, backup_nic.id(), backups_[b].qp_ack->qpn);
-    for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-      client_nic.post_recv(up, RecvWqe{});
-    }
+    rdma::connect(primary_.qp_out[b], backups_[b].qp_prev);
+    ack_sink(backups_[b].qp_ack);
   }
-  rdma::QueuePair* pup = client_nic.create_qp(nullptr, cq_up_, 8);
-  qp_acks_.push_back(pup);
-  primary_nic.connect(primary_.qp_out[K], client_nic.id(), pup->qpn);
-  client_nic.connect(pup, primary_nic.id(), primary_.qp_out[K]->qpn);
-  for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-    client_nic.post_recv(pup, RecvWqe{});
-  }
-  qp_up_ = pup;
+  ack_sink(primary_.qp_out[K]);
 }
 
 void FanoutGroup::rearm_primary_slot(uint64_t seq) {
-  rdma::Nic& nic = replicas_[0].server->nic();
+  rdma::Nic& nic = *replicas_[0].nic;
   const size_t K = backups_.size();
   RecvWqe recv;
   auto desc_sge = [&](rdma::QueuePair* qp, uint64_t wqe_seq) {
@@ -229,24 +163,24 @@ void FanoutGroup::rearm_primary_slot(uint64_t seq) {
   // Loopback executor: [WAIT][OP][FLUSH].
   nic.post_send(primary_.qp_loop,
                 rdma::make_wait(primary_.cq_recv->id(), seq + 1));
-  nic.post_send(primary_.qp_loop, placeholder(), true);  // OP
-  nic.post_send(primary_.qp_loop, placeholder(), true);  // FLUSH
+  nic.post_send(primary_.qp_loop, rdma::make_nop(), true);  // OP
+  nic.post_send(primary_.qp_loop, rdma::make_nop(), true);  // FLUSH
   desc_sge(primary_.qp_loop, 3 * seq + 1);
   desc_sge(primary_.qp_loop, 3 * seq + 2);
 
   // Primary ACK: [WAIT(loop >= 2(k+1))][ACK].
   nic.post_send(primary_.qp_out[K],
                 rdma::make_wait(primary_.cq_loop->id(), 2 * (seq + 1)));
-  nic.post_send(primary_.qp_out[K], placeholder(), true);  // ACK
+  nic.post_send(primary_.qp_out[K], rdma::make_nop(), true);  // ACK
   desc_sge(primary_.qp_out[K], 2 * seq + 1);
 
   // Per-backup forward: [WAIT(recv >= k+1)][WRITE][FLUSH][SEND].
   for (size_t b = 0; b < K; ++b) {
     nic.post_send(primary_.qp_out[b],
                   rdma::make_wait(primary_.cq_recv->id(), seq + 1));
-    nic.post_send(primary_.qp_out[b], placeholder(), true);  // WRITE
-    nic.post_send(primary_.qp_out[b], placeholder(), true);  // FLUSH
-    nic.post_send(primary_.qp_out[b], placeholder(), true);  // SEND
+    nic.post_send(primary_.qp_out[b], rdma::make_nop(), true);  // WRITE
+    nic.post_send(primary_.qp_out[b], rdma::make_nop(), true);  // FLUSH
+    nic.post_send(primary_.qp_out[b], rdma::make_nop(), true);  // SEND
     desc_sge(primary_.qp_out[b], 4 * seq + 1);
     desc_sge(primary_.qp_out[b], 4 * seq + 2);
     desc_sge(primary_.qp_out[b], 4 * seq + 3);
@@ -262,7 +196,7 @@ void FanoutGroup::rearm_primary_slot(uint64_t seq) {
 void FanoutGroup::rearm_backup_slot(size_t bi, uint64_t seq) {
   Backup& b = backups_[bi];
   Server& server = *replicas_[bi + 1].server;
-  rdma::Nic& nic = server.nic();
+  rdma::Nic& nic = *replicas_[bi + 1].nic;
   // Clear the CAS result slot so execute-map-skipped replicas report 0.
   const uint64_t zero = 0;
   server.mem().write(b.result_base + (seq % cfg_.ring_slots) * 8, &zero, 8);
@@ -272,10 +206,10 @@ void FanoutGroup::rearm_backup_slot(size_t bi, uint64_t seq) {
     recv.sges.push_back(Sge{qp->slot_addr(wqe_seq), kDescBytes, b.ring_lkey});
   };
   nic.post_send(b.qp_loop, rdma::make_wait(b.cq_recv->id(), seq + 1));
-  nic.post_send(b.qp_loop, placeholder(), true);  // OP
-  nic.post_send(b.qp_loop, placeholder(), true);  // FLUSH
+  nic.post_send(b.qp_loop, rdma::make_nop(), true);  // OP
+  nic.post_send(b.qp_loop, rdma::make_nop(), true);  // FLUSH
   nic.post_send(b.qp_ack, rdma::make_wait(b.cq_loop->id(), 2 * (seq + 1)));
-  nic.post_send(b.qp_ack, placeholder(), true);  // ACK
+  nic.post_send(b.qp_ack, rdma::make_nop(), true);  // ACK
   desc_sge(b.qp_loop, 3 * seq + 1);
   desc_sge(b.qp_loop, 3 * seq + 2);
   desc_sge(b.qp_ack, 2 * seq + 1);
@@ -324,22 +258,12 @@ void FanoutGroup::refill_tick_backup(size_t bi) {
 
 // ------------------------------------------------------------ blob build --
 
-rdma::WqeDescriptor FanoutGroup::nop_desc() const {
-  WqeDescriptor d;
-  d.opcode = static_cast<uint8_t>(Opcode::kNop);
-  d.active = 1;
-  return d;
-}
-
 rdma::WqeDescriptor FanoutGroup::backup_ack_desc(size_t b, uint64_t seq,
                                                  const GroupOp& op) {
-  const size_t K = backups_.size();
-  const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
-  const Addr slot =
-      ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride + 8 * (1 + b);
-  WqeDescriptor d = rdma::make_write_imm(0, 0, slot, ack_mr_.rkey, 0,
-                                         static_cast<uint32_t>(seq))
-                        .d;
+  WqeDescriptor d =
+      rdma::make_write_imm(0, 0, ack_slot(seq) + 8 * (1 + b), ack_mr_.rkey,
+                           0, static_cast<uint32_t>(seq))
+          .d;
   if (op.kind == GroupOp::Kind::kCas) {
     // Carry the 8-byte CAS result.
     d.local_addr =
@@ -369,18 +293,14 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
     put(rdma::make_local_copy(p.data_base + op.offset, p.data_base + op.dst,
                               op.len)
             .d);
-    put(op.flush ? rdma::make_flush(0, 0).d : nop_desc());
+    put(op.flush ? rdma::make_flush(0, 0).d : rdma::make_nop().d);
   } else {
-    put(nop_desc());
-    put(nop_desc());
+    put(rdma::make_nop().d);
+    put(rdma::make_nop().d);
   }
-  {
-    const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
-    put(rdma::make_write_imm(
-            0, 0, ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride,
-            ack_mr_.rkey, 0, static_cast<uint32_t>(seq))
-            .d);
-  }
+  put(rdma::make_write_imm(0, 0, ack_slot(seq), ack_mr_.rkey, 0,
+                           static_cast<uint32_t>(seq))
+          .d);
 
   // Per-backup forward triples on the primary.
   for (size_t b = 0; b < K; ++b) {
@@ -393,10 +313,10 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
       fwd.d.flags |= rdma::kWqeFlagZeroCopy;
       put(fwd.d);
       put(op.flush ? rdma::make_flush(bb.data_base, bb.data_mr.rkey).d
-                   : nop_desc());
+                   : rdma::make_nop().d);
     } else {
-      put(nop_desc());
-      put(nop_desc());
+      put(rdma::make_nop().d);
+      put(rdma::make_nop().d);
     }
     put(rdma::make_send(
             primary_.staging_base +
@@ -413,17 +333,17 @@ const std::vector<uint8_t>& FanoutGroup::build_blob(uint64_t seq,
       put(rdma::make_local_copy(bb.data_base + op.offset,
                                 bb.data_base + op.dst, op.len)
               .d);
-      put(op.flush ? rdma::make_flush(0, 0).d : nop_desc());
+      put(op.flush ? rdma::make_flush(0, 0).d : rdma::make_nop().d);
     } else if (op.kind == GroupOp::Kind::kCas && op.exec.test(b + 1)) {
       put(rdma::make_cas(backups_[b].result_base +
                              (seq % cfg_.ring_slots) * 8,
                          backups_[b].ring_lkey, bb.data_base + op.offset,
                          bb.data_mr.rkey, op.expected, op.desired)
               .d);
-      put(nop_desc());
+      put(rdma::make_nop().d);
     } else {
-      put(nop_desc());
-      put(nop_desc());
+      put(rdma::make_nop().d);
+      put(rdma::make_nop().d);
     }
     put(backup_ack_desc(b, seq, op));
   }
@@ -449,33 +369,28 @@ void FanoutGroup::issue(const GroupOp& op, Done done, CasDone cas_done) {
   if (cas) {
     // Clear the result slot so skipped replicas (and a skipped primary)
     // report 0 rather than a stale value from a previous ring lap.
-    const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
-    client_.mem().write(
-        ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride,
-        zero_scratch_.data(), ack_stride);
+    client_.mem().write(ack_slot(seq), zero_scratch_.data(), ack_stride());
   }
 
   // Client-side direct work against the primary.
   if (op.kind == GroupOp::Kind::kWrite) {
     if (op.len > 0) {
-      client_.nic().post_send(
+      client_nic_.post_send(
           qp_down_, rdma::make_write(client_region_ + op.offset, 0,
                                      p.data_base + op.offset, p.data_mr.rkey,
                                      op.len));
     }
     if (op.flush) {
-      client_.nic().post_send(qp_down_,
-                              rdma::make_flush(p.data_base, p.data_mr.rkey));
+      client_nic_.post_send(qp_down_,
+                            rdma::make_flush(p.data_base, p.data_mr.rkey));
     }
   } else if (cas && op.exec.test(0)) {
     // One-sided CAS against the primary; the result lands in the ack slot
     // (index 0) so the assembly code reads all results from one place.
-    const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
-    Wqe cas = rdma::make_cas(
-        ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride,
-        ack_mr_.lkey, p.data_base + op.offset, p.data_mr.rkey, op.expected,
-        op.desired, kCasTag | seq);
-    client_.nic().post_send(qp_down_, cas);
+    Wqe cas = rdma::make_cas(ack_slot(seq), ack_mr_.lkey,
+                             p.data_base + op.offset, p.data_mr.rkey,
+                             op.expected, op.desired, kCasTag | seq);
+    client_nic_.post_send(qp_down_, cas);
   }
 
   // Metadata SEND that triggers the primary's fan-out.
@@ -483,7 +398,7 @@ void FanoutGroup::issue(const GroupOp& op, Done done, CasDone cas_done) {
   const Addr slot =
       client_staging_ + (seq % (cfg_.max_inflight * 2)) * client_staging_slot_;
   client_.mem().write(slot, blob.data(), blob.size());
-  client_.nic().post_send(
+  client_nic_.post_send(
       qp_down_, rdma::make_send(slot, 0, static_cast<uint32_t>(blob.size())));
 }
 
@@ -493,12 +408,8 @@ void FanoutGroup::count_ack(uint32_t seq) {
   window_.complete(
       *slot,
       [&] {
-        const size_t K = backups_.size();
-        const uint32_t ack_stride = static_cast<uint32_t>(8 * (1 + K));
-        client_.mem().read(
-            ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride,
-            cas_scratch_.data(), ack_stride);
-        return CasResult(cas_scratch_.data(), 1 + K);
+        client_.mem().read(ack_slot(seq), cas_scratch_.data(), ack_stride());
+        return CasResult(cas_scratch_.data(), replicas_.size());
       },
       issuer());
 }
@@ -507,7 +418,7 @@ void FanoutGroup::on_ack_cqe() {
   rdma::Cqe cqe;
   while (cq_up_->poll(&cqe)) {
     if (!cqe.has_imm) continue;
-    client_.nic().post_recv(client_.nic().qp(cqe.qpn), RecvWqe{});
+    client_nic_.post_recv(client_nic_.qp(cqe.qpn), RecvWqe{});
     count_ack(cqe.imm);
   }
   while (cq_down_->poll(&cqe)) {
@@ -517,12 +428,6 @@ void FanoutGroup::on_ack_cqe() {
   }
   cq_up_->arm_notify();
   cq_down_->arm_notify();
-}
-
-uint64_t FanoutGroup::total_rnr_stalls() const {
-  uint64_t n = 0;
-  for (const Replica& r : replicas_) n += r.server->nic().counters().rnr_stalls;
-  return n;
 }
 
 }  // namespace hyperloop::core

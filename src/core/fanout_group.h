@@ -41,10 +41,6 @@ class FanoutGroup final : public BackendGroup {
   FanoutGroup(Server& client, std::vector<Server*> replicas, Config cfg);
   ~FanoutGroup() override;
 
-  void stop() override;
-
-  uint64_t total_rnr_stalls() const;
-
  private:
   static constexpr uint32_t kDescBytes = sizeof(rdma::WqeDescriptor);
 
@@ -95,7 +91,17 @@ class FanoutGroup final : public BackendGroup {
   const std::vector<uint8_t>& build_blob(uint64_t seq, const GroupOp& op);
   rdma::WqeDescriptor backup_ack_desc(size_t b, uint64_t seq,
                                       const GroupOp& op);
+  /// Bytes per op of the client's ack ring: the primary's 8-byte gCAS
+  /// result, then each backup's.
+  uint32_t ack_stride() const {
+    return static_cast<uint32_t>(8 * (1 + backups_.size()));
+  }
+  /// Op `seq`'s slot of the client's ack ring.
+  rdma::Addr ack_slot(uint64_t seq) const {
+    return ack_base_ + (seq % (cfg_.max_inflight * 2)) * ack_stride();
+  }
   void submit(const GroupOp& op, Done done, CasDone cas_done) override;
+  uint64_t abort_pending() override;
   void issue(const GroupOp& op, Done done, CasDone cas_done);
   auto issuer() {
     return [this](const GroupOp& op, Done done, CasDone cas_done) {
@@ -106,18 +112,15 @@ class FanoutGroup final : public BackendGroup {
   /// on the primary) toward op `seq`.
   void count_ack(uint32_t seq);
   void on_ack_cqe();
-  rdma::WqeDescriptor nop_desc() const;
 
   Primary primary_;
   std::vector<Backup> backups_;
   Config cfg_;
 
   // Client side.
-  rdma::QueuePair* qp_down_ = nullptr;   ///< to the primary
+  rdma::QueuePair* qp_down_ = nullptr;  ///< to the primary
   rdma::CompletionQueue* cq_down_ = nullptr;
-  rdma::QueuePair* qp_up_ = nullptr;     ///< ACKs from backups land here
-  rdma::CompletionQueue* cq_up_ = nullptr;
-  std::vector<rdma::QueuePair*> qp_acks_;  ///< all client-side ack sinks
+  rdma::CompletionQueue* cq_up_ = nullptr;  ///< every ACK sink's RECVs
   rdma::Addr client_staging_ = 0;
   uint32_t client_staging_slot_ = 0;
   rdma::Addr ack_base_ = 0;

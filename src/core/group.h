@@ -14,8 +14,10 @@
 // chain, §4), NaiveRdmaGroup (CPU-forwarded baseline, §6 "Naïve-RDMA"),
 // FanoutGroup (NIC-offloaded primary-backup, §7) and TcpReplicationGroup
 // (kernel TCP, §6.2). They share BackendGroup (core/backend_group.h),
-// which holds the regions, the primitive calls and the replica accessors,
-// so each backend implements only its datapath. ShardedGroup puts K
+// which holds the regions, the NIC plumbing and teardown (every QP and CQ
+// a backend makes, and the one stop()), the primitive calls and the
+// replica accessors, so each backend implements only its datapath:
+// set-up, submit() and abort_pending(). ShardedGroup puts K
 // chains behind the interface too, so the WAL / locking / storage layers
 // above run unchanged on any of them.
 //

@@ -8,22 +8,12 @@
 namespace hyperloop::core {
 
 using rdma::Addr;
-using rdma::Opcode;
 using rdma::RecvWqe;
 using rdma::Sge;
 using rdma::Wqe;
 using rdma::WqeDescriptor;
 
 namespace {
-
-// Placeholder for a deferred-ownership WQE: contents are irrelevant (the
-// client's patch overwrites the descriptor), only `signaled` matters for
-// the completion counting that drives WAIT thresholds and refill.
-Wqe placeholder() {
-  Wqe w = rdma::make_nop();
-  w.signaled = 1;
-  return w;
-}
 
 // Replica refill CPU cost (off the critical path): each wake pays the
 // base cost plus a per-re-armed-slot cost.
@@ -60,27 +50,12 @@ HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
   for (int pi = 0; pi < kNumPrims; ++pi) {
     const auto p = static_cast<Prim>(pi);
     ClientChain& cc = client_chain_[pi];
-    ReplicaChain& first = rings_.front().chain[pi];
-    ReplicaChain& last = rings_.back().chain[pi];
-
-    client_.nic(cfg_.nic_index).connect(cc.qp_down, replicas_.front().server->nic(cfg_.nic_index).id(),
-                          first.qp_prev->qpn);
-    replicas_.front().server->nic(cfg_.nic_index).connect(
-        first.qp_prev, client_.nic(cfg_.nic_index).id(), cc.qp_down->qpn);
-
+    rdma::connect(cc.qp_down, rings_.front().chain[pi].qp_prev);
     for (size_t i = 0; i + 1 < replicas_.size(); ++i) {
-      ReplicaChain& a = rings_[i].chain[pi];
-      ReplicaChain& b = rings_[i + 1].chain[pi];
-      replicas_[i].server->nic(cfg_.nic_index).connect(
-          a.qp_next, replicas_[i + 1].server->nic(cfg_.nic_index).id(), b.qp_prev->qpn);
-      replicas_[i + 1].server->nic(cfg_.nic_index).connect(
-          b.qp_prev, replicas_[i].server->nic(cfg_.nic_index).id(), a.qp_next->qpn);
+      rdma::connect(rings_[i].chain[pi].qp_next,
+                    rings_[i + 1].chain[pi].qp_prev);
     }
-
-    replicas_.back().server->nic(cfg_.nic_index).connect(last.qp_next, client_.nic(cfg_.nic_index).id(),
-                                           cc.qp_up->qpn);
-    client_.nic(cfg_.nic_index).connect(cc.qp_up, replicas_.back().server->nic(cfg_.nic_index).id(),
-                          last.qp_next->qpn);
+    rdma::connect(rings_.back().chain[pi].qp_next, cc.qp_up);
 
     // Pre-arm the full ring on every replica.
     for (uint64_t s = 0; s < cfg_.ring_slots; ++s) {
@@ -92,7 +67,7 @@ HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
 
     // Client ack RECV ring + event-driven ack handling.
     for (uint32_t s = 0; s < cfg_.max_inflight * 2; ++s) {
-      client_.nic(cfg_.nic_index).post_recv(cc.qp_up, RecvWqe{});
+      client_nic_.post_recv(cc.qp_up, RecvWqe{});
     }
     cc.cq_up->set_notify([this, p] { on_ack_cqe(p); });
     cc.cq_up->arm_notify();
@@ -103,47 +78,18 @@ HyperLoopGroup::HyperLoopGroup(Server& client, std::vector<Server*> replicas,
 
 HyperLoopGroup::~HyperLoopGroup() { stop(); }
 
-void HyperLoopGroup::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-
-  // Drop (never invoke) all pending completion callbacks and queued ops.
-  for (ClientChain& cc : client_chain_) aborted_ops_ += cc.window.abort_all();
-
-  // Release NIC resources. QPs must go before their CQs: destroying a QP
-  // unlinks it from any CQ waiter list, and destroy_cq asserts that no
-  // WAIT-parked QP still references the CQ.
-  for (size_t i = 0; i < rings_.size(); ++i) {
-    rdma::Nic& nic = replicas_[i].server->nic(cfg_.nic_index);
-    for (ReplicaChain& c : rings_[i].chain) {
-      if (c.qp_prev) nic.destroy_qp(c.qp_prev);
-      if (c.qp_next) nic.destroy_qp(c.qp_next);
-      if (c.qp_loop) nic.destroy_qp(c.qp_loop);
-      if (c.cq_recv_prev) nic.destroy_cq(c.cq_recv_prev);
-      if (c.cq_send_next) nic.destroy_cq(c.cq_send_next);
-      if (c.cq_loop) nic.destroy_cq(c.cq_loop);
-      c.qp_prev = c.qp_next = c.qp_loop = nullptr;
-      c.cq_recv_prev = c.cq_send_next = c.cq_loop = nullptr;
-    }
-  }
-  for (ClientChain& cc : client_chain_) {
-    rdma::Nic& nic = client_.nic(cfg_.nic_index);
-    if (cc.qp_down) nic.destroy_qp(cc.qp_down);
-    if (cc.qp_up) nic.destroy_qp(cc.qp_up);
-    if (cc.cq_down) nic.destroy_cq(cc.cq_down);
-    if (cc.cq_up) nic.destroy_cq(cc.cq_up);
-    cc.qp_down = cc.qp_up = nullptr;
-    cc.cq_down = cc.cq_up = nullptr;
-  }
+uint64_t HyperLoopGroup::abort_pending() {
+  uint64_t n = 0;
+  for (ClientChain& cc : client_chain_) n += cc.window.abort_all();
+  return n;
 }
 
 // ------------------------------------------------------------------ setup --
 
 void HyperLoopGroup::setup_replica(size_t idx) {
-  Server& server = *replicas_[idx].server;
+  rdma::Nic& nic = *replicas_[idx].nic;
+  rdma::HostMemory& mem = replicas_[idx].server->mem();
   ReplicaRings& r = rings_[idx];
-  rdma::Nic& nic = server.nic(cfg_.nic_index);
-  rdma::HostMemory& mem = server.mem();
 
   const size_t arena_start = mem.used();
 
@@ -165,15 +111,15 @@ void HyperLoopGroup::setup_replica(size_t idx) {
 
     // Chain CQs are consumed only through WAIT counters, never polled:
     // counting-only (capacity 0) so wrapped rings don't hoard dead CQEs.
-    c.cq_recv_prev = nic.create_cq(0);
-    c.cq_send_next = nic.create_cq(0);
-    c.qp_prev = nic.create_qp(nullptr, c.cq_recv_prev, cfg_.ring_slots);
-    c.qp_next = nic.create_qp(c.cq_send_next, nullptr,
-                              cfg_.ring_slots * next_wqes(p));
+    c.cq_recv_prev = make_cq(nic, 0);
+    c.cq_send_next = make_cq(nic, 0);
+    c.qp_prev = make_qp(nic, nullptr, c.cq_recv_prev, cfg_.ring_slots);
+    c.qp_next = make_qp(nic, c.cq_send_next, nullptr,
+                        cfg_.ring_slots * next_wqes(p));
     if (loop_wqes(p) > 0) {
-      c.cq_loop = nic.create_cq(0);
+      c.cq_loop = make_cq(nic, 0);
       c.qp_loop =
-          nic.create_loopback_qp(c.cq_loop, cfg_.ring_slots * loop_wqes(p));
+          make_loopback_qp(nic, c.cq_loop, cfg_.ring_slots * loop_wqes(p));
     }
   }
 
@@ -190,7 +136,6 @@ void HyperLoopGroup::setup_replica(size_t idx) {
 
 void HyperLoopGroup::setup_client_chain(Prim p) {
   ClientChain& cc = client_chain_[static_cast<int>(p)];
-  rdma::Nic& nic = client_.nic(cfg_.nic_index);
   rdma::HostMemory& mem = client_.mem();
 
   cc.staging_slot =
@@ -199,23 +144,24 @@ void HyperLoopGroup::setup_client_chain(Prim p) {
       mem.alloc(uint64_t{cc.staging_slot} * cfg_.max_inflight * 2, 64);
   cc.ack_base =
       mem.alloc(uint64_t{result_bytes()} * cfg_.max_inflight * 2, 64);
-  cc.ack_mr = nic.register_mr(cc.ack_base,
-                              uint64_t{result_bytes()} * cfg_.max_inflight * 2,
-                              rdma::kRemoteWrite | rdma::kLocalWrite);
+  cc.ack_mr = client_nic_.register_mr(
+      cc.ack_base, uint64_t{result_bytes()} * cfg_.max_inflight * 2,
+      rdma::kRemoteWrite | rdma::kLocalWrite);
 
-  cc.cq_down = nic.create_cq(0);  // counting-only: send side never polls
-  cc.cq_up = nic.create_cq();     // polled by on_ack_cqe for the imm seq
+  // The send side is counting-only: it is never polled.
+  rdma::CompletionQueue* cq_down = make_cq(client_nic_, 0);
+  cc.cq_up = make_cq(client_nic_);  // polled by on_ack_cqe for the imm seq
   // Room for a full credit window of staged submissions: extent WRITEs +
   // FLUSH + metadata SEND per op (kWriteV stages the most per op).
-  cc.qp_down = nic.create_qp(cc.cq_down, nullptr,
-                             cfg_.max_inflight * (desc_count(p) + 2) + 16);
-  cc.qp_up = nic.create_qp(nullptr, cc.cq_up, 16);
+  cc.qp_down = make_qp(client_nic_, cq_down, nullptr,
+                       cfg_.max_inflight * (desc_count(p) + 2) + 16);
+  cc.qp_up = make_qp(client_nic_, nullptr, cc.cq_up, 16);
   cc.window = OpWindow<Args>(cfg_.max_inflight, cfg_.max_inflight * 2);
 }
 
 void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
   ReplicaChain& c = rings_[replica].chain[static_cast<int>(p)];
-  rdma::Nic& nic = replicas_[replica].server->nic(cfg_.nic_index);
+  rdma::Nic& nic = *replicas_[replica].nic;
   const uint32_t S = cfg_.ring_slots;
 
   RecvWqe recv;
@@ -226,7 +172,9 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
 
   // Each queue's slot WQEs are staged together and doorbelled once — the
   // off-path refill driver batches its posts like a real ibv_post_send
-  // with a linked WR list.
+  // with a linked WR list. Deferred WQEs are staged as NOPs: the client's
+  // patch overwrites them, and only their `signaled` bit matters, for the
+  // completion counts that drive WAIT thresholds and refill.
   switch (p) {
     case Prim::kWrite:
     case Prim::kWriteV: {
@@ -235,7 +183,7 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
       const uint64_t n = next_wqes(p);
       nic.stage_send(c.qp_next, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
       for (uint32_t j = 1; j < n; ++j) {
-        nic.stage_send(c.qp_next, placeholder(), /*deferred=*/true);
+        nic.stage_send(c.qp_next, rdma::make_nop(), /*deferred=*/true);
         desc_sge(c.qp_next, n * seq + j);
       }
       nic.ring_doorbell(c.qp_next);
@@ -243,12 +191,12 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
     }
     case Prim::kMemcpy: {
       nic.stage_send(c.qp_loop, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      nic.stage_send(c.qp_loop, placeholder(), true);  // COPY
-      nic.stage_send(c.qp_loop, placeholder(), true);  // FLUSH
+      nic.stage_send(c.qp_loop, rdma::make_nop(), true);  // COPY
+      nic.stage_send(c.qp_loop, rdma::make_nop(), true);  // FLUSH
       nic.ring_doorbell(c.qp_loop);
       nic.stage_send(c.qp_next,
                      rdma::make_wait(c.cq_loop->id(), 2 * (seq + 1)));
-      nic.stage_send(c.qp_next, placeholder(), true);  // SEND
+      nic.stage_send(c.qp_next, rdma::make_nop(), true);  // SEND
       nic.ring_doorbell(c.qp_next);
       desc_sge(c.qp_loop, 3 * seq + 1);
       desc_sge(c.qp_loop, 3 * seq + 2);
@@ -257,10 +205,10 @@ void HyperLoopGroup::rearm_slot(size_t replica, Prim p, uint64_t seq) {
     }
     case Prim::kCas: {
       nic.stage_send(c.qp_loop, rdma::make_wait(c.cq_recv_prev->id(), seq + 1));
-      nic.stage_send(c.qp_loop, placeholder(), true);  // CAS
+      nic.stage_send(c.qp_loop, rdma::make_nop(), true);  // CAS
       nic.ring_doorbell(c.qp_loop);
       nic.stage_send(c.qp_next, rdma::make_wait(c.cq_loop->id(), seq + 1));
-      nic.stage_send(c.qp_next, placeholder(), true);  // SEND
+      nic.stage_send(c.qp_next, rdma::make_nop(), true);  // SEND
       nic.ring_doorbell(c.qp_next);
       desc_sge(c.qp_loop, 2 * seq + 1);
       desc_sge(c.qp_next, 2 * seq + 1);
@@ -340,27 +288,42 @@ uint32_t HyperLoopGroup::do_refill(size_t replica) {
 
 // ---------------------------------------------------------- client issue --
 
-rdma::WqeDescriptor HyperLoopGroup::nop_desc() const {
-  WqeDescriptor d;
-  d.opcode = static_cast<uint8_t>(Opcode::kNop);
-  d.active = 1;
-  return d;
+Addr HyperLoopGroup::client_slot(Prim p, uint64_t seq) const {
+  const ClientChain& cc = client_chain_[static_cast<int>(p)];
+  return cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
+}
+
+Addr HyperLoopGroup::ack_slot(Prim p, uint64_t seq) const {
+  return client_chain_[static_cast<int>(p)].ack_base +
+         (seq % (cfg_.max_inflight * 2)) * result_bytes();
+}
+
+WqeDescriptor HyperLoopGroup::hop_trigger(Prim p, size_t i,
+                                          uint64_t seq) const {
+  if (i + 1 < replicas_.size()) {
+    const ReplicaChain& c = rings_[i].chain[static_cast<int>(p)];
+    return rdma::make_send(
+               c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
+               c.ring_lkey, c.staging_len)
+        .d;
+  }
+  return rdma::make_write_imm(0, 0, ack_slot(p, seq),
+                              client_chain_[static_cast<int>(p)].ack_mr.rkey,
+                              0, static_cast<uint32_t>(seq))
+      .d;
 }
 
 uint32_t HyperLoopGroup::stage_write_blob(Prim p, uint64_t seq,
                                           const ExtentVec& extents,
                                           bool flush) {
   const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(p)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
+  const Addr slot = client_slot(p, seq);
   const uint32_t nd = desc_count(p);  // WRITEs + FLUSH + SEND
 
   // Live WQEs first and NOPs last, so that each hop forwards right behind
   // its last live WQE (see the header).
   WqeDescriptor descs[kMaxExtents + 2];
   for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c = rings_[i].chain[static_cast<int>(p)];
     uint32_t j = 0;
     if (i + 1 < G) {
       const Replica& next = replicas_[i + 1];
@@ -377,23 +340,11 @@ uint32_t HyperLoopGroup::stage_write_blob(Prim p, uint64_t seq,
       if (flush) {
         descs[j++] = rdma::make_flush(next.data_base, next.data_mr.rkey).d;
       }
-      descs[j++] =
-          rdma::make_send(
-              c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
-              c.ring_lkey, c.staging_len)
-              .d;
-    } else {
-      // Last hop only ACKs the client, with a 0-byte WRITE_WITH_IMM: its
-      // own data and durability were handled by the previous hop's WRITEs
-      // and FLUSH (or the client's, when G == 1).
-      descs[j++] = rdma::make_write_imm(
-                       0, 0,
-                       cc.ack_base +
-                           (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                       cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
-                       .d;
     }
-    for (; j < nd; ++j) descs[j] = nop_desc();
+    // The last hop only ACKs the client: the previous hop's WRITEs and
+    // FLUSH (or the client's, when G == 1) placed its data.
+    descs[j++] = hop_trigger(p, i, seq);
+    for (; j < nd; ++j) descs[j] = rdma::make_nop().d;
     for (j = 0; j < nd; ++j) descs[j].active = 1;
     client_.mem().write(slot + i * nd * kDescBytes, descs, nd * kDescBytes);
   }
@@ -402,30 +353,15 @@ uint32_t HyperLoopGroup::stage_write_blob(Prim p, uint64_t seq,
 
 uint32_t HyperLoopGroup::stage_gmemcpy_blob(uint64_t seq, const GroupOp& op) {
   const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(Prim::kMemcpy)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
+  const Addr slot = client_slot(Prim::kMemcpy, seq);
 
   WqeDescriptor trio[3];
   for (size_t i = 0; i < G; ++i) {
-    const ReplicaChain& c = rings_[i].chain[static_cast<int>(Prim::kMemcpy)];
     trio[0] = rdma::make_local_copy(replicas_[i].data_base + op.offset,
                                     replicas_[i].data_base + op.dst, op.len)
                   .d;
-    trio[1] = op.flush ? rdma::make_flush(0, 0).d : nop_desc();
-    if (i + 1 < G) {
-      trio[2] = rdma::make_send(
-                    c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
-                    c.ring_lkey, c.staging_len)
-                    .d;
-    } else {
-      trio[2] = rdma::make_write_imm(
-                    0, 0,
-                    cc.ack_base +
-                        (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                    cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
-                    .d;
-    }
+    trio[1] = op.flush ? rdma::make_flush(0, 0).d : rdma::make_nop().d;
+    trio[2] = hop_trigger(Prim::kMemcpy, i, seq);
     trio[0].active = trio[1].active = trio[2].active = 1;
     client_.mem().write(slot + i * 3 * kDescBytes, trio, 3 * kDescBytes);
   }
@@ -434,9 +370,7 @@ uint32_t HyperLoopGroup::stage_gmemcpy_blob(uint64_t seq, const GroupOp& op) {
 
 uint32_t HyperLoopGroup::stage_gcas_blob(uint64_t seq, const GroupOp& op) {
   const size_t G = replicas_.size();
-  const ClientChain& cc = client_chain_[static_cast<int>(Prim::kCas)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
+  const Addr slot = client_slot(Prim::kCas, seq);
 
   WqeDescriptor duo[2];
   for (size_t i = 0; i < G; ++i) {
@@ -451,21 +385,9 @@ uint32_t HyperLoopGroup::stage_gcas_blob(uint64_t seq, const GroupOp& op) {
                    .d;
     } else {
       // Execute map cleared: the pre-posted CAS becomes a NOP (§4.2).
-      duo[0] = nop_desc();
+      duo[0] = rdma::make_nop().d;
     }
-    if (i + 1 < G) {
-      duo[1] = rdma::make_send(
-                   c.staging_base + (seq % cfg_.ring_slots) * c.staging_slot,
-                   c.ring_lkey, c.staging_len)
-                   .d;
-    } else {
-      duo[1] = rdma::make_write_imm(
-                   0, 0,
-                   cc.ack_base +
-                       (seq % (cfg_.max_inflight * 2)) * result_bytes(),
-                   cc.ack_mr.rkey, 0, static_cast<uint32_t>(seq))
-                   .d;
-    }
+    duo[1] = hop_trigger(Prim::kCas, i, seq);
     duo[1].aux_addr = result_slot;
     duo[1].aux_length = result_bytes();
     duo[0].active = duo[1].active = 1;
@@ -475,16 +397,13 @@ uint32_t HyperLoopGroup::stage_gcas_blob(uint64_t seq, const GroupOp& op) {
 }
 
 void HyperLoopGroup::stage_meta_send(Prim p, uint64_t seq, uint32_t blob_len) {
-  ClientChain& cc = client_chain_[static_cast<int>(p)];
-  const Addr slot =
-      cc.staging_base + (seq % (cfg_.max_inflight * 2)) * cc.staging_slot;
-  Wqe send = rdma::make_send(slot, 0, blob_len);
+  Wqe send = rdma::make_send(client_slot(p, seq), 0, blob_len);
   if (p == Prim::kCas) {
     // Seed the result map with zeros so excluded replicas report 0.
     send.d.aux_addr = client_zeros_;
     send.d.aux_length = result_bytes();
   }
-  client_.nic(cfg_.nic_index).stage_send(cc.qp_down, send);
+  client_nic_.stage_send(client_chain_[static_cast<int>(p)].qp_down, send);
 }
 
 void HyperLoopGroup::on_ack_cqe(Prim p) {
@@ -494,14 +413,12 @@ void HyperLoopGroup::on_ack_cqe(Prim p) {
     if (!cqe.has_imm) continue;
     auto* slot = cc.window.ack(cqe.imm);
     if (slot == nullptr) continue;
-    client_.nic(cfg_.nic_index).post_recv(cc.qp_up, RecvWqe{});
+    client_nic_.post_recv(cc.qp_up, RecvWqe{});
     cc.window.complete(
         *slot,
         [&] {
-          client_.mem().read(
-              cc.ack_base +
-                  (cqe.imm % (cfg_.max_inflight * 2)) * result_bytes(),
-              cas_scratch_.data(), result_bytes());
+          client_.mem().read(ack_slot(p, cqe.imm), cas_scratch_.data(),
+                             result_bytes());
           return CasResult(cas_scratch_.data(), replicas_.size());
         },
         issuer(p));
@@ -531,7 +448,6 @@ void HyperLoopGroup::submit_to(Prim p, const Args& args, Done done,
 void HyperLoopGroup::issue(Prim p, const Args& args, Done done,
                            CasDone cas_done) {
   ClientChain& cc = client_chain_[static_cast<int>(p)];
-  rdma::Nic& nic = client_.nic(cfg_.nic_index);
   const Replica& r0 = replicas_.front();
   const uint64_t seq = cc.window.open(std::move(done), std::move(cas_done));
   uint32_t blob_len = 0;
@@ -550,16 +466,15 @@ void HyperLoopGroup::issue(Prim p, const Args& args, Done done,
       // them (same QP) acknowledges the WRITEs cumulatively — no
       // standalone ACK packet needed.
       for (const Extent& e : args.extents) {
-        counters_.bytes_replicated += uint64_t{e.len} * replicas_.size();
         Wqe data = rdma::make_write(client_region_ + e.offset, 0,
                                     r0.data_base + e.offset, r0.data_mr.rkey,
                                     e.len);
         data.d.flags |= rdma::kWqeFlagAckElide;
-        nic.stage_send(cc.qp_down, data);
+        client_nic_.stage_send(cc.qp_down, data);
       }
       if (args.op.flush) {
-        nic.stage_send(cc.qp_down,
-                       rdma::make_flush(r0.data_base, r0.data_mr.rkey));
+        client_nic_.stage_send(
+            cc.qp_down, rdma::make_flush(r0.data_base, r0.data_mr.rkey));
       }
       blob_len = stage_write_blob(p, seq, args.extents, args.op.flush);
       break;
@@ -576,7 +491,7 @@ void HyperLoopGroup::issue(Prim p, const Args& args, Done done,
     }
   }
   stage_meta_send(p, seq, blob_len);
-  nic.ring_doorbell(cc.qp_down);
+  client_nic_.ring_doorbell(cc.qp_down);
 }
 
 void HyperLoopGroup::gwritev(const ExtentVec& extents, bool flush,
@@ -597,14 +512,6 @@ void HyperLoopGroup::gwritev(const ExtentVec& extents, bool flush,
 void HyperLoopGroup::gflush(Done done) {
   ++counters_.gflushes;
   BackendGroup::gflush(std::move(done));
-}
-
-uint64_t HyperLoopGroup::total_rnr_stalls() const {
-  uint64_t n = 0;
-  for (const Replica& r : replicas_) {
-    n += r.server->nic(cfg_.nic_index).counters().rnr_stalls;
-  }
-  return n;
 }
 
 }  // namespace hyperloop::core

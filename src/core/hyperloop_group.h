@@ -89,7 +89,6 @@ class HyperLoopGroup final : public BackendGroup {
     uint64_t gmemcpys = 0;
     uint64_t gcas = 0;
     uint64_t gflushes = 0;
-    uint64_t bytes_replicated = 0;
   };
 
   HyperLoopGroup(Server& client, std::vector<Server*> replicas, Config cfg);
@@ -97,13 +96,8 @@ class HyperLoopGroup final : public BackendGroup {
 
   void gwritev(const ExtentVec& extents, bool flush, Done done) override;
   void gflush(Done done) override;
-  void stop() override;
 
   const OpCounters& counters() const { return counters_; }
-
-  /// Total receiver-not-ready stalls across all replica QPs — should stay
-  /// 0 when refill keeps up (asserted by tests, reported by benches).
-  uint64_t total_rnr_stalls() const;
 
  private:
   // A GroupOp's kind names its ring; gWRITEV batches have their own.
@@ -150,7 +144,6 @@ class HyperLoopGroup final : public BackendGroup {
   struct ClientChain {
     rdma::QueuePair* qp_down = nullptr;
     rdma::QueuePair* qp_up = nullptr;
-    rdma::CompletionQueue* cq_down = nullptr;
     rdma::CompletionQueue* cq_up = nullptr;
     rdma::Addr staging_base = 0;  ///< metadata build ring
     uint32_t staging_slot = 0;
@@ -194,6 +187,14 @@ class HyperLoopGroup final : public BackendGroup {
   uint32_t do_refill(size_t replica);
   void start_refill(size_t replica);
 
+  /// Op `seq`'s slot of primitive `p`'s client metadata ring, and of its
+  /// ack / result-map landing ring.
+  rdma::Addr client_slot(Prim p, uint64_t seq) const;
+  rdma::Addr ack_slot(Prim p, uint64_t seq) const;
+  /// The descriptor that ends replica i's part of op `seq`: the SEND that
+  /// triggers hop i + 1, or the last hop's WRITE_WITH_IMM ACK.
+  rdma::WqeDescriptor hop_trigger(Prim p, size_t i, uint64_t seq) const;
+
   // Stage the patch descriptors for op `seq` directly into the client's
   // metadata staging ring slot (no temporary buffer); return blob bytes.
   uint32_t stage_write_blob(Prim p, uint64_t seq, const ExtentVec& extents,
@@ -202,6 +203,7 @@ class HyperLoopGroup final : public BackendGroup {
   uint32_t stage_gcas_blob(uint64_t seq, const GroupOp& op);
 
   void submit(const GroupOp& op, Done done, CasDone cas_done) override;
+  uint64_t abort_pending() override;
   /// Hands the op to primitive `p`'s window, which issues or parks it.
   void submit_to(Prim p, const Args& args, Done done, CasDone cas_done);
   void issue(Prim p, const Args& args, Done done, CasDone cas_done);
@@ -214,8 +216,6 @@ class HyperLoopGroup final : public BackendGroup {
   /// issue() stages all of an op's WQEs and doorbells once.
   void stage_meta_send(Prim p, uint64_t seq, uint32_t blob_len);
   void on_ack_cqe(Prim p);
-
-  rdma::WqeDescriptor nop_desc() const;
 
   std::vector<ReplicaRings> rings_;
   Config cfg_;

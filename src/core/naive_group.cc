@@ -36,16 +36,15 @@ NaiveRdmaGroup::NaiveRdmaGroup(Server& client, std::vector<Server*> replicas,
       client_.mem().alloc(sizeof(ForwardedCmd) * cfg_.max_inflight * 2, 64);
   client_ack_ring_ =
       client_.mem().alloc(sizeof(ForwardedCmd) * cfg_.max_inflight * 2, 64);
-  const auto ack_mr = client_.nic().register_mr(
+  const auto ack_mr = client_nic_.register_mr(
       client_ack_ring_, sizeof(ForwardedCmd) * cfg_.max_inflight * 2,
       rdma::kLocalWrite);
   client_ack_lkey_ = ack_mr.lkey;
 
-  cq_down_ = client_.nic().create_cq();
-  cq_up_ = client_.nic().create_cq();
-  qp_down_ =
-      client_.nic().create_qp(cq_down_, nullptr, cfg_.max_inflight * 4 + 16);
-  qp_up_ = client_.nic().create_qp(nullptr, cq_up_, 16);
+  rdma::CompletionQueue* cq_down = make_cq(client_nic_);
+  cq_up_ = make_cq(client_nic_);
+  qp_down_ = make_qp(client_nic_, cq_down, nullptr, cfg_.max_inflight * 4 + 16);
+  qp_up_ = make_qp(client_nic_, nullptr, cq_up_, 16);
 
   for (size_t i = 0; i < replicas_.size(); ++i) setup_replica(i);
   wire_chain();
@@ -56,7 +55,7 @@ NaiveRdmaGroup::NaiveRdmaGroup(Server& client, std::vector<Server*> replicas,
     r.wr_id = s;
     r.sges.push_back(Sge{client_ack_ring_ + uint64_t{s} * sizeof(ForwardedCmd),
                          sizeof(ForwardedCmd), client_ack_lkey_});
-    client_.nic().post_recv(qp_up_, std::move(r));
+    client_nic_.post_recv(qp_up_, std::move(r));
   }
   cq_up_->set_notify([this] { on_client_ack(); });
   cq_up_->arm_notify();
@@ -64,37 +63,12 @@ NaiveRdmaGroup::NaiveRdmaGroup(Server& client, std::vector<Server*> replicas,
 
 NaiveRdmaGroup::~NaiveRdmaGroup() { stop(); }
 
-void NaiveRdmaGroup::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-
-  // Drop (never invoke) pending completion callbacks and queued commands.
-  aborted_ops_ += window_.abort_all();
-
-  // Release NIC resources; QPs before the CQs they reference.
-  for (size_t i = 0; i < hops_.size(); ++i) {
-    rdma::Nic& nic = replicas_[i].server->nic();
-    Hop& h = hops_[i];
-    if (h.qp_prev) nic.destroy_qp(h.qp_prev);
-    if (h.qp_next) nic.destroy_qp(h.qp_next);
-    if (h.cq_recv) nic.destroy_cq(h.cq_recv);
-    if (h.cq_send) nic.destroy_cq(h.cq_send);
-    h.qp_prev = h.qp_next = nullptr;
-    h.cq_recv = h.cq_send = nullptr;
-  }
-  rdma::Nic& nic = client_.nic();
-  if (qp_down_) nic.destroy_qp(qp_down_);
-  if (qp_up_) nic.destroy_qp(qp_up_);
-  if (cq_down_) nic.destroy_cq(cq_down_);
-  if (cq_up_) nic.destroy_cq(cq_up_);
-  qp_down_ = qp_up_ = nullptr;
-  cq_down_ = cq_up_ = nullptr;
-}
+uint64_t NaiveRdmaGroup::abort_pending() { return window_.abort_all(); }
 
 void NaiveRdmaGroup::setup_replica(size_t i) {
   Replica& r = replicas_[i];
   Hop& h = hops_[i];
-  rdma::Nic& nic = r.server->nic();
+  rdma::Nic& nic = *r.nic;
   rdma::HostMemory& mem = r.server->mem();
 
   h.cmd_ring = mem.alloc(sizeof(ForwardedCmd) * cfg_.recv_slots, 64);
@@ -102,10 +76,10 @@ void NaiveRdmaGroup::setup_replica(size_t i) {
       h.cmd_ring, sizeof(ForwardedCmd) * cfg_.recv_slots, rdma::kLocalWrite);
   h.cmd_lkey = cmd_mr.lkey;
 
-  h.cq_recv = nic.create_cq();
-  h.cq_send = nic.create_cq();
-  h.qp_prev = nic.create_qp(nullptr, h.cq_recv, 16);
-  h.qp_next = nic.create_qp(h.cq_send, nullptr, cfg_.recv_slots * 2 + 16);
+  h.cq_recv = make_cq(nic);
+  rdma::CompletionQueue* cq_send = make_cq(nic);
+  h.qp_prev = make_qp(nic, nullptr, h.cq_recv, 16);
+  h.qp_next = make_qp(nic, cq_send, nullptr, cfg_.recv_slots * 2 + 16);
 
   for (uint32_t s = 0; s < cfg_.recv_slots; ++s) post_recv_slot(i, s);
 
@@ -146,20 +120,11 @@ void NaiveRdmaGroup::shared_poll_loop(size_t i) {
 }
 
 void NaiveRdmaGroup::wire_chain() {
-  auto nic = [this](size_t i) -> rdma::Nic& {
-    return replicas_[i].server->nic();
-  };
-  const size_t last = hops_.size() - 1;
-  client_.nic().connect(qp_down_, nic(0).id(), hops_[0].qp_prev->qpn);
-  nic(0).connect(hops_[0].qp_prev, client_.nic().id(), qp_down_->qpn);
-  for (size_t i = 0; i < last; ++i) {
-    nic(i).connect(hops_[i].qp_next, nic(i + 1).id(),
-                   hops_[i + 1].qp_prev->qpn);
-    nic(i + 1).connect(hops_[i + 1].qp_prev, nic(i).id(),
-                       hops_[i].qp_next->qpn);
+  rdma::connect(qp_down_, hops_.front().qp_prev);
+  for (size_t i = 0; i + 1 < hops_.size(); ++i) {
+    rdma::connect(hops_[i].qp_next, hops_[i + 1].qp_prev);
   }
-  nic(last).connect(hops_[last].qp_next, client_.nic().id(), qp_up_->qpn);
-  client_.nic().connect(qp_up_, nic(last).id(), hops_[last].qp_next->qpn);
+  rdma::connect(hops_.back().qp_next, qp_up_);
 }
 
 void NaiveRdmaGroup::post_recv_slot(size_t i, uint64_t slot) {
@@ -168,7 +133,7 @@ void NaiveRdmaGroup::post_recv_slot(size_t i, uint64_t slot) {
   recv.wr_id = slot;
   recv.sges.push_back(Sge{h.cmd_ring + slot * sizeof(ForwardedCmd),
                           sizeof(ForwardedCmd), h.cmd_lkey});
-  replicas_[i].server->nic().post_recv(h.qp_prev, std::move(recv));
+  replicas_[i].nic->post_recv(h.qp_prev, std::move(recv));
 }
 
 // ----------------------------------------------------------- replica path --
@@ -258,11 +223,11 @@ void NaiveRdmaGroup::execute_and_forward(size_t i, ForwardedCmd cmd) {
                                   static_cast<uint32_t>(cmd.len));
       // Forwarding bytes the upstream hop already landed here: borrow.
       data.d.flags |= rdma::kWqeFlagZeroCopy;
-      r.server->nic().post_send(h.qp_next, data);
+      r.nic->post_send(h.qp_next, data);
     }
   }
   // Down the chain, or from the tail back to the client as the ACK.
-  r.server->nic().post_send(
+  r.nic->post_send(
       h.qp_next, rdma::make_send(slot_addr, 0, sizeof(ForwardedCmd)));
 }
 
@@ -281,7 +246,7 @@ void NaiveRdmaGroup::on_client_ack() {
     r.wr_id = slot;
     r.sges.push_back(Sge{client_ack_ring_ + slot * sizeof(ForwardedCmd),
                          sizeof(ForwardedCmd), client_ack_lkey_});
-    client_.nic().post_recv(qp_up_, std::move(r));
+    client_nic_.post_recv(qp_up_, std::move(r));
 
     window_.complete(
         *ps, [&] { return CasResult(cmd.result, replicas_.size()); },
@@ -305,13 +270,13 @@ void NaiveRdmaGroup::issue(const GroupOp& op, Done done, CasDone cas_done) {
 
   if (op.kind == GroupOp::Kind::kWrite && op.len > 0) {
     const Replica& r0 = replicas_.front();
-    client_.nic().post_send(
+    client_nic_.post_send(
         qp_down_, rdma::make_write(client_region_ + op.offset, 0,
                                    r0.data_base + op.offset, r0.data_mr.rkey,
                                    op.len));
   }
-  client_.nic().post_send(qp_down_,
-                          rdma::make_send(cmd_addr, 0, sizeof(ForwardedCmd)));
+  client_nic_.post_send(qp_down_,
+                        rdma::make_send(cmd_addr, 0, sizeof(ForwardedCmd)));
 }
 
 }  // namespace hyperloop::core

@@ -47,15 +47,12 @@ class NaiveRdmaGroup final : public BackendGroup {
   NaiveRdmaGroup(Server& client, std::vector<Server*> replicas, Config cfg);
   ~NaiveRdmaGroup() override;
 
-  void stop() override;
-
  private:
   // One replica's forwarding state: its QPs and command receive ring.
   struct Hop {
     rdma::QueuePair* qp_prev = nullptr;
     rdma::QueuePair* qp_next = nullptr;
     rdma::CompletionQueue* cq_recv = nullptr;
-    rdma::CompletionQueue* cq_send = nullptr;
     rdma::Addr cmd_ring = 0;  ///< RECV landing buffers
     uint32_t cmd_lkey = 0;
   };
@@ -70,6 +67,7 @@ class NaiveRdmaGroup final : public BackendGroup {
   void post_recv_slot(size_t i, uint64_t slot);
   void on_client_ack();
   void submit(const GroupOp& op, Done done, CasDone cas_done) override;
+  uint64_t abort_pending() override;
   void issue(const GroupOp& op, Done done, CasDone cas_done);
   auto issuer() {
     return [this](const GroupOp& op, Done done, CasDone cas_done) {
@@ -82,7 +80,6 @@ class NaiveRdmaGroup final : public BackendGroup {
 
   rdma::QueuePair* qp_down_ = nullptr;
   rdma::QueuePair* qp_up_ = nullptr;
-  rdma::CompletionQueue* cq_down_ = nullptr;
   rdma::CompletionQueue* cq_up_ = nullptr;
   rdma::Addr client_cmd_ring_ = 0;  ///< outbound command staging
   rdma::Addr client_ack_ring_ = 0;  ///< inbound ACK landing

@@ -20,10 +20,8 @@ RemoteReader::RemoteReader(Server& client, std::vector<Target> targets,
     ep.cq = nic.create_cq();
     ep.qp = nic.create_qp(ep.cq, nullptr, opts_.slots * 2 + 8);
     // Stub endpoint on the replica; one-sided READs only need routing.
-    rdma::Nic& rnic = t.server->nic(opts_.nic_index);
-    ep.stub = rnic.create_qp(nullptr, nullptr, 8);
-    nic.connect(ep.qp, rnic.id(), ep.stub->qpn);
-    rnic.connect(ep.stub, nic.id(), ep.qp->qpn);
+    ep.stub = t.server->nic(opts_.nic_index).create_qp(nullptr, nullptr, 8);
+    rdma::connect(ep.qp, ep.stub);
     ep.bounce_base =
         client_.mem().alloc(uint64_t{opts_.slots} * opts_.slot_size, 64);
     for (uint32_t s = 0; s < opts_.slots; ++s) ep.free_slots.push_back(s);

@@ -28,7 +28,6 @@ struct ServerConfig {
   size_t mem_capacity = 256u << 20;  ///< host DRAM arena
   size_t nvm_size = 64u << 20;       ///< battery-backed region within it
   rdma::Nic::Config nic{};
-  TcpStack::Config tcp{};
   /// Simulated NICs on this machine (sharded deployments place each
   /// shard's QPs on a distinct NIC). NIC 0 carries the TCP stack.
   uint32_t num_nics = 1;

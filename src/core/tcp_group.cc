@@ -47,10 +47,7 @@ TcpReplicationGroup::TcpReplicationGroup(Server& client,
 
 TcpReplicationGroup::~TcpReplicationGroup() { stop(); }
 
-void TcpReplicationGroup::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  aborted_ops_ += window_.abort_all();
+uint64_t TcpReplicationGroup::abort_pending() {
   const auto drop_held = [](InOrder& o) {
     for (std::vector<uint8_t>& m : o.held) {
       if (!m.empty()) BufPool::release(std::exchange(m, {}));
@@ -58,8 +55,7 @@ void TcpReplicationGroup::stop() {
   };
   drop_held(ack_order_);
   for (InOrder& o : replica_order_) drop_held(o);
-  // No QPs/CQs to tear down: this baseline rides the kernel TCP stack.
-  // Listeners stay registered but every handler early-outs on stopped_.
+  return window_.abort_all();
 }
 
 void TcpReplicationGroup::on_replica_message(size_t i,
@@ -139,15 +135,14 @@ void TcpReplicationGroup::apply_and_forward(size_t i,
 void TcpReplicationGroup::forward(size_t i, std::vector<uint8_t> msg) {
   const Replica& r = replicas_[i];
   if (i + 1 < replicas_.size()) {
-    r.server->tcp().send(r.pid, replicas_[i + 1].server->nic().id(),
-                         cfg_.port, std::move(msg));
+    r.server->tcp().send(r.pid, replicas_[i + 1].nic->id(), cfg_.port,
+                         std::move(msg));
   } else {
     // Tail ACKs the client; no need to carry the data back.
     std::vector<uint8_t> ack = BufPool::acquire(sizeof(ForwardedCmd));
     std::memcpy(ack.data(), msg.data(), sizeof(ForwardedCmd));
     BufPool::release(std::move(msg));
-    r.server->tcp().send(r.pid, client_.nic().id(), cfg_.port,
-                         std::move(ack));
+    r.server->tcp().send(r.pid, client_nic_.id(), cfg_.port, std::move(ack));
   }
 }
 
@@ -188,8 +183,8 @@ void TcpReplicationGroup::issue(const GroupOp& op, Done done,
     client_.mem().read(client_region_ + op.offset, msg.data() + sizeof(cmd),
                        payload);
   }
-  client_.tcp().send(client_pid_, replicas_.front().server->nic().id(),
-                     cfg_.port, std::move(msg));
+  client_.tcp().send(client_pid_, replicas_.front().nic->id(), cfg_.port,
+                     std::move(msg));
 }
 
 }  // namespace hyperloop::core

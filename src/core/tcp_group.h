@@ -40,8 +40,6 @@ class TcpReplicationGroup final : public BackendGroup {
                       Config cfg);
   ~TcpReplicationGroup() override;
 
-  void stop() override;
-
  private:
   /// Messages of one receiver, handled in seq order. A message that
   /// arrives ahead of `next` is held in slot seq & order_mask_ (sized
@@ -60,6 +58,9 @@ class TcpReplicationGroup final : public BackendGroup {
   void forward(size_t i, std::vector<uint8_t> msg);
   void on_client_ack(std::vector<uint8_t> msg);
   void submit(const GroupOp& op, Done done, CasDone cas_done) override;
+  /// The credit window, and the messages held for their turn. Listeners
+  /// stay registered; every handler early-outs on stopped_.
+  uint64_t abort_pending() override;
   void issue(const GroupOp& op, Done done, CasDone cas_done);
   auto issuer() {
     return [this](const GroupOp& op, Done done, CasDone cas_done) {

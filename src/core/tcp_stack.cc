@@ -14,11 +14,18 @@ struct DgramHeader {
   uint16_t src_port;
 };
 
+/// CPU to send one message: syscall + copy + protocol.
+constexpr sim::Duration kSendCpuBase = sim::usec(4);
+constexpr double kSendCpuNsPerByte = 0.25;
+/// CPU to deliver one message: interrupt + protocol + copy + wakeup.
+constexpr sim::Duration kRecvCpuBase = sim::usec(6);
+constexpr double kRecvCpuNsPerByte = 0.25;
+
 }  // namespace
 
 TcpStack::TcpStack(sim::EventLoop& loop, rdma::Network& net,
-                   rdma::NicId nic_id, sim::CpuScheduler& sched, Config cfg)
-    : loop_(loop), net_(net), nic_id_(nic_id), sched_(sched), cfg_(cfg) {
+                   rdma::NicId nic_id, sim::CpuScheduler& sched)
+    : loop_(loop), net_(net), nic_id_(nic_id), sched_(sched) {
   net_.set_datagram_handler(
       nic_id_, [this](rdma::NicId src, std::vector<uint8_t> bytes) {
         on_datagram(src, std::move(bytes));
@@ -32,8 +39,8 @@ void TcpStack::listen(uint16_t port, sim::ProcessId proc, Handler handler) {
 void TcpStack::send(sim::ProcessId sender_proc, rdma::NicId dst,
                     uint16_t port, std::vector<uint8_t> data) {
   const auto cpu =
-      cfg_.send_cpu_base +
-      static_cast<sim::Duration>(cfg_.send_cpu_ns_per_byte *
+      kSendCpuBase +
+      static_cast<sim::Duration>(kSendCpuNsPerByte *
                                  static_cast<double>(data.size()));
   // The sender's process must get a core to push the message through the
   // socket layer; only then do bytes reach the wire.
@@ -54,8 +61,8 @@ void TcpStack::send_many(sim::ProcessId sender_proc,
   if (msgs.empty()) return;
   sim::Duration cpu = 0;
   for (const Dgram& m : msgs) {
-    cpu += cfg_.send_cpu_base +
-           static_cast<sim::Duration>(cfg_.send_cpu_ns_per_byte *
+    cpu += kSendCpuBase +
+           static_cast<sim::Duration>(kSendCpuNsPerByte *
                                       static_cast<double>(m.data.size()));
   }
   // Same total CPU as per-message send() — the coalescing saves scheduler
@@ -88,8 +95,8 @@ void TcpStack::on_datagram(rdma::NicId src, std::vector<uint8_t> bytes) {
   // payload copy, no allocation.
   bytes.erase(bytes.begin(), bytes.begin() + sizeof(h));
   const auto cpu =
-      cfg_.recv_cpu_base +
-      static_cast<sim::Duration>(cfg_.recv_cpu_ns_per_byte *
+      kRecvCpuBase +
+      static_cast<sim::Duration>(kRecvCpuNsPerByte *
                                  static_cast<double>(bytes.size()));
   ++received_;
   // Receive path: the listener's process is woken and charged before the

@@ -20,15 +20,6 @@ namespace hyperloop::core {
 
 class TcpStack {
  public:
-  struct Config {
-    /// CPU to send one message: syscall + copy + protocol.
-    sim::Duration send_cpu_base = sim::usec(4);
-    double send_cpu_ns_per_byte = 0.25;
-    /// CPU to deliver one message: interrupt + protocol + copy + wakeup.
-    sim::Duration recv_cpu_base = sim::usec(6);
-    double recv_cpu_ns_per_byte = 0.25;
-  };
-
   /// Handler receives (source NIC, source port, message bytes). Message
   /// buffers come from BufPool; a handler that consumes one should
   /// BufPool::release it (or pass it onward) so steady-state traffic
@@ -37,10 +28,7 @@ class TcpStack {
       std::function<void(rdma::NicId, uint16_t, std::vector<uint8_t>)>;
 
   TcpStack(sim::EventLoop& loop, rdma::Network& net, rdma::NicId nic_id,
-           sim::CpuScheduler& sched, Config cfg);
-  TcpStack(sim::EventLoop& loop, rdma::Network& net, rdma::NicId nic_id,
-           sim::CpuScheduler& sched)
-      : TcpStack(loop, net, nic_id, sched, Config()) {}
+           sim::CpuScheduler& sched);
 
   /// Binds `port` to `handler`, whose CPU time is charged to `proc`.
   void listen(uint16_t port, sim::ProcessId proc, Handler handler);
@@ -79,7 +67,6 @@ class TcpStack {
   rdma::Network& net_;
   rdma::NicId nic_id_;
   sim::CpuScheduler& sched_;
-  Config cfg_;
   std::unordered_map<uint16_t, Listener> listeners_;
   uint64_t sent_ = 0;
   uint64_t received_ = 0;

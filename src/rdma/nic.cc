@@ -61,6 +61,11 @@ void Nic::connect(QueuePair* qp, NicId remote_nic, uint32_t remote_qpn) {
   qp->remote_qpn = remote_qpn;
 }
 
+void connect(QueuePair* a, QueuePair* b) {
+  a->nic->connect(a, b->nic->id(), b->qpn);
+  b->nic->connect(b, a->nic->id(), a->qpn);
+}
+
 void Nic::destroy_qp(QueuePair* q) {
   assert(q != nullptr);
   // A QP may go with WQEs mid-execution: every scheduled engine event
@@ -180,7 +185,7 @@ sim::Duration Nic::qp_context_touch(uint32_t qpn) {
   if (q == nullptr) {
     // Stale packet for a destroyed QP: charge the fetch, pin nothing.
     ++counters_.qp_cache_misses;
-    return cfg_.qp_cache_miss_cost;
+    return kQpCacheMissCost;
   }
   if (q->ctx_cache_slot >= 0) {
     qp_cache_slots_[static_cast<size_t>(q->ctx_cache_slot)].ref = 1;
@@ -193,7 +198,7 @@ sim::Duration Nic::qp_context_touch(uint32_t qpn) {
   if (qp_cache_slots_.size() < cfg_.qp_cache_entries) {
     q->ctx_cache_slot = static_cast<int32_t>(qp_cache_slots_.size());
     qp_cache_slots_.push_back(QpCacheSlot{qpn, 1, true});
-    return cfg_.qp_cache_miss_cost;
+    return kQpCacheMissCost;
   }
   for (;;) {
     QpCacheSlot& s = qp_cache_slots_[qp_clock_hand_];
@@ -209,7 +214,7 @@ sim::Duration Nic::qp_context_touch(uint32_t qpn) {
     }
     s = QpCacheSlot{qpn, 1, true};
     q->ctx_cache_slot = static_cast<int32_t>(hand);
-    return cfg_.qp_cache_miss_cost;
+    return kQpCacheMissCost;
   }
 }
 

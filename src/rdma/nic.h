@@ -66,12 +66,11 @@ class Nic {
     /// On-NIC connection-context cache (§7: "the scalability of RDMA NICs
     /// decreases with the number of active write-QPs"). Touching a QP
     /// whose context is not resident fetches it from host memory, costing
-    /// `qp_cache_miss_cost`. Residency is tracked by a clock (second-
+    /// kQpCacheMissCost. Residency is tracked by a clock (second-
     /// chance) replacement over `qp_cache_entries` slots with O(1)
     /// lookups via a per-QP backpointer — behaviorally LRU-like without
     /// the per-touch list walk. 0 disables the model (infinite cache).
     uint32_t qp_cache_entries = 0;
-    sim::Duration qp_cache_miss_cost = sim::nsec(400);
   };
 
   struct Counters {
@@ -264,5 +263,9 @@ class Nic {
   std::vector<QpCacheSlot> qp_cache_slots_;  ///< grows up to qp_cache_entries
   uint32_t qp_clock_hand_ = 0;
 };
+
+/// Connects `a` and `b` to each other, the two ends of one reliable
+/// connection, each through the NIC that created it.
+void connect(QueuePair* a, QueuePair* b);
 
 }  // namespace hyperloop::rdma

@@ -17,6 +17,9 @@ inline constexpr sim::Duration kRxBaseCost = sim::nsec(150);
 inline constexpr sim::Duration kCasCost = sim::nsec(250);
 /// Cost to consume a satisfied WAIT.
 inline constexpr sim::Duration kWaitCost = sim::nsec(50);
+/// Connection-context fetch from host memory when a QP's context is not
+/// resident in the NIC's cache (Nic::Config::qp_cache_entries).
+inline constexpr sim::Duration kQpCacheMissCost = sim::nsec(400);
 
 /// Host DMA cost of `bytes` (gathers, scatters, local copies): 0.05 ns
 /// per byte.

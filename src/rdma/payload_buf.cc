@@ -156,18 +156,4 @@ size_t PayloadBuf::pool_free_blocks() { return pool().free_blocks; }
 uint64_t PayloadBuf::bytes_copied() { return pool().bytes_copied; }
 void PayloadBuf::add_bytes_copied(uint64_t n) { pool().bytes_copied += n; }
 
-void PayloadBuf::pool_trim() {
-  Pool& p = pool();
-  for (int c = 0; c < kNumClasses; ++c) {
-    Block* b = static_cast<Block*>(p.free_heads[c]);
-    while (b != nullptr) {
-      Block* next = b->next_free;
-      ::operator delete(b);
-      b = next;
-      --p.free_blocks;
-    }
-    p.free_heads[c] = nullptr;
-  }
-}
-
 }  // namespace hyperloop::rdma

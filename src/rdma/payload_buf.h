@@ -112,8 +112,6 @@ class PayloadBuf {
   static uint64_t pool_hits();
   /// Blocks currently parked on free lists.
   static size_t pool_free_blocks();
-  /// Frees all pooled blocks (test isolation).
-  static void pool_trim();
 
   // --- copy discipline (perf gates / tests) ---
   /// Global count of payload bytes memcpy'd between HostMemory and a

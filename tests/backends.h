@@ -69,25 +69,30 @@ inline constexpr Backend kSingleChainBackends[] = {
     Backend::kNaiveSharedPolling, Backend::kFanout,     Backend::kTcp,
 };
 
-/// A 3-replica HyperLoop chain over `region_size` bytes whose credit
-/// window admits `max_inflight` ops, its QPs on NIC `nic`.
+/// A HyperLoop chain over replicas 0..replicas-1 and `region_size` bytes
+/// whose credit window admits `max_inflight` ops, its QPs on NIC `nic`.
 inline std::unique_ptr<HyperLoopGroup> make_hyperloop(Cluster& cluster,
                                                       uint64_t region_size,
                                                       uint32_t max_inflight,
-                                                      uint32_t nic = 0) {
-  return make_chain(cluster, {.region_size = region_size,
-                              .ring_slots = 4 * max_inflight,
-                              .max_inflight = max_inflight,
-                              .nic_index = nic});
+                                                      uint32_t nic = 0,
+                                                      size_t replicas = 3) {
+  return std::make_unique<HyperLoopGroup>(
+      cluster.server(3), chain_replicas(cluster, replicas),
+      HyperLoopGroup::Config{.region_size = region_size,
+                             .ring_slots = 4 * max_inflight,
+                             .max_inflight = max_inflight,
+                             .nic_index = nic});
 }
 
-/// A 3-replica group of single-chain backend `b` (any but kSharded) over
-/// `region_size` bytes whose credit window admits `max_inflight` ops.
+/// A group of single-chain backend `b` (any but kSharded) over replicas
+/// 0..replicas-1 and `region_size` bytes whose credit window admits
+/// `max_inflight` ops. The client is server 3 whatever the group size.
 inline std::unique_ptr<BackendGroup> make_backend(Backend b, Cluster& cluster,
                                                   uint64_t region_size,
-                                                  uint32_t max_inflight) {
+                                                  uint32_t max_inflight,
+                                                  size_t replicas = 3) {
   Server& client = cluster.server(3);
-  const std::vector<Server*> reps = chain_replicas(cluster);
+  const std::vector<Server*> reps = chain_replicas(cluster, replicas);
   auto naive = [&](NaiveRdmaGroup::Mode mode) {
     NaiveRdmaGroup::Config gc;
     gc.region_size = region_size;
@@ -97,7 +102,7 @@ inline std::unique_ptr<BackendGroup> make_backend(Backend b, Cluster& cluster,
   };
   switch (b) {
     case Backend::kHyperLoop:
-      return make_hyperloop(cluster, region_size, max_inflight);
+      return make_hyperloop(cluster, region_size, max_inflight, 0, replicas);
     case Backend::kNaiveEvent:
       return naive(NaiveRdmaGroup::Mode::kEvent);
     case Backend::kNaivePolling:

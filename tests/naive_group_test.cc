@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "core/server.h"
+#include "chain_setup.h"
 
 namespace hyperloop::core {
 namespace {
@@ -12,97 +10,18 @@ namespace {
 struct NaiveFixture : ::testing::Test {
   Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
 
-  std::unique_ptr<NaiveRdmaGroup> make_group(
-      NaiveRdmaGroup::Mode mode = NaiveRdmaGroup::Mode::kEvent,
-      size_t replicas = 3) {
+  std::unique_ptr<NaiveRdmaGroup> make_group(NaiveRdmaGroup::Mode mode) {
     NaiveRdmaGroup::Config cfg;
     cfg.region_size = 1 << 20;
     cfg.mode = mode;
-    std::vector<Server*> r;
-    for (size_t i = 0; i < replicas; ++i) r.push_back(&cluster.server(i));
-    return std::make_unique<NaiveRdmaGroup>(cluster.server(3), r, cfg);
+    return std::make_unique<NaiveRdmaGroup>(cluster.server(3),
+                                            chain_replicas(cluster), cfg);
   }
 
   void run(sim::Duration d = sim::msec(100)) {
     cluster.loop().run_until(cluster.loop().now() + d);
   }
 };
-
-TEST_F(NaiveFixture, GwriteReplicates) {
-  auto g = make_group();
-  const std::string data = "naive-write";
-  g->client_store(32, data.data(), data.size());
-  bool done = false;
-  g->gwrite(32, data.size(), false, [&] { done = true; });
-  run();
-  ASSERT_TRUE(done);
-  for (size_t i = 0; i < 3; ++i) {
-    std::string out(data.size(), '\0');
-    g->replica_load(i, 32, out.data(), out.size());
-    EXPECT_EQ(out, data);
-  }
-}
-
-TEST_F(NaiveFixture, GwriteFlushDurable) {
-  auto g = make_group();
-  const std::string data = "naive-durable";
-  g->client_store(0, data.data(), data.size());
-  bool done = false;
-  g->gwrite(0, data.size(), true, [&] { done = true; });
-  run();
-  ASSERT_TRUE(done);
-  for (size_t i = 0; i < 3; ++i) {
-    g->replica_server(i).nvm().crash();
-    std::string out(data.size(), '\0');
-    g->replica_load(i, 0, out.data(), out.size());
-    EXPECT_EQ(out, data);
-  }
-}
-
-TEST_F(NaiveFixture, GmemcpyExecutesOnCpu) {
-  auto g = make_group();
-  const std::string data = "copy-me";
-  g->client_store(0, data.data(), data.size());
-  bool done = false;
-  g->gwrite(0, data.size(), true, [&] {
-    g->gmemcpy(0, 2048, data.size(), true, [&] { done = true; });
-  });
-  run();
-  ASSERT_TRUE(done);
-  for (size_t i = 0; i < 3; ++i) {
-    std::string out(data.size(), '\0');
-    g->replica_load(i, 2048, out.data(), out.size());
-    EXPECT_EQ(out, data);
-  }
-}
-
-TEST_F(NaiveFixture, GcasWithExecuteMapAndResult) {
-  auto g = make_group();
-  std::vector<uint64_t> result;
-  g->gcas(128, 0, 11, ExecMap::one(0).set(2),
-          [&](const CasResult& r) { result.assign(r.begin(), r.end()); });
-  run();
-  ASSERT_EQ(result.size(), 3u);
-  uint64_t v = 0;
-  g->replica_load(0, 128, &v, 8);
-  EXPECT_EQ(v, 11u);
-  g->replica_load(1, 128, &v, 8);
-  EXPECT_EQ(v, 0u);
-  g->replica_load(2, 128, &v, 8);
-  EXPECT_EQ(v, 11u);
-}
-
-TEST_F(NaiveFixture, ReplicaCpuIsOnCriticalPath) {
-  auto g = make_group();
-  bool done = false;
-  g->gwrite(0, 128, false, [&] { done = true; });
-  run();
-  ASSERT_TRUE(done);
-  // Every replica's handler process consumed CPU for this single op.
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_GT(g->replica_cpu_time(i), 0) << "replica " << i;
-  }
-}
 
 TEST_F(NaiveFixture, PollingModeWorksAndPinsCores) {
   auto g = make_group(NaiveRdmaGroup::Mode::kPolling);
@@ -112,25 +31,6 @@ TEST_F(NaiveFixture, PollingModeWorksAndPinsCores) {
   ASSERT_TRUE(done);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(g->replica_server(i).sched().shared_cores(), 7);
-  }
-}
-
-TEST_F(NaiveFixture, PipelinedOpsComplete) {
-  auto g = make_group();
-  int done = 0;
-  const int n = 200;
-  for (int k = 0; k < n; ++k) {
-    const uint64_t off = static_cast<uint64_t>(k) * 32;
-    uint64_t v = static_cast<uint64_t>(k) * 3 + 1;
-    g->client_store(off, &v, 8);
-    g->gwrite(off, 8, false, [&] { ++done; });
-  }
-  run(sim::msec(500));
-  ASSERT_EQ(done, n);
-  for (int k = 0; k < n; k += 17) {
-    uint64_t v = 0;
-    g->replica_load(2, static_cast<uint64_t>(k) * 32, &v, 8);
-    EXPECT_EQ(v, static_cast<uint64_t>(k) * 3 + 1);
   }
 }
 
@@ -187,19 +87,6 @@ TEST_F(NaiveFixture, SharedPollingCompletesWithoutPinnedCores) {
     EXPECT_EQ(g->replica_server(i).sched().shared_cores(), 8);
     EXPECT_GT(g->replica_cpu_time(i), sim::msec(1));
   }
-}
-
-TEST_F(NaiveFixture, SingleReplicaChain) {
-  auto g = make_group(NaiveRdmaGroup::Mode::kEvent, 1);
-  bool done = false;
-  const uint64_t v = 5;
-  g->client_store(0, &v, 8);
-  g->gwrite(0, 8, true, [&] { done = true; });
-  run();
-  ASSERT_TRUE(done);
-  uint64_t out = 0;
-  g->replica_load(0, 0, &out, 8);
-  EXPECT_EQ(out, 5u);
 }
 
 }  // namespace

@@ -172,18 +172,19 @@ TEST(PayloadBuf, SharedBlockNotRecycledWhileOtherHandleLive) {
 }
 
 TEST(PayloadBuf, FullyReleasedBlockIsRecycledByThePool) {
-  PayloadBuf::pool_trim();  // empty free lists: the first acquire must miss
-  const uint64_t misses0 = PayloadBuf::pool_misses();
-  uint64_t hits_before;
+  const uint8_t* released = nullptr;
   {
     PayloadBuf a;
     a.resize_uninit(256);
-    hits_before = PayloadBuf::pool_hits();
+    released = a.data();
   }  // last reference gone -> block parks on the 256B free list
+  const uint64_t hits_before = PayloadBuf::pool_hits();
+  const uint64_t misses_before = PayloadBuf::pool_misses();
   PayloadBuf b;
   b.resize_uninit(200);  // same size class
-  EXPECT_EQ(PayloadBuf::pool_hits(), hits_before + 1);
-  EXPECT_EQ(PayloadBuf::pool_misses() - misses0, 1u);
+  EXPECT_EQ(PayloadBuf::pool_hits() - hits_before, 1u);
+  EXPECT_EQ(PayloadBuf::pool_misses(), misses_before);
+  EXPECT_EQ(b.data(), released) << "the released block is reused first";
 }
 
 TEST(Network, TransmitSharesPayloadWithSendersCopy) {

@@ -45,8 +45,7 @@ struct AllocFixture : ::testing::Test {
   MemoryRegion mr_a{}, mr_b{};
 
   void SetUp() override {
-    a.connect(qa, b.id(), qb->qpn);
-    b.connect(qb, a.id(), qa->qpn);
+    rdma::connect(qa, qb);
     buf_a = mem_a.alloc(8192);
     buf_b = mem_b.alloc(8192);
     mr_a = a.register_mr(buf_a, 8192, kRemoteRead | kRemoteWrite |
@@ -109,8 +108,7 @@ TEST(NicAllocLossy, RetransmitAndReplayPathsAllocateNothing) {
   CompletionQueue* cq_a = a.create_cq(1 << 12);
   QueuePair* qa = a.create_qp(cq_a, nullptr, 1024);
   QueuePair* qb = b.create_qp(nullptr, nullptr, 1024);
-  a.connect(qa, b.id(), qb->qpn);
-  b.connect(qb, a.id(), qa->qpn);
+  rdma::connect(qa, qb);
   const Addr buf_a = mem_a.alloc(8192);
   const Addr buf_b = mem_b.alloc(8192);
   MemoryRegion mr_b =
@@ -157,8 +155,7 @@ TEST(NicAllocDurability, GwriteGflushSteadyStateAllocatesNothing) {
   CompletionQueue* cq_a = a.create_cq(1 << 12);
   QueuePair* qa = a.create_qp(cq_a, nullptr, 1024);
   QueuePair* qb = b.create_qp(nullptr, nullptr, 1024);
-  a.connect(qa, b.id(), qb->qpn);
-  b.connect(qb, a.id(), qa->qpn);
+  rdma::connect(qa, qb);
   const Addr src = mem_a.alloc(8192);
   const Addr dst = nvm_b.alloc(8192);
   MemoryRegion mr =

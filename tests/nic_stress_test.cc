@@ -63,12 +63,10 @@ TEST_P(NicStressTest, RandomTrafficCompletesExactlyOnce) {
     }
   }
   for (int a = 0; a < kNodes; ++a) {
-    for (int b = 0; b < kNodes; ++b) {
-      if (a == b) continue;
+    for (int b = a + 1; b < kNodes; ++b) {
       for (int q = 0; q < kQpsPerPair; ++q) {
-        QueuePair* qa = qp_to[a][static_cast<size_t>(b * kQpsPerPair + q)];
-        QueuePair* qb = qp_to[b][static_cast<size_t>(a * kQpsPerPair + q)];
-        nodes[a].nic->connect(qa, nodes[b].nic->id(), qb->qpn);
+        rdma::connect(qp_to[a][static_cast<size_t>(b * kQpsPerPair + q)],
+                      qp_to[b][static_cast<size_t>(a * kQpsPerPair + q)]);
       }
     }
   }
@@ -158,8 +156,7 @@ TEST(NicChurnTest, TenThousandQpChurnWhileTrafficFlows) {
   CompletionQueue* cq_a = a.create_cq(1 << 14);
   QueuePair* qa = a.create_qp(cq_a, nullptr, 4096);
   QueuePair* qb = b.create_qp(nullptr, nullptr, 64);
-  a.connect(qa, b.id(), qb->qpn);
-  b.connect(qb, a.id(), qa->qpn);
+  rdma::connect(qa, qb);
   const Addr src = mem_a.alloc(64 << 10);
   const Addr dst = mem_b.alloc(64 << 10);
   MemoryRegion mr = b.register_mr(dst, 64 << 10, kRemoteWrite);
@@ -235,7 +232,7 @@ TEST(QpContextClockTest, ClockCacheSemantics) {
   for (auto& qp : q) qp = n.create_qp(nullptr, nullptr, 8);
 
   // Cold: first touch misses and installs; second touch hits.
-  EXPECT_EQ(n.qp_context_touch(q[0]->qpn), cfg.qp_cache_miss_cost);
+  EXPECT_EQ(n.qp_context_touch(q[0]->qpn), kQpCacheMissCost);
   EXPECT_EQ(n.qp_context_touch(q[0]->qpn), 0);
 
   // A working set equal to the cache stays fully resident.
@@ -249,7 +246,7 @@ TEST(QpContextClockTest, ClockCacheSemantics) {
   EXPECT_EQ(n.counters().qp_cache_misses, misses_warm);
 
   // A fifth context evicts someone (capacity is real).
-  EXPECT_EQ(n.qp_context_touch(q[4]->qpn), cfg.qp_cache_miss_cost);
+  EXPECT_EQ(n.qp_context_touch(q[4]->qpn), kQpCacheMissCost);
   uint64_t resident = 0;
   for (int i = 0; i < 5; ++i) {
     resident += n.qp_context_touch(q[i]->qpn) == 0 ? 1 : 0;
@@ -265,13 +262,13 @@ TEST(QpContextClockTest, ClockCacheSemantics) {
   for (int i = 0; i < 4; ++i) n2.qp_context_touch(p[i]->qpn);
   const uint32_t dead = p[3]->qpn;
   n2.destroy_qp(p[3]);
-  EXPECT_EQ(n2.qp_context_touch(p[4]->qpn), cfg.qp_cache_miss_cost);
+  EXPECT_EQ(n2.qp_context_touch(p[4]->qpn), kQpCacheMissCost);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(n2.qp_context_touch(p[i]->qpn), 0) << "evicted by a freed slot";
   }
   // Touching a destroyed QPN charges the fetch and pins nothing.
-  EXPECT_EQ(n2.qp_context_touch(dead), cfg.qp_cache_miss_cost);
-  EXPECT_EQ(n2.qp_context_touch(dead), cfg.qp_cache_miss_cost);
+  EXPECT_EQ(n2.qp_context_touch(dead), kQpCacheMissCost);
+  EXPECT_EQ(n2.qp_context_touch(dead), kQpCacheMissCost);
   EXPECT_EQ(n2.qp_context_touch(p[4]->qpn), 0);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(n2.qp_context_touch(p[i]->qpn), 0);
 }

@@ -26,8 +26,7 @@ struct TwoNodes : ::testing::Test {
   QueuePair* qb = b.create_qp(nullptr, cq_b_recv, 64);
 
   void connect() {
-    a.connect(qa, b.id(), qb->qpn);
-    b.connect(qb, a.id(), qa->qpn);
+    rdma::connect(qa, qb);
   }
 };
 

@@ -31,8 +31,7 @@ struct LossyPair : ::testing::Test {
   QueuePair* qb = b.create_qp(nullptr, cq_b, 4096);
 
   void connect() {
-    a.connect(qa, b.id(), qb->qpn);
-    b.connect(qb, a.id(), qa->qpn);
+    rdma::connect(qa, qb);
   }
 };
 

@@ -83,8 +83,7 @@ TEST_F(ReuseFixture, RecycledQpCarriesFreshTrafficWhileStaleRetriesBounce) {
             old_qpn & SlotTable<QueuePair>::kSlotMask);
   CompletionQueue* cq_a2 = a.create_cq();
   QueuePair* qa2 = a.create_qp(cq_a2, nullptr, 16);
-  a.connect(qa2, b.id(), fresh->qpn);
-  b.connect(fresh, a.id(), qa2->qpn);
+  rdma::connect(qa2, fresh);
 
   mem_a.write(128, "fresh!!", 8);
   a.post_send(qa2, make_write(128, 0, buf_b + 256, mr_b.rkey, 8, 2));
@@ -103,8 +102,7 @@ TEST_F(ReuseFixture, RecycledQpCarriesFreshTrafficWhileStaleRetriesBounce) {
 
 TEST_F(ReuseFixture, StaleRkeyForRecycledMrSlotIsRefused) {
   QueuePair* qb = b.create_qp(nullptr, nullptr, 16);
-  a.connect(qa, b.id(), qb->qpn);
-  b.connect(qb, a.id(), qa->qpn);
+  rdma::connect(qa, qb);
 
   const uint32_t stale_rkey = mr_b.rkey;
   a.post_send(qa, make_write(64, 0, buf_b, stale_rkey, 32, /*wr_id=*/9));

@@ -48,8 +48,7 @@ TEST_F(ThreeNodes, WaitBlocksUntilThreshold) {
   // Deliver a SEND from a -> b; its recv completion satisfies the WAIT.
   CompletionQueue* cq_a = a.create_cq();
   QueuePair* qa = a.create_qp(cq_a, nullptr, 16);
-  a.connect(qa, b.id(), qb->qpn);
-  b.connect(qb, a.id(), qa->qpn);
+  rdma::connect(qa, qb);
   b.post_recv(qb, RecvWqe{});
   const Addr msg = mem_a.alloc(8);
   a.post_send(qa, make_send(msg, 0, 4));
@@ -74,8 +73,7 @@ TEST_F(ThreeNodes, WaitThresholdCountsMultipleCompletions) {
 
   CompletionQueue* cq_a = a.create_cq();
   QueuePair* qa = a.create_qp(cq_a, nullptr, 16);
-  a.connect(qa, b.id(), qb->qpn);
-  b.connect(qb, a.id(), qa->qpn);
+  rdma::connect(qa, qb);
   const Addr msg = mem_a.alloc(8);
 
   for (int i = 0; i < 2; ++i) {
@@ -119,8 +117,7 @@ TEST_F(ThreeNodes, DeferredWqeStallsUntilGranted) {
   b.post_recv(qb, std::move(recv));
   CompletionQueue* cq_a = a.create_cq();
   QueuePair* qa = a.create_qp(cq_a, nullptr, 16);
-  a.connect(qa, b.id(), qb->qpn);
-  b.connect(qb, a.id(), qa->qpn);
+  rdma::connect(qa, qb);
 
   WqeDescriptor patch = copy.d;
   patch.active = 1;
@@ -155,10 +152,8 @@ TEST_F(ThreeNodes, RecvScatterPatchesAndTriggersForwarding) {
   CompletionQueue* a_cq = a.create_cq();
   QueuePair* qa = a.create_qp(a_cq, nullptr, 16);
 
-  a.connect(qa, b.id(), qb_prev->qpn);
-  b.connect(qb_prev, a.id(), qa->qpn);
-  b.connect(qb_next, c.id(), qc->qpn);
-  c.connect(qc, b.id(), qb_next->qpn);
+  rdma::connect(qa, qb_prev);
+  rdma::connect(qb_next, qc);
 
   // B pre-posts: WAIT then a deferred placeholder WRITE on qb_next, and a
   // RECV on qb_prev whose single SGE lands on the WRITE's descriptor.
@@ -201,10 +196,8 @@ TEST_F(ThreeNodes, PatchCanRewriteOpcodeToNop) {
   c.register_mr(c_data, 64, kRemoteWrite);
   CompletionQueue* a_cq = a.create_cq();
   QueuePair* qa = a.create_qp(a_cq, nullptr, 16);
-  a.connect(qa, b.id(), qb_prev->qpn);
-  b.connect(qb_prev, a.id(), qa->qpn);
-  b.connect(qb_next, c.id(), qc->qpn);
-  c.connect(qc, b.id(), qb_next->qpn);
+  rdma::connect(qa, qb_prev);
+  rdma::connect(qb_next, qc);
 
   b.post_send(qb_next, make_wait(b_recv_cq->id(), 1));
   const uint64_t wseq = b.post_send(qb_next, make_nop(), true);
@@ -242,8 +235,7 @@ TEST_F(ThreeNodes, ScatterIntoUnregisteredRingFails) {
 
   CompletionQueue* a_cq = a.create_cq();
   QueuePair* qa = a.create_qp(a_cq, nullptr, 16);
-  a.connect(qa, b.id(), qb_prev->qpn);
-  b.connect(qb_prev, a.id(), qa->qpn);
+  rdma::connect(qa, qb_prev);
 
   WqeDescriptor patch;
   patch.active = 1;
