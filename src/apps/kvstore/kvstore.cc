@@ -64,7 +64,7 @@ void KvStore::put(uint64_t key, std::vector<uint8_t> value, Done done) {
                     std::make_shared<Done>(std::move(done)));
           return;
         }
-        shards_[s].memtable.insert(key, value);
+        shards_[s].memtable.insert_or_assign(key, value);
         std::vector<core::ReplicatedWal::Entry> entries;
         entries.push_back({slots_.db_offset(key), slots_.encode(key, value)});
         auto done_sp = std::make_shared<Done>(std::move(done));
@@ -119,12 +119,12 @@ void KvStore::update(uint64_t key, std::vector<uint8_t> value, Done done) {
 void KvStore::read(uint64_t key, ReadDone done) {
   client_.sched().submit(client_pid_, cfg_.op_cpu,
                          [this, key, done = std::move(done)]() mutable {
-                           const auto* v =
-                               shards_[shard_of(key)].memtable.find(key);
-                           if (v == nullptr) {
+                           const auto& table = shards_[shard_of(key)].memtable;
+                           const auto it = table.find(key);
+                           if (it == table.end()) {
                              done(false, {});
                            } else {
-                             done(true, *v);
+                             done(true, it->second);
                            }
                          });
 }
@@ -149,15 +149,11 @@ void KvStore::scan(uint64_t key, int count, Done done) {
       });
       return;
     }
-    // Scans walk the owning shard's table: dense keys stripe round-robin,
-    // so one shard's iterator still yields `count` ascending keys.
-    auto it = shards_[shard_of(key)].memtable.seek(key);
-    int n = 0;
-    while (it.valid() && n < count) {
-      it.next();
-      ++n;
-    }
-    done(n > 0);
+    // Scans read the owning shard's table: dense keys stripe round-robin,
+    // so one shard holds `count` ascending keys from `key` on. The scan
+    // succeeds when it finds at least one.
+    const auto& table = shards_[shard_of(key)].memtable;
+    done(count > 0 && table.lower_bound(key) != table.end());
   });
 }
 
@@ -278,7 +274,8 @@ void KvStore::recover() {
     // 2) Rebuild the table from this shard's DB-area slots.
     slots_.for_each(s, load,
                     [&sh](uint64_t key, const uint8_t* v, uint32_t len) {
-                      sh.memtable.insert(key, std::vector<uint8_t>(v, v + len));
+                      sh.memtable.insert_or_assign(
+                          key, std::vector<uint8_t>(v, v + len));
                     });
     wal_.shard(s).reload_pointers();
   }
@@ -289,7 +286,7 @@ void KvStore::bulk_load(uint64_t n) {
   // each shard's DB span in large chunks, and seed the replica tables
   // with the client's DB image directly.
   slots_.bulk_load(group_, n, [this](uint64_t k, std::vector<uint8_t> v) {
-    shards_[shard_of(k)].memtable.insert(k, std::move(v));
+    shards_[shard_of(k)].memtable.insert_or_assign(k, std::move(v));
   });
   for (ReplicaState& r : replica_tables_) {
     for (uint32_t s = 0; s < cfg_.shards; ++s) {

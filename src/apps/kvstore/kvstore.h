@@ -20,7 +20,7 @@
 //
 // Sharded mode (Config::shards > 1, DESIGN.md "Sharded datapath"): the
 // keyspace is partitioned key % shards, each shard owning its own region
-// slice (skiplist memtable, WAL segment, checkpoint cycle). Under a
+// slice (memtable, WAL segment, checkpoint cycle). Under a
 // ShardedGroup whose range router spans one slice, every shard's write
 // path rides its own replication chain — and a paused shard (its chain
 // lost a replica) defers only its own keys' writes while the others keep
@@ -30,10 +30,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
-#include "apps/kvstore/skiplist.h"
 #include "apps/slot_table.h"
 #include "apps/storage_engine.h"
 #include "core/server.h"
@@ -115,7 +115,7 @@ class KvStore : public StorageEngine {
 
  private:
   struct Shard {
-    SkipList memtable;
+    std::map<uint64_t, std::vector<uint8_t>> memtable;
     bool checkpoint_running = false;
     bool paused = false;
   };

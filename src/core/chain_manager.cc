@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/buf_pool.h"
-
 namespace hyperloop::core {
 namespace {
 
@@ -17,13 +15,14 @@ struct HbMsg {
   uint32_t replica;
 };
 
-std::vector<uint8_t> encode(const HbMsg& m) {
-  std::vector<uint8_t> v(sizeof(m));
+rdma::PayloadBuf encode(const HbMsg& m) {
+  rdma::PayloadBuf v;
+  v.resize_uninit(sizeof(m));
   std::memcpy(v.data(), &m, sizeof(m));
   return v;
 }
 
-HbMsg decode(const std::vector<uint8_t>& v) {
+HbMsg decode(const rdma::PayloadBuf& v) {
   HbMsg m{};
   assert(v.size() >= sizeof(m));
   std::memcpy(&m, v.data(), sizeof(m));
@@ -48,9 +47,8 @@ ChainManager::ChainManager(Server& client, std::vector<ReplicaInfo> replicas,
   // Echo port on the client.
   client_.tcp().listen(
       cfg_.port_base, client_pid_,
-      [this](rdma::NicId, uint16_t, std::vector<uint8_t> bytes) {
+      [this](rdma::NicId, uint16_t, rdma::PayloadBuf bytes) {
         const HbMsg m = decode(bytes);
-        BufPool::release(std::move(bytes));
         if (m.replica < echoed_.size()) echoed_[m.replica] = true;
       });
 
@@ -60,17 +58,11 @@ ChainManager::ChainManager(Server& client, std::vector<ReplicaInfo> replicas,
         s->sched().create_process(s->name() + "-hb"));
     s->tcp().listen(
         cfg_.port_base, replica_pids_[i],
-        [this, i, s](rdma::NicId src, uint16_t, std::vector<uint8_t> bytes) {
-          if (!alive_[i]) {  // dead replicas do not echo
-            BufPool::release(std::move(bytes));
-            return;
-          }
+        [this, i, s](rdma::NicId src, uint16_t, rdma::PayloadBuf bytes) {
+          if (!alive_[i]) return;  // dead replicas do not echo
           s->sched().submit(replica_pids_[i], kHeartbeatCpu,
                             [this, i, s, src, b = std::move(bytes)]() mutable {
-                              if (!alive_[i]) {
-                                BufPool::release(std::move(b));
-                                return;
-                              }
+                              if (!alive_[i]) return;
                               s->tcp().send(replica_pids_[i], src,
                                             cfg_.port_base, std::move(b));
                             });

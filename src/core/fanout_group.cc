@@ -420,10 +420,12 @@ void FanoutGroup::on_ack_cqe() {
     if (!cqe.has_imm) continue;
     client_nic_.post_recv(client_nic_.qp(cqe.qpn), RecvWqe{});
     count_ack(cqe.imm);
+    if (stopped_) return;  // the callback stopped the group: the CQs are gone
   }
   while (cq_down_->poll(&cqe)) {
     if ((cqe.wr_id & kCasTag) != 0) {
       count_ack(static_cast<uint32_t>(cqe.wr_id & 0xffffffffu));
+      if (stopped_) return;
     }
   }
   cq_up_->arm_notify();

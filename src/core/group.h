@@ -115,25 +115,24 @@ static_assert(sizeof(Done) == kDoneCap + 2 * sizeof(void*),
 static_assert(sizeof(CasDone) == kCasDoneCap + 2 * sizeof(void*),
               "CasDone must stay a flat inline-capture SmallFn");
 
-/// One gWRITEV extent: a contiguous range of the replicated region.
+/// One extent: a contiguous range of the replicated region.
 struct Extent {
   uint64_t offset = 0;
   uint32_t len = 0;
 };
 
-/// Fixed-capacity inline extent list for gWRITEV. Lives by value in
-/// pending-op slots and credit-wait rings, so the batched submit path
-/// never touches the heap. The capacity is part of the offload contract:
-/// HyperLoopGroup pre-posts kCapacity WRITE WQEs per chain slot and
-/// patches unused ones to NOPs.
-struct ExtentVec {
-  static constexpr size_t kCapacity = 8;
+/// Fixed-capacity inline extent list. Lives by value in pending-op slots,
+/// credit-wait rings and scatter-join slots, so the batched submit and
+/// read paths never touch the heap.
+template <size_t N>
+struct ExtentList {
+  static constexpr size_t kCapacity = N;
 
   Extent entries[kCapacity];
   uint32_t count = 0;
 
-  ExtentVec() = default;
-  ExtentVec(std::initializer_list<Extent> il) {
+  ExtentList() = default;
+  ExtentList(std::initializer_list<Extent> il) {
     assert(il.size() <= kCapacity);
     for (const Extent& e : il) entries[count++] = e;
   }
@@ -152,7 +151,17 @@ struct ExtentVec {
   }
   const Extent* begin() const { return entries; }
   const Extent* end() const { return entries + count; }
+  uint32_t total_len() const {
+    uint32_t n = 0;
+    for (const Extent& e : *this) n += e.len;
+    return n;
+  }
 };
+
+/// gWRITEV's extent list. The capacity is part of the offload contract:
+/// HyperLoopGroup pre-posts kCapacity WRITE WQEs per chain slot and
+/// patches unused ones to NOPs.
+using ExtentVec = ExtentList<8>;
 
 /// gCAS execute map: one bit per chain position (bit i == replica i).
 /// Chains are <= 64 replicas everywhere in the paper and this repo, so a

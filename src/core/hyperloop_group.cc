@@ -422,6 +422,7 @@ void HyperLoopGroup::on_ack_cqe(Prim p) {
           return CasResult(cas_scratch_.data(), replicas_.size());
         },
         issuer(p));
+    if (stopped_) return;  // the callback stopped the group: cq_up is gone
   }
   cc.cq_up->arm_notify();
 }

@@ -251,6 +251,7 @@ void NaiveRdmaGroup::on_client_ack() {
     window_.complete(
         *ps, [&] { return CasResult(cmd.result, replicas_.size()); },
         issuer());
+    if (stopped_) return;  // the callback stopped the group: cq_up_ is gone
   }
   cq_up_->arm_notify();
 }

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/group.h"
 #include "core/server.h"
 #include "rdma/nic.h"
 #include "sim/ring.h"
@@ -70,41 +71,10 @@ using ReadDone = sim::SmallFn<void(ReadView), kReadDoneCap>;
 static_assert(sizeof(ReadDone) == kReadDoneCap + 2 * sizeof(void*),
               "ReadDone must stay a flat inline-capture SmallFn");
 
-/// One read extent: a contiguous range of the replicated region.
-struct ReadExtent {
-  uint64_t offset = 0;
-  uint32_t len = 0;
-};
-
-/// Fixed-capacity inline extent list for readv(). Lives by value in the
-/// park ring and scatter-join slots, so batched reads never touch the
-/// heap. Sized for one extent per shard at the largest sharded configs.
-struct ReadVec {
-  static constexpr size_t kCapacity = 16;
-
-  ReadExtent entries[kCapacity];
-  uint32_t count = 0;
-
-  void push_back(const ReadExtent& e) {
-    assert(count < kCapacity);
-    entries[count++] = e;
-  }
-  void clear() { count = 0; }
-  size_t size() const { return count; }
-  bool empty() const { return count == 0; }
-  bool full() const { return count == kCapacity; }
-  const ReadExtent& operator[](size_t i) const {
-    assert(i < count);
-    return entries[i];
-  }
-  const ReadExtent* begin() const { return entries; }
-  const ReadExtent* end() const { return entries + count; }
-  uint32_t total_len() const {
-    uint32_t n = 0;
-    for (uint32_t i = 0; i < count; ++i) n += entries[i].len;
-    return n;
-  }
-};
+/// readv()'s extent list, sized for one extent per shard at the largest
+/// sharded configs.
+using ReadExtent = Extent;
+using ReadVec = ExtentList<16>;
 
 class RemoteReader {
  public:

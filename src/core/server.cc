@@ -9,7 +9,7 @@ Server::Server(sim::EventLoop& loop, rdma::Network& net, ServerConfig cfg)
       mem_(cfg_.mem_capacity),
       nvm_(mem_, cfg_.nvm_size),
       nic_(loop, net, mem_, &nvm_, cfg_.nic),
-      tcp_(loop, net, nic_.id(), sched_) {
+      tcp_(net, nic_.id(), sched_) {
   // Extra NICs share the machine's memory and NVM — they are additional
   // ports into the same region, one per shard in sharded deployments.
   for (uint32_t i = 1; i < cfg_.num_nics; ++i) {

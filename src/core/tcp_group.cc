@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "core/buf_pool.h"
 #include "core/cpu_costs.h"
 
 namespace hyperloop::core {
@@ -30,7 +29,7 @@ TcpReplicationGroup::TcpReplicationGroup(Server& client,
   for (InOrder& o : replica_order_) o.held.resize(span);
 
   client_.tcp().listen(cfg_.port, client_pid_,
-                       [this](rdma::NicId, uint16_t, std::vector<uint8_t> m) {
+                       [this](rdma::NicId, uint16_t, rdma::PayloadBuf m) {
                          on_client_ack(std::move(m));
                        });
 
@@ -39,7 +38,7 @@ TcpReplicationGroup::TcpReplicationGroup(Server& client,
     r.pid = r.server->sched().create_process(r.server->name() + "-tcp-repl");
     r.server->tcp().listen(
         cfg_.port, r.pid,
-        [this, i](rdma::NicId, uint16_t, std::vector<uint8_t> m) {
+        [this, i](rdma::NicId, uint16_t, rdma::PayloadBuf m) {
           on_replica_message(i, std::move(m));
         });
   }
@@ -48,22 +47,15 @@ TcpReplicationGroup::TcpReplicationGroup(Server& client,
 TcpReplicationGroup::~TcpReplicationGroup() { stop(); }
 
 uint64_t TcpReplicationGroup::abort_pending() {
-  const auto drop_held = [](InOrder& o) {
-    for (std::vector<uint8_t>& m : o.held) {
-      if (!m.empty()) BufPool::release(std::exchange(m, {}));
-    }
-  };
-  drop_held(ack_order_);
-  for (InOrder& o : replica_order_) drop_held(o);
+  for (rdma::PayloadBuf& m : ack_order_.held) m.reset();
+  for (InOrder& o : replica_order_) {
+    for (rdma::PayloadBuf& m : o.held) m.reset();
+  }
   return window_.abort_all();
 }
 
-void TcpReplicationGroup::on_replica_message(size_t i,
-                                             std::vector<uint8_t> msg) {
-  if (stopped_) {
-    BufPool::release(std::move(msg));
-    return;
-  }
+void TcpReplicationGroup::on_replica_message(size_t i, rdma::PayloadBuf msg) {
+  if (stopped_) return;
   assert(msg.size() >= sizeof(ForwardedCmd));
   ForwardedCmd cmd;
   std::memcpy(&cmd, msg.data(), sizeof(cmd));
@@ -77,17 +69,14 @@ void TcpReplicationGroup::on_replica_message(size_t i,
   if (cmd.flush != 0) work += cpu_persist_cost(cmd.len);
 
   // The whole [ForwardedCmd][data] buffer travels intact: apply reads the
-  // data bytes in place and forward() re-sends the same vector, so a
+  // data bytes in place and forward() re-sends the same buffer, so a
   // command's trip down the chain allocates nothing.
   r.server->sched().submit(
       r.pid, work,
       [this, i, m = std::move(msg)]() mutable {
-        if (stopped_) {
-          BufPool::release(std::move(m));
-          return;
-        }
+        if (stopped_) return;
         in_order(replica_order_[i], std::move(m),
-                 [this, i](std::vector<uint8_t> c) {
+                 [this, i](rdma::PayloadBuf c) {
                    apply_and_forward(i, std::move(c));
                  });
       },
@@ -95,12 +84,12 @@ void TcpReplicationGroup::on_replica_message(size_t i,
 }
 
 template <typename Handle>
-void TcpReplicationGroup::in_order(InOrder& o, std::vector<uint8_t> msg,
+void TcpReplicationGroup::in_order(InOrder& o, rdma::PayloadBuf msg,
                                    Handle&& handle) {
   ForwardedCmd cmd;
   std::memcpy(&cmd, msg.data(), sizeof(cmd));
   if (cmd.seq != o.next) {
-    std::vector<uint8_t>& slot = o.held[cmd.seq & order_mask_];
+    rdma::PayloadBuf& slot = o.held[cmd.seq & order_mask_];
     assert(slot.empty() && "more seqs live than the credit window admits");
     slot = std::move(msg);
     return;
@@ -113,8 +102,7 @@ void TcpReplicationGroup::in_order(InOrder& o, std::vector<uint8_t> msg,
   }
 }
 
-void TcpReplicationGroup::apply_and_forward(size_t i,
-                                            std::vector<uint8_t> msg) {
+void TcpReplicationGroup::apply_and_forward(size_t i, rdma::PayloadBuf msg) {
   const Replica& r = replicas_[i];
   ForwardedCmd c;
   std::memcpy(&c, msg.data(), sizeof(c));
@@ -127,35 +115,33 @@ void TcpReplicationGroup::apply_and_forward(size_t i,
   // unflushed ops under one trailing flushed op (e.g. the WAL's execute
   // batch).
   c.apply(*r.server, r.data_base, i);
-  // The message carries this replica's gCAS result on.
+  // The message carries this replica's gCAS result on. A TCP message is
+  // never shared, so writing into it in place is safe.
+  assert(msg.ref_count() == 1);
   std::memcpy(msg.data(), &c, sizeof(c));
   forward(i, std::move(msg));
 }
 
-void TcpReplicationGroup::forward(size_t i, std::vector<uint8_t> msg) {
+void TcpReplicationGroup::forward(size_t i, rdma::PayloadBuf msg) {
   const Replica& r = replicas_[i];
   if (i + 1 < replicas_.size()) {
     r.server->tcp().send(r.pid, replicas_[i + 1].nic->id(), cfg_.port,
                          std::move(msg));
   } else {
     // Tail ACKs the client; no need to carry the data back.
-    std::vector<uint8_t> ack = BufPool::acquire(sizeof(ForwardedCmd));
+    rdma::PayloadBuf ack;
+    ack.resize_uninit(sizeof(ForwardedCmd));
     std::memcpy(ack.data(), msg.data(), sizeof(ForwardedCmd));
-    BufPool::release(std::move(msg));
     r.server->tcp().send(r.pid, client_nic_.id(), cfg_.port, std::move(ack));
   }
 }
 
-void TcpReplicationGroup::on_client_ack(std::vector<uint8_t> msg) {
-  if (stopped_) {
-    BufPool::release(std::move(msg));
-    return;
-  }
+void TcpReplicationGroup::on_client_ack(rdma::PayloadBuf msg) {
+  if (stopped_) return;
   assert(msg.size() >= sizeof(ForwardedCmd));
-  in_order(ack_order_, std::move(msg), [this](std::vector<uint8_t> m) {
+  in_order(ack_order_, std::move(msg), [this](rdma::PayloadBuf m) {
     ForwardedCmd cmd;
     std::memcpy(&cmd, m.data(), sizeof(cmd));
-    BufPool::release(std::move(m));
     auto* slot = window_.ack(cmd.seq);
     if (slot == nullptr) return;
     window_.complete(
@@ -177,7 +163,8 @@ void TcpReplicationGroup::issue(const GroupOp& op, Done done,
 
   // Frame the command directly into a pooled buffer: [ForwardedCmd][data].
   const uint32_t payload = op.kind == GroupOp::Kind::kWrite ? op.len : 0;
-  std::vector<uint8_t> msg = BufPool::acquire(sizeof(cmd) + payload);
+  rdma::PayloadBuf msg;
+  msg.resize_uninit(sizeof(cmd) + payload);
   std::memcpy(msg.data(), &cmd, sizeof(cmd));
   if (payload > 0) {
     client_.mem().read(client_region_ + op.offset, msg.data() + sizeof(cmd),

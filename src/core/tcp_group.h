@@ -46,17 +46,17 @@ class TcpReplicationGroup final : public BackendGroup {
   /// once: at most max_inflight seqs are live).
   struct InOrder {
     uint32_t next = 0;
-    std::vector<std::vector<uint8_t>> held;
+    std::vector<rdma::PayloadBuf> held;
   };
   /// Runs handle(msg), then handle() on each held successor, once every
   /// earlier seq has been handled; until then holds `msg`.
   template <typename Handle>
-  void in_order(InOrder& o, std::vector<uint8_t> msg, Handle&& handle);
+  void in_order(InOrder& o, rdma::PayloadBuf msg, Handle&& handle);
 
-  void on_replica_message(size_t i, std::vector<uint8_t> msg);
-  void apply_and_forward(size_t i, std::vector<uint8_t> msg);
-  void forward(size_t i, std::vector<uint8_t> msg);
-  void on_client_ack(std::vector<uint8_t> msg);
+  void on_replica_message(size_t i, rdma::PayloadBuf msg);
+  void apply_and_forward(size_t i, rdma::PayloadBuf msg);
+  void forward(size_t i, rdma::PayloadBuf msg);
+  void on_client_ack(rdma::PayloadBuf msg);
   void submit(const GroupOp& op, Done done, CasDone cas_done) override;
   /// The credit window, and the messages held for their turn. Listeners
   /// stay registered; every handler early-outs on stopped_.

@@ -14,21 +14,19 @@
 #include <vector>
 
 #include "rdma/network.h"
+#include "rdma/payload_buf.h"
 #include "sim/cpu_scheduler.h"
 
 namespace hyperloop::core {
 
 class TcpStack {
  public:
-  /// Handler receives (source NIC, source port, message bytes). Message
-  /// buffers come from BufPool; a handler that consumes one should
-  /// BufPool::release it (or pass it onward) so steady-state traffic
-  /// recycles instead of allocating.
-  using Handler =
-      std::function<void(rdma::NicId, uint16_t, std::vector<uint8_t>)>;
+  /// Handler receives (source NIC, destination port, message bytes).
+  /// Messages are pooled PayloadBufs: a handler may keep, forward or drop
+  /// one, and the last reference returns its block to the pool.
+  using Handler = std::function<void(rdma::NicId, uint16_t, rdma::PayloadBuf)>;
 
-  TcpStack(sim::EventLoop& loop, rdma::Network& net, rdma::NicId nic_id,
-           sim::CpuScheduler& sched);
+  TcpStack(rdma::Network& net, rdma::NicId nic_id, sim::CpuScheduler& sched);
 
   /// Binds `port` to `handler`, whose CPU time is charged to `proc`.
   void listen(uint16_t port, sim::ProcessId proc, Handler handler);
@@ -36,13 +34,13 @@ class TcpStack {
   /// Sends `data` to `port` on the server whose NIC is `dst`. The send
   /// path charges CPU to `sender_proc` before the bytes hit the wire.
   void send(sim::ProcessId sender_proc, rdma::NicId dst, uint16_t port,
-            std::vector<uint8_t> data);
+            rdma::PayloadBuf data);
 
   /// One outbound message of a send_many batch.
   struct Dgram {
     rdma::NicId dst;
     uint16_t port;
-    std::vector<uint8_t> data;
+    rdma::PayloadBuf data;
   };
 
   /// Sends a batch of messages with a single scheduler wakeup
@@ -53,7 +51,6 @@ class TcpStack {
   void send_many(sim::ProcessId sender_proc, std::vector<Dgram> msgs);
 
   uint64_t messages_sent() const { return sent_; }
-  uint64_t messages_received() const { return received_; }
 
  private:
   struct Listener {
@@ -61,15 +58,13 @@ class TcpStack {
     Handler handler;
   };
 
-  void on_datagram(rdma::NicId src, std::vector<uint8_t> bytes);
+  void on_datagram(rdma::NicId src, uint16_t port, rdma::PayloadBuf bytes);
 
-  sim::EventLoop& loop_;
   rdma::Network& net_;
   rdma::NicId nic_id_;
   sim::CpuScheduler& sched_;
   std::unordered_map<uint16_t, Listener> listeners_;
   uint64_t sent_ = 0;
-  uint64_t received_ = 0;
 };
 
 }  // namespace hyperloop::core

@@ -11,11 +11,13 @@ void CompletionQueue::push(const Cqe& cqe) {
     }
     queue_.push_back(cqe);
   }
+  if (watcher_) watcher_(completion_count_);
+  // Last: the notify callback may destroy this CQ (a completion that
+  // stops its group).
   if (armed_ && notify_) {
     armed_ = false;
     notify_();
   }
-  if (watcher_) watcher_(completion_count_);
 }
 
 bool CompletionQueue::poll(Cqe* out) {

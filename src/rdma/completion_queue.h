@@ -54,8 +54,9 @@ class CompletionQueue {
   uint32_t id() const { return id_; }
 
   /// Pushes a completion: bumps the monotonic counter, enqueues the CQE
-  /// (dropping the oldest on overflow), fires the armed notify callback,
-  /// and runs NIC-internal watchers (WAIT re-evaluation).
+  /// (dropping the oldest on overflow), runs NIC-internal watchers (WAIT
+  /// re-evaluation), then fires the armed notify callback. push() touches
+  /// nothing after the notify returns, so the callback may destroy the CQ.
   void push(const Cqe& cqe);
 
   /// Polls one CQE. Returns false if empty.

@@ -5,17 +5,13 @@
 
 namespace hyperloop::rdma {
 
-NicId Network::attach(
-    sim::SmallFn<void(Packet)> on_packet,
-    sim::SmallFn<void(NicId, std::vector<uint8_t>)> on_datagram) {
+NicId Network::attach(sim::SmallFn<void(Packet)> on_packet) {
   const NicId id = static_cast<NicId>(endpoints_.size());
-  endpoints_.push_back(
-      Endpoint{std::move(on_packet), std::move(on_datagram), 0});
+  endpoints_.push_back(Endpoint{std::move(on_packet), {}, 0});
   return id;
 }
 
-void Network::set_datagram_handler(
-    NicId id, sim::SmallFn<void(NicId, std::vector<uint8_t>)> fn) {
+void Network::set_datagram_handler(NicId id, DatagramHandler fn) {
   assert(id < endpoints_.size());
   endpoints_[id].on_datagram = std::move(fn);
 }
@@ -60,13 +56,14 @@ void Network::transmit(Packet&& pkt) { transmit_impl(std::move(pkt)); }
 
 void Network::transmit(const Packet& pkt) { transmit_impl(pkt); }
 
-void Network::transmit_datagram(NicId src, NicId dst,
-                                std::vector<uint8_t> bytes) {
+void Network::transmit_datagram(NicId src, NicId dst, uint16_t port,
+                                PayloadBuf bytes) {
   assert(dst < endpoints_.size());
-  const sim::Time arrival = schedule_tx(src, bytes.size() + 64);
-  auto deliver = [this, src, dst, b = std::move(bytes)]() mutable {
+  // Port header (4 bytes) plus frame (64 bytes).
+  const sim::Time arrival = schedule_tx(src, bytes.size() + 68);
+  auto deliver = [this, src, dst, port, b = std::move(bytes)]() mutable {
     assert(endpoints_[dst].on_datagram && "no datagram handler registered");
-    endpoints_[dst].on_datagram(src, std::move(b));
+    endpoints_[dst].on_datagram(src, port, std::move(b));
   };
   static_assert(sizeof(deliver) <= sim::EventLoop::kInlineCallbackBytes,
                 "datagram delivery closure must stay inline in the event loop");

@@ -8,13 +8,15 @@
 // lands before the SEND metadata that references it).
 //
 // The same fabric also carries "datagrams" for the kernel-TCP baseline
-// (src/core/tcp_stack.*): opaque byte blobs delivered to a per-NIC handler.
+// (src/core/tcp_stack.*): opaque byte blobs, each addressed to a port and
+// delivered to a per-NIC handler.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "rdma/packet.h"
+#include "rdma/payload_buf.h"
 #include "sim/event_loop.h"
 #include "sim/rng.h"
 #include "sim/small_fn.h"
@@ -37,18 +39,17 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Attaches an endpoint; `on_packet` receives RDMA packets, and
-  /// `on_datagram` (optional) receives raw datagrams. Returns the NicId.
-  /// Handlers use SmallFn inline storage: dispatching a packet to an
-  /// endpoint is two indirect calls, never a std::function allocation.
-  NicId attach(sim::SmallFn<void(Packet)> on_packet,
-               sim::SmallFn<void(NicId src, std::vector<uint8_t>)> on_datagram =
-                   {});
+  /// Receives a datagram: (source NIC, destination port, bytes).
+  using DatagramHandler = sim::SmallFn<void(NicId, uint16_t, PayloadBuf)>;
+
+  /// Attaches an endpoint whose `on_packet` receives RDMA packets.
+  /// Returns the NicId. Handlers use SmallFn inline storage: dispatching
+  /// a packet to an endpoint is two indirect calls and never allocates.
+  NicId attach(sim::SmallFn<void(Packet)> on_packet);
 
   /// Installs/replaces the datagram handler for an endpoint (used by the
   /// kernel-TCP baseline, which shares the fabric with RDMA traffic).
-  void set_datagram_handler(
-      NicId id, sim::SmallFn<void(NicId, std::vector<uint8_t>)> fn);
+  void set_datagram_handler(NicId id, DatagramHandler fn);
 
   /// Transmits an RDMA packet (serializes on the source port). The packet
   /// is moved end to end: into the delivery closure and out to the
@@ -62,8 +63,11 @@ class Network {
   /// loss injection is not copied at all.
   void transmit(const Packet& pkt);
 
-  /// Transmits a raw datagram of `bytes.size()` bytes from src to dst.
-  void transmit_datagram(NicId src, NicId dst, std::vector<uint8_t> bytes);
+  /// Transmits a datagram of `bytes.size()` bytes from src to `port` on
+  /// dst. On the wire it also carries a 4-byte port header and a frame's
+  /// 64 bytes; the bytes themselves are moved, never copied.
+  void transmit_datagram(NicId src, NicId dst, uint16_t port,
+                         PayloadBuf bytes);
 
   /// Wire time for a message of `bytes` bytes at link bandwidth.
   sim::Duration serialize_time(size_t bytes) const;
@@ -75,7 +79,7 @@ class Network {
  private:
   struct Endpoint {
     sim::SmallFn<void(Packet)> on_packet;
-    sim::SmallFn<void(NicId, std::vector<uint8_t>)> on_datagram;
+    DatagramHandler on_datagram;
     sim::Time tx_busy_until = 0;
   };
 

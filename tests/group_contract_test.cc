@@ -6,8 +6,9 @@
 // value (0 where the execute map skips it) and can undo a partial
 // acquisition; pipelines past the credit window and the pre-posted rings
 // drain; 1- to 3-replica chains work; groups sharing servers stay apart;
-// only the CPU baselines put replica CPU on the path; and stop() drops
-// every pending op uncalled. Ordering and gFLUSH are group_order_test's.
+// only the CPU baselines put replica CPU on the path; and stop(), also
+// from inside a callback, drops every pending op uncalled. Ordering and
+// gFLUSH are group_order_test's.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -333,6 +334,28 @@ TEST_P(GroupContractTest, StopDropsEveryPendingOpUncalled) {
   g->stop();
   EXPECT_EQ(g->aborted_ops(), aborted);
   EXPECT_EQ(fired + aborted, 3 * kEach);
+}
+
+// The same, with stop() called from inside a completion callback: the
+// completion path that ran the callback must not touch the QPs and CQs
+// stop() has just destroyed, nor fire another callback.
+TEST_P(GroupContractTest, StopInsideACallbackDropsTheRestUncalled) {
+  auto g = make();
+  constexpr uint64_t kEach = 48;
+  constexpr uint64_t kStopAt = 8;
+  uint64_t fired = 0;
+  const auto fire = [&] {
+    if (++fired == kStopAt) g->stop();
+  };
+  for (uint64_t k = 0; k < kEach; ++k) {
+    g->gwrite(k * 64, 8, k % 2 == 0, fire);
+    g->gmemcpy(k * 64, k * 64 + 32, 8, false, fire);
+    g->gcas(k * 64 + 16, 0, 1, ExecMap::all(3),
+            [&](const CasResult&) { fire(); });
+  }
+  run(sim::seconds(1));
+  EXPECT_EQ(fired, kStopAt);
+  EXPECT_EQ(fired + g->aborted_ops(), 3 * kEach);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, GroupContractTest,

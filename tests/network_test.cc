@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -104,21 +106,35 @@ TEST(Network, DistinctSourcesDoNotSerialize) {
   EXPECT_EQ(arrivals[0], arrivals[1]);  // parallel links
 }
 
+PayloadBuf bytes(std::initializer_list<uint8_t> il) {
+  PayloadBuf b;
+  b.resize_uninit(il.size());
+  std::copy(il.begin(), il.end(), b.data());
+  return b;
+}
+
 TEST(Network, DatagramDelivery) {
   sim::EventLoop loop;
   Network net(loop, cfg());
-  std::vector<uint8_t> got;
+  PayloadBuf got;
   NicId got_src = 999;
+  uint16_t got_port = 0;
   const NicId a = net.attach([](Packet) {});
-  const NicId b = net.attach([](Packet) {},
-                             [&](NicId src, std::vector<uint8_t> bytes) {
-                               got_src = src;
-                               got = std::move(bytes);
-                             });
-  net.transmit_datagram(a, b, {1, 2, 3});
+  const NicId b = net.attach([](Packet) {});
+  net.set_datagram_handler(b, [&](NicId src, uint16_t port, PayloadBuf buf) {
+    got_src = src;
+    got_port = port;
+    got = std::move(buf);
+  });
+  PayloadBuf sent = bytes({1, 2, 3});
+  const uint8_t* sent_data = sent.data();
+  net.transmit_datagram(a, b, 8080, std::move(sent));
   loop.run();
   EXPECT_EQ(got_src, a);
-  EXPECT_EQ(got, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(got_port, 8080);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got.data(), sent_data) << "the bytes were copied in flight";
+  EXPECT_EQ(got.data()[2], 3);
 }
 
 TEST(Network, SetDatagramHandlerLater) {
@@ -126,11 +142,37 @@ TEST(Network, SetDatagramHandlerLater) {
   Network net(loop, cfg());
   const NicId a = net.attach([](Packet) {});
   const NicId b = net.attach([](Packet) {});
-  int got = 0;
-  net.set_datagram_handler(b, [&](NicId, std::vector<uint8_t>) { ++got; });
-  net.transmit_datagram(a, b, {9});
+  int first = 0, second = 0;
+  net.set_datagram_handler(b, [&](NicId, uint16_t, PayloadBuf) { ++first; });
+  net.set_datagram_handler(b, [&](NicId, uint16_t, PayloadBuf) { ++second; });
+  net.transmit_datagram(a, b, 1, bytes({9}));
   loop.run();
-  EXPECT_EQ(got, 1);
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+}
+
+// A datagram's wire time counts its 4-byte port header and a 64-byte
+// frame on top of its bytes. The kernel-TCP latencies of Fig 2 and Fig 12
+// rest on it.
+TEST(Network, DatagramWireSizeIsBytesPlusPortHeaderAndFrame) {
+  sim::EventLoop loop;
+  Network net(loop, cfg());
+  constexpr size_t n = 1004;
+  // 1004 + 64 and 1004 + 68 bytes serialize in different whole ns.
+  ASSERT_NE(net.serialize_time(n + 64), net.serialize_time(n + 68));
+  std::vector<sim::Time> arrivals;
+  const NicId a = net.attach([](Packet) {});
+  const NicId b = net.attach([](Packet) {});
+  net.set_datagram_handler(
+      b, [&](NicId, uint16_t, PayloadBuf) { arrivals.push_back(loop.now()); });
+  for (int i = 0; i < 2; ++i) {
+    PayloadBuf p;
+    p.resize(n);
+    net.transmit_datagram(a, b, 1, std::move(p));
+  }
+  loop.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[1] - arrivals[0], net.serialize_time(n + 68));
 }
 
 TEST(Network, SerializeTimeScalesWithBytes) {

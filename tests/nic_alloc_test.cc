@@ -623,10 +623,10 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
 // The kernel-TCP baseline's message path. The baseline is the paper's
 // *comparison* system, so its measured costs must come from the modeled
 // OS stack (send/recv CPU, scheduling), not from host allocator churn in
-// the harness: pooled wire buffers (BufPool), direct [Header][data]
-// framing, in-place header strip on receive, and same-buffer chain
-// forwarding make a steady-state command lap — gwrite bursts, gmemcpy,
-// gcas, flush barriers, ACKs — allocation-free once warm.
+// the harness: messages are pooled PayloadBufs that the stack hands to the
+// fabric as they are, and a replica forwards the buffer it received, so a
+// steady-state command lap — gwrite bursts, gmemcpy, gcas, flush
+// barriers, ACKs — is allocation-free once warm.
 TEST(NicAllocTcp, TcpReplicationLapAllocatesNothing) {
   Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
   core::TcpReplicationGroup::Config gc;
@@ -653,7 +653,7 @@ TEST(NicAllocTcp, TcpReplicationLapAllocatesNothing) {
     ++laps_done;
   };
 
-  // Warm-up: grow the BufPool freelist to the lap's wire high-water mark,
+  // Warm-up: grow the PayloadBuf pool to the lap's message high-water mark,
   // the pending/waiting rings, scheduler queues, and the event slab.
   for (int i = 0; i < 24; ++i) lap();
   ASSERT_EQ(laps_done, 24);

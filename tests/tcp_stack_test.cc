@@ -2,12 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "core/server.h"
 
 namespace hyperloop::core {
 namespace {
+
+rdma::PayloadBuf buf(const std::string& s) {
+  rdma::PayloadBuf b;
+  b.resize_uninit(s.size());
+  std::memcpy(b.data(), s.data(), s.size());
+  return b;
+}
+
+std::string str(const rdma::PayloadBuf& b) {
+  return std::string(b.data(), b.data() + b.size());
+}
 
 struct TcpFixture : ::testing::Test {
   Cluster cluster{{.num_servers = 2, .server = {.cpu = {.num_cores = 4}}}};
@@ -20,28 +32,37 @@ TEST_F(TcpFixture, DeliversMessageToBoundPort) {
   std::string got;
   rdma::NicId got_src = 999;
   b.tcp().listen(80, proc_b, [&](rdma::NicId src, uint16_t,
-                                 std::vector<uint8_t> bytes) {
-    got.assign(bytes.begin(), bytes.end());
+                                 rdma::PayloadBuf bytes) {
+    got = str(bytes);
     got_src = src;
   });
   const auto proc_a = a.sched().create_process("cli");
-  std::string msg = "GET /";
-  a.tcp().send(proc_a, b.nic().id(), 80,
-               std::vector<uint8_t>(msg.begin(), msg.end()));
+  const std::string msg = "GET /";
+  a.tcp().send(proc_a, b.nic().id(), 80, buf(msg));
   cluster.loop().run();
   EXPECT_EQ(got, msg);
   EXPECT_EQ(got_src, a.nic().id());
 }
 
+// Send and receive each charge their process a fixed cost plus 0.25 ns
+// per message byte: 64 KiB more bytes cost 16 384 ns more at both ends.
 TEST_F(TcpFixture, ChargesCpuOnBothEnds) {
-  const auto proc_b = b.sched().create_process("srv");
-  b.tcp().listen(80, proc_b,
-                 [](rdma::NicId, uint16_t, std::vector<uint8_t>) {});
-  const auto proc_a = a.sched().create_process("cli");
-  a.tcp().send(proc_a, b.nic().id(), 80, std::vector<uint8_t>(1024));
+  const auto small_cli = a.sched().create_process("small-cli");
+  const auto big_cli = a.sched().create_process("big-cli");
+  const auto small_srv = b.sched().create_process("small-srv");
+  const auto big_srv = b.sched().create_process("big-srv");
+  b.tcp().listen(80, small_srv, [](rdma::NicId, uint16_t, rdma::PayloadBuf) {});
+  b.tcp().listen(81, big_srv, [](rdma::NicId, uint16_t, rdma::PayloadBuf) {});
+  a.tcp().send(small_cli, b.nic().id(), 80, buf("1"));
+  a.tcp().send(big_cli, b.nic().id(), 81, buf(std::string(65537, 'x')));
   cluster.loop().run();
-  EXPECT_GT(a.sched().stats(proc_a).cpu_time, 0);
-  EXPECT_GT(b.sched().stats(proc_b).cpu_time, 0);
+  const auto cpu = [](Server& s, sim::ProcessId p) {
+    return s.sched().stats(p).cpu_time;
+  };
+  EXPECT_GT(cpu(a, small_cli), 0);
+  EXPECT_GT(cpu(b, small_srv), 0);
+  EXPECT_EQ(cpu(a, big_cli) - cpu(a, small_cli), 16384);
+  EXPECT_EQ(cpu(b, big_srv) - cpu(b, small_srv), 16384);
 }
 
 TEST_F(TcpFixture, MultiplePortsAreIndependent) {
@@ -49,13 +70,13 @@ TEST_F(TcpFixture, MultiplePortsAreIndependent) {
   const auto p2 = b.sched().create_process("p2");
   int got1 = 0, got2 = 0;
   b.tcp().listen(80, p1,
-                 [&](rdma::NicId, uint16_t, std::vector<uint8_t>) { ++got1; });
+                 [&](rdma::NicId, uint16_t, rdma::PayloadBuf) { ++got1; });
   b.tcp().listen(81, p2,
-                 [&](rdma::NicId, uint16_t, std::vector<uint8_t>) { ++got2; });
+                 [&](rdma::NicId, uint16_t, rdma::PayloadBuf) { ++got2; });
   const auto cli = a.sched().create_process("cli");
-  a.tcp().send(cli, b.nic().id(), 80, {1});
-  a.tcp().send(cli, b.nic().id(), 81, {2});
-  a.tcp().send(cli, b.nic().id(), 81, {3});
+  a.tcp().send(cli, b.nic().id(), 80, buf("1"));
+  a.tcp().send(cli, b.nic().id(), 81, buf("2"));
+  a.tcp().send(cli, b.nic().id(), 81, buf("3"));
   cluster.loop().run();
   EXPECT_EQ(got1, 1);
   EXPECT_EQ(got2, 2);
@@ -65,18 +86,13 @@ TEST_F(TcpFixture, RoundTripRpc) {
   const auto srv = b.sched().create_process("srv");
   const auto cli = a.sched().create_process("cli");
   std::string reply;
-  a.tcp().listen(9000, cli, [&](rdma::NicId, uint16_t,
-                                std::vector<uint8_t> bytes) {
-    reply.assign(bytes.begin(), bytes.end());
+  a.tcp().listen(9000, cli, [&](rdma::NicId, uint16_t, rdma::PayloadBuf m) {
+    reply = str(m);
   });
-  b.tcp().listen(80, srv, [&](rdma::NicId src, uint16_t,
-                              std::vector<uint8_t>) {
-    std::string r = "pong";
-    b.tcp().send(srv, src, 9000, std::vector<uint8_t>(r.begin(), r.end()));
+  b.tcp().listen(80, srv, [&](rdma::NicId src, uint16_t, rdma::PayloadBuf) {
+    b.tcp().send(srv, src, 9000, buf("pong"));
   });
-  std::string ping = "ping";
-  a.tcp().send(cli, b.nic().id(), 80,
-               std::vector<uint8_t>(ping.begin(), ping.end()));
+  a.tcp().send(cli, b.nic().id(), 80, buf("ping"));
   cluster.loop().run();
   EXPECT_EQ(reply, "pong");
 }
@@ -84,14 +100,14 @@ TEST_F(TcpFixture, RoundTripRpc) {
 TEST_F(TcpFixture, LatencyGrowsUnderLoad) {
   const auto srv = b.sched().create_process("srv");
   sim::Time recv_at = -1;
-  b.tcp().listen(80, srv, [&](rdma::NicId, uint16_t, std::vector<uint8_t>) {
+  b.tcp().listen(80, srv, [&](rdma::NicId, uint16_t, rdma::PayloadBuf) {
     recv_at = cluster.loop().now();
   });
   const auto cli = a.sched().create_process("cli");
 
   // Baseline latency (unloaded).
   sim::Time t0 = cluster.loop().now();
-  a.tcp().send(cli, b.nic().id(), 80, {1});
+  a.tcp().send(cli, b.nic().id(), 80, buf("1"));
   cluster.loop().run();
   const sim::Time unloaded = recv_at - t0;
 
@@ -102,7 +118,7 @@ TEST_F(TcpFixture, LatencyGrowsUnderLoad) {
   cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
   t0 = cluster.loop().now();
   recv_at = -1;
-  a.tcp().send(cli, b.nic().id(), 80, {1});
+  a.tcp().send(cli, b.nic().id(), 80, buf("1"));
   cluster.loop().run_until(cluster.loop().now() + sim::msec(500));
   ASSERT_GT(recv_at, 0);
   const sim::Time loaded = recv_at - t0;

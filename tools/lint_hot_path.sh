@@ -1,6 +1,9 @@
 #!/usr/bin/env sh
-# Hot-path token lint: the control-plane files below must stay on
-# sim::SmallFn completions and flat (seq-indexed / pooled) op tables.
+# Hot-path token lint: the files a simulated op runs through (event loop,
+# scheduler, NIC, fabric, NVM, replication backends, stores) must stay on
+# sim::SmallFn completions and flat (seq-indexed / pooled) tables. The
+# kernel-TCP stack (src/core/tcp_stack.*) is not listed: its per-port
+# handler table is built at set-up and only looked up per message.
 # A reappearing std::function or std::unordered_map means a heap-backed
 # callable or a hashing map crept back onto the per-op path, which the
 # nic_alloc_test transaction lap would catch at runtime — this catches it
@@ -51,7 +54,25 @@ src/rdma/memory.h
 src/rdma/memory.cc
 src/rdma/packet.h
 src/rdma/wqe.h
+src/rdma/wqe.cc
+src/rdma/network.h
+src/rdma/network.cc
 src/sim/slot_pool.h
+src/sim/event_loop.h
+src/sim/event_loop.cc
+src/sim/cpu_scheduler.h
+src/sim/cpu_scheduler.cc
+src/sim/ring.h
+src/nvm/nvm_device.h
+src/nvm/nvm_device.cc
+src/nvm/dirty_bitmap.h
+src/nvm/dirty_bitmap.cc
+src/core/region_layout.h
+src/apps/slot_table.h
+src/apps/kvstore/kvstore.h
+src/apps/kvstore/kvstore.cc
+src/apps/docstore/docstore.h
+src/apps/docstore/docstore.cc
 "
 
 status=0
