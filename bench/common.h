@@ -36,8 +36,8 @@ inline core::ServerConfig testbed_server(int cores = 16) {
   s.cpu.context_switch_cost = sim::usec(5);
   s.cpu.timeslice = sim::msec(1);
   s.cpu.wakeup_overhead = sim::usec(3);
-  // Keep host arenas as small as the experiment needs: HostMemory zeroes
-  // its arena eagerly, so oversized servers waste real (not simulated) time.
+  // Arenas are demand-zero, so only the pages a run writes cost memory or
+  // set-up time; these sizes bound what one experiment may allocate.
   s.mem_capacity = 96u << 20;
   s.nvm_size = 48u << 20;
   return s;

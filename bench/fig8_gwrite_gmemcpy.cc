@@ -6,6 +6,15 @@
 // ~800x for gWRITE and ~848x for gMEMCPY; HyperLoop's average and tail
 // are nearly identical (NIC-only critical path), while the CPU-driven
 // baseline's tail explodes under multi-tenant load.
+//
+// The binary exits 1 unless, for both primitives, Naive's p99 is at least
+// 100x HyperLoop's at every size of the paper's sweep (128 B - 8 KB) and
+// HyperLoop's p99 is at most 1.1x its average at 128 B; it prints each
+// failed check to stderr. Each size runs on its own cluster seed
+// (1234 + size), so the 100x floor rests on 7 seeds per primitive, with
+// at least a 7.5x margin (the smallest ratios are ~750x for gWRITE at
+// 8 KB and ~980x for gMEMCPY at 128 B). ctest runs it as
+// figure.fig8_gwrite_gmemcpy.
 #include <cstdio>
 #include <cstring>
 
@@ -19,7 +28,9 @@ struct Row {
   stats::Histogram hl, naive;
 };
 
-void run(const char* prim_name, bool memcpy_prim, uint64_t ops) {
+// Runs the sweep for one primitive and prints its table; returns whether
+// the paper's shape holds (see the header).
+bool run(const char* prim_name, bool memcpy_prim, uint64_t ops) {
   // 16 KB - 256 KB extends past the paper's sweep into the copy-bound
   // large-message regime (Storm-style workloads).
   const std::vector<uint32_t> sizes = {128,  256,   512,      1024,
@@ -29,6 +40,7 @@ void run(const char* prim_name, bool memcpy_prim, uint64_t ops) {
               memcpy_prim ? "(b)" : "(a)", prim_name);
   stats::Table table({"size(B)", "HL avg(us)", "HL p99(us)", "Naive avg(us)",
                       "Naive p99(us)", "p99 ratio"});
+  bool shape = true;
 
   for (uint32_t size : sizes) {
     stats::Histogram results[2];
@@ -55,9 +67,23 @@ void run(const char* prim_name, bool memcpy_prim, uint64_t ops) {
             }
           });
     }
+    const double hl_p99 = static_cast<double>(results[0].percentile(99));
     const double ratio =
-        static_cast<double>(results[1].percentile(99)) /
-        static_cast<double>(results[0].percentile(99));
+        static_cast<double>(results[1].percentile(99)) / hl_p99;
+    if (size <= 8192 && ratio < 100.0) {
+      std::fprintf(stderr,
+                   "Figure 8 %s at %u B: Naive p99 is %.1fx HyperLoop's, "
+                   "below the 100x floor\n",
+                   prim_name, size, ratio);
+      shape = false;
+    }
+    if (size == 128 && hl_p99 > 1.1 * results[0].mean()) {
+      std::fprintf(stderr,
+                   "Figure 8 %s at 128 B: HyperLoop p99 %.1f us is above "
+                   "1.1x its average %.1f us\n",
+                   prim_name, hl_p99 / 1e3, results[0].mean() / 1e3);
+      shape = false;
+    }
     table.add_row({std::to_string(size),
                    stats::Table::num(results[0].mean() / 1e3),
                    stats::Table::num(results[0].percentile(99) / 1e3),
@@ -67,6 +93,7 @@ void run(const char* prim_name, bool memcpy_prim, uint64_t ops) {
   }
   table.print();
   std::printf("\n");
+  return shape;
 }
 
 }  // namespace
@@ -75,7 +102,7 @@ void run(const char* prim_name, bool memcpy_prim, uint64_t ops) {
 int main(int argc, char** argv) {
   uint64_t ops = 1000;
   if (argc > 1) ops = std::strtoull(argv[1], nullptr, 10);
-  hyperloop::bench::run("gWRITE", false, ops);
-  hyperloop::bench::run("gMEMCPY", true, ops);
-  return 0;
+  const bool gwrite = hyperloop::bench::run("gWRITE", false, ops);
+  const bool gmemcpy = hyperloop::bench::run("gMEMCPY", true, ops);
+  return gwrite && gmemcpy ? 0 : 1;
 }

@@ -1,7 +1,8 @@
 #include "nvm/nvm_device.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace hyperloop::nvm {
 
@@ -10,7 +11,7 @@ constexpr uint64_t kLineMask = DirtyBitmap::kLineBytes - 1;
 }
 
 NvmDevice::NvmDevice(rdma::HostMemory& mem, size_t size)
-    : mem_(mem), base_(mem.alloc(size, 4096)), size_(size), durable_(size, 0),
+    : mem_(mem), base_(mem.alloc(size, 4096)), size_(size), durable_(size),
       dirty_(size) {
   // Watch exactly the NVM range: stores elsewhere (WQE rings, CQEs,
   // payload staging) are filtered out by HostMemory before any call.
@@ -20,8 +21,14 @@ NvmDevice::NvmDevice(rdma::HostMemory& mem, size_t size)
 }
 
 rdma::Addr NvmDevice::alloc(size_t bytes, size_t align) {
-  uint64_t off = (next_ + align - 1) & ~(align - 1);
-  assert(off + bytes <= size_ && "NVM exhausted");
+  const uint64_t off = (next_ + align - 1) & ~(align - 1);
+  if (off > size_ || bytes > size_ - off) {
+    std::fprintf(stderr,
+                 "NvmDevice exhausted: alloc of %zu bytes at offset %llu "
+                 "exceeds size %zu\n",
+                 bytes, static_cast<unsigned long long>(off), size_);
+    std::abort();
+  }
   next_ = off + bytes;
   return base_ + off;
 }

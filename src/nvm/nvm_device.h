@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "nvm/dirty_bitmap.h"
 #include "rdma/memory.h"
@@ -44,7 +43,8 @@ class NvmDevice {
   size_t size() const { return size_; }
 
   /// Bump-allocates a sub-range of the NVM for a durable data structure
-  /// (replicated region, write-ahead log, ...). Asserts on exhaustion.
+  /// (replicated region, write-ahead log, ...). Aborts with a message on
+  /// exhaustion, in every build.
   rdma::Addr alloc(size_t bytes, size_t align = 64);
 
   /// True if `addr` falls inside the NVM range.
@@ -82,7 +82,7 @@ class NvmDevice {
   rdma::HostMemory& mem_;
   rdma::Addr base_;
   size_t size_;
-  std::vector<uint8_t> durable_;
+  rdma::ZeroPages durable_;  // the durable image, demand-zero like the arena
   DirtyBitmap dirty_;  // offsets relative to base_, 64 B line granularity
   uint64_t next_ = 0;  // bump allocator offset
   uint64_t crashes_ = 0;

@@ -1,32 +1,43 @@
 #include "rdma/memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 
 namespace hyperloop::rdma {
 
-void HostMemory::advise_hugepages(void* base, size_t len) {
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  // Round inward to 2 MB boundaries — madvise wants aligned pages, and
-  // partial huge pages at the edges are not worth asking for.
-  constexpr uintptr_t kHuge = 2u << 20;
-  uintptr_t lo = (reinterpret_cast<uintptr_t>(base) + kHuge - 1) & ~(kHuge - 1);
-  uintptr_t hi = (reinterpret_cast<uintptr_t>(base) + len) & ~(kHuge - 1);
-  if (hi > lo) madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
-#else
-  (void)base;
-  (void)len;
+ZeroPages::ZeroPages(size_t size) : size_(size) {
+  // MAP_NORESERVE: an arena is sized for the experiment, not for the
+  // bytes a run writes, so it reserves no swap for the untouched rest.
+  void* p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) {
+    std::fprintf(stderr, "ZeroPages: mmap of %zu bytes failed: %s\n", size,
+                 std::strerror(errno));
+    std::abort();
+  }
+  data_ = static_cast<uint8_t*>(p);
+#if defined(MADV_HUGEPAGE)
+  madvise(p, size, MADV_HUGEPAGE);  // advisory: a no-op without THP
 #endif
 }
 
+ZeroPages::~ZeroPages() { munmap(data_, size_); }
+
 Addr HostMemory::alloc(size_t size, size_t align) {
   assert(align != 0 && (align & (align - 1)) == 0);
-  size_t base = (next_ + align - 1) & ~(align - 1);
-  assert(base + size <= bytes_.size() && "HostMemory exhausted");
+  const size_t base = (next_ + align - 1) & ~(align - 1);
+  if (base > bytes_.size() || size > bytes_.size() - base) {
+    std::fprintf(stderr,
+                 "HostMemory exhausted: alloc of %zu bytes at offset %zu "
+                 "exceeds capacity %zu\n",
+                 size, base, bytes_.size());
+    std::abort();
+  }
   next_ = base + size;
   return base;
 }

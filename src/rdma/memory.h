@@ -36,21 +36,37 @@ enum Access : uint32_t {
   kRemoteAtomic = 1u << 3,
 };
 
+/// A zero-filled byte range that costs memory only for the pages written:
+/// one private anonymous mapping, advised onto huge pages (payload copies
+/// stream through arenas of tens of MB; 4 KB pages add TLB refills). A
+/// read of a never-written page maps the kernel's zero page and adds
+/// nothing to the resident set. Aborts if the mapping fails.
+class ZeroPages {
+ public:
+  explicit ZeroPages(size_t size);
+  ~ZeroPages();
+  ZeroPages(const ZeroPages&) = delete;
+  ZeroPages& operator=(const ZeroPages&) = delete;
+
+  uint8_t* data() { return data_; }
+  const uint8_t* data() const { return data_; }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_;
+  uint8_t* data_ = nullptr;
+};
+
 /// One server's physical memory: arena + bump allocator + write observers.
 class HostMemory {
  public:
-  explicit HostMemory(size_t capacity) {
-    // Advise after the allocation but before the zero-fill touches the
-    // pages, so the kernel can satisfy the first faults with huge pages.
-    bytes_.reserve(capacity);
-    advise_hugepages(bytes_.data(), capacity);
-    bytes_.resize(capacity);
-  }
+  /// The arena is demand-zero: a server costs only the pages a run writes.
+  explicit HostMemory(size_t capacity) : bytes_(capacity) {}
   HostMemory(const HostMemory&) = delete;
   HostMemory& operator=(const HostMemory&) = delete;
 
   /// Allocates `size` bytes aligned to `align` (power of two).
-  /// Terminates the simulation (assert) on exhaustion — capacity is an
+  /// Aborts with a message on exhaustion, in every build: capacity is an
   /// experiment parameter, not a runtime condition.
   Addr alloc(size_t size, size_t align = 64);
 
@@ -122,13 +138,6 @@ class HostMemory {
 
   void check(Addr addr, size_t len) const;
 
-  /// Asks the kernel to back the arena with huge pages (MADV_HUGEPAGE)
-  /// where available. Arenas are tens of megabytes and every payload
-  /// gather/scatter streams through them, so 4 KB pages spend a
-  /// measurable share of copy time on TLB refills. Advisory only — a
-  /// no-op on kernels or configs without THP.
-  static void advise_hugepages(void* base, size_t len);
-
   /// Fast-path filter: true iff [addr, addr+len) overlaps the union
   /// bounding box of all watched ranges. With no observers watch_hi_ is 0,
   /// so the first compare rejects everything; with the usual single NVM
@@ -140,7 +149,7 @@ class HostMemory {
   /// Out-of-line slow path: dispatch to each overlapping observer.
   void notify(Addr addr, size_t len);
 
-  std::vector<uint8_t> bytes_;
+  ZeroPages bytes_;
   size_t next_ = 64;  // keep address 0 unused as a poison value
   std::vector<WriteObserver> observers_;
   Addr watch_lo_ = ~Addr{0};  // union bounding box of watched ranges

@@ -56,8 +56,7 @@ inline Cluster::Config backend_cluster_config() {
   c.num_servers = 4;
   c.server.cpu.num_cores = 8;
   c.server.num_nics = 2;
-  // Small arenas: memory is zeroed eagerly at set-up, and these tests use
-  // a few MB at most.
+  // Arenas cost only the pages a test writes; these tests use a few MB.
   c.server.mem_capacity = 32u << 20;
   c.server.nvm_size = 8u << 20;
   return c;

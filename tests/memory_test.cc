@@ -1,12 +1,37 @@
 #include "rdma/memory.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
+#include "nvm/nvm_device.h"
+
 namespace hyperloop::rdma {
 namespace {
+
+// This process's resident set in bytes, from /proc/self/statm; 0 where
+// that file cannot be read.
+size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long pages = 0;
+  unsigned long resident = 0;
+  const int n = std::fscanf(f, "%lu %lu", &pages, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+bool reads_zero(const HostMemory& m, Addr addr, size_t len) {
+  std::vector<uint8_t> out(len, 0xFF);
+  m.read(addr, out.data(), len);
+  for (uint8_t b : out) {
+    if (b != 0) return false;
+  }
+  return true;
+}
 
 TEST(HostMemory, AllocAlignsAndAdvances) {
   HostMemory m(1 << 20);
@@ -147,6 +172,61 @@ TEST(HostMemory, ZeroLengthOpsAreNoops) {
   m.read(a, nullptr, 0);
   m.copy(a, a, 0);
   EXPECT_EQ(calls, 0);
+}
+
+// Capacity is an experiment parameter: an allocation past it aborts with
+// the request, the offset and the capacity, in Release builds too, and
+// one that fits exactly does not.
+TEST(HostMemoryDeathTest, AllocPastCapacityAborts) {
+  HostMemory m(4096);
+  EXPECT_EQ(m.alloc(4000), 64u);
+  EXPECT_DEATH(m.alloc(64), "HostMemory exhausted: alloc of 64 bytes at "
+                            "offset 4096 exceeds capacity 4096");
+  EXPECT_DEATH(m.alloc(~size_t{0} - 8, 1),
+               "HostMemory exhausted: alloc of [0-9]+ bytes at offset 4064 "
+               "exceeds capacity 4096");
+  EXPECT_EQ(m.alloc(32, 1), 4064u);
+  EXPECT_EQ(m.used(), m.capacity());
+}
+
+// The arena and the NVM durable image are demand-zero: a server sized at
+// hundreds of megabytes costs only the pages a run writes, and every byte
+// nobody wrote reads as zero, before and after a crash.
+TEST(HostMemory, ArenaAndDurableImageCostOnlyTheWrittenPages) {
+  const size_t before = resident_bytes();
+  if (before == 0) GTEST_SKIP() << "/proc/self/statm cannot be read";
+  constexpr size_t kArena = 256u << 20;
+  constexpr size_t kLine = 64;
+  HostMemory m(kArena);
+  nvm::NvmDevice nvm(m, 128u << 20);
+  const Addr first = nvm.base();
+  const Addr last = nvm.base() + nvm.size() - kLine;
+  const Addr mid = nvm.base() + nvm.size() / 2;
+  const auto untouched_read_zero = [&] {
+    EXPECT_TRUE(reads_zero(m, 0, kLine));  // below the NVM range
+    EXPECT_TRUE(reads_zero(m, kArena / 2, kLine));
+    EXPECT_TRUE(reads_zero(m, kArena - kLine, kLine));
+    EXPECT_TRUE(reads_zero(m, first + kLine, kLine));
+    EXPECT_TRUE(reads_zero(m, mid, kLine));
+    EXPECT_TRUE(reads_zero(m, last - kLine, kLine));
+  };
+  untouched_read_zero();
+
+  const std::vector<uint8_t> ones(kLine, 0x11);
+  m.write(first, ones.data(), kLine);
+  m.write(last, ones.data(), kLine);
+  nvm.persist(first, kLine);
+  nvm.persist(last, kLine);
+  m.write(mid, ones.data(), kLine);  // never persisted: the crash drops it
+  nvm.crash();
+
+  untouched_read_zero();
+  std::vector<uint8_t> out(kLine);
+  m.read(first, out.data(), kLine);
+  EXPECT_EQ(out, ones);
+  m.read(last, out.data(), kLine);
+  EXPECT_EQ(out, ones);
+  EXPECT_LT(resident_bytes(), before + (32u << 20));
 }
 
 TEST(MrTable, RegisterAndCheck) {

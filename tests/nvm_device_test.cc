@@ -138,6 +138,16 @@ TEST_F(Fixture, AllocStaysInRange) {
   }
 }
 
+// An allocation past the device aborts with the request, the offset and
+// the size, in Release builds too.
+TEST(NvmDeviceDeathTest, AllocPastSizeAborts) {
+  rdma::HostMemory mem{1 << 20};
+  NvmDevice nvm{mem, 64 << 10};
+  nvm.alloc(60 << 10);
+  EXPECT_DEATH(nvm.alloc(8 << 10), "NvmDevice exhausted: alloc of 8192 bytes "
+                                   "at offset 61440 exceeds size 65536");
+}
+
 TEST_F(Fixture, RewriteAfterCrashWorks) {
   const rdma::Addr a = nvm.alloc(64);
   mem.write(a, "lost", 4);

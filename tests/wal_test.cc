@@ -657,10 +657,7 @@ TEST_P(WalTest, TailSlotsNeverRunAheadOfTheirRecords) {
 TEST_P(WalTest, CrashDuringTwoBatchesReplaysAPrefixWithEveryAck) {
   struct Rig {
     explicit Rig(Backend b) {
-      Cluster::Config cc = backend_cluster_config();
-      cc.server.mem_capacity = 2u << 20;  // zeroed per rig: keep it small
-      cc.server.nvm_size = 512u << 10;
-      cluster = std::make_unique<Cluster>(cc);
+      cluster = std::make_unique<Cluster>(backend_cluster_config());
       layout.region_size = 256 << 10;
       layout.log_size = 16 << 10;
       layout.num_locks = 16;
