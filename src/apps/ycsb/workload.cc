@@ -104,11 +104,16 @@ std::vector<uint8_t> WorkloadGenerator::value_for(uint64_t key,
                                                   uint32_t size) {
   std::vector<uint8_t> v(size);
   uint64_t x = key * 0x9e3779b97f4a7c15ULL + 1;
-  for (uint32_t i = 0; i < size; ++i) {
+  // Each xorshift64 step fills 8 bytes, low byte first, and the last step
+  // only as many as remain: a shorter value is a prefix of a longer one.
+  for (uint32_t i = 0; i < size; i += 8) {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    v[i] = static_cast<uint8_t>(x);
+    const uint32_t n = size - i < 8 ? size - i : 8;
+    for (uint32_t k = 0; k < n; ++k) {
+      v[i + k] = static_cast<uint8_t>(x >> (8 * k));
+    }
   }
   return v;
 }

@@ -4,11 +4,42 @@
 
 namespace hyperloop::core {
 
+uint32_t LandingRing::claim(uint32_t n) {
+  assert(n > 0);
+  if (claims_ == 0) {
+    head_ = tail_ = 0;
+    wrapped_ = false;
+  }
+  if (!wrapped_ && tail_ + n > cap_) {
+    // No room above the newest claim: skip the tail, continue at the base.
+    wrap_end_ = tail_;
+    tail_ = 0;
+    wrapped_ = true;
+  }
+  assert(tail_ + n <= (wrapped_ ? head_ : cap_) && "landing ring overrun");
+  const uint32_t off = tail_;
+  tail_ += n;
+  ++claims_;
+  return off;
+}
+
+void LandingRing::release(uint32_t n) {
+  assert(claims_ > 0);
+  head_ += n;
+  --claims_;
+  if (wrapped_ && head_ == wrap_end_) {
+    head_ = 0;  // the upper claims are gone; the skipped tail frees too
+    wrapped_ = false;
+  }
+}
+
 RemoteReader::RemoteReader(Server& client, std::vector<Target> targets,
                            Options opts)
     : client_(client), opts_(opts) {
   assert(!targets.empty());
   assert(opts_.slots > 0 && opts_.slot_size > 0);
+  assert(uint64_t{3} * opts_.slots * opts_.slot_size <= UINT32_MAX &&
+         "landing ring offsets must fit 32 bits");
   endpoints_.reserve(targets.size());
   rdma::Nic& nic = client_nic();
   for (const Target& t : targets) {
@@ -22,9 +53,9 @@ RemoteReader::RemoteReader(Server& client, std::vector<Target> targets,
     // Stub endpoint on the replica; one-sided READs only need routing.
     ep.stub = t.server->nic(opts_.nic_index).create_qp(nullptr, nullptr, 8);
     rdma::connect(ep.qp, ep.stub);
-    ep.bounce_base =
-        client_.mem().alloc(uint64_t{opts_.slots} * opts_.slot_size, 64);
-    for (uint32_t s = 0; s < opts_.slots; ++s) ep.free_slots.push_back(s);
+    ep.free_slots = opts_.slots;
+    ep.landing = LandingRing(3 * max_read_len());
+    ep.land_base = client_.mem().alloc(ep.landing.capacity(), 64);
     endpoints_.push_back(std::move(ep));
   }
   for (size_t i = 0; i < endpoints_.size(); ++i) {
@@ -74,10 +105,9 @@ void RemoteReader::submit(size_t replica, const ReadVec& extents,
   assert(!extents.empty());
   assert(replica < endpoints_.size());
   const uint32_t need = frags_needed(extents, opts_.slot_size);
-  assert(need <= opts_.slots && "read larger than the bounce ring");
+  assert(need <= opts_.slots && "read larger than the slot credits");
   // FIFO: never jump ahead of an already-parked read.
-  if (!waiting_.empty() ||
-      endpoints_[replica].free_slots.size() < need) {
+  if (!waiting_.empty() || endpoints_[replica].free_slots < need) {
     Parked p;
     p.extents = extents;
     p.replica = static_cast<uint32_t>(replica);
@@ -96,33 +126,32 @@ void RemoteReader::issue(size_t replica, const ReadVec& extents,
   ReadOp& op = ops_[op_idx];
   op.remaining = 0;
   op.len = total;
+  op.land_off = ep.landing.claim(total);
   op.live = true;
   op.started = client_.loop().now();
-  if (op.scratch.size() < total) op.scratch.resize(total);
   op.done = std::move(done);
 
   // Stage every fragment, then ring the doorbell once: the whole logical
-  // read enters the NIC engine as one coalesced batch.
-  uint32_t dst = 0;
+  // read enters the NIC engine as one coalesced batch. Fragments land
+  // back to back, so the op's bytes come out concatenated in list order.
+  rdma::Addr land = ep.land_base + op.land_off;
   for (const ReadExtent& e : extents) {
     uint64_t off = e.offset;
     uint32_t left = e.len;
     while (left > 0) {
       const uint32_t flen = left < opts_.slot_size ? left : opts_.slot_size;
-      assert(!ep.free_slots.empty());
-      const uint32_t slot = ep.free_slots.back();
-      ep.free_slots.pop_back();
+      assert(ep.free_slots > 0);
+      --ep.free_slots;
       const uint64_t wr_id = next_wr_id_++;
-      ep.pending.push_back(Frag{wr_id, slot, flen, op_idx, dst});
+      ep.pending.push_back(Frag{wr_id, op_idx});
       client_nic().stage_send(
-          ep.qp,
-          rdma::make_read(ep.bounce_base + uint64_t{slot} * opts_.slot_size,
-                          0, ep.remote_base + off, ep.rkey, flen, wr_id));
+          ep.qp, rdma::make_read(land, 0, ep.remote_base + off, ep.rkey,
+                                 flen, wr_id));
       ++op.remaining;
       ++ep.frags_issued;
       ++stats_.frags_issued;
       off += flen;
-      dst += flen;
+      land += flen;
       left -= flen;
     }
   }
@@ -135,7 +164,7 @@ void RemoteReader::replay_waiting() {
   while (!waiting_.empty()) {
     Parked& head = waiting_.front();
     const uint32_t need = frags_needed(head.extents, opts_.slot_size);
-    if (endpoints_[head.replica].free_slots.size() < need) return;
+    if (endpoints_[head.replica].free_slots < need) return;
     Parked p = std::move(head);
     waiting_.pop_front();
     issue(p.replica, p.extents, std::move(p.done));
@@ -150,29 +179,27 @@ void RemoteReader::on_completion(size_t replica) {
     const Frag f = ep.pending.front();
     ep.pending.pop_front();
     assert(f.wr_id == cqe.wr_id && "READ completions must be FIFO");
+    ++ep.free_slots;
     ReadOp& op = ops_[f.op];
-    client_.mem().read(ep.bounce_base + uint64_t{f.slot} * opts_.slot_size,
-                       op.scratch.data() + f.dst_off, f.len);
-    ep.free_slots.push_back(f.slot);
     assert(op.live && op.remaining > 0);
     if (--op.remaining > 0) {
       replay_waiting();
       continue;
     }
-    // Logical read complete: hand the caller a view into the op's
-    // scratch, release the op slot only after the callback returns (a
-    // read issued from inside it could otherwise reuse — and resize —
-    // the same scratch under the live view).
+    // Logical read complete: hand the caller a view of its landed bytes.
+    // They stay claimed until the callback returns, so a read replayed
+    // below or issued from inside the callback lands elsewhere.
     latency_.record(static_cast<int64_t>(client_.loop().now() - op.started));
     op.live = false;
     ReadDone done = std::move(op.done);
     // Snapshot the view before replaying: a replayed read can grow ops_
-    // (invalidating `op`), but the scratch's heap buffer stays put.
-    const uint8_t* data = op.scratch.data();
+    // (invalidating `op`).
     const uint32_t len = op.len;
+    const uint8_t* data = client_.mem().view(ep.land_base + op.land_off, len);
     replay_waiting();
     done(ReadView(data, len));
     ops_.release(f.op);
+    ep.landing.release(len);
     if (stopped_) return;  // the callback tore the reader down
   }
   ep.cq->arm_notify();

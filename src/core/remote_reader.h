@@ -2,24 +2,27 @@
 //
 // HyperLoop allows lock-free (or read-locked) reads from any replica of
 // the chain (§5). RemoteReader owns a small pool of dedicated QPs — one
-// per replica it can read from — plus a ring of bounce-buffer slots per
-// endpoint, so read traffic never interferes with the pre-posted
-// primitive rings, and read *load* can be spread across replicas with a
-// pluggable selection policy (Storm-style one-sided fan-out):
+// per replica it can read from — plus per-endpoint bounce-slot credits
+// and a landing ring in client memory, so read traffic never interferes
+// with the pre-posted primitive rings, and read *load* can be spread
+// across replicas with a pluggable selection policy (Storm-style
+// one-sided fan-out):
 //
 //   kHeadOnly    every read goes to target 0
 //   kRoundRobin  logical reads rotate across all targets
 //
-// Reads larger than one bounce slot are fragmented across slots of the
-// chosen endpoint (never across endpoints — one logical read observes one
-// replica), staged with stage_send and issued under a single doorbell.
-// readv() batches discontiguous extents the same way: one endpoint, one
-// doorbell, one completion with the extents concatenated in order.
+// Reads larger than one bounce slot are fragmented, one credit per
+// fragment, on the chosen endpoint (never across endpoints — one logical
+// read observes one replica), staged with stage_send and issued under a
+// single doorbell. readv() batches discontiguous extents the same way:
+// one endpoint, one doorbell, one completion with the extents
+// concatenated in order.
 //
-// Completion hands the caller a ReadView — a non-owning window into the
-// reader's pooled per-op scratch, valid only inside the callback — so the
-// steady-state read path performs zero heap allocations (gated by
-// nic_alloc_test and tools/lint_hot_path.sh).
+// Each fragment lands at its final place in the op's stretch of the
+// endpoint's landing ring, so the NIC's landing is the read's only copy.
+// Completion hands the caller a ReadView of those landed bytes, valid
+// only inside the callback — so the steady-state read path performs zero
+// heap allocations (gated by nic_alloc_test and tools/lint_hot_path.sh).
 #pragma once
 
 #include <cassert>
@@ -37,8 +40,8 @@
 namespace hyperloop::core {
 
 /// Non-owning view of the bytes a read returned. Valid only for the
-/// duration of the completion callback (the backing scratch is pooled) —
-/// copy out what must outlive it. Mirrors CasResult.
+/// duration of the completion callback (the landing bytes it points at
+/// are reused) — copy out what must outlive it. Mirrors CasResult.
 class ReadView {
  public:
   ReadView() = default;
@@ -71,6 +74,37 @@ using ReadDone = sim::SmallFn<void(ReadView), kReadDoneCap>;
 static_assert(sizeof(ReadDone) == kReadDoneCap + 2 * sizeof(void*),
               "ReadDone must stay a flat inline-capture SmallFn");
 
+/// A FIFO byte ring: contiguous claims, released in claim order. Each
+/// RemoteReader endpoint lands its reads in one of 3 × max_read_len()
+/// bytes. A logical read claims its whole length when it issues and
+/// releases it after its callback returns. Claimed bytes never exceed the
+/// credits in flight, plus the oldest read (it may have returned its
+/// credits while its callback is pending), plus one skipped wrap tail,
+/// each at most max_read_len(), so a claim never fails. An idle ring
+/// restarts at its base, so a lightly loaded endpoint keeps landing in
+/// the same few pages.
+class LandingRing {
+ public:
+  explicit LandingRing(uint32_t cap = 0) : cap_(cap) {}
+
+  /// Claims `n` contiguous bytes (0 < n, and the bound above holds);
+  /// returns their offset.
+  uint32_t claim(uint32_t n);
+  /// Releases the oldest claim, `n` bytes long.
+  void release(uint32_t n);
+
+  uint32_t capacity() const { return cap_; }
+  uint32_t claims() const { return claims_; }
+
+ private:
+  uint32_t cap_;
+  uint32_t head_ = 0;      ///< start of the oldest claim
+  uint32_t tail_ = 0;      ///< end of the newest claim
+  uint32_t wrap_end_ = 0;  ///< while wrapped: end of the upper claims
+  uint32_t claims_ = 0;
+  bool wrapped_ = false;   ///< claims are [head, wrap_end) + [0, tail)
+};
+
 /// readv()'s extent list, sized for one extent per shard at the largest
 /// sharded configs.
 using ReadExtent = Extent;
@@ -89,8 +123,8 @@ class RemoteReader {
   };
 
   struct Options {
-    uint32_t slots = 32;        ///< bounce slots per endpoint
-    uint32_t slot_size = 16384; ///< bytes per bounce slot
+    uint32_t slots = 32;        ///< bounce-slot credits per endpoint
+    uint32_t slot_size = 16384; ///< bytes per bounce slot (one fragment)
     Policy policy = Policy::kHeadOnly;
     size_t nic_index = 0;       ///< client/replica NIC the QPs live on
   };
@@ -110,7 +144,7 @@ class RemoteReader {
   RemoteReader& operator=(const RemoteReader&) = delete;
 
   /// Reads `len` bytes at region `offset` from a policy-chosen replica.
-  /// Fragments across bounce slots when len > slot_size; requires
+  /// Fragments into slot-sized READs when len > slot_size; requires
   /// len <= max_read_len(). Reads park FIFO when slots are busy.
   void read(uint64_t offset, uint32_t len, ReadDone done);
 
@@ -140,8 +174,8 @@ class RemoteReader {
   Server& client() { return client_; }
   const Server& client() const { return client_; }
   uint32_t slot_size() const { return opts_.slot_size; }
-  /// Largest single logical read/readv (all fragments must fit one
-  /// endpoint's slot ring at once).
+  /// Largest single logical read/readv (all its fragments must hold one
+  /// endpoint's slot credits at once).
   uint32_t max_read_len() const { return opts_.slots * opts_.slot_size; }
 
   uint64_t reads_issued() const { return stats_.reads_issued; }
@@ -157,14 +191,12 @@ class RemoteReader {
   /// One in-flight slot-sized READ, pointing back into its logical op.
   struct Frag {
     uint64_t wr_id = 0;
-    uint32_t slot = 0;
-    uint32_t len = 0;
-    uint32_t op = 0;      ///< ops_ index (pool may grow; never a pointer)
-    uint32_t dst_off = 0; ///< byte position in the op's assembled view
+    uint32_t op = 0;  ///< ops_ index (pool may grow; never a pointer)
   };
 
-  /// One QP to one replica plus its bounce-slot ring. READ completions
-  /// arrive in post order per QP, so in-flight fragments form a FIFO.
+  /// One QP to one replica plus its slot credits and landing ring. READ
+  /// completions arrive in post order per QP, so in-flight fragments
+  /// form a FIFO.
   struct Endpoint {
     Server* server = nullptr;
     rdma::Addr remote_base = 0;
@@ -172,25 +204,27 @@ class RemoteReader {
     rdma::QueuePair* qp = nullptr;
     rdma::QueuePair* stub = nullptr;  ///< routing endpoint on the replica
     rdma::CompletionQueue* cq = nullptr;
-    rdma::Addr bounce_base = 0;
-    std::vector<uint32_t> free_slots;
+    /// Bounce-slot credits: a read of n fragments issues only while n
+    /// are free, else it parks; each completed fragment returns one.
+    uint32_t free_slots = 0;
+    rdma::Addr land_base = 0;
+    LandingRing landing;
     sim::Ring<Frag> pending;  ///< FIFO of in-flight fragments
     uint64_t frags_issued = 0;
   };
 
-  /// One logical read in flight: fragments outstanding, the assembly
-  /// scratch (grows to high-water, then reused — zero steady-state
-  /// allocations), and the parked completion.
+  /// One logical read in flight: fragments outstanding, where its bytes
+  /// land in its endpoint's ring, and the parked completion.
   struct ReadOp {
     uint32_t remaining = 0;
     uint32_t len = 0;
+    uint32_t land_off = 0;  ///< offset of its bytes in the landing ring
     bool live = false;
     sim::Time started = 0;
-    std::vector<uint8_t> scratch;
     ReadDone done;
   };
 
-  /// A logical read parked until its endpoint has enough free slots.
+  /// A logical read parked until its endpoint has enough free credits.
   struct Parked {
     ReadVec extents;
     uint32_t replica = 0;
@@ -211,7 +245,7 @@ class RemoteReader {
   uint64_t next_wr_id_ = 1;
   size_t rr_next_ = 0;             ///< round-robin cursor
   sim::SlotPool<ReadOp> ops_;      ///< logical reads in flight
-  sim::Ring<Parked> waiting_;      ///< reads parked for bounce slots
+  sim::Ring<Parked> waiting_;      ///< reads parked for slot credits
   Stats stats_;
   stats::Histogram latency_;
   bool stopped_ = false;

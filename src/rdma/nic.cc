@@ -318,8 +318,7 @@ void Nic::execute_remote(QueuePair* qp, const Wqe& w) {
         // Chain-forward fast path: alias the region bytes instead of
         // memcpy'ing them into the packet. The borrow materializes
         // (copy-on-write) if anything overwrites the region while the
-        // packet — or its retransmit-window / response-cache sharers —
-        // is still live.
+        // packet — or its retransmit-window sharer — is still live.
         p.payload = mem_.borrow_payload(w.d.local_addr, w.d.length);
       } else {
         p.payload.resize_uninit(total);
@@ -543,10 +542,10 @@ void Nic::responder_read(Packet& p) {
     if (nvm_ != nullptr) nvm_->persist_all();
     ++counters_.flushes;
   } else {
-    data.resize_uninit(p.length);
-    mem_.read(p.remote_addr, data.data(), p.length);
-    PayloadBuf::add_bytes_copied(p.length);
-    counters_.payload_bytes_copied += p.length;
+    // The response aliases the region: the requester's landing is the
+    // READ's one copy. A store over the range while the response is in
+    // flight materializes the old bytes into it first (copy-on-write).
+    data = mem_.borrow_payload(p.remote_addr, p.length);
   }
   send_response(p, Packet::Type::kReadResp, std::move(data),
                 static_cast<uint8_t>(status));
@@ -583,7 +582,12 @@ void Nic::send_response(const Packet& req, Packet::Type type,
   resp.psn = req.psn;
   resp.status = status;
   resp.payload = std::move(payload);
-  if (QueuePair* local = qp(req.dst_qpn)) {
+  // A ReadResp carrying bytes is not cached: a duplicate READ runs again
+  // (psn_accept), so its borrow lives only while the response is in
+  // flight. ACKs, 0-byte FLUSH responses and CAS responses are replayed.
+  const bool replayable =
+      type != Packet::Type::kReadResp || resp.payload.empty();
+  if (QueuePair* local = qp(req.dst_qpn); local != nullptr && replayable) {
     cache_response(local, req.psn, resp);
   }
   ++counters_.packets_tx;
@@ -598,8 +602,13 @@ void Nic::requester_response(Packet& p) {
   // A response to PSN n acknowledges every request up to n (the responder
   // processes strictly in order). Walk the window from the head, popping
   // acknowledged entries; the one matching wr_seq completes with a CQE.
-  // Entries popped without matching had their responses lost — they are
-  // acknowledged without a completion. A response matching nothing is a
+  // A WRITE or SEND popped without matching had its ACK elided or lost
+  // and completes with a success CQE. A READ or CAS is never retired by
+  // another request's response: only its own carries its data. Reaching
+  // one unanswered is InfiniBand's implied NAK — the walk stops there,
+  // this response is dropped as out of sequence, and go-back-N resends
+  // the window from that entry (the responder re-executes a duplicate
+  // READ and replays a duplicate CAS). A response matching nothing is a
   // duplicate/stale and pops nothing (its PSN is below the window head).
   bool matched = false;
   bool progressed = false;
@@ -609,15 +618,12 @@ void Nic::requester_response(Packet& p) {
     if (t.pkt.wr_seq == p.wr_seq) {
       matched = true;
       done = std::move(t);
-    } else if (t.wr.signaled && q->send_cq != nullptr &&
-               (t.pkt.type == Packet::Type::kWrite ||
-                t.pkt.type == Packet::Type::kWriteImm ||
-                t.pkt.type == Packet::Type::kSend)) {
-      // Retired by a cumulative response (its own ACK was elided or
-      // lost): the responder processed it in order, so it succeeded.
-      // WRITE/SEND carry no response data, so a success CQE is the whole
-      // completion. READ/CAS responses carry data — those stay
-      // completion-less here and are recovered by retransmission.
+    } else if (t.pkt.type == Packet::Type::kRead ||
+               t.pkt.type == Packet::Type::kCas) {
+      break;
+    } else if (t.wr.signaled && q->send_cq != nullptr) {
+      // Retired by a cumulative response: the responder processed it in
+      // order, so it succeeded, and a success CQE is its whole completion.
       Cqe c;
       c.wr_id = t.wr.wr_id;
       c.qpn = q->qpn;
@@ -686,18 +692,28 @@ bool Nic::psn_accept(Packet& p) {
   if (p.psn < dst->expected_psn) {
     // Duplicate (our response was lost, or the request was retransmitted
     // while parked): replay the cached response if we already produced it.
-    ++counters_.duplicates_dropped;
     if (!dst->resp_cache.empty()) {
       CachedResponse& slot =
           dst->resp_cache[p.psn & (QueuePair::kRespCacheEntries - 1)];
       if (slot.psn_plus1 == p.psn + 1) {
+        ++counters_.duplicates_dropped;
         ++counters_.packets_tx;
         counters_.bytes_tx += slot.resp.wire_bytes();
         // Replay keeps the cache slot; the lvalue overload copies the
         // packet once, straight into the delivery closure.
         net_.transmit(slot.resp);
+        return false;
       }
     }
+    if (p.type == Packet::Type::kRead && p.length > 0) {
+      // A READ carrying bytes is never cached: it runs again, as an
+      // InfiniBand responder's does, and answers with the region's
+      // current bytes.
+      ++counters_.reads_reexecuted;
+      responder_read(p);
+      return false;
+    }
+    ++counters_.duplicates_dropped;
     return false;
   }
   // Ahead of sequence: an earlier packet was lost. Go-back-N drops it;

@@ -86,17 +86,21 @@ class Nic {
     uint64_t remote_access_errors = 0;
     uint64_t retransmits = 0;         ///< go-back-N resends
     uint64_t duplicates_dropped = 0;  ///< stale PSN requests suppressed
+    /// Duplicate READs of non-zero length run again (their responses are
+    /// never cached; a 0-byte FLUSH replays its cached response instead).
+    uint64_t reads_reexecuted = 0;
     uint64_t out_of_order_dropped = 0;
     uint64_t invalid_qp_drops = 0;  ///< packets for destroyed/unknown QPNs
     uint64_t qp_cache_misses = 0;
     uint64_t qp_cache_hits = 0;
     /// Data-plane payload bytes this NIC memcpy'd: between HostMemory and
-    /// packet buffers (WRITE/READ gathers unless zero-copy borrowed, sink
-    /// DMA-out writes, response landings) and within HostMemory (local
-    /// DMA copies: gMEMCPY's kLocalCopy and loopback kWrite). SEND
-    /// descriptor blobs excluded. PayloadBuf::bytes_copied() is the global
-    /// total of packet-buffer copies only (incl. borrow materializations,
-    /// excl. local DMA copies).
+    /// packet buffers (WRITE gathers unless zero-copy borrowed, sink
+    /// DMA-out writes, response landings; a READ response borrows the
+    /// region, so a READ is charged once, at its landing) and within
+    /// HostMemory (local DMA copies: gMEMCPY's kLocalCopy and loopback
+    /// kWrite). SEND descriptor blobs excluded. PayloadBuf::bytes_copied()
+    /// is the global total of packet-buffer copies only (incl. borrow
+    /// materializations, excl. local DMA copies).
     uint64_t payload_bytes_copied = 0;
   };
 

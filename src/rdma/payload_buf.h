@@ -20,7 +20,9 @@
 // *materializes* the block — one memcpy of the old bytes into the
 // block's own pool storage (acquired up front, so materialization never
 // allocates). Until then every sharer — the in-flight packet, the
-// retransmit window, the response cache — reads the arena directly.
+// retransmit window — reads the arena directly. Chain-forwarded WRITEs
+// and READ responses borrow; a READ response is never cached, so its
+// borrow lives only while the response is in flight.
 //
 // A handle is one pointer: the block carries the payload's size.
 #pragma once

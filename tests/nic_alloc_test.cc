@@ -74,10 +74,9 @@ struct AllocFixture : ::testing::Test {
 };
 
 TEST_F(AllocFixture, SteadyStatePacketPathAllocatesNothing) {
-  // Warm-up: grow the SQ/window/CQ rings, the responder response caches,
-  // the payload pool (READ responses pin blocks in the 128-entry response
-  // cache until recycled, so several laps are needed to reach the
-  // high-water mark), and the event-loop slab.
+  // Warm-up: grow the SQ/window/CQ rings, the responder response caches
+  // (ACKs and CAS responses; a READ response that carries bytes is never
+  // cached), the payload pool and the event-loop slab.
   for (int i = 0; i < 24; ++i) lap();
 
   const uint64_t before = alloc_count();
@@ -114,6 +113,10 @@ TEST(NicAllocLossy, RetransmitAndReplayPathsAllocateNothing) {
   MemoryRegion mr_b =
       b.register_mr(buf_b, 8192, kRemoteRead | kRemoteWrite | kLocalWrite);
 
+  // Every posted WR is signaled, and recovery must complete each exactly
+  // once: a lost READ response must not cost the READ its CQE.
+  constexpr uint64_t kWrsPerLap = 64;
+  uint64_t cqes = 0;
   auto lap = [&] {
     for (int i = 0; i < 32; ++i) {
       a.post_send(qa, make_write(buf_a, 0, buf_b + 64 * i, mr_b.rkey, 128, 1));
@@ -121,12 +124,19 @@ TEST(NicAllocLossy, RetransmitAndReplayPathsAllocateNothing) {
     }
     loop.run();  // drains retransmissions until every window empties
     Cqe out[64];
-    while (cq_a->poll_many(out, 64) > 0) {
-    }
+    size_t n = 0;
+    while ((n = cq_a->poll_many(out, 64)) > 0) cqes += n;
   };
 
-  for (int i = 0; i < 24; ++i) lap();
+  // The payload pool and the event heap reach their high-water marks
+  // only where losses fall worst: an unanswered READ holds every WRITE
+  // behind it in the window until go-back-N recovers it. On this fixed
+  // loss sequence they stop growing after ~150 laps.
+  constexpr uint64_t kWarmupLaps = 192;
+  for (uint64_t i = 0; i < kWarmupLaps; ++i) lap();
   ASSERT_GT(a.counters().retransmits, 0u) << "loss injection not effective";
+  ASSERT_GT(b.counters().reads_reexecuted, 0u);
+  ASSERT_EQ(cqes, kWarmupLaps * kWrsPerLap) << "a WR lost its completion";
 
   const uint64_t before = alloc_count();
   const uint64_t retransmits_before = a.counters().retransmits;
@@ -135,6 +145,8 @@ TEST(NicAllocLossy, RetransmitAndReplayPathsAllocateNothing) {
       << "recovery paths performed heap allocations";
   EXPECT_GT(a.counters().retransmits, retransmits_before)
       << "measured laps saw no retransmissions";
+  EXPECT_EQ(cqes, (kWarmupLaps + 4) * kWrsPerLap)
+      << "a WR lost its completion";
 }
 
 // The durability datapath: gWRITEs landing in the responder's NVM range
@@ -512,15 +524,82 @@ TEST(NicAllocTransaction, ChainedGwriteCopiesExactlyOncePerSink) {
   }
 }
 
-// The read-datapath lap: once the per-endpoint bounce-slot rings, the
-// pooled op/join tables, and the per-op scratch buffers have warmed to
-// the workload's high-water mark, a steady-state read mix — single-shard
-// reads spread across replicas, a fragmented large read slicing across
-// bounce slots, and a cross-shard scan (one extent per shard, as KvStore
-// builds them) joined through the ShardedReader — all issued through
-// readv — must perform ZERO heap allocations. ReadView hands the
-// caller a window into pooled scratch; any regression that reintroduces
-// a per-read vector or a SmallFn spill fails here.
+// The read rule of the copy discipline: a one-sided READ of `len` bytes
+// moves exactly `len` bytes, its landing. The responder answers with a
+// borrow of its region (no gather), the client NIC lands each fragment at
+// its final place in the reader's landing ring, and the ReadView points
+// at those landed bytes (no copy into a scratch buffer). A 64 KB read
+// over 16 KB slots lands four fragments back to back.
+TEST(NicAllocTransaction, RemoteReadCopiesExactlyOnce) {
+  Cluster cluster{{.num_servers = 4, .server = {.cpu = {.num_cores = 8}}}};
+  HyperLoopGroup group(
+      cluster.server(3), chain_replicas(cluster),
+      {.region_size = 1 << 20, .ring_slots = 64, .max_inflight = 16});
+
+  constexpr uint32_t kLen = 64 << 10;
+  constexpr uint64_t kOffset = 4096;
+  std::vector<uint8_t> payload(kLen);
+  for (uint32_t i = 0; i < kLen; ++i) payload[i] = static_cast<uint8_t>(i * 13);
+  group.client_store(kOffset, payload.data(), kLen);
+  int wrote = 0;
+  group.gwrite(kOffset, kLen, /*flush=*/true, [&] { ++wrote; });
+  cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
+  ASSERT_EQ(wrote, 1);
+
+  RemoteReader reader(cluster.server(3), replica_targets(group),
+                      {.slots = 32, .slot_size = 16 << 10});
+  rdma::HostMemory& client_mem = cluster.server(3).mem();
+  const uint8_t* arena = client_mem.view(0, client_mem.capacity());
+  int laps_done = 0;
+  bool view_ok = false;
+  auto lap = [&] {
+    view_ok = false;
+    reader.read(kOffset, kLen, [&](ReadView v) {
+      view_ok = v.size() == kLen && v.data() >= arena &&
+                v.data() + v.size() <= arena + client_mem.capacity() &&
+                std::memcmp(v.data(), payload.data(), kLen) == 0;
+      ++laps_done;
+    });
+    cluster.loop().run_until(cluster.loop().now() + sim::msec(5));
+  };
+
+  for (int i = 0; i < 8; ++i) lap();
+  ASSERT_EQ(laps_done, 8);
+
+  const uint64_t bytes_before = rdma::PayloadBuf::bytes_copied();
+  const uint64_t client_before =
+      cluster.server(3).nic().counters().payload_bytes_copied;
+  const uint64_t r0_before =
+      cluster.server(0).nic().counters().payload_bytes_copied;
+  const uint64_t frags_before = reader.stats().frags_issued;
+  const uint64_t allocs_before = alloc_count();
+  lap();
+  ASSERT_EQ(laps_done, 9);
+  EXPECT_EQ(reader.stats().frags_issued - frags_before, 4u);
+  EXPECT_EQ(rdma::PayloadBuf::bytes_copied() - bytes_before, uint64_t{kLen})
+      << "a 64 KB READ must copy exactly its landing";
+  EXPECT_EQ(cluster.server(0).nic().counters().payload_bytes_copied -
+                r0_before,
+            0u)
+      << "the responder must answer with a borrow, not a gather";
+  EXPECT_EQ(cluster.server(3).nic().counters().payload_bytes_copied -
+                client_before,
+            uint64_t{kLen});
+  EXPECT_EQ(alloc_count() - allocs_before, 0u)
+      << "read lap performed heap allocations";
+  EXPECT_TRUE(view_ok)
+      << "the view must hold the replica's bytes, in the client's arena";
+}
+
+// The read-datapath lap: once the pooled op/join tables and the join
+// scratch buffers have warmed to the workload's high-water mark, a
+// steady-state read mix — single-shard reads spread across replicas, a
+// fragmented large read slicing into slot-sized READs, and a cross-shard
+// scan (one extent per shard, as KvStore builds them) joined through the
+// ShardedReader — all issued through readv — must perform ZERO heap
+// allocations. ReadView hands the caller a window into the landing
+// ring; any regression that reintroduces a per-read vector or a SmallFn
+// spill fails here.
 TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
   // one NIC port per chain
   Cluster cluster{
@@ -571,9 +650,9 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
   int laps_done = 0;
   auto lap = [&] {
     int done = 0;
-    // Replica-spread small reads on both shards (enough per lap to cycle
-    // the responders' response caches during warm-up, and to exhaust the
-    // 8-slot bounce rings so the park/replay path is exercised too).
+    // Replica-spread small reads on both shards (enough per lap to
+    // exhaust the 8 slot credits so the park/replay path is exercised
+    // too).
     for (int k = 0; k < 12; ++k) {
       read_one(base + static_cast<uint64_t>(k) * 256, 128,
                [&done](ReadView) { ++done; });
@@ -594,11 +673,9 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
     ++laps_done;
   };
 
-  // Warm-up: grow the bounce rings, op/join pools, and scratch buffers to
-  // high water, and cycle every responder QP's 128-entry response cache
-  // at least once — READ responses pin payload blocks there until a later
-  // response evicts them, so the payload pool only reaches its
-  // steady-state class mix after a full cache revolution per endpoint.
+  // Warm-up: grow the op/join pools, the join scratch and the payload
+  // pool to high water. A READ response borrows its replica's region and
+  // is never cached, so its pool block returns as soon as it lands.
   for (int i = 0; i < 48; ++i) lap();
   ASSERT_EQ(laps_done, 48);
   ASSERT_GT(reader.stats().scatter_reads, 0u);
@@ -609,7 +686,7 @@ TEST(NicAllocRead, ShardedReadScanLapAllocatesNothing) {
   const uint64_t before = alloc_count();
   for (int i = 0; i < 4; ++i) lap();
   EXPECT_EQ(alloc_count() - before, 0u)
-      << "steady-state read lap (read -> bounce -> view) performed "
+      << "steady-state read lap (read -> landing -> view) performed "
       << (alloc_count() - before) << " heap allocations";
   EXPECT_EQ(laps_done, 52);
 

@@ -1,5 +1,6 @@
 // RC transport tests: PSN ordering, go-back-N retransmission, duplicate
-// suppression, and end-to-end HyperLoop correctness over a lossy fabric.
+// suppression and READ re-execution, and end-to-end HyperLoop correctness
+// over a lossy fabric.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -116,6 +117,112 @@ TEST_F(LossyPair, SendsAreDeliveredExactlyOnceInOrder) {
     }
   }
   EXPECT_EQ(delivered, n);
+}
+
+// Pipelined READs under loss, on the QP whose WRITEs keep rewriting the
+// region they read. A lost READ response must not let a later response
+// retire the READ (it would lose its CQE); go-back-N resends it and the
+// responder runs it again, since a response that carries bytes is never
+// cached. Every WR completes exactly once, and every READ lands one
+// whole pattern: one written no earlier than the WRITE posted before it,
+// never older than the pattern the READ before it landed.
+TEST_F(LossyPair, PipelinedReadsCompleteOnceAndLandWholePatterns) {
+  connect();
+  constexpr int kPairs = 32;
+  constexpr uint32_t kLen = 256;
+  const Addr region = mem_b.alloc(kLen);
+  const MemoryRegion mr =
+      b.register_mr(region, kLen, kRemoteRead | kRemoteWrite);
+  const Addr src = mem_a.alloc(kPairs * kLen);
+  const Addr land = mem_a.alloc(kPairs * kLen);
+
+  for (int lap = 0; lap < 20; ++lap) {
+    // Pattern of the lap's i-th WRITE: every byte is tag(i). The high bit
+    // alternates per lap, so no READ can pass off last lap's bytes.
+    auto tag = [lap](int i) {
+      return static_cast<uint8_t>((lap % 2) * 128 + i + 1);
+    };
+    for (int i = 0; i < kPairs; ++i) {
+      mem_a.fill(src + static_cast<uint64_t>(i) * kLen, tag(i), kLen);
+      mem_a.fill(land + static_cast<uint64_t>(i) * kLen, 0, kLen);
+    }
+    for (int i = 0; i < kPairs; ++i) {
+      const uint64_t off = static_cast<uint64_t>(i) * kLen;
+      a.post_send(qa, make_write(src + off, 0, region, mr.rkey, kLen,
+                                 static_cast<uint64_t>(2 * i)));
+      a.post_send(qa, make_read(land + off, 0, region, mr.rkey, kLen,
+                                static_cast<uint64_t>(2 * i + 1)));
+    }
+    loop.run();
+
+    int seen[2 * kPairs] = {};
+    Cqe c;
+    while (cq_a->poll(&c)) {
+      ASSERT_EQ(c.status, CqStatus::kSuccess);
+      ASSERT_LT(c.wr_id, uint64_t{2 * kPairs});
+      ++seen[c.wr_id];
+    }
+    for (int w = 0; w < 2 * kPairs; ++w) {
+      ASSERT_EQ(seen[w], 1) << "lap " << lap << " wr " << w;
+    }
+    int prev = 0;
+    for (int i = 0; i < kPairs; ++i) {
+      uint8_t got[kLen];
+      mem_a.read(land + static_cast<uint64_t>(i) * kLen, got, kLen);
+      for (uint32_t k = 1; k < kLen; ++k) {
+        ASSERT_EQ(got[k], got[0]) << "torn READ " << i << " at byte " << k;
+      }
+      const int landed = got[0] - tag(0);  // index of the WRITE it saw
+      ASSERT_GE(landed, i) << "lap " << lap << " READ " << i;
+      ASSERT_LT(landed, kPairs) << "lap " << lap << " READ " << i;
+      ASSERT_GE(landed, prev) << "lap " << lap << " READ " << i;
+      prev = landed;
+    }
+  }
+  EXPECT_GT(net.packets_dropped(), 0u);
+  EXPECT_GT(b.counters().reads_reexecuted, 0u)
+      << "no duplicate READ was run again";
+}
+
+// Pipelined CASes under loss: a lost CAS response must not let a later
+// response retire the CAS without its CQE and result. The chain
+// i -> i + 1 breaks if a duplicate ever executes again (the responder
+// replays its cached response instead).
+TEST_F(LossyPair, PipelinedCasesCompleteAndExecuteOnce) {
+  connect();
+  constexpr int kCases = 32;
+  const Addr counter = mem_b.alloc(8);
+  const MemoryRegion mr = b.register_mr(counter, 8, kRemoteAtomic);
+  const Addr results = mem_a.alloc(kCases * 8);
+
+  uint64_t next = 0;
+  for (int lap = 0; lap < 20; ++lap) {
+    for (int i = 0; i < kCases; ++i) {
+      a.post_send(qa, make_cas(results + static_cast<uint64_t>(i) * 8, 0,
+                               counter, mr.rkey, next + i, next + i + 1,
+                               static_cast<uint64_t>(i)));
+    }
+    loop.run();
+
+    int seen[kCases] = {};
+    Cqe c;
+    while (cq_a->poll(&c)) {
+      ASSERT_EQ(c.status, CqStatus::kSuccess);
+      ASSERT_LT(c.wr_id, uint64_t{kCases});
+      ++seen[c.wr_id];
+    }
+    for (int i = 0; i < kCases; ++i) {
+      ASSERT_EQ(seen[i], 1) << "lap " << lap << " CAS " << i;
+      uint64_t old = 0;
+      mem_a.read(results + static_cast<uint64_t>(i) * 8, &old, 8);
+      ASSERT_EQ(old, next + i) << "lap " << lap << " CAS " << i;
+    }
+    next += kCases;
+  }
+  uint64_t final_val = 0;
+  mem_b.read(counter, &final_val, 8);
+  EXPECT_EQ(final_val, next);
+  EXPECT_GT(net.packets_dropped(), 0u);
 }
 
 TEST(LossyHyperLoop, GroupOpsSurviveLossyFabric) {

@@ -1,10 +1,12 @@
 // RemoteReader / ShardedReader (sharded one-sided read datapath) tests.
 //
 // Covers the read-pool contract and the sharded composition:
-//   - fragmented large reads (len > slot_size slices across bounce slots)
+//   - fragmented large reads (len > slot_size slices into slot-sized READs)
 //   - replica-selection policies (head-only, round-robin)
 //   - slot exhaustion: reads park FIFO and replay in order (no jumping)
 //   - readv extent batching: one endpoint, bytes concatenated in order
+//   - the landing ring: reads issued from callbacks wrap it, and FIFO
+//     claims within the credit bound never overlap
 //   - teardown with reads in flight: callbacks dropped, responses drop at
 //     the NIC as invalid_qp_drops, no crash
 //   - ShardedReader routing, cross-shard scatter/join, and stop() aborting
@@ -15,6 +17,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -211,6 +215,81 @@ TEST_F(ReaderFixture, ReadvConcatenatesExtentsInOrder) {
   // here, but the fragment count is).
   EXPECT_EQ(reader->stats().reads_issued, 1u);
   EXPECT_EQ(reader->stats().frags_issued, 3u);
+}
+
+// Mixed sizes under a small credit budget, each callback issuing the
+// next read: fragments of later reads land while earlier reads wait for
+// their callbacks, and the landing ring (3 × 16 KB here) wraps many times.
+// Every view must hold exactly its own extent's bytes.
+TEST_F(ReaderFixture, ReadsIssuedFromCallbacksWrapTheLandingRing) {
+  RemoteReader::Options opts;
+  opts.slots = 4;
+  opts.slot_size = 4096;
+  auto reader = make_reader(opts);  // head-only: one endpoint, one ring
+  constexpr uint32_t kLens[] = {16 << 10, 5000, 100, 12 << 10, 7, 9000, 4096};
+  constexpr int kReads = 300;
+  int issued = 0;
+  int verified = 0;
+  std::function<void()> issue = [&] {
+    const uint32_t len = kLens[issued % 7];
+    const uint64_t off = (static_cast<uint64_t>(issued) * 1237) % (kFill - len);
+    ++issued;
+    reader->read(off, len, [&, off, len](ReadView view) {
+      ASSERT_EQ(view.size(), len);
+      expect_pattern(view, off);
+      ++verified;
+      if (issued < kReads) issue();
+    });
+  };
+  for (int k = 0; k < 6; ++k) issue();  // some park for credits
+  run(sim::msec(50));
+  EXPECT_EQ(issued, kReads);
+  EXPECT_EQ(verified, kReads);
+}
+
+// The landing ring's bound: a claim of at most S bytes, where the claims
+// after the oldest plus the new one total at most S (the credits in
+// flight), always fits 3 × S, inside the ring and clear of every live
+// claim. A deterministic pseudo-random FIFO claim/release walk.
+TEST(LandingRingTest, ClaimsWithinTheCreditBoundNeverOverlap) {
+  constexpr uint32_t kS = 16 << 10;
+  LandingRing ring(3 * kS);
+  struct Claim {
+    uint32_t off, len;
+  };
+  std::deque<Claim> live;
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  int wraps = 0;
+  uint32_t last_end = 0;
+  for (int step = 0; step < 200000; ++step) {
+    uint32_t after_oldest = 0;
+    for (size_t i = 1; i < live.size(); ++i) after_oldest += live[i].len;
+    const uint32_t n = 1 + static_cast<uint32_t>(next() % kS);
+    const uint32_t budget = live.empty() ? kS : kS - after_oldest;
+    if (n <= budget && next() % 8 < 5) {
+      const uint32_t off = ring.claim(n);
+      ASSERT_LE(off + n, ring.capacity()) << "step " << step;
+      for (const Claim& c : live) {
+        ASSERT_TRUE(off + n <= c.off || c.off + c.len <= off)
+            << "step " << step << ": [" << off << ", " << off + n
+            << ") overlaps [" << c.off << ", " << c.off + c.len << ")";
+      }
+      if (!live.empty() && off < last_end) ++wraps;
+      last_end = off + n;
+      live.push_back({off, n});
+    } else if (!live.empty()) {
+      ring.release(live.front().len);
+      live.pop_front();
+    }
+    ASSERT_EQ(ring.claims(), live.size());
+  }
+  EXPECT_GT(wraps, 100) << "the walk never wrapped the ring";
 }
 
 TEST_F(ReaderFixture, TeardownWithReadsInFlightDropsResponses) {

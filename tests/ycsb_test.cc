@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "apps/ycsb/driver.h"
@@ -92,6 +93,13 @@ TEST(WorkloadGenerator, ValuesAreDeterministicPerKey) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a.size(), 1024u);
+  // A shorter value is a prefix of a longer one (readers compare
+  // prefixes), partial last word included.
+  for (uint32_t n : {0u, 1u, 7u, 8u, 9u, 16u, 1023u}) {
+    const auto p = WorkloadGenerator::value_for(42, n);
+    ASSERT_EQ(p.size(), n);
+    EXPECT_TRUE(std::equal(p.begin(), p.end(), a.begin())) << n;
+  }
 }
 
 // A trivial synchronous in-memory engine to test the driver itself.
