@@ -32,7 +32,6 @@ FanoutGroup::FanoutGroup(Server& client, std::vector<Server*> replicas,
   // Primary rearm posts 4 + 3*K SGEs per slot; keep K within the inline
   // SgeList capacity (same group-size-8 cap as the naive/tcp baselines).
   assert(replicas_.size() <= 8);
-  assert(cfg_.max_inflight * 2 <= cfg_.ring_slots);
 
   const size_t K = backups_.size();
   client_staging_slot_ = static_cast<uint32_t>(kDescBytes * 3 * (1 + 2 * K));

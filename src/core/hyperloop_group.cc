@@ -23,12 +23,10 @@ constexpr sim::Duration kRefillCpuPerSlot = sim::nsec(150);
 }  // namespace
 
 void HyperLoopGroup::Config::validate() const {
-  if (max_inflight == 0 || max_inflight > ring_slots / 2) {
+  if (max_inflight == 0) {
     std::fprintf(stderr,
-                 "HyperLoopGroup::Config: max_inflight=%u violates "
-                 "1 <= max_inflight <= ring_slots/2 (ring_slots=%u); the "
-                 "in-flight window must leave re-arm headroom\n",
-                 max_inflight, ring_slots);
+                 "HyperLoopGroup::Config: max_inflight=0; the credit window "
+                 "must admit at least one op\n");
     std::abort();
   }
 }

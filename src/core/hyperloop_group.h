@@ -59,7 +59,7 @@ class HyperLoopGroup final : public BackendGroup {
     uint64_t region_size = 4u << 20;
     /// Pre-posted chain slots per primitive per replica.
     uint32_t ring_slots = 512;
-    /// Max client-side in-flight ops per primitive (must be <= ring/2).
+    /// Max client-side in-flight ops per primitive.
     uint32_t max_inflight = 32;
     /// Replica refill cadence (off critical path).
     sim::Duration refill_period = sim::usec(100);
@@ -71,14 +71,11 @@ class HyperLoopGroup final : public BackendGroup {
     /// distinct simulated NICs (ServerConfig::num_nics).
     uint32_t nic_index = 0;
 
-    /// Enforces the documented invariants (constructor calls this; it
-    /// aborts with a diagnostic rather than silently mis-running):
-    ///   - max_inflight >= 1: the credit window must admit at least one op.
-    ///   - max_inflight <= ring_slots / 2: the client may only wrap
-    ///     halfway around the pre-posted replica rings; the other half is
-    ///     the re-arm headroom the off-path refill task needs. Violating
-    ///     this lets a fast client patch a slot whose previous chain has
-    ///     not been re-armed, corrupting deferred descriptors in flight.
+    /// Aborts with a diagnostic unless max_inflight >= 1: the credit
+    /// window must admit at least one op (the constructor calls this). A
+    /// window as wide as the rings or wider is correct: a slot's
+    /// descriptors are patched only through its RECV, which the refill
+    /// posts after the slot's previous chain has finished.
     void validate() const;
   };
 

@@ -4,33 +4,18 @@
 
 namespace hyperloop::core {
 
-uint32_t LandingRing::claim(uint32_t n) {
+uint32_t RemoteReader::landing_offset(uint32_t oldest, uint32_t newest_off,
+                                      uint32_t newest_end, uint32_t n,
+                                      uint32_t cap) {
   assert(n > 0);
-  if (claims_ == 0) {
-    head_ = tail_ = 0;
-    wrapped_ = false;
+  if (newest_off < oldest) {  // wrapped: fill the gap below the oldest
+    assert(newest_end + n <= oldest && "landing ring overrun");
+    return newest_end;
   }
-  if (!wrapped_ && tail_ + n > cap_) {
-    // No room above the newest claim: skip the tail, continue at the base.
-    wrap_end_ = tail_;
-    tail_ = 0;
-    wrapped_ = true;
-  }
-  assert(tail_ + n <= (wrapped_ ? head_ : cap_) && "landing ring overrun");
-  const uint32_t off = tail_;
-  tail_ += n;
-  ++claims_;
-  return off;
-}
-
-void LandingRing::release(uint32_t n) {
-  assert(claims_ > 0);
-  head_ += n;
-  --claims_;
-  if (wrapped_ && head_ == wrap_end_) {
-    head_ = 0;  // the upper claims are gone; the skipped tail frees too
-    wrapped_ = false;
-  }
+  if (newest_end + n <= cap) return newest_end;
+  // No room above the newest read: skip the tail, continue at the base.
+  assert(n <= oldest && "landing ring overrun");
+  return 0;
 }
 
 RemoteReader::RemoteReader(Server& client, std::vector<Target> targets,
@@ -54,8 +39,7 @@ RemoteReader::RemoteReader(Server& client, std::vector<Target> targets,
     ep.stub = t.server->nic(opts_.nic_index).create_qp(nullptr, nullptr, 8);
     rdma::connect(ep.qp, ep.stub);
     ep.free_slots = opts_.slots;
-    ep.landing = LandingRing(3 * max_read_len());
-    ep.land_base = client_.mem().alloc(ep.landing.capacity(), 64);
+    ep.land_base = client_.mem().alloc(3 * max_read_len(), 64);
     endpoints_.push_back(std::move(ep));
   }
   for (size_t i = 0; i < endpoints_.size(); ++i) {
@@ -121,15 +105,16 @@ void RemoteReader::submit(size_t replica, const ReadVec& extents,
 void RemoteReader::issue(size_t replica, const ReadVec& extents,
                          ReadDone done) {
   Endpoint& ep = endpoints_[replica];
-  const uint32_t total = extents.total_len();
-  const uint32_t op_idx = ops_.claim();
-  ReadOp& op = ops_[op_idx];
-  op.remaining = 0;
-  op.len = total;
-  op.land_off = ep.landing.claim(total);
-  op.live = true;
-  op.started = client_.loop().now();
-  op.done = std::move(done);
+  ReadOp op;
+  op.seq = stats_.reads_issued++;
+  op.len = extents.total_len();
+  if (!ep.reads.empty()) {
+    const ReadOp& newest = ep.reads[ep.reads.size() - 1];
+    op.land_off = landing_offset(ep.reads.front().land_off, newest.land_off,
+                                 newest.land_off + newest.len, op.len,
+                                 3 * max_read_len());
+  }
+  stats_.read_bytes += op.len;
 
   // Stage every fragment, then ring the doorbell once: the whole logical
   // read enters the NIC engine as one coalesced batch. Fragments land
@@ -142,11 +127,9 @@ void RemoteReader::issue(size_t replica, const ReadVec& extents,
       const uint32_t flen = left < opts_.slot_size ? left : opts_.slot_size;
       assert(ep.free_slots > 0);
       --ep.free_slots;
-      const uint64_t wr_id = next_wr_id_++;
-      ep.pending.push_back(Frag{wr_id, op_idx});
       client_nic().stage_send(
           ep.qp, rdma::make_read(land, 0, ep.remote_base + off, ep.rkey,
-                                 flen, wr_id));
+                                 flen, op.seq));
       ++op.remaining;
       ++ep.frags_issued;
       ++stats_.frags_issued;
@@ -155,9 +138,9 @@ void RemoteReader::issue(size_t replica, const ReadVec& extents,
       left -= flen;
     }
   }
+  op.done = std::move(done);
+  ep.reads.push_back(std::move(op));
   client_nic().ring_doorbell(ep.qp);
-  ++stats_.reads_issued;
-  stats_.read_bytes += total;
 }
 
 void RemoteReader::replay_waiting() {
@@ -175,32 +158,26 @@ void RemoteReader::on_completion(size_t replica) {
   Endpoint& ep = endpoints_[replica];
   rdma::Cqe cqe;
   while (ep.cq->poll(&cqe)) {
-    assert(!ep.pending.empty());
-    const Frag f = ep.pending.front();
-    ep.pending.pop_front();
-    assert(f.wr_id == cqe.wr_id && "READ completions must be FIFO");
+    ReadOp& op = ep.reads.front();
+    assert(cqe.wr_id == op.seq && op.remaining > 0 &&
+           "READ completions must be FIFO");
     ++ep.free_slots;
-    ReadOp& op = ops_[f.op];
-    assert(op.live && op.remaining > 0);
     if (--op.remaining > 0) {
       replay_waiting();
       continue;
     }
     // Logical read complete: hand the caller a view of its landed bytes.
-    // They stay claimed until the callback returns, so a read replayed
-    // below or issued from inside the callback lands elsewhere.
-    latency_.record(static_cast<int64_t>(client_.loop().now() - op.started));
-    op.live = false;
+    // The read stays queued until the callback returns, so a read
+    // replayed below or issued from inside the callback lands elsewhere.
+    // Snapshot the view before replaying: a replayed read can grow the
+    // queue (invalidating `op`).
     ReadDone done = std::move(op.done);
-    // Snapshot the view before replaying: a replayed read can grow ops_
-    // (invalidating `op`).
     const uint32_t len = op.len;
     const uint8_t* data = client_.mem().view(ep.land_base + op.land_off, len);
     replay_waiting();
     done(ReadView(data, len));
-    ops_.release(f.op);
-    ep.landing.release(len);
     if (stopped_) return;  // the callback tore the reader down
+    ep.reads.pop_front();
   }
   ep.cq->arm_notify();
 }
@@ -209,20 +186,15 @@ void RemoteReader::stop() {
   if (stopped_) return;
   stopped_ = true;
   stats_.aborted_reads += waiting_.size();
-  while (!waiting_.empty()) waiting_.pop_front();
+  waiting_.clear();
   rdma::Nic& nic = client_nic();
   for (Endpoint& ep : endpoints_) {
-    // Drop (never invoke) the callbacks of logical reads still in flight.
-    while (!ep.pending.empty()) {
-      const Frag f = ep.pending.front();
-      ep.pending.pop_front();
-      ReadOp& op = ops_[f.op];
-      if (op.live) {
-        op.live = false;
-        op.done.reset();
-        ++stats_.aborted_reads;
-      }
+    // Drop (never invoke) the callbacks of logical reads still in flight;
+    // one whose callback is running has none left.
+    for (size_t i = 0; i < ep.reads.size(); ++i) {
+      if (ep.reads[i].remaining > 0) ++stats_.aborted_reads;
     }
+    ep.reads.clear();
     // QPs before their CQ (destroy_cq asserts no QP still references it).
     // Response packets still in the network then drop at the NIC as
     // invalid_qp_drops.

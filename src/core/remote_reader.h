@@ -2,8 +2,8 @@
 //
 // HyperLoop allows lock-free (or read-locked) reads from any replica of
 // the chain (§5). RemoteReader owns a small pool of dedicated QPs — one
-// per replica it can read from — plus per-endpoint bounce-slot credits
-// and a landing ring in client memory, so read traffic never interferes
+// per replica it can read from — plus per-endpoint fragment credits and
+// a landing ring in client memory, so read traffic never interferes
 // with the pre-posted primitive rings, and read *load* can be spread
 // across replicas with a pluggable selection policy (Storm-style
 // one-sided fan-out):
@@ -11,14 +11,14 @@
 //   kHeadOnly    every read goes to target 0
 //   kRoundRobin  logical reads rotate across all targets
 //
-// Reads larger than one bounce slot are fragmented, one credit per
-// fragment, on the chosen endpoint (never across endpoints — one logical
-// read observes one replica), staged with stage_send and issued under a
+// Reads larger than one slot are fragmented, one credit per fragment, on
+// the chosen endpoint (never across endpoints — one logical read
+// observes one replica), staged with stage_send and issued under a
 // single doorbell. readv() batches discontiguous extents the same way:
 // one endpoint, one doorbell, one completion with the extents
 // concatenated in order.
 //
-// Each fragment lands at its final place in the op's stretch of the
+// Each fragment lands at its final place in the read's stretch of the
 // endpoint's landing ring, so the NIC's landing is the read's only copy.
 // Completion hands the caller a ReadView of those landed bytes, valid
 // only inside the callback — so the steady-state read path performs zero
@@ -33,9 +33,7 @@
 #include "core/server.h"
 #include "rdma/nic.h"
 #include "sim/ring.h"
-#include "sim/slot_pool.h"
 #include "sim/small_fn.h"
-#include "stats/histogram.h"
 
 namespace hyperloop::core {
 
@@ -74,37 +72,6 @@ using ReadDone = sim::SmallFn<void(ReadView), kReadDoneCap>;
 static_assert(sizeof(ReadDone) == kReadDoneCap + 2 * sizeof(void*),
               "ReadDone must stay a flat inline-capture SmallFn");
 
-/// A FIFO byte ring: contiguous claims, released in claim order. Each
-/// RemoteReader endpoint lands its reads in one of 3 × max_read_len()
-/// bytes. A logical read claims its whole length when it issues and
-/// releases it after its callback returns. Claimed bytes never exceed the
-/// credits in flight, plus the oldest read (it may have returned its
-/// credits while its callback is pending), plus one skipped wrap tail,
-/// each at most max_read_len(), so a claim never fails. An idle ring
-/// restarts at its base, so a lightly loaded endpoint keeps landing in
-/// the same few pages.
-class LandingRing {
- public:
-  explicit LandingRing(uint32_t cap = 0) : cap_(cap) {}
-
-  /// Claims `n` contiguous bytes (0 < n, and the bound above holds);
-  /// returns their offset.
-  uint32_t claim(uint32_t n);
-  /// Releases the oldest claim, `n` bytes long.
-  void release(uint32_t n);
-
-  uint32_t capacity() const { return cap_; }
-  uint32_t claims() const { return claims_; }
-
- private:
-  uint32_t cap_;
-  uint32_t head_ = 0;      ///< start of the oldest claim
-  uint32_t tail_ = 0;      ///< end of the newest claim
-  uint32_t wrap_end_ = 0;  ///< while wrapped: end of the upper claims
-  uint32_t claims_ = 0;
-  bool wrapped_ = false;   ///< claims are [head, wrap_end) + [0, tail)
-};
-
 /// readv()'s extent list, sized for one extent per shard at the largest
 /// sharded configs.
 using ReadExtent = Extent;
@@ -123,8 +90,8 @@ class RemoteReader {
   };
 
   struct Options {
-    uint32_t slots = 32;        ///< bounce-slot credits per endpoint
-    uint32_t slot_size = 16384; ///< bytes per bounce slot (one fragment)
+    uint32_t slots = 32;        ///< fragment credits per endpoint
+    uint32_t slot_size = 16384; ///< bytes per fragment
     Policy policy = Policy::kHeadOnly;
     size_t nic_index = 0;       ///< client/replica NIC the QPs live on
   };
@@ -184,19 +151,35 @@ class RemoteReader {
   uint64_t replica_frags(size_t i) const {
     return endpoints_.at(i).frags_issued;
   }
-  /// Latency of completed logical reads (issue -> last fragment).
-  const stats::Histogram& latency() const { return latency_; }
+
+  /// Where a read of `n` bytes lands in an endpoint's landing ring of
+  /// `cap` bytes while reads are live there: `oldest` is the oldest live
+  /// read's offset and [newest_off, newest_end) the newest's. It lands
+  /// right behind the newest read, at the base when there is no room
+  /// above it, and in the gap below the oldest read while the live reads
+  /// wrap; an idle endpoint lands at the base. Live bytes never exceed
+  /// the credits in flight, plus the oldest read (it may have returned
+  /// its credits while its callback runs), plus one skipped wrap tail,
+  /// each at most max_read_len(), so 3 × max_read_len() always fits.
+  static uint32_t landing_offset(uint32_t oldest, uint32_t newest_off,
+                                 uint32_t newest_end, uint32_t n,
+                                 uint32_t cap);
 
  private:
-  /// One in-flight slot-sized READ, pointing back into its logical op.
-  struct Frag {
-    uint64_t wr_id = 0;
-    uint32_t op = 0;  ///< ops_ index (pool may grow; never a pointer)
+  /// One logical read in flight: its fragments outstanding, where its
+  /// bytes land in its endpoint's ring, and the parked completion.
+  struct ReadOp {
+    uint64_t seq = 0;  ///< the read's number; every fragment's wr_id
+    uint32_t remaining = 0;
+    uint32_t len = 0;
+    uint32_t land_off = 0;  ///< offset of its bytes in the landing ring
+    ReadDone done;
   };
 
-  /// One QP to one replica plus its slot credits and landing ring. READ
-  /// completions arrive in post order per QP, so in-flight fragments
-  /// form a FIFO.
+  /// One QP to one replica plus its credits and landing ring. READ
+  /// completions arrive in post order per QP and a read's fragments are
+  /// posted back to back, so the endpoint's reads complete in issue
+  /// order: a FIFO whose front is the read the next completion belongs to.
   struct Endpoint {
     Server* server = nullptr;
     rdma::Addr remote_base = 0;
@@ -204,24 +187,13 @@ class RemoteReader {
     rdma::QueuePair* qp = nullptr;
     rdma::QueuePair* stub = nullptr;  ///< routing endpoint on the replica
     rdma::CompletionQueue* cq = nullptr;
-    /// Bounce-slot credits: a read of n fragments issues only while n
-    /// are free, else it parks; each completed fragment returns one.
+    /// Fragment credits: a read of n fragments issues only while n are
+    /// free, else it parks; each completed fragment returns one.
     uint32_t free_slots = 0;
-    rdma::Addr land_base = 0;
-    LandingRing landing;
-    sim::Ring<Frag> pending;  ///< FIFO of in-flight fragments
+    rdma::Addr land_base = 0;  ///< the landing ring, 3 × max_read_len()
+    /// In issue order; a read leaves after its callback returns.
+    sim::Ring<ReadOp> reads;
     uint64_t frags_issued = 0;
-  };
-
-  /// One logical read in flight: fragments outstanding, where its bytes
-  /// land in its endpoint's ring, and the parked completion.
-  struct ReadOp {
-    uint32_t remaining = 0;
-    uint32_t len = 0;
-    uint32_t land_off = 0;  ///< offset of its bytes in the landing ring
-    bool live = false;
-    sim::Time started = 0;
-    ReadDone done;
   };
 
   /// A logical read parked until its endpoint has enough free credits.
@@ -242,12 +214,9 @@ class RemoteReader {
   Server& client_;
   Options opts_;
   std::vector<Endpoint> endpoints_;
-  uint64_t next_wr_id_ = 1;
   size_t rr_next_ = 0;             ///< round-robin cursor
-  sim::SlotPool<ReadOp> ops_;      ///< logical reads in flight
-  sim::Ring<Parked> waiting_;      ///< reads parked for slot credits
+  sim::Ring<Parked> waiting_;      ///< reads parked for credits
   Stats stats_;
-  stats::Histogram latency_;
   bool stopped_ = false;
 };
 

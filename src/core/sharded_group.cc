@@ -1,9 +1,28 @@
 #include "core/sharded_group.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace hyperloop::core {
+
+namespace {
+
+// Splits [offset, offset + len) at routing boundaries and calls
+// fn(shard, segment offset, bytes before the segment, segment length).
+template <typename Fn>
+void for_each_segment(const ShardRouter& r, uint64_t offset, uint32_t len,
+                      Fn&& fn) {
+  for (uint32_t pos = 0; pos < len;) {
+    const uint64_t off = offset + pos;
+    const auto n = static_cast<uint32_t>(
+        std::min<uint64_t>(r.next_boundary(off) - off, len - pos));
+    fn(r.shard_of(off), off, pos, n);
+    pos += n;
+  }
+}
+
+}  // namespace
 
 ShardedGroup::ShardedGroup(
     std::vector<std::unique_ptr<ReplicationGroup>> shards, ShardRouter router)
@@ -26,18 +45,10 @@ ShardedGroup::~ShardedGroup() { stop(); }
 
 size_t ShardedGroup::group_size() const { return shards_[0]->group_size(); }
 
-uint32_t ShardedGroup::route(uint64_t offset, uint32_t len) const {
-  const uint32_t s = router_.shard_of(offset);
-  assert((len <= 1 || router_.shard_of(offset + len - 1) == s) &&
-         "primitive range crosses a shard routing boundary");
-  (void)len;
-  return s;
-}
-
 void ShardedGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
                           Done done) {
   if (stopped_) return;  // children are stopped too: drop, don't forward
-  const uint32_t s = route(offset, len);
+  const uint32_t s = router_.route(offset, len);
   ShardStats& st = shard_stats_[s];
   ++st.ops;
   st.bytes += len;
@@ -47,65 +58,47 @@ void ShardedGroup::gwrite(uint64_t offset, uint32_t len, bool flush,
 void ShardedGroup::gwritev(const ExtentVec& extents, bool flush, Done done) {
   if (stopped_) return;
   assert(!extents.empty());
+  const uint32_t touched = router_.shards_touched(extents);
   // Fast path: the whole batch lives on one chain — hand it through
   // untouched (one traversal, original completion, no join slot).
-  const uint32_t first = route(extents[0].offset, extents[0].len);
-  bool uniform = true;
-  for (size_t i = 1; i < extents.size(); ++i) {
-    if (route(extents[i].offset, extents[i].len) != first) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    ShardStats& st = shard_stats_[first];
-    ++st.ops;
-    for (const Extent& e : extents) st.bytes += e.len;
-    shards_[first]->gwritev(extents, flush, std::move(done));
+  if (touched == 1) {
+    forward_gwritev(router_.shard_of(extents[0].offset), extents, flush,
+                    std::move(done));
     return;
   }
 
-  // Split: one sub-batch per touched shard, extents keeping their list
-  // order within each sub-batch (ordering across shards is not
-  // preserved — co-ordering callers must keep ordered extents on one
-  // shard, which the WAL's per-slice layout does by construction).
-  uint32_t sub_shard[ExtentVec::kCapacity];
-  ExtentVec sub[ExtentVec::kCapacity];
-  uint32_t nsub = 0;
-  for (const Extent& e : extents) {
-    const uint32_t s = route(e.offset, e.len);
-    uint32_t j = 0;
-    while (j < nsub && sub_shard[j] != s) ++j;
-    if (j == nsub) {
-      sub_shard[nsub] = s;
-      sub[nsub].clear();
-      ++nsub;
-    }
-    sub[j].push_back(e);
-  }
-
+  // Split: one sub-batch per touched shard, issued in shard order, its
+  // extents in list order (ordering across shards is not preserved —
+  // co-ordering callers must keep ordered extents on one shard, which
+  // the WAL's per-slice layout does by construction).
   ++stats_.split_gwritevs;
   const uint32_t idx = join_ops_.claim();
   JoinOp& op = join_ops_[idx];
-  op.remaining = nsub;
+  op.remaining = touched;
   op.live = true;
   op.done = std::move(done);
-  for (uint32_t j = 0; j < nsub; ++j) {
-    const uint32_t s = sub_shard[j];
-    ShardStats& st = shard_stats_[s];
-    ++st.ops;
-    for (const Extent& e : sub[j]) st.bytes += e.len;
-    shards_[s]->gwritev(sub[j], flush, [this, idx] {
+  for (uint32_t s = 0; s < shards(); ++s) {
+    const ExtentVec sub = router_.owned_by(s, extents);
+    if (sub.empty()) continue;
+    forward_gwritev(s, sub, flush, [this, idx] {
       if (--join_ops_[idx].remaining == 0) finish_join(idx);
     });
   }
 }
 
+void ShardedGroup::forward_gwritev(uint32_t s, const ExtentVec& extents,
+                                   bool flush, Done done) {
+  ShardStats& st = shard_stats_[s];
+  ++st.ops;
+  st.bytes += extents.total_len();
+  shards_[s]->gwritev(extents, flush, std::move(done));
+}
+
 void ShardedGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
                            uint32_t len, bool flush, Done done) {
   if (stopped_) return;
-  const uint32_t s = route(src_offset, len);
-  assert(route(dst_offset, len) == s &&
+  const uint32_t s = router_.route(src_offset, len);
+  assert(router_.route(dst_offset, len) == s &&
          "gmemcpy src and dst must be co-located on one shard");
   ShardStats& st = shard_stats_[s];
   ++st.ops;
@@ -116,7 +109,7 @@ void ShardedGroup::gmemcpy(uint64_t src_offset, uint64_t dst_offset,
 void ShardedGroup::gcas(uint64_t offset, uint64_t expected, uint64_t desired,
                         ExecMap exec_map, CasDone done) {
   if (stopped_) return;
-  const uint32_t s = route(offset, 8);
+  const uint32_t s = router_.route(offset, 8);
   ++shard_stats_[s].ops;
   shards_[s]->gcas(offset, expected, desired, exec_map, std::move(done));
 }
@@ -156,55 +149,31 @@ void ShardedGroup::stop() {
 
 void ShardedGroup::client_store(uint64_t offset, const void* src,
                                 uint32_t len) {
-  // Local accessors accept ranges spanning shards: split at routing
-  // boundaries so each whole segment lands in its owner's client region.
+  // Local accessors accept ranges spanning shards: each segment goes to
+  // its owner's copy.
   const auto* p = static_cast<const uint8_t*>(src);
-  uint64_t off = offset;
-  uint32_t left = len;
-  while (left > 0) {
-    const uint64_t bound = router_.next_boundary(off);
-    const uint32_t n = bound - off < left
-                           ? static_cast<uint32_t>(bound - off)
-                           : left;
-    shards_[router_.shard_of(off)]->client_store(off, p, n);
-    p += n;
-    off += n;
-    left -= n;
-  }
+  for_each_segment(router_, offset, len,
+                   [&](uint32_t s, uint64_t off, uint32_t pos, uint32_t n) {
+                     shards_[s]->client_store(off, p + pos, n);
+                   });
 }
 
 void ShardedGroup::client_load(uint64_t offset, void* dst,
                                uint32_t len) const {
   auto* p = static_cast<uint8_t*>(dst);
-  uint64_t off = offset;
-  uint32_t left = len;
-  while (left > 0) {
-    const uint64_t bound = router_.next_boundary(off);
-    const uint32_t n = bound - off < left
-                           ? static_cast<uint32_t>(bound - off)
-                           : left;
-    shards_[router_.shard_of(off)]->client_load(off, p, n);
-    p += n;
-    off += n;
-    left -= n;
-  }
+  for_each_segment(router_, offset, len,
+                   [&](uint32_t s, uint64_t off, uint32_t pos, uint32_t n) {
+                     shards_[s]->client_load(off, p + pos, n);
+                   });
 }
 
 void ShardedGroup::replica_load(size_t i, uint64_t offset, void* dst,
                                 uint32_t len) const {
   auto* p = static_cast<uint8_t*>(dst);
-  uint64_t off = offset;
-  uint32_t left = len;
-  while (left > 0) {
-    const uint64_t bound = router_.next_boundary(off);
-    const uint32_t n = bound - off < left
-                           ? static_cast<uint32_t>(bound - off)
-                           : left;
-    shards_[router_.shard_of(off)]->replica_load(i, off, p, n);
-    p += n;
-    off += n;
-    left -= n;
-  }
+  for_each_segment(router_, offset, len,
+                   [&](uint32_t s, uint64_t off, uint32_t pos, uint32_t n) {
+                     shards_[s]->replica_load(i, off, p + pos, n);
+                   });
 }
 
 void ShardedGroup::finish_join(uint32_t idx) {

@@ -17,14 +17,17 @@
 // Router contract: a primitive's byte range must not cross a routing
 // boundary (asserted in debug builds). Routing by range makes that
 // natural: whole slices map to one shard. Cross-shard gWRITEV batches are
-// the exception: they are split per shard and rejoined with a pooled
-// scatter-join completion, so callers see one done for the whole batch.
+// the exception: they are split per shard, issued in shard order and
+// rejoined with a pooled scatter-join completion, so callers see one
+// done for the whole batch.
 //
 // Hot-path discipline matches the other groups: sim::SmallFn completions,
 // pooled join slots indexed by small integers, zero steady-state
 // allocations (gated by tools/lint_hot_path.sh and the alloc test).
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -36,12 +39,15 @@ namespace hyperloop::core {
 
 /// Maps region offsets to shards by range: shard s owns the contiguous
 /// `span` bytes from s * span, and offsets past shards * span clamp to
-/// the last shard. A plain value type, cheap to copy.
+/// the last shard. A plain value type, cheap to copy. ShardedGroup and
+/// ShardedReader split a batch the same way: shards_touched() says how
+/// many children it has, owned_by() gives each one its extents.
 struct ShardRouter {
   uint32_t shards = 1;
   uint64_t span = 0;
 
   static ShardRouter range(uint32_t shards, uint64_t span) {
+    assert(shards >= 1 && shards <= 64 && "shards_touched keeps a bitmask");
     ShardRouter r;
     r.shards = shards;
     r.span = span;
@@ -53,10 +59,38 @@ struct ShardRouter {
     return s >= shards ? shards - 1 : static_cast<uint32_t>(s);
   }
 
+  /// The shard that owns [offset, offset + len). A primitive's range must
+  /// not cross a routing boundary (asserted).
+  uint32_t route(uint64_t offset, uint32_t len) const {
+    const uint32_t s = shard_of(offset);
+    assert((len <= 1 || shard_of(offset + len - 1) == s) &&
+           "range crosses a shard routing boundary");
+    (void)len;
+    return s;
+  }
+
   /// First offset after `offset` where the owning shard may change.
   /// Local bulk accessors split ranges at these boundaries.
   uint64_t next_boundary(uint64_t offset) const {
     return (offset / span + 1) * span;
+  }
+
+  /// How many shards own an extent of `v` (1: the batch is uniform).
+  template <size_t N>
+  uint32_t shards_touched(const ExtentList<N>& v) const {
+    uint64_t seen = 0;
+    for (const Extent& e : v) seen |= uint64_t{1} << route(e.offset, e.len);
+    return static_cast<uint32_t>(std::popcount(seen));
+  }
+
+  /// The extents of `v` that shard `s` owns, in list order.
+  template <size_t N>
+  ExtentList<N> owned_by(uint32_t s, const ExtentList<N>& v) const {
+    ExtentList<N> out;
+    for (const Extent& e : v) {
+      if (shard_of(e.offset) == s) out.push_back(e);
+    }
+    return out;
   }
 };
 
@@ -110,7 +144,8 @@ class ShardedGroup final : public ReplicationGroup {
     Done done;
   };
 
-  uint32_t route(uint64_t offset, uint32_t len) const;
+  void forward_gwritev(uint32_t s, const ExtentVec& extents, bool flush,
+                       Done done);
   void finish_join(uint32_t idx);
 
   std::vector<std::unique_ptr<ReplicationGroup>> shards_;

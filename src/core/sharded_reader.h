@@ -6,12 +6,13 @@
 // keep their logical offsets and each shard's reader simply serves the
 // slices its chain owns. Uniform batches forward untouched to the owning
 // shard's reader (which spreads them across that chain's replicas under
-// its own policy); batches that span shards are split per shard and
-// rejoined with a pooled scatter-join completion, exactly the gWRITEV
-// split/join shape on the write side: child completions capture the join
-// slot *index*, the assembled bytes live in a per-join scratch that grows
-// to high-water and is reused, and the caller sees one ReadDone with the
-// extents concatenated in list order.
+// its own policy); batches that span shards are split per shard by the
+// router, issued in shard order and rejoined with a pooled scatter-join
+// completion, exactly the gWRITEV split/join shape on the write side:
+// child completions capture the join slot *index*, the assembled bytes
+// live in a per-join scratch that grows to high-water and is reused, and
+// the caller sees one ReadDone with the extents concatenated in list
+// order.
 #pragma once
 
 #include <cstdint>
@@ -63,25 +64,14 @@ class ShardedReader {
   /// replica_read_spread signal).
   uint64_t replica_frags(size_t i) const;
 
-  /// Latency of completed multi-shard scatter reads (issue -> join).
-  const stats::Histogram& scatter_latency() const { return scatter_latency_; }
-
  private:
   /// One cross-shard scatter read in flight. Child completions capture
   /// the slot index.
   struct JoinOp {
-    /// Sub-batch for one shard plus where each sub-extent's bytes land in
-    /// the logical output.
-    struct Sub {
-      ReadVec extents;
-      uint32_t dst_off[ReadVec::kCapacity] = {};
-    };
+    ReadVec extents;  ///< the caller's batch
     uint32_t remaining = 0;
-    uint32_t total_len = 0;
     bool live = false;
-    sim::Time started = 0;
-    std::vector<Sub> sub;  ///< sized to shards() on first use, then reused
-    std::vector<uint8_t> scratch;
+    std::vector<uint8_t> scratch;  ///< grows to high-water, then reused
     ReadDone done;
   };
 
@@ -91,7 +81,6 @@ class ShardedReader {
   ShardRouter router_;
   sim::SlotPool<JoinOp> join_ops_;
   Stats stats_;
-  stats::Histogram scatter_latency_;
   bool stopped_ = false;
 };
 

@@ -294,7 +294,6 @@ void Nic::execute_remote(QueuePair* qp, const Wqe& w) {
   p.dst_nic = qp->remote_nic;
   p.src_qpn = qp->qpn;
   p.dst_qpn = qp->remote_qpn;
-  p.wr_seq = next_wr_seq_++;
   p.remote_addr = w.d.remote_addr;
   p.rkey = w.d.rkey;
   p.length = w.d.length;
@@ -578,7 +577,6 @@ void Nic::send_response(const Packet& req, Packet::Type type,
   resp.dst_nic = req.src_nic;
   resp.src_qpn = req.dst_qpn;
   resp.dst_qpn = req.src_qpn;
-  resp.wr_seq = req.wr_seq;
   resp.psn = req.psn;
   resp.status = status;
   resp.payload = std::move(payload);
@@ -601,7 +599,7 @@ void Nic::requester_response(Packet& p) {
 
   // A response to PSN n acknowledges every request up to n (the responder
   // processes strictly in order). Walk the window from the head, popping
-  // acknowledged entries; the one matching wr_seq completes with a CQE.
+  // acknowledged entries; the one at PSN n completes with a CQE.
   // A WRITE or SEND popped without matching had its ACK elided or lost
   // and completes with a success CQE. A READ or CAS is never retired by
   // another request's response: only its own carries its data. Reaching
@@ -615,7 +613,7 @@ void Nic::requester_response(Packet& p) {
   TrackedRequest done;
   while (!q->unacked.empty() && q->unacked.front().pkt.psn <= p.psn) {
     TrackedRequest& t = q->unacked.front();
-    if (t.pkt.wr_seq == p.wr_seq) {
+    if (t.pkt.psn == p.psn) {
       matched = true;
       done = std::move(t);
     } else if (t.pkt.type == Packet::Type::kRead ||

@@ -247,7 +247,6 @@ class Nic {
   MrTable mrs_;
   Counters counters_;
 
-  uint64_t next_wr_seq_ = 1;
   sim::Time rx_busy_until_ = 0;
 
   SlotTable<QueuePair> qps_;

@@ -41,11 +41,11 @@ struct Packet {
   NicId dst_nic = 0;
   uint32_t src_qpn = 0;  ///< requester QP (responses are routed back to it)
   uint32_t dst_qpn = 0;
-  uint64_t wr_seq = 0;   ///< requester-side sequence for response matching
   /// Packet sequence number within the QP's request stream. The RC
   /// transport delivers requests in PSN order: the responder accepts
   /// exactly expected_psn, drops ahead-of-sequence packets (go-back-N) and
-  /// replays cached responses for duplicates.
+  /// replays cached responses for duplicates. A response carries its
+  /// request's PSN, which is how the requester matches it.
   uint64_t psn = 0;
 
   bool is_request() const {

@@ -362,5 +362,73 @@ INSTANTIATE_TEST_SUITE_P(Backends, GroupContractTest,
                          ::testing::ValuesIn(kSingleChainBackends),
                          backend_name);
 
+// The offloaded backends with a credit window as wide as their 16-slot
+// pre-posted rings: 600 gWRITE + gMEMCPY + gCAS triples issued back to
+// back outrun the refill, so every ring runs dry and stalls on RNR. A
+// slot's descriptors are patched only through its RECV, which the refill
+// posts after the slot's previous chain has finished, so every op still
+// lands on every replica.
+class FullRingWindowTest : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(FullRingWindowTest, PipelinedPrimitivesAllLandOnEveryReplica) {
+  Cluster cluster{backend_cluster_config()};
+  constexpr uint32_t kSlots = 16;
+  std::unique_ptr<BackendGroup> g;
+  if (GetParam() == Backend::kHyperLoop) {
+    g = std::make_unique<HyperLoopGroup>(
+        cluster.server(3), chain_replicas(cluster),
+        HyperLoopGroup::Config{.region_size = kRegion,
+                               .ring_slots = kSlots,
+                               .max_inflight = kSlots});
+  } else {
+    g = std::make_unique<FanoutGroup>(
+        cluster.server(3), chain_replicas(cluster),
+        FanoutGroup::Config{.region_size = kRegion,
+                            .ring_slots = kSlots,
+                            .max_inflight = kSlots});
+  }
+  const auto run = [&](sim::Duration d) {
+    cluster.loop().run_until(cluster.loop().now() + d);
+  };
+  constexpr uint64_t kOps = 600;
+  constexpr uint64_t kWrites = 64 << 10;
+  constexpr uint64_t kCopies = 128 << 10;
+  constexpr uint64_t kCas = 192 << 10;
+  // The gMEMCPY sources, replicated before the burst.
+  std::vector<uint64_t> src(kOps);
+  for (uint64_t k = 0; k < kOps; ++k) src[k] = 5000 + k;
+  bool loaded = false;
+  g->gwrite_bytes(0, src.data(), kOps * 8, false, [&] { loaded = true; });
+  run(sim::msec(10));
+  ASSERT_TRUE(loaded);
+
+  uint64_t done = 0;
+  for (uint64_t k = 0; k < kOps; ++k) {
+    const uint64_t v = 1000 + k;
+    g->gwrite_bytes(kWrites + k * 8, &v, 8, false, [&] { ++done; });
+    g->gmemcpy(k * 8, kCopies + k * 8, 8, false, [&] { ++done; });
+    g->gcas(kCas + k * 8, 0, k + 1, ExecMap::all(3),
+            [&](const CasResult& r) {
+              ++done;
+              for (uint64_t old : r) EXPECT_EQ(old, 0u);
+            });
+  }
+  run(sim::seconds(2));
+  ASSERT_EQ(done, 3 * kOps);
+  EXPECT_GT(g->total_rnr_stalls(), 0u);
+  for (uint64_t k = 0; k < kOps; ++k) {
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(word(*g, i, kWrites + k * 8), 1000 + k) << k << " " << i;
+      EXPECT_EQ(word(*g, i, kCopies + k * 8), 5000 + k) << k << " " << i;
+      EXPECT_EQ(word(*g, i, kCas + k * 8), k + 1) << k << " " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, FullRingWindowTest,
+                         ::testing::Values(Backend::kHyperLoop,
+                                           Backend::kFanout),
+                         backend_name);
+
 }  // namespace
 }  // namespace hyperloop::core

@@ -120,18 +120,12 @@ TEST_F(GroupFixture, StopDuringLocalCasDropsTheCas) {
   EXPECT_EQ(g->aborted_ops(), 1u);
 }
 
-// Config::validate() aborts with a diagnostic rather than let a window
-// that leaves no re-arm headroom corrupt descriptors in flight.
+// Config::validate() aborts with a diagnostic rather than build a group
+// whose credit window admits no op.
 TEST(HyperLoopConfigDeathTest, EmptyWindowAborts) {
   const HyperLoopGroup::Config cfg{.ring_slots = 64, .max_inflight = 0};
-  EXPECT_DEATH(cfg.validate(), "max_inflight=0 violates 1 <= max_inflight "
-                               "<= ring_slots/2 \\(ring_slots=64\\)");
-}
-
-TEST(HyperLoopConfigDeathTest, WindowPastHalfTheRingAborts) {
-  const HyperLoopGroup::Config cfg{.ring_slots = 64, .max_inflight = 33};
-  EXPECT_DEATH(cfg.validate(), "max_inflight=33 violates 1 <= max_inflight "
-                               "<= ring_slots/2 \\(ring_slots=64\\)");
+  EXPECT_DEATH(cfg.validate(), "max_inflight=0; the credit window must "
+                               "admit at least one op");
 }
 
 }  // namespace

@@ -54,12 +54,12 @@ TEST(Network, FifoPerSource) {
   Network net(loop, cfg());
   std::vector<uint64_t> order;
   const NicId a = net.attach([](Packet) {});
-  const NicId b = net.attach([&](Packet p) { order.push_back(p.wr_seq); });
+  const NicId b = net.attach([&](Packet p) { order.push_back(p.psn); });
   for (uint64_t i = 0; i < 10; ++i) {
     Packet p;
     p.src_nic = a;
     p.dst_nic = b;
-    p.wr_seq = i;
+    p.psn = i;
     p.payload.resize((i % 3) * 4000);  // varying sizes must not reorder
     net.transmit(std::move(p));
   }

@@ -5,8 +5,8 @@
 //   - replica-selection policies (head-only, round-robin)
 //   - slot exhaustion: reads park FIFO and replay in order (no jumping)
 //   - readv extent batching: one endpoint, bytes concatenated in order
-//   - the landing ring: reads issued from callbacks wrap it, and FIFO
-//     claims within the credit bound never overlap
+//   - the landing ring: reads issued from callbacks wrap it, and the
+//     placement rule keeps FIFO claims within the credit bound apart
 //   - teardown with reads in flight: callbacks dropped, responses drop at
 //     the NIC as invalid_qp_drops, no crash
 //   - ShardedReader routing, cross-shard scatter/join, and stop() aborting
@@ -94,7 +94,6 @@ TEST_F(ReaderFixture, FragmentedReadSpansSlots) {
   EXPECT_EQ(reader->stats().reads_issued, 1u);
   EXPECT_EQ(reader->stats().frags_issued, 4u);
   EXPECT_EQ(reader->stats().read_bytes, uint64_t{len});
-  EXPECT_EQ(reader->latency().count(), 1);
 }
 
 TEST_F(ReaderFixture, HeadOnlyPolicySticksToTargetZero) {
@@ -247,13 +246,15 @@ TEST_F(ReaderFixture, ReadsIssuedFromCallbacksWrapTheLandingRing) {
   EXPECT_EQ(verified, kReads);
 }
 
-// The landing ring's bound: a claim of at most S bytes, where the claims
+// The landing rule's bound: a claim of at most S bytes, where the claims
 // after the oldest plus the new one total at most S (the credits in
 // flight), always fits 3 × S, inside the ring and clear of every live
-// claim. A deterministic pseudo-random FIFO claim/release walk.
+// claim. A deterministic pseudo-random FIFO claim/release walk, placing
+// each claim as an endpoint does: at the base when idle, else by
+// RemoteReader::landing_offset over the oldest and newest live claims.
 TEST(LandingRingTest, ClaimsWithinTheCreditBoundNeverOverlap) {
   constexpr uint32_t kS = 16 << 10;
-  LandingRing ring(3 * kS);
+  constexpr uint32_t kCap = 3 * kS;
   struct Claim {
     uint32_t off, len;
   };
@@ -273,8 +274,12 @@ TEST(LandingRingTest, ClaimsWithinTheCreditBoundNeverOverlap) {
     const uint32_t n = 1 + static_cast<uint32_t>(next() % kS);
     const uint32_t budget = live.empty() ? kS : kS - after_oldest;
     if (n <= budget && next() % 8 < 5) {
-      const uint32_t off = ring.claim(n);
-      ASSERT_LE(off + n, ring.capacity()) << "step " << step;
+      const uint32_t off =
+          live.empty() ? 0
+                       : RemoteReader::landing_offset(
+                             live.front().off, live.back().off,
+                             live.back().off + live.back().len, n, kCap);
+      ASSERT_LE(off + n, kCap) << "step " << step;
       for (const Claim& c : live) {
         ASSERT_TRUE(off + n <= c.off || c.off + c.len <= off)
             << "step " << step << ": [" << off << ", " << off + n
@@ -284,10 +289,8 @@ TEST(LandingRingTest, ClaimsWithinTheCreditBoundNeverOverlap) {
       last_end = off + n;
       live.push_back({off, n});
     } else if (!live.empty()) {
-      ring.release(live.front().len);
       live.pop_front();
     }
-    ASSERT_EQ(ring.claims(), live.size());
   }
   EXPECT_GT(wraps, 100) << "the walk never wrapped the ring";
 }
@@ -434,7 +437,6 @@ TEST_F(ShardedReaderFixture, CrossShardReadvScattersAndJoinsInOrder) {
   run();
   ASSERT_TRUE(done);
   EXPECT_EQ(reader->stats().scatter_reads, 1u);
-  EXPECT_EQ(reader->scatter_latency().count(), 1);
   EXPECT_EQ(reader->shard(0).stats().frags_issued, 1u);
   EXPECT_EQ(reader->shard(1).stats().frags_issued, 2u);
 }

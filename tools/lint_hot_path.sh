@@ -9,8 +9,8 @@
 # nic_alloc_test transaction lap would catch at runtime — this catches it
 # at review time, comments included (a plain grep, by design).
 #
-# Usage: tools/lint_hot_path.sh   (also wired as the `lint` cmake target
-# and a ci.yml step)
+# Usage: tools/lint_hot_path.sh   (also wired as the `lint` cmake target,
+# the `lint.hot_path` ctest test and a ci.yml step)
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
